@@ -22,7 +22,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .novikov import CyclotomicNumber, NovikovElement, format_rational, parse_rational
+from .novikov import (CyclotomicNumber, NovikovElement, format_rational, json_field,
+                      parse_rational)
 
 
 MAX_DENSE_RANK = 64
@@ -189,23 +190,39 @@ class AInftyAlgebra:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "AInftyAlgebra":
-        basis = [b["name"] for b in data["basis"]]
-        degrees = [b["degree"] for b in data["basis"]]
+        """Parse ``to_json_dict`` output; a malformed file raises ``ValueError``."""
+        basis_data = json_field(data, "basis", "algebra", list)
+        basis = [json_field(b, "name", "basis entry", str) for b in basis_data]
+        degrees = [json_field(b, "degree", "basis entry", int) for b in basis_data]
         cutoff = data.get("cutoff", "inf")
         cutoff_val = None if cutoff in (None, "inf") else parse_rational(cutoff)
         index = {name: i for i, name in enumerate(basis)}
+
+        def lookup(name, key):
+            if not isinstance(name, str) or name not in index:
+                raise ValueError(f"algebra key {key!r} names {name!r}, which is not in the basis")
+            return index[name]
+
         tensors: dict[int, dict[tuple, Vector]] = {}
-        for d, entries in data.get("tensors", {}).items():
+        tensor_data = data.get("tensors", {})
+        if not isinstance(tensor_data, dict):
+            raise ValueError(f"algebra key 'tensors' must be a JSON dict, got {tensor_data!r}")
+        for d, entries in tensor_data.items():
             store = {}
             for entry in entries:
-                key = tuple(index[name] for name in entry["inputs"])
-                vec = {index[name]: NovikovElement.from_json_dict(val)
-                       for name, val in entry["outputs"].items()}
+                key = tuple(lookup(name, "inputs")
+                            for name in json_field(entry, "inputs", "tensor entry", list))
+                vec = {lookup(name, "outputs"): NovikovElement.from_json_dict(val)
+                       for name, val in json_field(entry, "outputs", "tensor entry", dict).items()}
                 store[key] = vec
+            if not d.isdigit():
+                raise ValueError(f"algebra key 'tensors' has a non-integer arity {d!r}")
             tensors[int(d)] = store
-        unit = index[data["unit"]] if data.get("unit") is not None else None
-        return cls(basis, degrees, tensors, unit=unit,
-                   n_grading=data.get("n_grading", 2), cutoff=cutoff_val)
+        unit = lookup(data["unit"], "unit") if data.get("unit") is not None else None
+        n_grading = data.get("n_grading", 2)
+        if type(n_grading) is not int or n_grading < 1:
+            raise ValueError(f"algebra key 'n_grading' must be a positive integer, got {n_grading!r}")
+        return cls(basis, degrees, tensors, unit=unit, n_grading=n_grading, cutoff=cutoff_val)
 
 
 def _as_scalar(value, cutoff) -> NovikovElement:
@@ -411,16 +428,21 @@ def _subsets(items: list):
 # spectral decomposition
 
 
-def spectral_decompose(branes: list[Brane]) -> dict[tuple, list[Brane]]:
-    """Group branes by exact potential value.
+def spectral_decompose(branes: list[Brane]) -> dict[int, list[Brane]]:
+    """Group branes by exact potential value, keyed by group index.
 
     Morphisms between groups are zero by construction; within each group the
-    deformed algebra has curvature zero relative to the shared value.
+    deformed algebra has curvature zero relative to the shared value.  Scalars
+    are unhashable, so groups are found by ``==`` on the values.
     """
-    groups: dict[tuple, list[Brane]] = {}
+    groups: dict[int, list[Brane]] = {}
     for brane in branes:
-        key = tuple(brane.potential_value.terms)
-        groups.setdefault(key, []).append(brane)
+        for members in groups.values():
+            if members[0].potential_value == brane.potential_value:
+                members.append(brane)
+                break
+        else:
+            groups[len(groups)] = [brane]
     return groups
 
 

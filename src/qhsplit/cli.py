@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import acceptance, ainfty, blowup, hochschild, linalg, openclosed, toric, trees
-from .novikov import DEFAULT_CUTOFF, format_rational, parse_rational
+from .novikov import DEFAULT_CUTOFF, format_rational, json_field, parse_rational
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -166,9 +166,9 @@ def cmd_ainfty_verify(args) -> int:
 def cmd_hh_dims(args) -> int:
     with open(args.file, "r", encoding="utf-8") as handle:
         data = json.load(handle)
-    if "objects" in data:
-        algebras = [ainfty.AInftyAlgebra.from_json_dict(obj["algebra"])
-                    for obj in data["objects"]]
+    if isinstance(data, dict) and "objects" in data:
+        algebras = [ainfty.AInftyAlgebra.from_json_dict(json_field(obj, "algebra", "object"))
+                    for obj in json_field(data, "objects", "category", list)]
         names = [obj.get("name", f"obj{i}") for i, obj in enumerate(data["objects"])]
     else:
         algebras = [ainfty.AInftyAlgebra.from_json_dict(data)]
@@ -233,7 +233,7 @@ def cmd_oc_matrix(args) -> int:
     eps = parse_rational(args.eps) if args.eps else None
     matrix = openclosed.oc_matrix(args.n, kind, eps)
     order = args.n + 1 if kind == openclosed.PROJECTIVE else max(args.n - 1, 1)
-    if args.order:
+    if args.order is not None:
         if args.order % order:
             return _error(EXIT_FAILURE, "order override",
                           f"override {args.order} is not a multiple of {order}")
@@ -322,6 +322,16 @@ def cmd_verify_all(args) -> int:
 # parser
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qhsplit",
@@ -368,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_matrix.add_argument("--n", type=int, required=True)
     p_matrix.add_argument("--kind", choices=["pn", "exceptional"], required=True)
     p_matrix.add_argument("--eps", default=None)
-    p_matrix.add_argument("--order", type=int, default=None,
+    p_matrix.add_argument("--order", type=_positive_int, default=None,
                           help="cyclotomic order override for serialization")
     p_matrix.add_argument("--format", choices=["json", "csv", "md"], default="json")
     p_matrix.add_argument("--out", default=None)

@@ -5,10 +5,22 @@ Scalars are finite sums ``sum_i c_i q^{d_i}`` with exact rational exponents
 rational *cutoff* turns the ring into the quotient by exponents ``>= cutoff``:
 terms at or above the cutoff are discarded and the element is flagged as
 truncated.  Everything is immutable and exact; no floats appear anywhere.
+
+A cyclotomic coefficient is stored on integers: a tuple ``num`` of integer
+numerators over one denominator ``den``, with ``den > 0`` and
+``gcd(num..., den) = 1``, so each value of a given order has exactly one
+stored form.  ``Fraction`` appears only at the API boundary (``coeffs``,
+``as_rational``, the public constructors) and in the rarely called
+``inverse``.
+
+Scalars are unhashable.  ``==`` identifies values stored at different
+cyclotomic orders (and, for Novikov elements, compares modulo the smaller
+cutoff), which no hash of the stored form respects; group them by ``==``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Iterable
@@ -19,6 +31,8 @@ from typing import Iterable
 
 def parse_rational(text: str) -> Fraction:
     """Parse an exact rational of the form ``p``, ``p/q`` or ``-p/q``."""
+    if not isinstance(text, str):
+        raise ValueError(f"malformed rational {text!r}")
     text = text.strip()
     try:
         if "/" in text:
@@ -38,6 +52,7 @@ def format_rational(value: Fraction) -> str:
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials and power-basis reduction tables
 
+@functools.cache
 def euler_phi(n: int) -> int:
     result = n
     p = 2
@@ -53,12 +68,12 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def _poly_divide_exact(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    # Exact division of polynomials with known-zero remainder; coefficient
-    # lists are low-to-high and the divisor is monic.
+def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
+    # Exact division of integer polynomials with known-zero remainder;
+    # coefficient lists are low-to-high and the divisor is monic.
     num = list(num)
     dn = len(den) - 1
-    out = [Fraction(0)] * (len(num) - dn)
+    out = [0] * (len(num) - dn)
     for i in range(len(num) - 1, dn - 1, -1):
         c = num[i]
         if c:
@@ -70,18 +85,18 @@ def _poly_divide_exact(num: list[Fraction], den: list[Fraction]) -> list[Fractio
     return out
 
 
-_CYCLOTOMIC_CACHE: dict[int, tuple[Fraction, ...]] = {}
+_CYCLOTOMIC_CACHE: dict[int, tuple[int, ...]] = {}
 
 
-def cyclotomic_polynomial(order: int) -> tuple[Fraction, ...]:
-    """Coefficients (low to high) of the ``order``-th cyclotomic polynomial."""
+def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
+    """Integer coefficients (low to high) of the ``order``-th cyclotomic polynomial."""
     if order < 1:
         raise ValueError("order must be a positive integer")
     cached = _CYCLOTOMIC_CACHE.get(order)
     if cached is not None:
         return cached
     # x^order - 1 divided by the cyclotomic polynomials of proper divisors.
-    poly = [Fraction(-1)] + [Fraction(0)] * (order - 1) + [Fraction(1)]
+    poly = [-1] + [0] * (order - 1) + [1]
     for d in range(1, order):
         if order % d == 0:
             poly = _poly_divide_exact(poly, list(cyclotomic_polynomial(d)))
@@ -90,57 +105,100 @@ def cyclotomic_polynomial(order: int) -> tuple[Fraction, ...]:
     return result
 
 
-_POWER_CACHE: dict[int, list[tuple[Fraction, ...]]] = {}
+_POWER_CACHE: dict[int, list[tuple[tuple[int, int], ...]]] = {}
 
 
-def _power_table(order: int, upto: int) -> list[tuple[Fraction, ...]]:
-    # x^j mod Phi_order for 0 <= j <= upto, as vectors in the power basis.
-    phi = euler_phi(order)
-    table = _POWER_CACHE.setdefault(order, [])
-    if not table:
-        for j in range(phi):
-            vec = [Fraction(0)] * phi
-            vec[j] = Fraction(1)
-            table.append(tuple(vec))
-    poly = cyclotomic_polynomial(order)
-    while len(table) <= upto:
-        # x^(j) = x * x^(j-1); reduce the overflow coordinate via Phi.
-        prev = table[-1]
-        shifted = [Fraction(0)] + list(prev)
-        top = shifted.pop()
-        if top:
-            for i in range(phi):
-                shifted[i] -= top * poly[i]
-        table.append(tuple(shifted))
+def _power_table(order: int, upto: int) -> list[tuple[tuple[int, int], ...]]:
+    # x^j mod Phi_order for 0 <= j <= upto, each as the sparse tuple of its
+    # nonzero (index, coefficient) pairs in the power basis.  Phi_order is
+    # monic with integer coefficients, so every entry is an integer.
+    table = _POWER_CACHE.get(order)
+    if table is None:
+        table = _POWER_CACHE[order] = [((j, 1),) for j in range(euler_phi(order))]
+    if len(table) <= upto:
+        poly = cyclotomic_polynomial(order)
+        phi = len(poly) - 1
+        while len(table) <= upto:
+            # x^j = x * x^(j-1); reduce the overflow coordinate via Phi.
+            shifted = [0] * (phi + 1)
+            for i, c in table[-1]:
+                shifted[i + 1] = c
+            top = shifted.pop()
+            if top:
+                for i in range(phi):
+                    shifted[i] -= top * poly[i]
+            table.append(tuple((i, c) for i, c in enumerate(shifted) if c))
     return table
+
+
+_new = object.__new__
+
+
+def _cyclo(order: int, num: tuple[int, ...], den: int) -> "CyclotomicNumber":
+    # Trusted constructor: ``num``/``den`` already satisfy the invariant.
+    x = _new(CyclotomicNumber)
+    x.order = order
+    x.num = num
+    x.den = den
+    return x
+
+
+def _reduced(order: int, num: list[int], den: int) -> "CyclotomicNumber":
+    # Divide out gcd(num..., den); ``den`` must be positive.
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = [n // g for n in num]
+            den //= g
+    return _cyclo(order, tuple(num), den)
 
 
 class CyclotomicNumber:
     """Element of the cyclotomic field of a fixed order, in the power basis.
 
-    ``coeffs`` has length ``phi(order)`` and stores the coordinates of the
-    element with respect to ``1, z, z^2, ...`` where ``z`` is a fixed
-    primitive ``order``-th root of unity.  Elements of different orders are
+    The element is ``sum_k (num[k] / den) z^k``, where ``z`` is a fixed
+    primitive ``order``-th root of unity and ``num`` has length
+    ``phi(order)``.  ``num`` holds integers and ``den`` is a positive integer
+    with ``gcd(num..., den) = 1``, so the stored form is unique.  ``coeffs``
+    gives the coordinates as ``Fraction``s.  Elements of different orders are
     coerced into the field of the lcm order before combining.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "num", "den")
+    __hash__ = None  # == crosses orders; see the module docstring
 
     def __init__(self, order: int, coeffs: Iterable[Fraction]):
-        self.order = int(order)
-        vec = tuple(Fraction(c) for c in coeffs)
-        phi = euler_phi(self.order)
+        order = int(order)
+        if order < 1:
+            raise ValueError(f"cyclotomic order must be a positive integer, got {order}")
+        vec = [Fraction(c) for c in coeffs]
+        phi = euler_phi(order)
         if len(vec) != phi:
             raise ValueError(f"expected {phi} coordinates for order {order}, got {len(vec)}")
-        self.coeffs = vec
+        # den is the lcm of the reduced denominators, so gcd(num..., den) = 1
+        den = math.lcm(*(c.denominator for c in vec))
+        self.order = order
+        self.num = tuple(c.numerator * (den // c.denominator) for c in vec)
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Power-basis coordinates as ``Fraction``s."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.num)
 
     # -- constructors -------------------------------------------------------
     @classmethod
     def from_rational(cls, value, order: int = 1) -> "CyclotomicNumber":
+        if type(value) is int:
+            num, den = value, 1
+        else:
+            value = Fraction(value)
+            num, den = value.numerator, value.denominator
         phi = euler_phi(order)
-        vec = [Fraction(0)] * phi
-        vec[0] = Fraction(value)
-        return cls(order, vec)
+        if phi < 1:
+            raise ValueError(f"cyclotomic order must be a positive integer, got {order}")
+        return _cyclo(order, (num,) + (0,) * (phi - 1), den)
 
     @classmethod
     def zero(cls, order: int = 1) -> "CyclotomicNumber":
@@ -154,20 +212,22 @@ class CyclotomicNumber:
     def root_of_unity(cls, order: int, power: int = 1) -> "CyclotomicNumber":
         """The root ``z^power`` in the field of the given order."""
         power %= order
-        table = _power_table(order, power)
-        return cls(order, table[power])
+        num = [0] * euler_phi(order)
+        for i, c in _power_table(order, power)[power]:
+            num[i] = c
+        return _cyclo(order, tuple(num), 1)
 
     # -- structure ----------------------------------------------------------
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational element")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def to_order(self, order: int) -> "CyclotomicNumber":
         """Embed into the field of a multiple order."""
@@ -176,15 +236,13 @@ class CyclotomicNumber:
         if order % self.order != 0:
             raise ValueError(f"cannot embed order {self.order} into order {order}")
         step = order // self.order
-        phi = euler_phi(order)
-        table = _power_table(order, step * max(len(self.coeffs) - 1, 0))
-        acc = [Fraction(0)] * phi
-        for k, c in enumerate(self.coeffs):
+        table = _power_table(order, step * (len(self.num) - 1))
+        acc = [0] * euler_phi(order)
+        for k, c in enumerate(self.num):
             if c:
-                vec = table[k * step]
-                for i in range(phi):
-                    acc[i] += c * vec[i]
-        return CyclotomicNumber(order, acc)
+                for i, v in table[k * step]:
+                    acc[i] += c * v
+        return _reduced(order, acc, self.den)
 
     def _unify(self, other: "CyclotomicNumber") -> tuple["CyclotomicNumber", "CyclotomicNumber"]:
         if self.order == other.order:
@@ -198,12 +256,18 @@ class CyclotomicNumber:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._unify(other)
-        return CyclotomicNumber(a.order, (x + y for x, y in zip(a.coeffs, b.coeffs)))
+        den, bden = a.den, b.den
+        if den == bden:
+            num = [x + y for x, y in zip(a.num, b.num)]
+        else:
+            num = [x * bden + y * den for x, y in zip(a.num, b.num)]
+            den *= bden
+        return _reduced(a.order, num, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.order, (-c for c in self.coeffs))
+        return _cyclo(self.order, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
         other = _coerce_cyclotomic(other)
@@ -222,21 +286,24 @@ class CyclotomicNumber:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._unify(other)
-        phi = len(a.coeffs)
-        conv = [Fraction(0)] * (2 * phi - 1)
-        for i, x in enumerate(a.coeffs):
+        an, bn = a.num, b.num
+        phi = len(an)
+        if phi == 1:
+            return _reduced(a.order, [an[0] * bn[0]], a.den * b.den)
+        conv = [0] * (2 * phi - 1)
+        bterms = [(j, y) for j, y in enumerate(bn) if y]
+        for i, x in enumerate(an):
             if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        conv[i + j] += x * y
+                for j, y in bterms:
+                    conv[i + j] += x * y
+        acc = conv[:phi]
         table = _power_table(a.order, 2 * phi - 2)
-        acc = [Fraction(0)] * phi
-        for j, c in enumerate(conv):
+        for j in range(phi, 2 * phi - 1):
+            c = conv[j]
             if c:
-                vec = table[j]
-                for i in range(phi):
-                    acc[i] += c * vec[i]
-        return CyclotomicNumber(a.order, acc)
+                for i, v in table[j]:
+                    acc[i] += c * v
+        return _reduced(a.order, acc, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -244,9 +311,9 @@ class CyclotomicNumber:
         if self.is_zero():
             raise ZeroDivisionError("division by zero")
         if self.is_rational():
-            return CyclotomicNumber.from_rational(1 / self.coeffs[0], self.order)
+            return CyclotomicNumber.from_rational(Fraction(self.den, self.num[0]), self.order)
         # Extended Euclid in Q[x] against the (irreducible) cyclotomic polynomial.
-        phi_poly = list(cyclotomic_polynomial(self.order))
+        phi_poly = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
         f = list(self.coeffs)
         while f and not f[-1]:
             f.pop()
@@ -287,12 +354,7 @@ class CyclotomicNumber:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._unify(other)
-        return a.coeffs == b.coeffs
-
-    def __hash__(self):
-        # Hash in a canonical (minimal nonzero support) form is overkill here;
-        # elements are compared through __eq__ in tests and dict keys are names.
-        return hash((self.order, self.coeffs))
+        return a.num == b.num and a.den == b.den
 
     def __repr__(self):
         if self.is_zero():
@@ -321,6 +383,8 @@ def _coerce_cyclotomic(value):
         return CyclotomicNumber.from_rational(value)
     return NotImplemented
 
+
+# Polynomial helpers over Q for the extended Euclid in ``inverse``.
 
 def _poly_divmod(num: list[Fraction], den: list[Fraction]):
     num = list(num)
@@ -359,16 +423,94 @@ def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 DEFAULT_CUTOFF = Fraction(3)
 
 
+def _nov(terms: tuple, cutoff: Fraction | None) -> "NovikovElement":
+    # Trusted constructor: ``terms`` already canonical for ``cutoff``.
+    x = _new(NovikovElement)
+    x.terms = terms
+    x.cutoff = cutoff
+    return x
+
+
+def _monomial(exponent: Fraction, coeff: CyclotomicNumber, cutoff) -> "NovikovElement":
+    # ``exponent``, ``coeff`` and ``cutoff`` already have their stored types.
+    if coeff.is_zero() or (cutoff is not None and exponent >= cutoff):
+        return _nov((), cutoff)
+    return _nov(((exponent, coeff),), cutoff)
+
+
+def _merge_cutoff(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return min(a, b)
+
+
+def _split_index(terms: tuple, bound: Fraction) -> int:
+    # Number of leading terms with exponent below ``bound`` (terms are sorted).
+    k = len(terms)
+    while k and terms[k - 1][0] >= bound:
+        k -= 1
+    return k
+
+
+def _merge(a: tuple, b: tuple) -> tuple:
+    # Sum of two canonical term tuples with no exponent at or above the cutoff.
+    if not b:
+        return a
+    if not a:
+        return b
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        ea, eb = a[i][0], b[j][0]
+        if ea == eb:
+            c = a[i][1] + b[j][1]
+            if not c.is_zero():
+                out.append((ea, c))
+            i += 1
+            j += 1
+        elif ea < eb:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
+
+
+def _exponent(term):
+    return term[0]
+
+
+def _add_exponents(e1: Fraction, e2: Fraction) -> Fraction:
+    # most factors sit at q^0; skip the Fraction addition for them
+    if not e1:
+        return e2
+    if not e2:
+        return e1
+    return e1 + e2
+
+
+_ZERO_EXPONENT = Fraction(0)
+
+
 class NovikovElement:
     """Finite q-series with rational exponents and cyclotomic coefficients.
 
     ``terms`` is a sorted tuple of ``(exponent, coefficient)`` pairs with
-    strictly increasing exponents and no stored zero coefficients.  ``cutoff``
-    is an exact rational or ``None`` for "+infinity"; terms with exponent at
-    or above a finite cutoff are never stored.
+    strictly increasing ``Fraction`` exponents and no stored zero
+    coefficients.  ``cutoff`` is an exact rational or ``None`` for
+    "+infinity"; terms with exponent at or above a finite cutoff are never
+    stored.  The public constructor validates, merges and sorts its input;
+    arithmetic results, already canonical, skip that step.
     """
 
     __slots__ = ("terms", "cutoff")
+    __hash__ = None  # == is cutoff-tolerant; see the module docstring
 
     def __init__(self, terms=(), cutoff: Fraction | None = None):
         cleaned: dict[Fraction, CyclotomicNumber] = {}
@@ -384,22 +526,27 @@ class NovikovElement:
                 cleaned[exp] = coeff
         self.terms = tuple(sorted(
             ((e, c) for e, c in cleaned.items() if not c.is_zero()),
-            key=lambda t: t[0],
+            key=_exponent,
         ))
         self.cutoff = Fraction(cutoff) if cutoff is not None else None
 
     # -- constructors -------------------------------------------------------
     @classmethod
     def zero(cls, cutoff=None) -> "NovikovElement":
-        return cls((), cutoff)
+        return _nov((), Fraction(cutoff) if cutoff is not None else None)
 
     @classmethod
     def one(cls, cutoff=None) -> "NovikovElement":
-        return cls(((Fraction(0), CyclotomicNumber.one()),), cutoff)
+        return cls.from_rational(1, cutoff)
 
     @classmethod
     def monomial(cls, exponent, coefficient=1, cutoff=None) -> "NovikovElement":
-        return cls(((Fraction(exponent), coefficient),), cutoff)
+        if type(exponent) is not Fraction:
+            exponent = Fraction(exponent)
+        if not isinstance(coefficient, CyclotomicNumber):
+            coefficient = CyclotomicNumber.from_rational(coefficient)
+        return _monomial(exponent, coefficient,
+                         Fraction(cutoff) if cutoff is not None else None)
 
     @classmethod
     def q_power(cls, exponent, cutoff=None) -> "NovikovElement":
@@ -407,11 +554,11 @@ class NovikovElement:
 
     @classmethod
     def from_rational(cls, value, cutoff=None) -> "NovikovElement":
-        return cls.monomial(0, Fraction(value), cutoff)
+        return cls.from_cyclotomic(CyclotomicNumber.from_rational(value), cutoff)
 
     @classmethod
     def from_cyclotomic(cls, value: CyclotomicNumber, cutoff=None) -> "NovikovElement":
-        return cls(((Fraction(0), value),), cutoff)
+        return cls.monomial(_ZERO_EXPONENT, value, cutoff)
 
     # -- structure ----------------------------------------------------------
     @property
@@ -452,28 +599,27 @@ class NovikovElement:
         cutoff = Fraction(cutoff)
         if self.cutoff is not None:
             cutoff = min(cutoff, self.cutoff)
-        return NovikovElement(self.terms, cutoff)
+        return _nov(self.terms[:_split_index(self.terms, cutoff)], cutoff)
 
     # -- arithmetic ----------------------------------------------------------
-    @staticmethod
-    def _merge_cutoff(a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return min(a, b)
-
     def __add__(self, other):
         other = _coerce_novikov(other)
         if other is NotImplemented:
             return NotImplemented
-        return NovikovElement(self.terms + other.terms,
-                              self._merge_cutoff(self.cutoff, other.cutoff))
+        cutoff = _merge_cutoff(self.cutoff, other.cutoff)
+        a, b = self.terms, other.terms
+        if cutoff is not None:
+            # only an operand with a larger (or no) cutoff can hold terms above it
+            if self.cutoff is not cutoff:
+                a = a[:_split_index(a, cutoff)]
+            if other.cutoff is not cutoff:
+                b = b[:_split_index(b, cutoff)]
+        return _nov(_merge(a, b), cutoff)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NovikovElement(tuple((e, -c) for e, c in self.terms), self.cutoff)
+        return _nov(tuple((e, -c) for e, c in self.terms), self.cutoff)
 
     def __sub__(self, other):
         other = _coerce_novikov(other)
@@ -489,15 +635,25 @@ class NovikovElement:
 
     def __mul__(self, other):
         if isinstance(other, CyclotomicNumber):
-            return NovikovElement(tuple((e, c * other) for e, c in self.terms), self.cutoff)
+            if other.is_zero():
+                return _nov((), self.cutoff)
+            # a field has no zero divisors: every product stays nonzero
+            return _nov(tuple((e, c * other) for e, c in self.terms), self.cutoff)
         other = _coerce_novikov(other)
         if other is NotImplemented:
             return NotImplemented
-        cutoff = self._merge_cutoff(self.cutoff, other.cutoff)
+        cutoff = _merge_cutoff(self.cutoff, other.cutoff)
+        if len(self.terms) == 1 and len(other.terms) == 1:
+            (e1, c1), = self.terms
+            (e2, c2), = other.terms
+            e = _add_exponents(e1, e2)
+            if cutoff is not None and e >= cutoff:
+                return _nov((), cutoff)
+            return _nov(((e, c1 * c2),), cutoff)
         acc: dict[Fraction, CyclotomicNumber] = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
-                e = e1 + e2
+                e = _add_exponents(e1, e2)
                 if cutoff is not None and e >= cutoff:
                     continue
                 prod = c1 * c2
@@ -505,7 +661,8 @@ class NovikovElement:
                     acc[e] = acc[e] + prod
                 else:
                     acc[e] = prod
-        return NovikovElement(tuple(acc.items()), cutoff)
+        return _nov(tuple(sorted(((e, c) for e, c in acc.items() if not c.is_zero()),
+                                 key=_exponent)), cutoff)
 
     __rmul__ = __mul__
 
@@ -561,18 +718,13 @@ class NovikovElement:
             return NotImplemented
         return (self - other).is_zero()
 
-    def __hash__(self):
-        return hash(self.terms)
-
     # -- conversions ---------------------------------------------------------
     def below(self, bound) -> "NovikovElement":
         """The part of the element with exponent strictly below ``bound``."""
-        bound = Fraction(bound)
-        return NovikovElement(tuple((e, c) for e, c in self.terms if e < bound), self.cutoff)
+        return _nov(self.terms[:_split_index(self.terms, Fraction(bound))], self.cutoff)
 
     def at_or_above(self, bound) -> "NovikovElement":
-        bound = Fraction(bound)
-        return NovikovElement(tuple((e, c) for e, c in self.terms if e >= bound), self.cutoff)
+        return _nov(self.terms[_split_index(self.terms, Fraction(bound)):], self.cutoff)
 
     def specialize_q_to_one(self) -> CyclotomicNumber:
         """Sum of coefficients: the specialization q -> 1."""
@@ -600,13 +752,20 @@ class NovikovElement:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "NovikovElement":
-        order = int(data["order"])
+        order = json_field(data, "order", "scalar")
+        if type(order) is not int or order < 1:
+            raise ValueError(f"scalar key 'order' must be a positive integer, got {order!r}")
         cutoff = data.get("cutoff", "inf")
         cutoff_val = None if cutoff in (None, "inf") else parse_rational(cutoff)
+        phi = euler_phi(order)
         terms = []
-        for t in data["terms"]:
-            coeff = CyclotomicNumber(order, [parse_rational(x) for x in t["coeff"]])
-            terms.append((parse_rational(t["exp"]), coeff))
+        for t in json_field(data, "terms", "scalar", list):
+            coeff = json_field(t, "coeff", "scalar term", list)
+            if len(coeff) != phi:
+                raise ValueError(f"scalar key 'coeff' must list {phi} coordinates for "
+                                 f"order {order}, got {len(coeff)}")
+            terms.append((parse_rational(json_field(t, "exp", "scalar term")),
+                          CyclotomicNumber(order, [parse_rational(x) for x in coeff])))
         return cls(terms, cutoff_val)
 
     def __repr__(self):
@@ -627,6 +786,18 @@ class NovikovElement:
         if self.truncated:
             text += f" [cutoff {format_rational(self.cutoff)}]"
         return text
+
+
+def json_field(data, key: str, what: str, kind: type | None = None):
+    """``data[key]`` from a parsed JSON object, or a ``ValueError`` naming the key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {data!r}")
+    if key not in data:
+        raise ValueError(f"{what} is missing key {key!r}")
+    value = data[key]
+    if kind is not None and not isinstance(value, kind):
+        raise ValueError(f"{what} key {key!r} must be a JSON {kind.__name__}, got {value!r}")
+    return value
 
 
 def _coerce_novikov(value):

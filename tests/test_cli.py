@@ -2,7 +2,7 @@ import json
 import subprocess
 import sys
 
-
+import pytest
 
 from qhsplit.cli import (
     EXIT_BUDGET,
@@ -157,3 +157,42 @@ def test_oc_matrix_order_override():
                for row in payload["entries"] for entry in row)
     bad = run_cli("oc", "matrix", "--n", "2", "--kind", "pn", "--order", "4")
     assert bad.returncode == EXIT_FAILURE
+
+
+# --- malformed inputs ------------------------------------------------------------
+
+def _algebra_with_scalar(order, coeff):
+    scalar = {"order": order, "terms": [{"exp": "0", "coeff": coeff}], "cutoff": "inf"}
+    return {"basis": [{"name": "e", "degree": 0}],
+            "tensors": {"2": [{"inputs": ["e", "e"], "outputs": {"e": scalar}}]}}
+
+
+MALFORMED_ALGEBRAS = {
+    "basis_entry_not_an_object": ({"basis": ["e"]}, "basis entry"),
+    "basis_entry_without_degree": ({"basis": [{"name": "e"}]}, "'degree'"),
+    "scalar_order_below_one": (_algebra_with_scalar(0, []), "'order'"),
+    "scalar_coeff_wrong_length": (_algebra_with_scalar(3, ["1"]), "'coeff'"),
+    "n_grading_not_an_integer": ({"basis": [], "n_grading": "2"}, "'n_grading'"),
+    "tensor_arity_not_an_integer": ({"basis": [], "tensors": {"two": []}}, "'tensors'"),
+}
+
+
+@pytest.mark.parametrize("command", [("ainfty", "verify"), ("hh", "dims")])
+@pytest.mark.parametrize("case", sorted(MALFORMED_ALGEBRAS))
+def test_malformed_algebra_file_is_a_value_error(tmp_path, command, case):
+    data, key = MALFORMED_ALGEBRAS[case]
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    result = run_cli(*command, str(path))
+    assert result.returncode == EXIT_FAILURE
+    error = json.loads(result.stderr)  # a structured error, not a traceback
+    assert error["error"] == "value error"
+    assert key in error["message"]
+
+
+@pytest.mark.parametrize("order", ["0", "-3"])
+def test_oc_matrix_rejects_non_positive_order(order):
+    result = run_cli("oc", "matrix", "--n", "2", "--kind", "pn", "--order", order)
+    assert result.returncode == EXIT_USAGE
+    assert "positive integer" in result.stderr
+    assert result.stdout == ""
