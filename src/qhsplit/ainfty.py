@@ -18,21 +18,13 @@ Under these conventions ``m_2`` encodes an associative product ``a * b`` via
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .novikov import (CyclotomicNumber, NovikovElement, format_rational, json_field,
-                      parse_rational)
+from .novikov import NovikovElement, format_rational, json_field, parse_rational
 
-
-MAX_DENSE_RANK = 64
 
 Vector = dict[int, NovikovElement]
-
-
-class NonConvergentDeformation(ArithmeticError):
-    """The insertion series of a deformation cannot be certified to converge."""
 
 
 def _vec_add(acc: Vector, idx: int, value: NovikovElement):
@@ -44,10 +36,6 @@ def _vec_add(acc: Vector, idx: int, value: NovikovElement):
 
 def _vec_clean(vec: Vector) -> Vector:
     return {i: v for i, v in vec.items() if not v.is_zero()}
-
-
-def _vec_scale(vec: Vector, scalar) -> Vector:
-    return {i: v * scalar for i, v in vec.items()}
 
 
 class AInftyAlgebra:
@@ -83,20 +71,12 @@ class AInftyAlgebra:
     def index_of(self, name) -> int:
         return self.basis.index(name)
 
-    def degree(self, idx: int) -> int:
-        return self.degrees[idx]
-
     def reduced(self, idx: int) -> int:
         return (self.degrees[idx] + 1) % 2
 
     def m_basis(self, inputs: tuple) -> Vector:
         entry = self.tensors.get(len(inputs), {}).get(tuple(inputs))
         return dict(entry) if entry else {}
-
-    def unit_vector(self) -> Vector:
-        if self.unit is None:
-            raise ValueError("no strict unit declared")
-        return {self.unit: NovikovElement.one(self.cutoff)}
 
     def curvature_valuation_positive(self) -> bool:
         """True when the curvature vanishes or has positive valuation."""
@@ -128,9 +108,6 @@ class AInftyAlgebra:
 
     def curvature(self) -> Vector:
         return self.m_basis(())
-
-    def element_from_names(self, combo: dict) -> Vector:
-        return {self.index_of(name): _as_scalar(v, self.cutoff) for name, v in combo.items()}
 
     # -- validation -------------------------------------------------------------
     def degree_violations(self) -> list:
@@ -225,14 +202,6 @@ class AInftyAlgebra:
         return cls(basis, degrees, tensors, unit=unit, n_grading=n_grading, cutoff=cutoff_val)
 
 
-def _as_scalar(value, cutoff) -> NovikovElement:
-    if isinstance(value, NovikovElement):
-        return value
-    if isinstance(value, CyclotomicNumber):
-        return NovikovElement.from_cyclotomic(value, cutoff)
-    return NovikovElement.from_rational(value, cutoff)
-
-
 # ---------------------------------------------------------------------------
 # the relation checker
 
@@ -296,144 +265,25 @@ def _relation_defect(algebra: AInftyAlgebra, d: int) -> dict[tuple, Vector]:
 
 
 # ---------------------------------------------------------------------------
-# branes, deformation, potentials
+# branes and the spectral decomposition
 
 
 @dataclass
 class Brane:
-    """An object: an algebra with a local system, a bounding cochain, and the
-    value of its disk potential."""
+    """An object: an algebra with a local system and the value of its disk
+    potential."""
 
     algebra: AInftyAlgebra
     local_system: tuple = ()
-    mc_cochain: Vector = field(default_factory=dict)
     potential_value: NovikovElement = field(default_factory=NovikovElement.zero)
     name: str = ""
-
-    def mc_residual(self) -> Vector:
-        w, residual = potential(self.algebra, self.mc_cochain)
-        res = dict(residual)
-        diff = w - self.potential_value
-        if not diff.is_zero():
-            _vec_add(res, self.algebra.unit, diff)
-        return _vec_clean(res)
-
-
-def maurer_cartan(algebra: AInftyAlgebra, b: Vector) -> Vector:
-    """The full sum ``m_0(1) + m_1(b) + m_2(b, b) + ...`` (finitely many terms)."""
-    _convergence_guard(algebra, b)
-    acc: Vector = {}
-    for d in sorted(algebra.tensors):
-        part = algebra.m([b] * d)
-        for o, val in part.items():
-            _vec_add(acc, o, val)
-    return _vec_clean(acc)
-
-
-def potential(algebra: AInftyAlgebra, b: Vector) -> tuple[NovikovElement, Vector]:
-    """Split the Maurer-Cartan sum into its unit multiple and the residual."""
-    if algebra.unit is None:
-        raise ValueError("potential needs a declared strict unit")
-    total = maurer_cartan(algebra, b)
-    w = total.pop(algebra.unit, NovikovElement.zero(algebra.cutoff))
-    return w, _vec_clean(total)
-
-
-def _element_valuation(b: Vector):
-    vals = [v.val_q() for v in b.values() if not v.is_zero()]
-    vals = [v for v in vals if v is not None]
-    return min(vals) if vals else None
-
-
-def _convergence_guard(algebra: AInftyAlgebra, b: Vector):
-    val = _element_valuation(b)
-    if val is None or val > 0:
-        return
-    # Non-positive valuation: the insertion series only terminates because the
-    # stored tensors do.  If the top stored arity is active the tail is
-    # unknown and the sum cannot be certified.
-    if algebra.tensors.get(algebra.d_max):
-        raise NonConvergentDeformation(
-            "non-convergent deformation: cochain valuation "
-            f"{format_rational(val)} <= 0 with compositions active at arity "
-            f"{algebra.d_max}")
-
-
-def deform(algebra: AInftyAlgebra, branes: list[Brane]) -> AInftyAlgebra:
-    """Insertion-deformed algebra for a cyclic run of branes on one object.
-
-    All branes must live on the given algebra.  For a single brane ``b`` the
-    result has ``m_d^b(c_1, ..., c_d) = sum m_{d+k_0+...+k_d}(b^{k_0}, c_1,
-    b^{k_1}, ..., c_d, b^{k_d})`` and the new curvature is the Maurer-Cartan
-    sum minus the shared potential value times the unit.
-    """
-    if not branes:
-        raise ValueError("need at least one brane")
-    for brane in branes:
-        if brane.algebra is not algebra:
-            raise ValueError("branes must live on the deformed algebra")
-        _convergence_guard(algebra, brane.mc_cochain)
-    b = branes[0].mc_cochain
-    w = branes[0].potential_value
-    if any(brane.potential_value != w for brane in branes):
-        raise ValueError("branes in one deformation must share the potential value")
-
-    # Each source entry m_s(T) contributes to the deformed m_d for every
-    # order-preserving choice of d slots of T read as arguments, the other
-    # slots being filled by coefficients of b.
-    new_tensors: dict[int, dict[tuple, Vector]] = {}
-    for s, entries in algebra.tensors.items():
-        for key, out in entries.items():
-            b_support = [pos for pos in range(s) if key[pos] in b and not b[key[pos]].is_zero()]
-            forced = [pos for pos in range(s) if pos not in b_support]
-            for fill in _subsets(b_support):
-                arg_slots = sorted(forced + [p for p in b_support if p not in fill])
-                scalar = None
-                for pos in fill:
-                    c = b[key[pos]]
-                    scalar = c if scalar is None else scalar * c
-                target_key = tuple(key[pos] for pos in arg_slots)
-                store = new_tensors.setdefault(len(target_key), {})
-                acc = store.setdefault(target_key, {})
-                for o, val in out.items():
-                    _vec_add(acc, o, val if scalar is None else val * scalar)
-    for d in list(new_tensors):
-        cleaned = {key: _vec_clean(vec) for key, vec in new_tensors[d].items()}
-        cleaned = {key: vec for key, vec in cleaned.items() if vec}
-        if cleaned:
-            new_tensors[d] = cleaned
-        else:
-            del new_tensors[d]
-
-    # curvature relative to the shared potential value
-    m0 = maurer_cartan(algebra, b)
-    if algebra.unit is not None:
-        _vec_add(m0, algebra.unit, -w)
-    m0 = _vec_clean(m0)
-    if m0:
-        new_tensors[0] = {(): m0}
-    else:
-        new_tensors.pop(0, None)
-    return AInftyAlgebra(algebra.basis, algebra.degrees, new_tensors,
-                         unit=algebra.unit, n_grading=algebra.n_grading,
-                         cutoff=algebra.cutoff, d_max=algebra.d_max)
-
-
-def _subsets(items: list):
-    for mask in range(1 << len(items)):
-        yield [items[i] for i in range(len(items)) if mask >> i & 1]
-
-
-# ---------------------------------------------------------------------------
-# spectral decomposition
 
 
 def spectral_decompose(branes: list[Brane]) -> dict[int, list[Brane]]:
     """Group branes by exact potential value, keyed by group index.
 
-    Morphisms between groups are zero by construction; within each group the
-    deformed algebra has curvature zero relative to the shared value.  Scalars
-    are unhashable, so groups are found by ``==`` on the values.
+    Morphisms between groups are zero by construction.  Scalars are
+    unhashable, so groups are found by ``==`` on the values.
     """
     groups: dict[int, list[Brane]] = {}
     for brane in branes:
@@ -506,35 +356,3 @@ def _homogeneous_degree(algebra: AInftyAlgebra, element: Vector) -> int:
 def sign_heart(degrees: list[int]) -> int:
     """Overall sign ``(-1)^{sum_i i |x_i|}`` on an input run (1-indexed)."""
     return -1 if sum(i * d for i, d in enumerate(degrees, start=1)) % 2 else 1
-
-
-# ---------------------------------------------------------------------------
-# weighted disk contributions
-
-
-@dataclass(frozen=True)
-class DiskContribution:
-    """All multiplicative data attached to one rigid configuration."""
-
-    bulk_coefficient: NovikovElement
-    branch_weight: Fraction
-    holonomy: CyclotomicNumber
-    area: Fraction
-    orientation: int
-    interior_counts: tuple = ()  # ((label, count), ...)
-
-    def __post_init__(self):
-        if self.orientation not in (1, -1):
-            raise ValueError("orientation must be +1 or -1")
-
-
-def weight(u: DiskContribution) -> NovikovElement:
-    """The scalar ``c * p * y * q^A * o / prod(count!)`` of one configuration."""
-    denom = 1
-    for _, count in u.interior_counts:
-        denom *= math.factorial(count)
-    scalar = (u.bulk_coefficient
-              * NovikovElement.monomial(u.area, u.holonomy)
-              * NovikovElement.from_rational(Fraction(u.branch_weight) * u.orientation,
-                                             ))
-    return scalar * NovikovElement.from_rational(Fraction(1, denom))

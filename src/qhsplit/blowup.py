@@ -144,13 +144,14 @@ def qh_split(model: BlowupModel) -> dict:
 
 
 def generation_check(old_cols, exc_cols, pairing, total_dim: int,
-                     cutoff=None) -> str:
+                     cutoff=None) -> dict:
     """Orthogonality of the two images plus a full combined rank.
 
     ``old_cols`` and ``exc_cols`` are lists of sparse columns over a common
     label set, ``pairing`` the bilinear form on labels.  Generation holds iff
     the cross Gram matrix vanishes identically and the ranks of the blocks
-    sum to the full dimension.
+    sum to the full dimension.  Returns the verdict under ``generation``
+    together with the Gram matrix and block ranks it rests on.
     """
     gram = linalg.gram_matrix(old_cols, exc_cols, pairing)
     orthogonal = all(entry.is_zero() for row in gram for entry in row)
@@ -168,9 +169,14 @@ def generation_check(old_cols, exc_cols, pairing, total_dim: int,
 
     rank_old = linalg.rank(rows_of(old_cols), cutoff)
     rank_exc = linalg.rank(rows_of(exc_cols), cutoff)
-    if orthogonal and rank_old + rank_exc == total_dim:
-        return GENERATES
-    return FAILS
+    generates = orthogonal and rank_old + rank_exc == total_dim
+    return {
+        "generation": GENERATES if generates else FAILS,
+        "old_block_rank": rank_old,
+        "exceptional_block_rank": rank_exc,
+        "cross_gram": [[repr(entry) for entry in row] for row in gram],
+        "cross_gram_zero": orthogonal,
+    }
 
 
 def split_report(n: int, eps, cutoff_e=Fraction(2), rank_cutoff=None) -> dict:
@@ -205,34 +211,18 @@ def split_report(n: int, eps, cutoff_e=Fraction(2), rank_cutoff=None) -> dict:
         vals = [v.val_q() for col in old_cols + exc_cols for v in col.values()
                 if v.val_q() is not None]
         rank_cutoff = max(vals) + 1 if vals else None
-    generation = generation_check(old_cols, exc_cols, model.pairing,
-                                  model.total_dim(), rank_cutoff)
+    check = generation_check(old_cols, exc_cols, model.pairing,
+                             model.total_dim(), rank_cutoff)
     surj_old = openclosed.surjectivity_test(old_matrix, cutoff_e, normalize_rows=True)
     surj_exc = openclosed.surjectivity_test(exc_matrix, cutoff_e, normalize_rows=True)
-    gram = linalg.gram_matrix(old_cols, exc_cols, model.pairing)
-
-    def block_rank(cols):
-        label_index: dict = {}
-        rows = []
-        for col in cols:
-            row = {}
-            for label, value in col.items():
-                row[label_index.setdefault(label, len(label_index))] = value
-            rows.append(row)
-        return linalg.rank(rows, rank_cutoff)
-
     report.update(
+        check,
         min_extra_valuation=min_extra,
         min_extra_bound=Fraction(1) - eps,
         bound_holds=min_extra >= Fraction(1) - eps,
-        generation=generation,
-        old_block_rank=block_rank(old_cols),
-        exceptional_block_rank=block_rank(exc_cols),
         old_block_surjectivity=surj_old,
         exceptional_block_surjectivity=surj_exc,
-        cross_gram=[[repr(entry) for entry in row] for row in gram],
-        cross_gram_zero=all(e.is_zero() for row in gram for e in row),
-        status=GENERATES if (generation == GENERATES
+        status=GENERATES if (check["generation"] == GENERATES
                              and surj_old == openclosed.SURJECTIVE
                              and surj_exc == openclosed.SURJECTIVE)
         else FAILS,

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import acceptance, ainfty, blowup, hochschild, linalg, openclosed, toric, trees
@@ -24,71 +24,6 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_MALFORMED_RATIONAL = 3
 EXIT_BUDGET = 4
-
-
-@dataclass
-class RunConfig:
-    """Canonical form of one invocation; parse/print round-trips exactly."""
-
-    command: str
-    subcommand: str = ""
-    n: int | None = None
-    eps: str = ""
-    cutoff: str = ""
-    order: int | None = None
-    fmt: str = "json"
-    out: str = ""
-    extra: dict = field(default_factory=dict)
-
-    def to_args(self) -> list[str]:
-        args = [self.command]
-        if self.subcommand:
-            args.append(self.subcommand)
-        if self.n is not None:
-            args.extend(["--n", str(self.n)])
-        if self.eps:
-            args.extend(["--eps", self.eps])
-        if self.cutoff:
-            args.extend(["--cutoff", self.cutoff])
-        if self.order is not None:
-            args.extend(["--order", str(self.order)])
-        if self.fmt != "json":
-            args.extend(["--format", self.fmt])
-        if self.out:
-            args.extend(["--out", self.out])
-        for key, value in sorted(self.extra.items()):
-            args.extend([f"--{key}", str(value)])
-        return args
-
-    @classmethod
-    def from_args(cls, args: list[str]) -> "RunConfig":
-        command = args[0]
-        rest = args[1:]
-        subcommand = ""
-        if rest and not rest[0].startswith("--"):
-            subcommand = rest[0]
-            rest = rest[1:]
-        config = cls(command, subcommand)
-        i = 0
-        while i < len(rest):
-            flag = rest[i].lstrip("-")
-            value = rest[i + 1]
-            if flag == "n":
-                config.n = int(value)
-            elif flag == "eps":
-                config.eps = value
-            elif flag == "cutoff":
-                config.cutoff = value
-            elif flag == "order":
-                config.order = int(value)
-            elif flag == "format":
-                config.fmt = value
-            elif flag == "out":
-                config.out = value
-            else:
-                config.extra[flag] = value
-            i += 2
-        return config
 
 
 def _emit(text: str, out_path: str | None):
@@ -175,15 +110,16 @@ def cmd_hh_dims(args) -> int:
         names = ["obj0"]
     category = hochschild.FlatCategory(tuple(names), tuple(algebras))
     report = hochschild.hochschild_homology_dims(category, args.length)
-    orders = 1
+    # the arithmetic runs in the smallest field holding every scalar
+    order = 1
     for alg in algebras:
         for entries in alg.tensors.values():
             for vec in entries.values():
                 for value in vec.values():
-                    orders = max(orders, value.order())
+                    order = math.lcm(order, value.order())
     cutoff = next((format_rational(alg.cutoff) for alg in algebras
                    if alg.cutoff is not None), "inf")
-    lines = [f"# cutoff={cutoff} cyclotomic_order={orders}",
+    lines = [f"# cutoff={cutoff} cyclotomic_order={order}",
              "degree,dimension,stable"]
     for degree in sorted(report.dims):
         lines.append(f"{degree},{report.dims[degree]},{str(report.stable).lower()}")
@@ -413,6 +349,8 @@ def main(argv=None) -> int:
         return _error(EXIT_BUDGET, "enumeration budget", str(exc))
     except FileNotFoundError as exc:
         return _error(EXIT_FAILURE, "missing file", str(exc))
+    except OSError as exc:
+        return _error(EXIT_FAILURE, "file error", str(exc))
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Hochschild chains and cochains of flat categories, with exact homology.
+"""Hochschild chains of flat categories, with exact homology.
 
 The categories handled here are block-diagonal: a finite list of objects,
 each carrying its own flat algebra, with zero morphisms between distinct
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .ainfty import AInftyAlgebra, Vector, _vec_add, _vec_clean
+from .ainfty import AInftyAlgebra
 from .novikov import DEFAULT_CUTOFF, NovikovElement
 
 
@@ -163,15 +163,18 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6,
     nothing.  Otherwise the truncated subcomplex is used and the result is
     flagged as an unstable truncation.
     """
+    if max_length < 2:
+        raise ValueError(f"the truncation length must be at least 2, got {max_length}")
     if cutoff is None:
         cutoff = DEFAULT_CUTOFF
     graded = is_length_graded(cat)
     # per (length, parity): basis and boundary matrix ranks
-    bases = {length: chain_basis(cat, length) for length in range(1, max_length + 1)}
     by_parity: dict[tuple, list] = {}
-    for length, basis in bases.items():
-        for key in basis:
+    position: dict[tuple, int] = {}  # chain -> its column in every boundary matrix
+    for length in range(1, max_length + 1):
+        for key in chain_basis(cat, length):
             by_parity.setdefault((length, chain_parity(cat, key)), []).append(key)
+            position[key] = len(position)
 
     cutoff_limited = False
     ranks: dict[tuple, int] = {}
@@ -184,22 +187,16 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6,
         rows = []
         for basis_key in by_parity.get((length, parity), []):
             image = hochschild_boundary_basis(cat, basis_key)
-            rows.append({_stable_index(k): v for k, v in image.items()})
+            rows.append({_column(k): v for k, v in image.items()})
         rk, _, limited = linalg.row_reduce(rows, cutoff)
         cutoff_limited = cutoff_limited or limited
         ranks[key] = rk
         return rk
 
-    index_cache: dict[tuple, int] = {}
-
-    def _stable_index(key) -> int:
-        if key not in index_cache:
-            length = len(key[1])
-            basis = bases.get(length)
-            if basis is None:
-                raise KeyError("boundary left the truncation window")
-            index_cache[key] = basis.index(key) + 10 ** 9 * length
-        return index_cache[key]
+    def _column(key) -> int:
+        if key not in position:
+            raise KeyError("boundary left the truncation window")
+        return position[key]
 
     def dims_up_to(top: int) -> dict:
         out = {0: 0, 1: 0}
@@ -223,7 +220,7 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6,
         return out
 
     dims_full = dims_up_to(max_length)
-    dims_prev = dims_up_to(max_length - 1) if max_length >= 2 else dims_full
+    dims_prev = dims_up_to(max_length - 1)
     stable = graded and dims_full == dims_prev
     per_length = {}
     if graded:
@@ -237,187 +234,3 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6,
     return HomologyReport(dims=dims_full, stable=stable, per_length=per_length,
                           cutoff_limited=cutoff_limited, graded=graded,
                           max_length=max_length)
-
-
-# ---------------------------------------------------------------------------
-# Hochschild cochains
-
-
-@dataclass
-class Cochain:
-    """A natural-transformation-style cochain on a block-diagonal category.
-
-    ``components`` maps ``(obj, input_word)`` to an output vector; ``degree``
-    is the parity of the cochain.
-    """
-
-    category: FlatCategory
-    degree: int
-    components: dict = field(default_factory=dict)
-
-    def component(self, obj: int, word: tuple) -> Vector:
-        entry = self.components.get((obj, tuple(word)))
-        return dict(entry) if entry else {}
-
-    def cleaned(self) -> "Cochain":
-        comps = {}
-        for key, vec in self.components.items():
-            vec = _vec_clean(dict(vec))
-            if vec:
-                comps[key] = vec
-        return Cochain(self.category, self.degree, comps)
-
-    def is_zero(self) -> bool:
-        return not self.cleaned().components
-
-    def __add__(self, other: "Cochain") -> "Cochain":
-        if other.degree != self.degree:
-            raise ValueError("cochain degrees differ")
-        comps = {k: dict(v) for k, v in self.components.items()}
-        for key, vec in other.components.items():
-            target = comps.setdefault(key, {})
-            for o, val in vec.items():
-                _vec_add(target, o, val)
-        return Cochain(self.category, self.degree, comps).cleaned()
-
-    def __neg__(self) -> "Cochain":
-        return Cochain(self.category, self.degree,
-                       {k: {o: -v for o, v in vec.items()}
-                        for k, vec in self.components.items()})
-
-    def __sub__(self, other: "Cochain") -> "Cochain":
-        return self + (-other)
-
-
-def unit_cochain(cat: FlatCategory) -> Cochain:
-    """The identity transformation: length zero, value the strict unit."""
-    comps = {}
-    for obj, alg in enumerate(cat.algebras):
-        if alg.unit is None:
-            raise ValueError("unit cochain needs strict units everywhere")
-        comps[(obj, ())] = {alg.unit: NovikovElement.one(alg.cutoff)}
-    return Cochain(cat, 0, comps)
-
-
-def constant_cochain(cat: FlatCategory, scalars) -> Cochain:
-    comps = {}
-    for obj, alg in enumerate(cat.algebras):
-        comps[(obj, ())] = {alg.unit: scalars[obj]}
-    return Cochain(cat, 0, comps)
-
-
-def cc_differential(tau: Cochain, max_length: int = 4) -> Cochain:
-    """The cochain differential, both insertion families with their signs."""
-    cat = tau.category
-    comps: dict = {}
-
-    def add(obj, word, vec, sign):
-        target = comps.setdefault((obj, word), {})
-        for o, val in vec.items():
-            _vec_add(target, o, -val if sign else val)
-
-    for obj, alg in enumerate(cat.algebras):
-        red_tau = (tau.degree + 1) % 2
-        for d in range(0, max_length + 1):
-            for word in itertools.product(range(alg.rank), repeat=d):
-                # family one: a composition eats tau's value
-                for j in range(0, d + 1):
-                    for i in range(0, d - j + 1):
-                        tv = tau.component(obj, word[i:i + j])
-                        if not tv:
-                            continue
-                        outer_arity = d - j + 1
-                        if outer_arity not in alg.tensors:
-                            continue
-                        dagger = (red_tau * _maltese(alg, word, 1, i)) % 2
-                        for mid, coeff in tv.items():
-                            outer = alg.m_basis(word[:i] + (mid,) + word[i + j:])
-                            for o, val in outer.items():
-                                add(obj, word, {o: val * coeff}, dagger)
-                # family two: tau eats a composition
-                for j in alg.tensors:
-                    if j == 0 or j > d:
-                        continue
-                    for i in range(0, d - j + 1):
-                        inner = alg.m_basis(word[i:i + j])
-                        if not inner:
-                            continue
-                        club = (i + sum(alg.degrees[x] for x in word[:i])
-                                + tau.degree - 1) % 2
-                        for mid, coeff in inner.items():
-                            tv = tau.component(obj, word[:i] + (mid,) + word[i + j:])
-                            for o, val in tv.items():
-                                add(obj, word, {o: -(val * coeff)}, club)
-
-    return Cochain(cat, (tau.degree + 1) % 2, comps).cleaned()
-
-
-def cc_product(taus: list[Cochain], max_length: int = 4) -> Cochain:
-    """Insertion product of two or more cochains."""
-    if len(taus) < 2:
-        raise ValueError("the insertion product needs at least two cochains")
-    cat = taus[0].category
-    degree = (sum(t.degree for t in taus) + (2 - len(taus))) % 2
-    comps: dict = {}
-    e = len(taus)
-
-    for obj, alg in enumerate(cat.algebras):
-        for d in range(0, max_length + 1):
-            for word in itertools.product(range(alg.rank), repeat=d):
-                # choose disjoint consecutive windows for the insertions
-                for windows in _windows(d, e):
-                    values = []
-                    ok = True
-                    for (start, j), tau in zip(windows, taus):
-                        tv = tau.component(obj, word[start:start + j])
-                        if not tv:
-                            ok = False
-                            break
-                        values.append(tv)
-                    if not ok:
-                        continue
-                    outer_arity = d - sum(j for _, j in windows) + e
-                    if outer_arity not in alg.tensors:
-                        continue
-                    circ = 0
-                    for (start, _), tau in zip(windows, taus):
-                        red_t = (tau.degree + 1) % 2
-                        circ += red_t * sum((alg.degrees[x] + 1) % 2
-                                            for x in word[:start])
-                    circ %= 2
-                    for mids in itertools.product(*[sorted(v) for v in values]):
-                        coeff = NovikovElement.one(alg.cutoff)
-                        for v, mid in zip(values, mids):
-                            coeff = coeff * v[mid]
-                        outer_word = []
-                        pos = 0
-                        for (start, j), mid in zip(windows, mids):
-                            outer_word.extend(word[pos:start])
-                            outer_word.append(mid)
-                            pos = start + j
-                        outer_word.extend(word[pos:])
-                        outer = alg.m_basis(tuple(outer_word))
-                        target = comps.setdefault((obj, word), {})
-                        for o, val in outer.items():
-                            _vec_add(target, o,
-                                     -(val * coeff) if circ else val * coeff)
-
-    return Cochain(cat, degree, comps).cleaned()
-
-
-def _windows(d: int, e: int):
-    """Ordered choices of e disjoint consecutive (start, length) windows."""
-    def rec(pos, remaining):
-        if remaining == 0:
-            yield ()
-            return
-        for start in range(pos, d + 1):
-            for j in range(0, d - start + 1):
-                for rest in rec(start + j, remaining - 1):
-                    yield ((start, j),) + rest
-    return rec(0, e)
-
-
-def restrict_to_object(tau: Cochain, obj: int) -> Vector:
-    """The length-zero component at one object."""
-    return tau.component(obj, ())

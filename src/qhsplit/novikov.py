@@ -808,8 +808,3 @@ def _coerce_novikov(value):
     if isinstance(value, CyclotomicNumber):
         return NovikovElement.from_cyclotomic(value)
     return NotImplemented
-
-
-def val_q(x: NovikovElement) -> Fraction | None:
-    """Valuation by powers of q; ``None`` means +infinity (the zero element)."""
-    return x.val_q()

@@ -36,27 +36,11 @@ class OCMatrix:
     def entry(self, b: int, a: int) -> NovikovElement:
         return self.entries[b][a]
 
-    def column(self, a: int) -> dict:
-        return {self.rows[b]: self.entries[b][a] for b in range(len(self.rows))
-                if not self.entries[b][a].is_zero()}
-
     def as_lists(self) -> list[list[NovikovElement]]:
         return [list(row) for row in self.entries]
 
     def q_to_one(self) -> list[list[CyclotomicNumber]]:
         return [[entry.specialize_q_to_one() for entry in row] for row in self.entries]
-
-
-@dataclass(frozen=True)
-class PairingForm:
-    labels: tuple
-    matrix: tuple  # tuple of row tuples of NovikovElement
-
-    def pair(self, i: int, j: int) -> NovikovElement:
-        return self.matrix[i][j]
-
-    def pair_labels(self, a, b) -> NovikovElement:
-        return self.matrix[self.labels.index(a)][self.labels.index(b)]
 
 
 def oc_matrix(n: int, kind: str, eps=None) -> OCMatrix:
@@ -124,17 +108,6 @@ def ring_hom_check(n: int, k: int) -> bool:
     for o, v in expected.items():
         diff[o] = diff.get(o, NovikovElement.zero()) - v
     return all(v.is_zero() for v in diff.values())
-
-
-def pairing_form(n: int) -> PairingForm:
-    """Intersection pairing on the cycle basis: ``<Z_a, Z_b> = 1`` iff
-    ``a + b = n``."""
-    labels = tuple(f"Z{b}" for b in range(n + 1))
-    matrix = tuple(
-        tuple(NovikovElement.one() if a + b == n else NovikovElement.zero()
-              for b in range(n + 1))
-        for a in range(n + 1))
-    return PairingForm(labels, matrix)
 
 
 def frobenius_orthogonality(n: int) -> list[list[NovikovElement]]:

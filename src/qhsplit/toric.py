@@ -221,10 +221,6 @@ def hessian(potential: PotentialFunction, y: tuple) -> list[list[NovikovElement]
     return out
 
 
-def hessian_determinant(matrix) -> NovikovElement:
-    return linalg.determinant(matrix)
-
-
 # ---------------------------------------------------------------------------
 # Clifford algebras
 
@@ -327,20 +323,6 @@ def brane_algebra(potential: PotentialFunction, y: tuple,
                   cutoff: Fraction | None = None) -> AInftyAlgebra:
     return clifford_algebra(brane_quadratic_form(potential, y), potential.n,
                             cutoff=cutoff)
-
-
-def curved_brane_algebra(potential: PotentialFunction, y: tuple,
-                         cutoff: Fraction | None = None) -> AInftyAlgebra:
-    """The brane algebra with its leading curvature ``W(y)`` times the unit."""
-    flat = brane_algebra(potential, y, cutoff=cutoff)
-    tensors = dict(flat.tensors)
-    tensors[0] = {(): {flat.unit: potential.evaluate(y)}}
-    return AInftyAlgebra(flat.basis, flat.degrees, tensors, unit=flat.unit,
-                         cutoff=cutoff, d_max=flat.d_max)
-
-
-def potential_value(potential: PotentialFunction, y: tuple) -> NovikovElement:
-    return potential.evaluate(y)
 
 
 # ---------------------------------------------------------------------------

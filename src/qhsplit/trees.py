@@ -595,17 +595,12 @@ def leq(lower: TreedDiskType, upper: TreedDiskType) -> bool:
             return True
         if current.dim() <= lower.dim() and current.canonical_key() != target:
             continue
-        for _, nxt in _all_moves(current):
+        for _, nxt in boundary_strata(current):
             key = nxt.canonical_key()
             if key not in seen:
                 seen.add(key)
                 frontier.append(nxt)
     return target in seen
-
-
-def _all_moves(t: TreedDiskType):
-    # same move set as boundary_strata but without the dim-1 framing
-    return boundary_strata(t)
 
 
 # ---------------------------------------------------------------------------
@@ -647,98 +642,3 @@ def energy_bound(t: TreedDiskType, k: int, lam: Fraction, a: Fraction) -> Fracti
     if k == 0:
         raise ZeroDivisionError("divisor degree k must be nonzero")
     return Fraction(t.edge_count(), k) + Fraction(lam) * Fraction(a)
-
-
-# ---------------------------------------------------------------------------
-# balanced configurations
-
-
-@dataclass(frozen=True)
-class BalancedConfig:
-    """A type with two marked interior inputs, edge lengths, and (for the
-    same-vertex case) the stored same-circle flag of the underlying disk."""
-
-    domain: TreedDiskType
-    mark1: int
-    mark2: int
-    lengths: tuple = ()  # ((edge-path, Fraction length), ...)
-    same_circle: bool = False
-
-    def length_of(self, path) -> Fraction:
-        for p, value in self.lengths:
-            if p == path:
-                return Fraction(value)
-        return Fraction(0)
-
-
-def is_balanced(config: BalancedConfig) -> bool:
-    """Zero signed-length condition between the two marked interior inputs.
-
-    When the marks sit on distinct vertices the signed sum of lengths along
-    the connecting path must vanish, edges towards the root counting positive
-    and edges away counting negative.  When they share a vertex the decision
-    is the stored same-circle flag.
-    """
-    t = config.domain
-    path1 = _interior_vertex_path(t, config.mark1)
-    path2 = _interior_vertex_path(t, config.mark2)
-    if path1 is None or path2 is None:
-        raise ValueError("marked interior input not present in the type")
-    if path1 == path2:
-        return config.same_circle
-    # longest common prefix of the two root-to-vertex paths
-    common = 0
-    for a, b in zip(path1, path2):
-        if a != b:
-            break
-        common += 1
-    total = Fraction(0)
-    # edges from vertex 1 up towards the meeting vertex: towards the root
-    for depth in range(len(path1), common, -1):
-        total += config.length_of(path1[:depth])
-    for depth in range(common + 1, len(path2) + 1):
-        total -= config.length_of(path2[:depth])
-    return total == 0
-
-
-def _interior_vertex_path(t: TreedDiskType, label):
-    found = []
-
-    def walk(node, path):
-        if label in node.interior:
-            found.append(path)
-        for i, slot in enumerate(node.slots):
-            if slot[0] == "edge":
-                walk(slot[1], path + (i,))
-    walk(t.root, ())
-    return found[0] if found else None
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def type_to_json(t: TreedDiskType) -> dict:
-    vertices = []
-    edges = []
-
-    def walk(node, my_id):
-        vertices.append({
-            "id": my_id,
-            "interior_inputs": list(node.interior),
-            "boundary_inputs": [s[1] for s in node.slots if s[0] == "in"],
-        })
-        for slot in node.slots:
-            if slot[0] == "edge":
-                child_id = len(vertices)
-                edges.append({"from": my_id, "to": child_id, "metric": slot[2]})
-                walk(slot[1], child_id)
-
-    walk(t.root, 0)
-    return {
-        "vertices": vertices,
-        "edges": edges,
-        "weights": {str(lab): cls for lab, cls in t.weights},
-        "output_weight": t.output_weight(),
-        "dim": t.dim(),
-    }

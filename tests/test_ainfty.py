@@ -1,25 +1,9 @@
 from fractions import Fraction as F
 
-import pytest
-
 from qhsplit import toric
-from qhsplit.ainfty import (
-    AInftyAlgebra,
-    Brane,
-    DiskContribution,
-    NonConvergentDeformation,
-    Violation,
-    bar_boundary,
-    check_ainfty,
-    collapse_mu,
-    deform,
-    maurer_cartan,
-    potential,
-    sign_heart,
-    spectral_decompose,
-    weight,
-)
-from qhsplit.novikov import CyclotomicNumber as C, NovikovElement as N
+from qhsplit.ainfty import (AInftyAlgebra, Brane, Violation, bar_boundary, check_ainfty,
+                            collapse_mu, sign_heart, spectral_decompose)
+from qhsplit.novikov import NovikovElement as N
 
 
 def clifford_pn(n, k=0):
@@ -69,70 +53,7 @@ def test_curvature_multiple_of_unit_passes():
     assert check_ainfty(alg) == []
 
 
-# --- deformation ---------------------------------------------------------------
-
-def test_zero_cochain_is_identity_deformation():
-    alg = curved_rank2(N.q_power(F(1, 2)))
-    w, _ = potential(alg, {})
-    brane = Brane(alg, mc_cochain={}, potential_value=w)
-    deformed = deform(alg, [brane])
-    assert deformed.tensors[2] == alg.tensors[2]
-    assert not deformed.tensors.get(0)
-
-
-def test_deformed_differential_squares_to_zero():
-    # an odd cochain with positive valuation on the torus brane algebra
-    alg, _, _ = clifford_pn(2)
-    b = {alg.index_of("e1"): N.q_power(F(1, 2))}
-    w, residual = potential(alg, b)
-    assert not residual  # rank-4 Clifford: any odd b is weakly bounding
-    brane = Brane(alg, mc_cochain=b, potential_value=w)
-    deformed = deform(alg, [brane])
-    assert not deformed.tensors.get(0)
-    assert check_ainfty(deformed) == []
-    m1 = deformed.tensors.get(1, {})
-    for i in range(alg.rank):
-        once = deformed.m([{i: N.one()}])
-        twice = deformed.m([once]) if once else {}
-        assert not twice
-
-
-def test_nonconvergent_deformation_detected():
-    # compositions active at every stored arity plus a valuation-zero cochain
-    one = N.one
-    tensors = {d: {(1,) * d: {1: one()}} for d in range(1, 7)}
-    tensors[2] = {(0, 0): {0: one()}, (0, 1): {1: one()},
-                  (1, 0): {1: -one()}, (1, 1): {1: one()}}
-    alg = AInftyAlgebra(["1", "e"], [0, 1], tensors, unit=0)
-    with pytest.raises(NonConvergentDeformation, match="non-convergent deformation"):
-        maurer_cartan(alg, {1: N.one()})
-
-
-def test_finite_algebra_allows_nonpositive_valuation():
-    # with no top-arity tail the insertion sum is finite and exact
-    alg = curved_rank2()
-    value = maurer_cartan(alg, {1: N.q_power(-1)})
-    assert value == {0: -N.q_power(F(-5, 3))}
-
-
-# --- potentials and spectral decomposition -------------------------------------
-
-def test_potential_of_zero_cochain_reads_curvature():
-    w0 = N.q_power(F(1, 2)) * 5
-    alg = curved_rank2(w0)
-    w, residual = potential(alg, {})
-    assert w == w0 and not residual
-
-
-def test_potential_reports_residual():
-    alg = curved_rank2()
-    tensors = {d: {k: dict(v) for k, v in entries.items()}
-               for d, entries in alg.tensors.items()}
-    tensors[1] = {(1,): {1: N.q_power(1)}}  # degree-violating test differential
-    noisy = AInftyAlgebra(["1", "e"], [0, 0], tensors, unit=0)
-    _, residual = potential(noisy, {1: N.q_power(F(1, 2))})
-    assert residual  # m_1(b) is not a multiple of the unit
-
+# --- spectral decomposition -----------------------------------------------------
 
 def test_spectral_decomposition_projective_plane():
     W = toric.PotentialFunction.clifford_torus(2)
@@ -201,7 +122,7 @@ def test_collapse_kills_bar_boundaries():
         assert all(v.is_zero() for v in total.values())
 
 
-# --- signs and weights -----------------------------------------------------------
+# --- signs and curvature ---------------------------------------------------------
 
 def test_sign_heart_examples():
     assert sign_heart([1, 0, 1]) == 1
@@ -209,35 +130,7 @@ def test_sign_heart_examples():
     assert sign_heart([1]) == -1
 
 
-def test_weight_examples():
-    aleph = C.root_of_unity(3)
-    u = DiskContribution(N.one(), F(1), aleph, F(1, 10), 1, (("D", 2),))
-    assert weight(u) == N.monomial(F(1, 10), aleph) * F(1, 2)
-
-    trivial = DiskContribution(N.one(), F(1), C.one(), F(0), 1)
-    assert weight(trivial) == N.one()
-
-    flipped = DiskContribution(N.from_rational(2), F(1), aleph, F(0), -1)
-    assert weight(flipped) == N.monomial(0, aleph) * (-2)
-
-
 def test_curvature_valuation_flag():
     assert curved_rank2(N.q_power(F(1, 2))).curvature_valuation_positive()
     assert curved_rank2().curvature_valuation_positive()  # flat
     assert not curved_rank2(N.one()).curvature_valuation_positive()
-
-
-def test_curved_brane_algebra_reads_off_potential():
-    # the curvature of the leading-order brane model is the potential value
-    for n, kind in ((2, "pn"), (3, "exc")):
-        if kind == "pn":
-            W = toric.PotentialFunction.clifford_torus(n)
-        else:
-            W = toric.PotentialFunction.exceptional(n, F(1, 10))
-        for y in toric.critical_points(W):
-            curved = toric.curved_brane_algebra(W, y)
-            assert check_ainfty(curved) == []
-            assert curved.curvature_valuation_positive()
-            w, residual = potential(curved, {})
-            assert w == W.evaluate(y)
-            assert not residual

@@ -93,8 +93,8 @@ def test_generation_negative_control():
     old_cols = [{("base", b): matrix.entry(b, a) for b in range(3)}
                 for a in range(3)]
     zero_cols = [{("exc", 1): N.zero()}]
-    assert blowup.generation_check(old_cols, zero_cols, model.pairing, 4) \
-        == blowup.FAILS
+    check = blowup.generation_check(old_cols, zero_cols, model.pairing, 4)
+    assert check["generation"] == blowup.FAILS
 
 
 def test_large_shift_reports_cutoff_limited():

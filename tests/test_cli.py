@@ -10,7 +10,6 @@ from qhsplit.cli import (
     EXIT_MALFORMED_RATIONAL,
     EXIT_OK,
     EXIT_USAGE,
-    RunConfig,
     main,
 )
 
@@ -18,15 +17,6 @@ from qhsplit.cli import (
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "qhsplit", *args],
                           capture_output=True, text=True)
-
-
-# --- run config round trip ---------------------------------------------------
-
-def test_run_config_round_trip():
-    config = RunConfig("blowup", "split", n=2, eps="1/10", fmt="md", out="r.md")
-    assert RunConfig.from_args(config.to_args()) == config
-    plain = RunConfig("oc", "matrix", n=3, eps="", fmt="csv")
-    assert RunConfig.from_args(plain.to_args()) == plain
 
 
 # --- happy paths -------------------------------------------------------------
@@ -195,4 +185,41 @@ def test_oc_matrix_rejects_non_positive_order(order):
     result = run_cli("oc", "matrix", "--n", "2", "--kind", "pn", "--order", order)
     assert result.returncode == EXIT_USAGE
     assert "positive integer" in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("command", [("ainfty", "verify"), ("hh", "dims")])
+def test_unreadable_file_is_a_structured_error(tmp_path, command):
+    result = run_cli(*command, str(tmp_path))  # a directory, not a file
+    assert result.returncode == EXIT_FAILURE
+    assert json.loads(result.stderr)["error"] == "file error"
+
+
+def _write_flat_algebra(tmp_path):
+    # k[x]/(x^2), the unit's structure constants written at orders 3 and 4
+    def one(order):
+        return {"order": order, "terms": [{"exp": "0", "coeff": ["1", "0"]}]}
+    data = {"basis": [{"name": "1", "degree": 0}, {"name": "x", "degree": 0}],
+            "unit": "1",
+            "tensors": {"2": [{"inputs": ["1", "1"], "outputs": {"1": one(3)}},
+                              {"inputs": ["1", "x"], "outputs": {"x": one(4)}},
+                              {"inputs": ["x", "1"], "outputs": {"x": one(4)}}]}}
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+def test_hh_dims_reports_the_lcm_of_mixed_scalar_orders(tmp_path):
+    result = run_cli("hh", "dims", _write_flat_algebra(tmp_path), "--length", "3")
+    assert result.returncode == EXIT_OK
+    assert result.stdout.startswith("# cutoff=inf cyclotomic_order=12\n")
+
+
+@pytest.mark.parametrize("length", ["1", "0", "-1"])
+def test_hh_dims_rejects_lengths_below_two(tmp_path, length):
+    result = run_cli("hh", "dims", _write_flat_algebra(tmp_path), "--length", length)
+    assert result.returncode == EXIT_FAILURE
+    error = json.loads(result.stderr)
+    assert error["error"] == "value error"
+    assert "truncation length" in error["message"]
     assert result.stdout == ""

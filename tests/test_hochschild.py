@@ -1,24 +1,16 @@
-import itertools
-import random
 from fractions import Fraction as F
 
 from qhsplit import linalg, toric
 from qhsplit.ainfty import AInftyAlgebra
 from qhsplit.hochschild import (
-    Cochain,
     FlatCategory,
-    cc_differential,
-    cc_product,
     chain_basis,
     chain_parity,
     hochschild_boundary,
     hochschild_boundary_basis,
     hochschild_homology_dims,
-    restrict_to_object,
-    unit_cochain,
 )
 from qhsplit.novikov import NovikovElement as N
-from qhsplit.openclosed import co_value
 
 
 def rank1_category():
@@ -127,118 +119,6 @@ def test_nongraded_category_flagged():
     report = hochschild_homology_dims(dga_category(), 3)
     assert not report.graded
     assert not report.stable
-
-
-# --- cochains ------------------------------------------------------------------
-
-def random_cochain(cat, degree, rng, max_len=2):
-    alg = cat.algebras[0]
-    comps = {}
-    for d in range(0, max_len + 1):
-        for word in itertools.product(range(alg.rank), repeat=d):
-            if rng.random() < 0.4:
-                target = rng.randrange(alg.rank)
-                want = (sum(alg.degrees[i] for i in word) + degree) % 2
-                if alg.degrees[target] % 2 != want:
-                    continue
-                comps[(0, word)] = {target: N.from_rational(rng.randint(1, 3))}
-    return Cochain(cat, degree, comps)
-
-
-def test_unit_cochain_is_closed():
-    for cat in (rank1_category(), clifford_category(2)):
-        assert cc_differential(unit_cochain(cat), max_length=3).is_zero()
-
-
-def test_differential_squares_to_zero_on_cochains():
-    rng = random.Random(17)
-    cat = clifford_category(1)
-    for degree in (0, 1):
-        for _ in range(6):
-            tau = random_cochain(cat, degree, rng)
-            once = cc_differential(tau, max_length=4)
-            twice = cc_differential(once, max_length=2)
-            # truncation determines the double application up to length 2
-            for key, vec in twice.components.items():
-                if len(key[1]) <= 2:
-                    assert not vec, (degree, key, vec)
-
-
-def test_inner_derivation_is_closed():
-    # the differential of a length-zero even cochain is an inner derivation
-    cat = clifford_category(2)
-    alg = cat.algebras[0]
-    sigma = Cochain(cat, 0, {(0, ()): {alg.index_of("e12"): N.one()}})
-    tau = cc_differential(sigma, max_length=3)
-    ddtau = cc_differential(tau, max_length=1)
-    for key, vec in ddtau.components.items():
-        if len(key[1]) <= 1:
-            assert not vec
-
-
-def test_unit_insertion_product_recovers_cochain():
-    rng = random.Random(5)
-    cat = clifford_category(1)
-    tau = random_cochain(cat, 1, rng, max_len=2)
-    prod = cc_product([unit_cochain(cat), tau], max_length=2)
-    plus = (prod - tau).cleaned()
-    minus = (prod + tau).cleaned()
-    assert plus.is_zero() or minus.is_zero()
-
-
-def test_length_zero_cochain_product():
-    cat = clifford_category(1)
-    alg = cat.algebras[0]
-    c1, c2 = N.q_power(F(1, 2)), N.from_rational(3)
-    t1 = Cochain(cat, 0, {(0, ()): {alg.unit: c1}})
-    t2 = Cochain(cat, 0, {(0, ()): {alg.unit: c2}})
-    prod = cc_product([t1, t2], max_length=0)
-    value = prod.component(0, ())
-    assert list(value) == [alg.unit]
-    assert value[alg.unit] == c1 * c2 or value[alg.unit] == -(c1 * c2)
-
-
-def test_product_associative_up_to_exact_terms():
-    rng = random.Random(23)
-    cat = clifford_category(1)
-    taus = [random_cochain(cat, 1, rng, max_len=1) for _ in range(3)]
-    # close them: use differentials of random cochains' closed parts instead
-    closed = [cc_differential(t, max_length=3) for t in taus]
-    lhs = cc_product([cc_product(closed[:2], max_length=3), closed[2]], max_length=2)
-    rhs = cc_product([closed[0], cc_product(closed[1:], max_length=3)], max_length=2)
-    defect = (lhs - rhs).cleaned()
-    triple = cc_product(closed, max_length=3)
-    exact = cc_differential(triple, max_length=2)
-    plus = (defect - exact).cleaned()
-    minus = (defect + exact).cleaned()
-    ok_plus = all(not v for k, v in plus.components.items() if len(k[1]) <= 2)
-    ok_minus = all(not v for k, v in minus.components.items() if len(k[1]) <= 2)
-    assert ok_plus or ok_minus
-
-
-def test_restrict_to_object():
-    cat = clifford_category(2, k=1)
-    alg = cat.algebras[0]
-    one = unit_cochain(cat)
-    assert restrict_to_object(one, 0) == {alg.unit: N.one(alg.cutoff)}
-    # a closed-open value lands on a multiple of the unit
-    value = co_value(2, 1, 1)
-    co_cochain = Cochain(cat, 0, {(0, ()): {alg.unit: value}})
-    assert restrict_to_object(co_cochain, 0) == {alg.unit: value}
-    zero = Cochain(cat, 0, {})
-    assert restrict_to_object(zero, 0) == {}
-
-
-def test_cochain_differential_squares_rank_four():
-    rng = random.Random(31)
-    cat = clifford_category(2)
-    for degree in (0, 1):
-        tau = random_cochain(cat, degree, rng, max_len=1)
-        once = cc_differential(tau, max_length=3)
-        twice = cc_differential(once, max_length=1)
-        for key, vec in twice.components.items():
-            if len(key[1]) <= 1:
-                assert not vec, (degree, key, vec)
 
 
 def test_cutoff_limited_ranks_are_flagged():

@@ -135,13 +135,6 @@ def test_surjectivity_both_kinds_all_n():
 
 # --- pairing and orthogonality ----------------------------------------------------
 
-def test_pairing_form():
-    p = oc.pairing_form(2)
-    assert p.pair_labels("Z0", "Z2") == N.one()
-    assert p.pair_labels("Z1", "Z1") == N.one()
-    assert p.pair_labels("Z0", "Z1").is_zero()
-
-
 def test_frobenius_gram_diagonal():
     for n in (1, 2, 3):
         gram = oc.frobenius_orthogonality(n)

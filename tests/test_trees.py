@@ -4,7 +4,6 @@ import pytest
 
 from qhsplit import trees
 from qhsplit.trees import (
-    BalancedConfig,
     EnumerationBudgetError,
     MapTypeSkeleton,
     Node,
@@ -16,10 +15,8 @@ from qhsplit.trees import (
     crowded_reduction_drop,
     energy_bound,
     enumerate_stable_types,
-    is_balanced,
     leq,
     single_vertex_type,
-    type_to_json,
 )
 
 
@@ -84,6 +81,8 @@ def test_dim_examples():
     assert single_vertex_type(2).dim() == 0
     assert single_vertex_type(3).dim() == 1
     assert single_vertex_type(1, 1).dim() == 1
+    assert single_vertex_type(2, 2).dim() == 2 + 4 - 2
+    assert two_vertex_pos().dim() == 1
 
 
 def test_dim_grey_output_drop():
@@ -215,49 +214,3 @@ def test_energy_additive_under_breaking():
     total = energy_bound(broken, k, F(1, 10), F(3))
     parts = sum(energy_bound(p, k, F(1, 10), a) for p, a in zip(pieces, (F(1), F(2))))
     assert total == parts
-
-
-# --- balanced configurations -------------------------------------------------
-
-def _two_leaf_config(lengths, same_circle=False, same_vertex=False):
-    if same_vertex:
-        root = Node((("in", 1),), interior=(1, 2))
-        return BalancedConfig(TreedDiskType(root), 1, 2, (), same_circle)
-    inner = Node((("in", 1),), interior=(2,))
-    root = Node((("edge", inner, POS), ("in", 2)), interior=(1,))
-    t = TreedDiskType(root)
-    return BalancedConfig(t, 1, 2, (((0,), lengths[0]),), same_circle)
-
-
-def test_balanced_zero_length_path():
-    assert is_balanced(_two_leaf_config([F(0)]))
-
-
-def test_balanced_cancellation():
-    # marks on two children of the root: one edge towards, one away
-    left = Node((("in", 1),), interior=(1,))
-    right = Node((("in", 2),), interior=(2,))
-    t = TreedDiskType(Node((("edge", left, POS), ("edge", right, POS))))
-    config = BalancedConfig(t, 1, 2, (((0,), F(1)), ((1,), F(1))))
-    assert is_balanced(config)
-
-
-def test_unbalanced_single_edge():
-    assert not is_balanced(_two_leaf_config([F(1)]))
-
-
-def test_balanced_same_vertex_uses_flag():
-    assert is_balanced(_two_leaf_config([], same_circle=True, same_vertex=True))
-    assert not is_balanced(_two_leaf_config([], same_circle=False, same_vertex=True))
-
-
-# --- serialization ------------------------------------------------------------
-
-def test_type_json_shape():
-    t = two_vertex_pos()
-    data = type_to_json(t)
-    assert len(data["vertices"]) == 2
-    assert len(data["edges"]) == 1
-    assert data["edges"][0]["metric"] == POS
-    assert data["dim"] == 1
-    assert data["output_weight"] == trees.BLACK
