@@ -337,8 +337,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse reads "-1/10" as an option rather than a value, so a negative
+    # rational is attached to its flag ("--eps=-1/10") and reaches the check
+    # that rejects it
+    joined = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if joined and joined[-1] == "--eps" and arg[:1] == "-" and arg[1:2].isdigit():
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    args = build_parser().parse_args(joined)
     try:
         return args.func(args)
     except ValueError as exc:

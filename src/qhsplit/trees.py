@@ -148,13 +148,6 @@ class TreedDiskType:
             return GREY
         return WHITE
 
-    def grey_edge_count(self) -> int:
-        """Grey semi-infinite edges, inputs and output together."""
-        count = sum(1 for _, c in self.weights if c == GREY)
-        if self.output_weight() == GREY:
-            count += 1
-        return count
-
     # -- validity ------------------------------------------------------------
     def is_stable(self) -> bool:
         def walk(node):
@@ -197,17 +190,39 @@ class TreedDiskType:
         with the last constant 4 exactly when the output is grey.  Broken
         types (edges of infinite length) are scored as products: the type is
         cut at each breaking and the per-piece dimensions are added.
+
+        One walk sums ``[k, l, #grey inputs, #zero edges, any black input]``
+        per piece; an infinite edge closes a piece and is one black input of
+        its parent.
         """
-        if not self.is_stable():
-            raise UnstableTypeError("dimension is defined for stable types only")
-        total = 0
-        for piece in self.cut_at_breakings():
-            k = len(piece.boundary_inputs())
-            l = len(piece.interior_inputs())
-            zero_edges = sum(1 for _, cls in piece.finite_edges() if cls == ZERO)
-            total += k + 2 * l + piece.grey_edge_count() - zero_edges
-            total += -4 if piece.output_weight() == GREY else -2
-        return total
+        weight = dict(reversed(self.weights))  # first entry wins, as in weight_of
+        pieces = []
+
+        def walk(node, acc):
+            if not node.is_stable():
+                raise UnstableTypeError("dimension is defined for stable types only")
+            acc[1] += len(node.interior)
+            acc[4] = acc[4] or bool(node.interior)
+            for slot in node.slots:
+                if slot[0] == "in":
+                    cls = weight.get(slot[1], BLACK)
+                    acc[0] += 1
+                    acc[2] += cls == GREY
+                    acc[4] = acc[4] or cls == BLACK
+                elif slot[2] == INF:
+                    pieces.append(walk(slot[1], [0, 0, 0, 0, False]))
+                    acc[0] += 1
+                    acc[4] = True
+                else:
+                    acc[3] += slot[2] == ZERO
+                    walk(slot[1], acc)
+            return acc
+
+        pieces.append(walk(self.root, [0, 0, 0, 0, False]))
+        # a grey output (no black input, some grey one) adds one grey edge
+        # and lowers the constant from 2 to 4
+        return sum(k + 2 * l + grey - zero - (3 if grey and not black else 2)
+                   for k, l, grey, zero, black in pieces)
 
     def cut_at_breakings(self) -> list:
         """Split at infinite-length edges into unbroken types.
@@ -288,10 +303,10 @@ def enumerate_stable_types(
 
     Boundary inputs are labelled ``1..d_boundary`` in counterclockwise order
     and interior inputs ``1..d_interior``.  ``metric_classes`` restricts the
-    classes finite edges may take (the default enumerates the nodal census,
-    where every finite edge has length zero).  ``grey_inputs`` and
-    ``white_inputs`` assign fixed weight classes to the named boundary inputs;
-    everything else is black.
+    classes finite edges may take; the default allows all three, and
+    ``(ZERO,)`` gives the nodal census, where every finite edge has length
+    zero.  ``grey_inputs`` and ``white_inputs`` assign fixed weight classes
+    to the named boundary inputs; everything else is black.
     """
     if d_boundary < 0 or d_interior < 0:
         raise ValueError("input counts must be nonnegative")
@@ -319,7 +334,8 @@ def enumerate_stable_types(
             for classes in itertools.product(metric_classes, repeat=len(edges)):
                 typed = _with_metric_classes(base, dict(zip((p for p, _ in edges), classes)))
                 results[typed.canonical_key()] = typed
-    return sorted(results.values(), key=lambda t: (t.vertex_count(), t.canonical_key()))
+    ordered = sorted(results.items(), key=lambda item: (item[1].vertex_count(), item[0]))
+    return [t for _, t in ordered]
 
 
 def _enumerate_shapes(labels: tuple, budget: int, max_need: int):
@@ -331,11 +347,6 @@ def _enumerate_shapes(labels: tuple, budget: int, max_need: int):
     number of interior inputs available, or whose vertex count exceeds the
     budget, are pruned during generation.
     """
-    def vertex_need(node: Node) -> int:
-        # interior inputs this single vertex needs: ceil((3 - valence)/2)
-        deficit = 3 - node.boundary_valence()
-        return max(0, (deficit + 1) // 2)
-
     cache: dict[tuple, list] = {}
 
     def build(run, depth):
@@ -347,66 +358,52 @@ def _enumerate_shapes(labels: tuple, budget: int, max_need: int):
         if key in cache:
             return cache[key]
         results = []
+
+        def extend(slot_options, slots, vertices, need):
+            # depth-first product of the slot options; both totals only
+            # grow, so a branch is cut as soon as either exceeds its bound
+            if len(slots) == len(slot_options):
+                results.append((Node(slots), vertices, need))
+                return
+            for slot, v, n in slot_options[len(slots)]:
+                if vertices + v <= budget and need + n <= max_need:
+                    extend(slot_options, slots + (slot,), vertices + v, need + n)
+
         for blocks in _ordered_blocks(run):
+            # interior inputs this vertex needs itself: ceil((2 - #slots)/2)
+            own_need = 1 if len(blocks) < 2 else 0
+            if own_need > max_need:
+                continue
             slot_options = []
-            ok = True
             for block in blocks:
-                opts = []
-                if block is None:
-                    bare = Node(())
-                    opts.append((("edge", bare, ZERO), 1, vertex_need(bare)))
-                else:
-                    if len(block) == 1:
-                        opts.append((("in", block[0]), 0, 0))
-                    for child, v, need in build(block, depth - 1):
-                        opts.append((("edge", child, ZERO), v, need))
+                opts = [(("in", block[0]), 0, 0)] if len(block) == 1 else []
+                opts += [(("edge", child, ZERO), v, need)
+                         for child, v, need in build(block, depth - 1)]
                 if not opts:
-                    ok = False
                     break
                 slot_options.append(opts)
-            if not ok:
-                continue
-            for combo in itertools.product(*slot_options):
-                vertices = 1 + sum(v for _, v, _ in combo)
-                if vertices > budget:
-                    continue
-                node = Node(tuple(slot for slot, _, _ in combo))
-                need = vertex_need(node) + sum(n for _, _, n in combo)
-                if need > max_need:
-                    continue
-                results.append((node, vertices, need))
+            else:
+                extend(slot_options, (), 1, own_need)
         cache[key] = results
         return results
 
     def _ordered_blocks(run):
+        # consecutive nonempty blocks covering the run, with at most
+        # ``max_need`` empty blocks (vertices without boundary inputs,
+        # each needing an interior input) placed in the gaps between them
         n = len(run)
-        if n == 0:
-            yield ()
-            return
-        for cuts in itertools.product([0, 1], repeat=n - 1):
-            blocks = []
-            start = 0
-            for i, cut in enumerate(cuts, start=1):
-                if cut:
-                    blocks.append(tuple(run[start:i]))
-                    start = i
-            blocks.append(tuple(run[start:]))
-            gaps = len(blocks) + 1
-            for empties in _empty_distributions(gaps, max_need):
+        for cuts in itertools.product([0, 1], repeat=max(n - 1, 0)):
+            ends = [i for i, cut in enumerate(cuts, start=1) if cut] + [n]
+            blocks = [run[start:end] for start, end in zip([0] + ends, ends)] if n else []
+            for empties in itertools.product(range(max_need + 1), repeat=len(blocks) + 1):
+                if sum(empties) > max_need:
+                    continue
                 seq = []
-                for j, block in enumerate(blocks):
-                    seq.extend([None] * empties[j])
+                for count, block in zip(empties, blocks):
+                    seq.extend([()] * count)
                     seq.append(block)
-                seq.extend([None] * empties[-1])
+                seq.extend([()] * empties[-1])
                 yield tuple(seq)
-
-    def _empty_distributions(gaps, total):
-        if total == 0:
-            yield (0,) * gaps
-            return
-        for counts in itertools.product(range(total + 1), repeat=gaps):
-            if sum(counts) <= total:
-                yield counts
 
     return [node for node, _, _ in build(labels, budget)]
 
@@ -485,7 +482,8 @@ def associahedron_face_counts(d_inputs: int) -> dict[int, int]:
 def census_by_dimension(types: list[TreedDiskType]) -> dict[int, int]:
     counts: dict[int, int] = {}
     for t in types:
-        counts[t.dim()] = counts.get(t.dim(), 0) + 1
+        dim = t.dim()
+        counts[dim] = counts.get(dim, 0) + 1
     return counts
 
 

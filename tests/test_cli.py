@@ -89,6 +89,20 @@ def test_malformed_rational_exit_code():
     assert error["error"] == "malformed rational"
 
 
+@pytest.mark.parametrize("command", [
+    ("blowup", "split", "--n", "2"),
+    ("potential", "crit", "--kind", "exceptional", "--n", "3"),
+    ("oc", "matrix", "--n", "2", "--kind", "exceptional"),
+])
+def test_negative_eps_reaches_the_value_check(command):
+    # "-1/10" must be read as the value of --eps, not as an unknown option
+    result = run_cli(*command, "--eps", "-1/10")
+    assert result.returncode == EXIT_FAILURE
+    error = json.loads(result.stderr)
+    assert error == {"error": "value error", "message": "eps must be positive"}
+    assert result.stdout == ""
+
+
 def test_unknown_flag_exit_code():
     result = run_cli("blowup", "split", "--n", "2", "--eps", "1/10", "--bogus", "1")
     assert result.returncode == EXIT_USAGE

@@ -42,14 +42,41 @@ def test_unique_stable_three_marked_disk():
 
 
 def test_census_matches_bracketing_oracle():
-    # the oracle enumerates nested-or-disjoint bracket families, по dimension
+    # the oracle enumerates nested-or-disjoint bracket families, by dimension
     for d in (2, 3, 4, 5):
         assert census_by_dimension(nodal_types(d)) == associahedron_face_counts(d)
 
 
+# (boundary, interior, metric classes) -> census by dimension; the cases
+# with an interior input were recorded before the shape enumeration was
+# rewritten
+PINNED_CENSUSES = {
+    (3, 0, (ZERO,)): {1: 1, 0: 2},
+    (1, 1, (ZERO,)): {0: 2, 1: 1},
+    (2, 1, (ZERO, POS, INF)): {0: 24, 1: 36, 2: 13},
+    (3, 1, (ZERO,)): {0: 20, 1: 30, 2: 12, 3: 1},
+    (3, 1, (ZERO, POS, INF)): {0: 160, 1: 360, 2: 264, 3: 63},
+    (4, 1, (ZERO,)): {0: 70, 1: 140, 2: 90, 3: 20, 4: 1},
+}
+
+
 def test_census_d3_three_strata():
     assert len(nodal_types(3)) == 3
-    assert census_by_dimension(nodal_types(3)) == {1: 1, 0: 2}
+    for (d, i, metric), census in PINNED_CENSUSES.items():
+        types = enumerate_stable_types(d, i, metric_classes=metric)
+        assert census_by_dimension(types) == census, (d, i, metric)
+
+
+@pytest.mark.parametrize("d_boundary, d_interior", [(0, 2), (0, 3), (1, 2), (2, 2)])
+def test_collapse_strata_are_enumerated(d_boundary, d_interior):
+    # vertices without boundary inputs but with children of their own (disk
+    # bubbles carrying only interior inputs) arise as collapse strata
+    types = enumerate_stable_types(d_boundary, d_interior, metric_classes=(ZERO,))
+    keys = {t.canonical_key() for t in types}
+    for t in types:
+        for op, stratum in boundary_strata(t):
+            if op == "collapse":
+                assert stratum.canonical_key() in keys, (t, stratum)
 
 
 def test_enumeration_budget_error():
@@ -96,6 +123,44 @@ def test_dim_broken_is_product():
     child = Node((("in", 1), ("in", 2)))
     broken = TreedDiskType(Node((("edge", child, INF), ("in", 3))))
     assert broken.dim() == 0
+
+
+def test_dim_rejects_unstable_types():
+    lonely = Node((("in", 1),))
+    for t in (TreedDiskType(lonely),
+              TreedDiskType(Node((("edge", lonely, INF), ("in", 2))))):
+        with pytest.raises(trees.UnstableTypeError):
+            t.dim()
+
+
+def reference_dim(t):
+    """The cell dimension summed over the unbroken pieces of ``t``."""
+    total = 0
+    for piece in t.cut_at_breakings():
+        out = piece.output_weight()
+        grey = sum(1 for _, c in piece.weights if c == trees.GREY) + (out == trees.GREY)
+        zero = sum(1 for _, c in piece.finite_edges() if c == ZERO)
+        total += (len(piece.boundary_inputs()) + 2 * len(piece.interior_inputs())
+                  + grey - zero - (4 if out == trees.GREY else 2))
+    return total
+
+
+# (5, 1) with all three metric classes has 129,367 types, about 50 s of the
+# reference formula under the four weightings; it runs without positive edges
+DIM_CASES = [(d, i, (ZERO, POS, INF)) for d in range(6) for i in (0, 1)
+             if (d, i) not in ((0, 0), (5, 1))] + [(5, 1, (ZERO, INF))]
+
+
+@pytest.mark.parametrize("d_boundary, d_interior, metric", DIM_CASES,
+                         ids=[f"{d}-{i}-{'/'.join(m)}" for d, i, m in DIM_CASES])
+def test_dim_matches_the_piecewise_formula(d_boundary, d_interior, metric):
+    weightings = [(), ((1, trees.GREY),),
+                  ((1, trees.GREY), (2, trees.GREY), (3, trees.WHITE)),
+                  tuple((lab, trees.WHITE) for lab in range(1, d_boundary + 1))]
+    for t in enumerate_stable_types(d_boundary, d_interior, metric_classes=metric):
+        for weights in weightings:
+            weighted = TreedDiskType(t.root, weights)
+            assert weighted.dim() == reference_dim(weighted), weighted
 
 
 # --- boundary strata ----------------------------------------------------------
