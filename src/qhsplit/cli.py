@@ -128,7 +128,14 @@ def cmd_hh_dims(args) -> int:
     return EXIT_OK
 
 
+def _eps_without_exceptional() -> int:
+    # the projective potential and OC matrix have no eps to set
+    return _error(EXIT_USAGE, "usage error", "--eps applies only to --kind exceptional")
+
+
 def cmd_potential_crit(args) -> int:
+    if args.kind == "pn" and args.eps is not None:
+        return _eps_without_exceptional()
     n = args.n
     if args.kind == "pn":
         potential = toric.PotentialFunction.clifford_torus(n)
@@ -165,6 +172,8 @@ def cmd_potential_crit(args) -> int:
 
 
 def cmd_oc_matrix(args) -> int:
+    if args.kind == "pn" and args.eps is not None:
+        return _eps_without_exceptional()
     kind = openclosed.PROJECTIVE if args.kind == "pn" else openclosed.EXCEPTIONAL
     eps = parse_rational(args.eps) if args.eps else None
     matrix = openclosed.oc_matrix(args.n, kind, eps)

@@ -4,11 +4,12 @@ Rank computations use Gaussian elimination with minimal-valuation pivoting.
 An entry qualifies as a pivot only if its valuation lies strictly below the
 working cutoff; rows whose surviving entries all sit at or above the cutoff
 are counted as cutoff-limited rather than silently treated as zero.
+Determinants use a division-free expansion over column subsets, with no
+size limit and no scalar inverse.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .novikov import DEFAULT_CUTOFF, NovikovElement
@@ -86,46 +87,38 @@ def rank(rows, cutoff: Fraction | None = None) -> int:
 
 
 def determinant(matrix: list[list[NovikovElement]]) -> NovikovElement:
-    """Exact determinant by signed permutation expansion (small sizes only)."""
+    """Exact determinant by a division-free expansion over column subsets.
+
+    Rows are taken in order.  ``minors[mask, cutoff]`` is the signed sum,
+    over every placement of the rows so far in the columns of ``mask`` whose
+    entries have smallest cutoff ``cutoff``, of the products of those
+    entries.  Each row extends every minor by each unused column whose entry
+    is nonzero, negated when ``mask`` holds an odd number of columns above
+    it.  That is about ``n * 2^(n-1)`` products per cutoff, no scalar is
+    ever inverted and there is no size limit.  Keeping minors of different
+    cutoffs apart truncates each product exactly where the permutation
+    expansion would, even when a later negative q-power brings a term back
+    below the final cutoff; a minor that cancels to zero is kept, since its
+    cutoff still bounds the result.
+    """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return NovikovElement.one()
-    if n > 9:
-        raise ValueError("permutation expansion is limited to 9x9 matrices")
-    total = NovikovElement.zero()
-    for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
-        prod = NovikovElement.one()
-        zero = False
-        for i, j in enumerate(perm):
-            entry = matrix[i][j]
-            if entry.is_zero():
-                zero = True
-                break
-            prod = prod * entry
-        if zero:
-            continue
-        total = total + (prod if sign > 0 else -prod)
-    return total
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    minors = {(0, None): NovikovElement.one()}
+    for row in matrix:
+        entries = [(1 << j, entry, -entry) for j, entry in enumerate(row)
+                   if not entry.is_zero()]
+        extended: dict[tuple, NovikovElement] = {}
+        for (mask, _), minor in minors.items():
+            for bit, entry, negated in entries:
+                if mask & bit:
+                    continue
+                term = minor * (negated if (mask // bit).bit_count() & 1 else entry)
+                key = (mask | bit, term.cutoff)
+                extended[key] = extended[key] + term if key in extended else term
+        minors = extended
+    # every mask is full after the last row
+    return sum(minors.values(), NovikovElement.zero())
 
 
 def gram_matrix(cols_a, cols_b, pairing) -> list[list[NovikovElement]]:

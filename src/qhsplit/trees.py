@@ -312,6 +312,12 @@ def enumerate_stable_types(
         raise ValueError("input counts must be nonnegative")
     if d_boundary == 0 and d_interior == 0:
         raise ValueError("a type needs at least one input or a vertex")
+    for lab in (*grey_inputs, *white_inputs):
+        if lab not in range(1, d_boundary + 1):
+            raise ValueError(f"weighted input {lab!r} is not a boundary input 1..{d_boundary}")
+    both = set(grey_inputs) & set(white_inputs)
+    if both:
+        raise ValueError(f"weighted input {min(both)!r} is both grey and white")
     needed = max(d_boundary + 2 * d_interior - 1, 1)
     budget = max_vertices if max_vertices is not None else 2 * (d_boundary + d_interior) + 2
     if budget < needed:

@@ -145,6 +145,27 @@ def test_oc_matrix_json_reports_determinant_split():
     assert det["split_at"] == "2"
 
 
+def test_oc_matrix_seven_by_seven_is_surjective():
+    # n=6 is a 7x7 determinant, past the old permutation expansion's reach
+    result = run_cli("oc", "matrix", "--n", "6", "--kind", "pn")
+    assert result.returncode == EXIT_OK
+    payload = json.loads(result.stdout)
+    assert len(payload["rows"]) == len(payload["cols"]) == 7
+    assert payload["determinant"]["surjectivity"] == "surjective"
+    # 343 (1 + 2 (z + z^2 + z^4)) = 7^3 sqrt(-7), as for a 7-point DFT
+    assert payload["determinant"]["det"] == "(343 + 686*z7 + 686*z7^2 + 686*z7^4)*q^3"
+
+
+@pytest.mark.parametrize("command", [("potential", "crit"), ("oc", "matrix")])
+def test_eps_with_the_projective_kind_is_a_usage_error(command):
+    result = run_cli(*command, "--kind", "pn", "--n", "2", "--eps", "1/10")
+    assert result.returncode == EXIT_USAGE
+    error = json.loads(result.stderr)
+    assert error == {"error": "usage error",
+                     "message": "--eps applies only to --kind exceptional"}
+    assert result.stdout == ""
+
+
 def test_blowup_report_contains_ranks_and_gram():
     result = run_cli("blowup", "split", "--n", "3", "--eps", "1/3")
     report = json.loads(result.stdout)["report"]

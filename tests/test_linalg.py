@@ -1,7 +1,10 @@
+import math
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from linalg_reference import permutation_determinant
 from qhsplit import linalg
 from qhsplit.novikov import CyclotomicNumber as C, NovikovElement as N
 
@@ -54,6 +57,84 @@ def test_determinant_known_values():
     # swapping two rows flips the sign
     swapped = [dft[1], dft[0], dft[2]]
     assert linalg.determinant(swapped) == -det
+
+
+EXPONENTS = (F(-2), F(-1), F(-1, 2), F(0), F(0), F(1, 3), F(1), F(3, 2), F(2), F(5, 2))
+CUTOFFS = (None, F(1), F(2), F(5, 2), F(3))
+
+
+def random_entry(rng, orders, cutoffs):
+    if rng.random() < 0.2:  # zero, with or without a cutoff
+        return N.zero(rng.choice(cutoffs))
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        order = rng.choice(orders)
+        coeff = C.root_of_unity(order, rng.randrange(order)) * F(rng.randint(-4, 4),
+                                                                 rng.randint(1, 3))
+        terms.append((rng.choice(EXPONENTS), coeff))
+    return N(terms, rng.choice(cutoffs))
+
+
+def random_matrix(seed):
+    """A seeded square matrix of size 0-6 over two cyclotomic orders in 1-12."""
+    rng = random.Random(seed)
+    n = rng.choice((0, 1, 2, 3, 3, 4, 4, 5, 5, 6))
+    first = seed % 12 + 1
+    orders = (first, rng.choice([m for m in range(1, 13) if math.lcm(first, m) <= 36]))
+    shape = rng.random()
+    if shape < 0.3:
+        cutoffs = (None,)
+    elif shape < 0.6:
+        cutoffs = (rng.choice(CUTOFFS[1:]),)
+    else:
+        cutoffs = CUTOFFS
+    rows = [[random_entry(rng, orders, cutoffs) for _ in range(n)] for _ in range(n)]
+    if n and rng.random() < 0.1:
+        rows[rng.randrange(n)] = [N.zero(rng.choice(cutoffs)) for _ in range(n)]
+    return rows
+
+
+@pytest.mark.parametrize("block", range(6))
+def test_determinant_matches_the_permutation_expansion(block):
+    for seed in range(50 * block, 50 * block + 50):
+        matrix = random_matrix(seed)
+        det = linalg.determinant(matrix)
+        expected = permutation_determinant(matrix)
+        assert det.terms == expected.terms, seed
+        assert det.cutoff == expected.cutoff, seed
+
+
+def test_determinant_keeps_the_cutoff_of_a_cancelled_minor():
+    # the leading 2x2 minor cancels to zero, but its cutoff still bounds the result
+    one, zero, cut = N.one(), N.zero(), N.one(cutoff=2)
+    matrix = [[cut, cut, zero], [cut, cut, zero], [zero, zero, one]]
+    det = linalg.determinant(matrix)
+    assert det.is_zero() and det.cutoff == 2
+    assert permutation_determinant(matrix).cutoff == 2
+
+
+def test_determinant_truncates_each_product_at_its_own_cutoff():
+    # q^2 * 1 * q^-1 has no cutoff; a minor shared with the truncated
+    # placement -1 [cutoff 2] must not drop its q^2 before the q^-1 arrives
+    one, zero, q = N.one(), N.zero(), N.q_power(1)
+    matrix = [[q * q, N.one(cutoff=2), zero], [one, one, zero], [zero, zero, N.q_power(-1)]]
+    det = linalg.determinant(matrix)
+    assert det.terms == (q - N.q_power(-1)).terms and det.cutoff == 2
+    assert det.terms == permutation_determinant(matrix).terms
+
+
+def test_determinant_has_no_size_limit():
+    one = N.one()
+    # I + J, with J the all-ones matrix: eigenvalues 11 and 1 (nine times)
+    ones = [[one + one if i == j else one for j in range(10)] for i in range(10)]
+    assert linalg.determinant(ones) == N.from_rational(11)
+    # upper triangular: the product of the diagonal q-monomials
+    diagonal = [N.monomial(F(k, 2), C.root_of_unity(5, k)) for k in range(10)]
+    triangular = [[diagonal[i] if i == j else (N.q_power(-1) if j > i else N.zero())
+                   for j in range(10)] for i in range(10)]
+    expected = N.monomial(F(45, 2), C.root_of_unity(5, 45))
+    det = linalg.determinant(triangular)
+    assert det.terms == expected.terms and det.cutoff is None
 
 
 def test_determinant_needs_square():

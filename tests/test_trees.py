@@ -102,6 +102,17 @@ def test_weighted_census_product_identity():
         assert len(grey) == len(plain)
 
 
+@pytest.mark.parametrize("weights, bad", [
+    (dict(grey_inputs=(7,), white_inputs=(7,)), "7"),
+    (dict(grey_inputs=(0,)), "0"),
+    (dict(white_inputs=(2, 4)), "4"),
+    (dict(grey_inputs=(1,), white_inputs=(1,)), "1"),
+])
+def test_weighted_inputs_must_be_distinct_boundary_inputs(weights, bad):
+    with pytest.raises(ValueError, match=f"weighted input {bad} "):
+        enumerate_stable_types(3, 0, metric_classes=(ZERO,), **weights)
+
+
 # --- dimension -------------------------------------------------------------
 
 def test_dim_examples():
