@@ -152,8 +152,7 @@ def criterion_4() -> CriterionResult:
         points = toric.critical_points(potential)
         if len(points) != n - 1:
             return CriterionResult(4, "critical points", False, f"exceptional n={n} count")
-        aleph = (CyclotomicNumber.root_of_unity(n - 1) if n > 2
-                 else CyclotomicNumber.one())
+        aleph = CyclotomicNumber.root_of_unity(n - 1)
         for k, y in enumerate(points):
             h = toric.hessian(potential, y)
             shape = _hessian_shape(h)
@@ -255,27 +254,26 @@ def criterion_7() -> CriterionResult:
 
 
 def criterion_8() -> CriterionResult:
-    """Determinant surjectivity with the valuation split at 2.
+    """Determinant surjectivity with the valuation split at ``openclosed.SPLIT``.
 
-    Rows are normalized by their minimal q-power first (an invertible row
-    operation, per the row-factor-extraction oracle); without it the plain
-    determinant valuation n/2 leaves the split window for n >= 4.
+    ``surjectivity_test`` normalizes rows by their minimal q-power first;
+    without it the plain determinant valuation n/2 leaves the split window
+    for n >= 4.
     """
     for n in range(1, 7):
-        res = openclosed.surjectivity_test(
-            openclosed.oc_matrix(n, openclosed.PROJECTIVE), 2, normalize_rows=True)
+        res = openclosed.surjectivity_test(openclosed.oc_matrix(n, openclosed.PROJECTIVE))
         if res != openclosed.SURJECTIVE:
             return CriterionResult(8, "determinant surjectivity", False,
                                    f"projective n={n}: {res}")
     for n in range(2, 7):
         res = openclosed.surjectivity_test(
-            openclosed.oc_matrix(n, openclosed.EXCEPTIONAL, Fraction(1, 10)),
-            2, normalize_rows=True)
+            openclosed.oc_matrix(n, openclosed.EXCEPTIONAL, Fraction(1, 10)))
         if res != openclosed.SURJECTIVE:
             return CriterionResult(8, "determinant surjectivity", False,
                                    f"exceptional n={n}: {res}")
     return CriterionResult(8, "determinant surjectivity", True,
-                           "surjective for both kinds, n up to 6, split at 2")
+                           "surjective for both kinds, n up to 6, split at "
+                           + format_rational(openclosed.SPLIT))
 
 
 def criterion_9() -> CriterionResult:

@@ -26,6 +26,9 @@ from .novikov import NovikovElement, format_rational, json_field, parse_rational
 
 Vector = dict[int, NovikovElement]
 
+# the largest arity whose composition relation ``check_ainfty`` checks
+MAX_ARITY = 6
+
 
 def _vec_add(acc: Vector, idx: int, value: NovikovElement):
     if idx in acc:
@@ -39,10 +42,10 @@ def _vec_clean(vec: Vector) -> Vector:
 
 
 class AInftyAlgebra:
-    """Graded module with sparse composition tensors ``m_d``, ``0 <= d <= d_max``."""
+    """Graded module with sparse composition tensors ``m_d``."""
 
     def __init__(self, basis, degrees, tensors, unit=None, n_grading=2,
-                 cutoff: Fraction | None = None, d_max: int = 6):
+                 cutoff: Fraction | None = None):
         self.basis = tuple(basis)
         self.degrees = tuple(int(d) % n_grading for d in degrees)
         if len(self.basis) != len(self.degrees):
@@ -52,7 +55,6 @@ class AInftyAlgebra:
         self.n_grading = int(n_grading)
         self.unit = unit
         self.cutoff = Fraction(cutoff) if cutoff is not None else None
-        self.d_max = int(d_max)
         self.tensors: dict[int, dict[tuple, Vector]] = {}
         for d, entries in tensors.items():
             store: dict[tuple, Vector] = {}
@@ -78,12 +80,6 @@ class AInftyAlgebra:
         entry = self.tensors.get(len(inputs), {}).get(tuple(inputs))
         return dict(entry) if entry else {}
 
-    def curvature_valuation_positive(self) -> bool:
-        """True when the curvature vanishes or has positive valuation."""
-        vals = [v.val_q() for v in self.curvature().values() if not v.is_zero()]
-        vals = [v for v in vals if v is not None]
-        return not vals or min(vals) > 0
-
     def m(self, elements: list[Vector]) -> Vector:
         """Apply the composition of the given arity multilinearly."""
         d = len(elements)
@@ -105,9 +101,6 @@ class AInftyAlgebra:
             for o, val in out.items():
                 _vec_add(acc, o, val * coeff)
         return _vec_clean(acc)
-
-    def curvature(self) -> Vector:
-        return self.m_basis(())
 
     # -- validation -------------------------------------------------------------
     def degree_violations(self) -> list:
@@ -218,16 +211,15 @@ class Violation:
         return f"Violation(d={self.arity}, ({ins}) -> {self.output}: {self.value})"
 
 
-def check_ainfty(algebra: AInftyAlgebra, max_arity: int | None = None) -> list[Violation]:
-    """All failures of the quadratic composition relations up to ``max_arity``.
+def check_ainfty(algebra: AInftyAlgebra) -> list[Violation]:
+    """All failures of the quadratic composition relations up to ``MAX_ARITY``.
 
     For every arity ``d`` the signed sum over ways of nesting one composition
     inside another must vanish on every basis tuple; the sign exponent is the
     sum of reduced degrees of the inputs preceding the inner composition.
     """
-    top = max_arity if max_arity is not None else algebra.d_max
     violations = []
-    for d in range(0, top + 1):
+    for d in range(0, MAX_ARITY + 1):
         defect = _relation_defect(algebra, d)
         for key in sorted(defect):
             for o in sorted(defect[key]):
@@ -294,65 +286,3 @@ def spectral_decompose(branes: list[Brane]) -> dict[int, list[Brane]]:
         else:
             groups[len(groups)] = [brane]
     return groups
-
-
-# ---------------------------------------------------------------------------
-# the bar-collapse map and small sign helpers
-
-
-def collapse_mu(algebra: AInftyAlgebra, factors: list[Vector]) -> Vector:
-    """Compose all factors of a two-sided bar element into one morphism.
-
-    ``factors`` is ``[x_-, x_1, ..., x_k, x_+]``; the result is
-    ``(-1)^{|x_-| + sum ||x_j||} m_{k+2}(x_-, x_1, ..., x_k, x_+)``.
-    Inputs must be homogeneous for the sign to make sense.
-    """
-    if len(factors) < 2:
-        raise ValueError("a bar element has at least two factors")
-    degs = [_homogeneous_degree(algebra, f) for f in factors]
-    koszul = degs[0] + sum((dj + 1) for dj in degs[1:-1])
-    value = algebra.m(factors)
-    if koszul % 2:
-        value = {o: -v for o, v in value.items()}
-    return value
-
-
-def bar_boundary(algebra: AInftyAlgebra, factors: list[Vector]) -> list[list[Vector]]:
-    """Contractions of a two-sided bar element, with collapse-compatible signs.
-
-    The sign is the sum of reduced degrees in front of the contracted block;
-    a block absorbing the final module slot picks up the extra Koszul term
-    that matches the sign carried by the collapse map, so composing after
-    this boundary telescopes into the quadratic composition relations.
-    """
-    out = []
-    k = len(factors)
-    for d2 in sorted(algebra.tensors):
-        if d2 == 0 or d2 > k:
-            continue
-        for start in range(0, k - d2 + 1):
-            block = factors[start:start + d2]
-            inner = algebra.m(block)
-            if not inner:
-                continue
-            sign = sum((_homogeneous_degree(algebra, f) + 1)
-                       for f in factors[:start])
-            if start + d2 == k:  # block contains the final module slot
-                sign += sum((_homogeneous_degree(algebra, f) + 1) for f in block)
-                sign += (_homogeneous_degree(algebra, factors[-1]) + 1) + 1
-            if sign % 2:
-                inner = {o: -v for o, v in inner.items()}
-            out.append(factors[:start] + [inner] + factors[start + d2:])
-    return out
-
-
-def _homogeneous_degree(algebra: AInftyAlgebra, element: Vector) -> int:
-    degs = {algebra.degrees[i] for i, v in element.items() if not v.is_zero()}
-    if len(degs) > 1:
-        raise ValueError("element is not homogeneous")
-    return degs.pop() if degs else 0
-
-
-def sign_heart(degrees: list[int]) -> int:
-    """Overall sign ``(-1)^{sum_i i |x_i|}`` on an input run (1-indexed)."""
-    return -1 if sum(i * d for i, d in enumerate(degrees, start=1)) % 2 else 1

@@ -102,15 +102,6 @@ class BlowupModel:
         if not 0 < self.eps:
             raise ValueError("eps must be positive")
 
-    def base_labels(self) -> tuple:
-        return tuple(("base", b) for b in range(self.n + 1))
-
-    def exceptional_labels(self) -> tuple:
-        return tuple(("exc", b) for b in range(1, self.n))
-
-    def labels(self) -> tuple:
-        return self.base_labels() + self.exceptional_labels()
-
     def total_dim(self) -> int:
         return 2 * self.n
 
@@ -179,7 +170,7 @@ def generation_check(old_cols, exc_cols, pairing, total_dim: int,
     }
 
 
-def split_report(n: int, eps, cutoff_e=Fraction(2), rank_cutoff=None) -> dict:
+def split_report(n: int, eps) -> dict:
     """Full splitting verification for the blowup of projective n-space.
 
     Assembles the bulk-shifted projective block and the exceptional block
@@ -206,15 +197,14 @@ def split_report(n: int, eps, cutoff_e=Fraction(2), rank_cutoff=None) -> dict:
         {("exc", b + 1): exc_matrix.entry(b, a) for b in range(n - 1)}
         for a in range(n - 1)
     ]
-    if rank_cutoff is None:
-        # the rank cutoff must clear every entry valuation in both blocks
-        vals = [v.val_q() for col in old_cols + exc_cols for v in col.values()
-                if v.val_q() is not None]
-        rank_cutoff = max(vals) + 1 if vals else None
+    # the rank cutoff must clear every entry valuation in both blocks
+    vals = [v.val_q() for col in old_cols + exc_cols for v in col.values()
+            if v.val_q() is not None]
+    rank_cutoff = max(vals) + 1 if vals else None
     check = generation_check(old_cols, exc_cols, model.pairing,
                              model.total_dim(), rank_cutoff)
-    surj_old = openclosed.surjectivity_test(old_matrix, cutoff_e, normalize_rows=True)
-    surj_exc = openclosed.surjectivity_test(exc_matrix, cutoff_e, normalize_rows=True)
+    surj_old = openclosed.surjectivity_test(old_matrix)
+    surj_exc = openclosed.surjectivity_test(exc_matrix)
     report.update(
         check,
         min_extra_valuation=min_extra,

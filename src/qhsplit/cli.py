@@ -141,15 +141,15 @@ def cmd_potential_crit(args) -> int:
         potential = toric.PotentialFunction.clifford_torus(n)
         order = n + 1
     else:
-        eps = parse_rational(args.eps if args.eps else "1/10")
+        eps = parse_rational(args.eps) if args.eps else None
         potential = toric.PotentialFunction.exceptional(n, eps)
         order = max(n - 1, 1)
     points = toric.critical_points(potential)
     entries = []
     for k, y in enumerate(points):
         h = toric.hessian(potential, y)
-        q_form = toric.brane_quadratic_form(potential, y)
-        algebra = toric.brane_algebra(potential, y)
+        q_form = toric.brane_quadratic_form(h)
+        algebra = toric.clifford_algebra(q_form, n)
         entries.append({
             "index": k,
             "point": [repr(c) for c in y],
@@ -183,18 +183,17 @@ def cmd_oc_matrix(args) -> int:
             return _error(EXIT_FAILURE, "order override",
                           f"override {args.order} is not a multiple of {order}")
         order = args.order
-    split_at = Fraction(2)
+    split_at = openclosed.SPLIT
     det = linalg.determinant(matrix.as_lists())
     det_report = {
         "split_at": format_rational(split_at),
         "det": repr(det),
         "det_below": repr(det.below(split_at)),
         "det_at_or_above": repr(det.at_or_above(split_at)),
-        "surjectivity": openclosed.surjectivity_test(matrix, split_at,
-                                                     normalize_rows=True),
+        "surjectivity": openclosed.surjectivity_test(matrix),
     }
     meta_comment = (f"# cutoff=inf cyclotomic_order={order} "
-                    f"det={det_report['det']} split_at=2 "
+                    f"det={det_report['det']} split_at={det_report['split_at']} "
                     f"surjectivity={det_report['surjectivity']}")
     if args.format == "json":
         payload = {
@@ -226,7 +225,7 @@ def cmd_oc_matrix(args) -> int:
                                     for a in range(len(matrix.cols))) + " |")
         lines.append("")
         lines.append(f"- cutoff: inf; cyclotomic order: {order}")
-        lines.append(f"- determinant: {det_report['det']}; split at 2: "
+        lines.append(f"- determinant: {det_report['det']}; split at {det_report['split_at']}: "
                      f"below = {det_report['det_below']}, "
                      f"surjectivity = {det_report['surjectivity']}")
         text = "\n".join(lines) + "\n"

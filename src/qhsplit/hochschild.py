@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import linalg
 from .ainfty import AInftyAlgebra
@@ -95,8 +94,6 @@ def hochschild_boundary_basis(cat: FlatCategory, key) -> Chain:
             for o, val in inner.items():
                 scalar = -val if sign else val
                 add(word[:start] + (o,) + word[start + arity:], scalar)
-        # the block may also be the whole word minus nothing: start == d - arity
-        # only when it still avoids slot d, i.e. arity < d handled above
 
     # wraparound contractions (block contains the final slot)
     for p in range(0, d):
@@ -152,8 +149,7 @@ class HomologyReport:
         return sum(self.dims.values())
 
 
-def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6,
-                             cutoff: Fraction | None = None) -> HomologyReport:
+def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6) -> HomologyReport:
     """Homology dimensions by parity, with a two-length stabilization flag.
 
     For a length-graded boundary (compositions of arity two only) the
@@ -161,12 +157,10 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6,
     ``l + 1`` is known, so the report covers lengths up to ``max_length - 1``
     and is flagged stable when dropping the top computed length changes
     nothing.  Otherwise the truncated subcomplex is used and the result is
-    flagged as an unstable truncation.
+    flagged as an unstable truncation.  Ranks are taken at ``DEFAULT_CUTOFF``.
     """
     if max_length < 2:
         raise ValueError(f"the truncation length must be at least 2, got {max_length}")
-    if cutoff is None:
-        cutoff = DEFAULT_CUTOFF
     graded = is_length_graded(cat)
     # per (length, parity): basis and boundary matrix ranks
     by_parity: dict[tuple, list] = {}
@@ -188,7 +182,7 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6,
         for basis_key in by_parity.get((length, parity), []):
             image = hochschild_boundary_basis(cat, basis_key)
             rows.append({_column(k): v for k, v in image.items()})
-        rk, _, limited = linalg.row_reduce(rows, cutoff)
+        rk, _, limited = linalg.row_reduce(rows, DEFAULT_CUTOFF)
         cutoff_limited = cutoff_limited or limited
         ranks[key] = rk
         return rk
@@ -198,39 +192,28 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6,
             raise KeyError("boundary left the truncation window")
         return position[key]
 
-    def dims_up_to(top: int) -> dict:
-        out = {0: 0, 1: 0}
-        if graded:
-            for length in range(1, top):
-                for parity in (0, 1):
-                    total = len(by_parity.get((length, parity), []))
-                    rk_here = boundary_rank(length, parity)
-                    rk_above = boundary_rank(length + 1, (parity + 1) % 2)
-                    out[parity] += total - rk_here - rk_above
-        else:
-            # homology of the truncated subcomplex, spurious top classes and all
-            for parity in (0, 1):
-                total = sum(len(by_parity.get((length, parity), []))
-                            for length in range(1, top + 1))
-                rk_here = sum(boundary_rank(length, parity)
-                              for length in range(1, top + 1))
-                rk_other = sum(boundary_rank(length, (parity + 1) % 2)
-                               for length in range(1, top + 1))
-                out[parity] += total - rk_here - rk_other
-        return out
+    def count(length: int, parity: int) -> int:
+        return len(by_parity.get((length, parity), []))
 
-    dims_full = dims_up_to(max_length)
-    dims_prev = dims_up_to(max_length - 1)
-    stable = graded and dims_full == dims_prev
     per_length = {}
     if graded:
         for length in range(1, max_length):
             per_length[length] = {
-                parity: (len(by_parity.get((length, parity), []))
-                         - boundary_rank(length, parity)
+                parity: (count(length, parity) - boundary_rank(length, parity)
                          - boundary_rank(length + 1, (parity + 1) % 2))
                 for parity in (0, 1)
             }
-    return HomologyReport(dims=dims_full, stable=stable, per_length=per_length,
+        dims = {parity: sum(h[parity] for h in per_length.values()) for parity in (0, 1)}
+        # dropping the top length changes the sum iff that length has homology
+        stable = per_length[max_length - 1] == {0: 0, 1: 0}
+    else:
+        # homology of the truncated subcomplex, spurious top classes and all
+        lengths = range(1, max_length + 1)
+        dims = {parity: sum(count(length, parity) - boundary_rank(length, parity)
+                            - boundary_rank(length, (parity + 1) % 2)
+                            for length in lengths)
+                for parity in (0, 1)}
+        stable = False
+    return HomologyReport(dims=dims, stable=stable, per_length=per_length,
                           cutoff_limited=cutoff_limited, graded=graded,
                           max_length=max_length)

@@ -10,8 +10,8 @@ A cyclotomic coefficient is stored on integers: a tuple ``num`` of integer
 numerators over one denominator ``den``, with ``den > 0`` and
 ``gcd(num..., den) = 1``, so each value of a given order has exactly one
 stored form.  ``Fraction`` appears only at the API boundary (``coeffs``,
-``as_rational``, the public constructors) and in the rarely called
-``inverse``.
+``as_rational``, the public constructors); ``inverse`` is a product of
+Galois conjugates over an integer norm.
 
 Scalars are unhashable.  ``==`` identifies values stored at different
 cyclotomic orders (and, for Novikov elements, compares modulo the smaller
@@ -310,26 +310,29 @@ class CyclotomicNumber:
     def inverse(self) -> "CyclotomicNumber":
         if self.is_zero():
             raise ZeroDivisionError("division by zero")
+        order, num, den = self.order, self.num, self.den
         if self.is_rational():
-            return CyclotomicNumber.from_rational(Fraction(self.den, self.num[0]), self.order)
-        # Extended Euclid in Q[x] against the (irreducible) cyclotomic polynomial.
-        phi_poly = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        f = list(self.coeffs)
-        while f and not f[-1]:
-            f.pop()
-        r0, r1 = phi_poly, f
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-            if not r1:
-                raise ZeroDivisionError("element not invertible")
-        lead = r1[0]
-        inv = [c / lead for c in s1]
-        phi = euler_phi(self.order)
-        inv += [Fraction(0)] * (phi - len(inv))
-        return CyclotomicNumber(self.order, inv[:phi])
+            # gcd(num[0], den) = 1, so den / num[0] is already reduced
+            sign = 1 if num[0] > 0 else -1
+            return _cyclo(order, (sign * den,) + num[1:], sign * num[0])
+        # With a = A / den, the product P of the Galois conjugates sigma_k(A),
+        # 1 < k < order and k prime to order, makes A * P the norm of A, a
+        # nonzero integer; so 1/a = den * P / norm.  sigma_k maps z^j to
+        # z^(jk mod order).
+        table = _power_table(order, order - 1)
+        conjugates = _cyclo(order, (1,) + (0,) * (len(num) - 1), 1)
+        for k in range(2, order):
+            if math.gcd(k, order) == 1:
+                acc = [0] * len(num)
+                for j, c in enumerate(num):
+                    if c:
+                        for i, v in table[j * k % order]:
+                            acc[i] += c * v
+                conjugates = conjugates * _cyclo(order, tuple(acc), 1)
+        norm = (_cyclo(order, num, 1) * conjugates).num[0]
+        if norm < 0:
+            den, norm = -den, -norm
+        return _reduced(order, [den * c for c in conjugates.num], norm)
 
     def __truediv__(self, other):
         other = _coerce_cyclotomic(other)
@@ -382,39 +385,6 @@ def _coerce_cyclotomic(value):
     if isinstance(value, (int, Fraction)):
         return CyclotomicNumber.from_rational(value)
     return NotImplemented
-
-
-# Polynomial helpers over Q for the extended Euclid in ``inverse``.
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    dlead = den[-1]
-    for i in range(len(num) - 1, len(den) - 2, -1):
-        c = num[i] / dlead
-        if c:
-            q[i - (len(den) - 1)] = c
-            for j, d in enumerate(den):
-                num[i - (len(den) - 1) + j] -= c * d
-    while num and not num[-1]:
-        num.pop()
-    return q, num
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = list(a) + [Fraction(0)] * max(0, len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] -= y
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,9 @@ SURJECTIVE = "surjective"
 CUTOFF_LIMITED = "cutoff-limited"
 DEFICIENT = "deficient"
 
+# the valuation at which surjectivity_test splits the determinant
+SPLIT = Fraction(2)
+
 
 @dataclass(frozen=True)
 class OCMatrix:
@@ -66,8 +69,7 @@ def oc_matrix(n: int, kind: str, eps=None) -> OCMatrix:
         if eps <= 0:
             raise ValueError("eps must be positive")
         order = n - 1
-        root = CyclotomicNumber.root_of_unity(order) if order > 1 \
-            else CyclotomicNumber.one()
+        root = CyclotomicNumber.root_of_unity(order)
         rows = tuple(f"Z{b}" for b in range(1, n))
         cols = tuple(f"pt{a}" for a in range(1, n))
         entries = tuple(
@@ -126,39 +128,36 @@ def frobenius_orthogonality(n: int) -> list[list[NovikovElement]]:
     return gram
 
 
-def surjectivity_test(matrix, cutoff_e, normalize_rows: bool = False) -> str:
+def surjectivity_test(matrix) -> str:
     """Determinant-based surjectivity check with a valuation split.
 
-    Splits the determinant at ``cutoff_e``: surjective iff the part below the
-    split is nonzero.  With ``normalize_rows`` each row is first divided by
-    its minimal q-power - an invertible row operation that leaves
-    surjectivity unchanged and keeps the split meaningful for matrices whose
-    rows carry large uniform q-factors.
+    Each row is first divided by its minimal q-power - an invertible row
+    operation that leaves surjectivity unchanged and keeps the split
+    meaningful for matrices whose rows carry large uniform q-factors.  The
+    determinant is then split at ``SPLIT``: surjective iff the part below
+    the split is nonzero.
     """
     if isinstance(matrix, OCMatrix):
         matrix = matrix.as_lists()
-    cutoff_e = Fraction(cutoff_e)
     n = len(matrix)
     if n == 0 or any(len(row) != n for row in matrix):
         raise ValueError("need a nonempty square matrix")
     entry_vals = [e.val_q() for row in matrix for e in row if not e.is_zero()]
     if not entry_vals:
         return DEFICIENT
-    if normalize_rows:
-        scaled = []
-        for row in matrix:
-            vals = [e.val_q() for e in row if not e.is_zero()]
-            if not vals:
-                scaled.append(list(row))
-                continue
-            shift = NovikovElement.q_power(-min(vals))
-            scaled.append([e * shift for e in row])
-        matrix = scaled
-    det = linalg.determinant(matrix)
-    if not det.below(cutoff_e).is_zero():
+    scaled = []
+    for row in matrix:
+        vals = [e.val_q() for e in row if not e.is_zero()]
+        if not vals:
+            scaled.append(list(row))
+            continue
+        shift = NovikovElement.q_power(-min(vals))
+        scaled.append([e * shift for e in row])
+    det = linalg.determinant(scaled)
+    if not det.below(SPLIT).is_zero():
         return SURJECTIVE
-    truncated = any(e.truncated for row in matrix for e in row)
-    if min(entry_vals) >= cutoff_e or not det.is_zero() or truncated:
+    truncated = any(e.truncated for row in scaled for e in row)
+    if min(entry_vals) >= SPLIT or not det.is_zero() or truncated:
         return CUTOFF_LIMITED
     return DEFICIENT
 

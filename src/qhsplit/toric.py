@@ -51,10 +51,6 @@ class BlaschkeClass:
             raise ValueError("component areas are positive")
 
     @property
-    def factors(self) -> int:
-        return len(self.degrees)
-
-    @property
     def index(self) -> int:
         return 2 * sum(self.degrees)
 
@@ -141,6 +137,8 @@ class PotentialFunction:
     def exceptional(cls, n: int, eps) -> "PotentialFunction":
         if n < 2:
             raise ValueError("the exceptional model needs ambient dimension n >= 2")
+        if eps is None:
+            raise ValueError("the exceptional family needs the size parameter eps")
         eps = Fraction(eps)
         if eps <= 0:
             raise ValueError("eps must be positive")
@@ -199,8 +197,7 @@ def critical_points(potential: PotentialFunction) -> list[tuple]:
         raise ValueError(f"unsupported potential kind {potential.kind}")
     points = []
     for k in range(order):
-        root = CyclotomicNumber.root_of_unity(order, k) if order > 1 \
-            else CyclotomicNumber.one()
+        root = CyclotomicNumber.root_of_unity(order, k)
         point = tuple(root for _ in range(n))
         if not potential.is_critical(point):
             raise AssertionError(
@@ -225,8 +222,7 @@ def hessian(potential: PotentialFunction, y: tuple) -> list[list[NovikovElement]
 # Clifford algebras
 
 
-def clifford_algebra(q_matrix, n: int, cutoff: Fraction | None = None,
-                     d_max: int = 6) -> AInftyAlgebra:
+def clifford_algebra(q_matrix, n: int) -> AInftyAlgebra:
     """Rank ``2^n`` algebra on generators with ``e_a e_b + e_b e_a = 2 Q_ab``.
 
     Stored compositions follow the dictionary ``m_2(x, y) = (-1)^{|x|} x y``,
@@ -289,7 +285,7 @@ def clifford_algebra(q_matrix, n: int, cutoff: Fraction | None = None,
         return s
 
     def product(s, t):
-        state = {s: NovikovElement.one(cutoff)}
+        state = {s: NovikovElement.one()}
         for g in gens(t):
             state = mul_gen(state, g)
         return state
@@ -304,25 +300,22 @@ def clifford_algebra(q_matrix, n: int, cutoff: Fraction | None = None,
             vec = {position[u]: (v if sign > 0 else -v) for u, v in prod.items()}
             tensors[2][(position[s], position[t])] = vec
 
-    return AInftyAlgebra(names, degrees, tensors, unit=0, cutoff=cutoff, d_max=d_max)
+    return AInftyAlgebra(names, degrees, tensors, unit=0)
 
 
-def brane_quadratic_form(potential: PotentialFunction, y: tuple):
-    """The quadratic form of the brane algebra at a critical point.
+def brane_quadratic_form(h):
+    """The quadratic form of the brane algebra with logarithmic Hessian ``h``.
 
     The composition dictionary ``m_2(x, y) = (-1)^{|x|} x y`` turns the
     symmetrized degree-one composition into ``-2 Q``, so matching it to the
     second derivative of the curvature requires ``Q = -H/2``.
     """
-    h = hessian(potential, y)
     half = NovikovElement.from_rational(Fraction(-1, 2))
     return [[entry * half for entry in row] for row in h]
 
 
-def brane_algebra(potential: PotentialFunction, y: tuple,
-                  cutoff: Fraction | None = None) -> AInftyAlgebra:
-    return clifford_algebra(brane_quadratic_form(potential, y), potential.n,
-                            cutoff=cutoff)
+def brane_algebra(potential: PotentialFunction, y: tuple) -> AInftyAlgebra:
+    return clifford_algebra(brane_quadratic_form(hessian(potential, y)), potential.n)
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +345,3 @@ def divisor_equation_check(potential: PotentialFunction, y: tuple) -> bool:
             if per_class != symbolic:
                 return False
     return True
-
-
-def floer_cohomology_dims(n: int) -> dict:
-    """Cohomology of an n-torus: binomials in the Z-graded model and the
-    two-periodic collapse."""
-    from math import comb
-    z_graded = {d: comb(n, d) for d in range(n + 1)}
-    z2 = {0: sum(v for d, v in z_graded.items() if d % 2 == 0),
-          1: sum(v for d, v in z_graded.items() if d % 2 == 1)}
-    return {"z": z_graded, "z2": z2}

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 ZERO, POS, INF = "zero", "pos", "inf"
@@ -122,18 +121,6 @@ class TreedDiskType:
                     walk(slot[1], path + (i,))
         walk(self.root, ())
         return out
-
-    def edge_count(self) -> int:
-        """Total number of edges: finite base edges plus semi-infinite ones.
-
-        A broken edge contributes its two halves, so the count adds up
-        exactly over the pieces of a broken type.
-        """
-        k = len(self.boundary_inputs())
-        l = len(self.interior_inputs())
-        edges = self.finite_edges()
-        finite = len(edges) + sum(1 for _, cls in edges if cls == INF)
-        return finite + k + l + 1  # +1 for the output
 
     def output_weight(self) -> str:
         """Weight class of the output, forced by the product-of-inputs rule."""
@@ -296,8 +283,6 @@ def enumerate_stable_types(
     d_interior: int = 0,
     max_vertices: int | None = None,
     metric_classes: tuple = _METRIC_CLASSES,
-    grey_inputs: tuple = (),
-    white_inputs: tuple = (),
 ) -> list[TreedDiskType]:
     """All isomorphism classes of stable types, each exactly once.
 
@@ -305,27 +290,17 @@ def enumerate_stable_types(
     and interior inputs ``1..d_interior``.  ``metric_classes`` restricts the
     classes finite edges may take; the default allows all three, and
     ``(ZERO,)`` gives the nodal census, where every finite edge has length
-    zero.  ``grey_inputs`` and ``white_inputs`` assign fixed weight classes
-    to the named boundary inputs; everything else is black.
+    zero.  Every boundary input is black.
     """
     if d_boundary < 0 or d_interior < 0:
         raise ValueError("input counts must be nonnegative")
     if d_boundary == 0 and d_interior == 0:
         raise ValueError("a type needs at least one input or a vertex")
-    for lab in (*grey_inputs, *white_inputs):
-        if lab not in range(1, d_boundary + 1):
-            raise ValueError(f"weighted input {lab!r} is not a boundary input 1..{d_boundary}")
-    both = set(grey_inputs) & set(white_inputs)
-    if both:
-        raise ValueError(f"weighted input {min(both)!r} is both grey and white")
     needed = max(d_boundary + 2 * d_interior - 1, 1)
     budget = max_vertices if max_vertices is not None else 2 * (d_boundary + d_interior) + 2
     if budget < needed:
         raise EnumerationBudgetError(
             f"enumeration budget: need up to {needed} vertices, budget {budget}")
-
-    weights = tuple(sorted([(lab, GREY) for lab in grey_inputs]
-                           + [(lab, WHITE) for lab in white_inputs]))
 
     shapes = _enumerate_shapes(tuple(range(1, d_boundary + 1)), budget, d_interior)
     results: dict[str, TreedDiskType] = {}
@@ -333,7 +308,7 @@ def enumerate_stable_types(
         vertex_paths = _vertex_paths(shape)
         for assignment in itertools.product(range(len(vertex_paths)), repeat=d_interior):
             placed = _place_interior(shape, vertex_paths, assignment)
-            base = TreedDiskType(placed, weights)
+            base = TreedDiskType(placed)
             if not base.is_stable():
                 continue
             edges = base.finite_edges()
@@ -605,44 +580,3 @@ def leq(lower: TreedDiskType, upper: TreedDiskType) -> bool:
                 seen.add(key)
                 frontier.append(nxt)
     return target in seen
-
-
-# ---------------------------------------------------------------------------
-# map-type bookkeeping
-
-
-@dataclass(frozen=True)
-class MapTypeSkeleton:
-    """Index data over a domain type: Maslov index, asymptotics, constraints.
-
-    ``constraint_codims`` lists the codimension of the constraint at each
-    interior input (2 per input for a divisor constraint of multiplicity
-    one); ``branes`` and ``corners`` carry the boundary labels along for
-    bookkeeping.
-    """
-
-    domain: TreedDiskType
-    maslov: int = 0
-    morse_indices: tuple = ()
-    constraint_codims: tuple = ()
-    branes: tuple = ()
-    corners: tuple = ()
-
-    def expected_dim(self) -> int:
-        if not self.domain.is_stable():
-            raise UnstableTypeError("expected dimension needs a stable domain")
-        return (self.domain.dim() + self.maslov + sum(self.morse_indices)
-                - sum(self.constraint_codims))
-
-
-def crowded_reduction_drop(replacements: int) -> int:
-    """Expected-dimension drop when collapsing repeated-label interior inputs
-    onto ghost bubbles: two per replacement."""
-    return 2 * replacements
-
-
-def energy_bound(t: TreedDiskType, k: int, lam: Fraction, a: Fraction) -> Fraction:
-    """A priori energy bound ``#Edge/k + lam * a`` for perturbed disk counts."""
-    if k == 0:
-        raise ZeroDivisionError("divisor degree k must be nonzero")
-    return Fraction(t.edge_count(), k) + Fraction(lam) * Fraction(a)

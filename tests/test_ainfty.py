@@ -1,8 +1,7 @@
 from fractions import Fraction as F
 
 from qhsplit import toric
-from qhsplit.ainfty import (AInftyAlgebra, Brane, Violation, bar_boundary, check_ainfty,
-                            collapse_mu, sign_heart, spectral_decompose)
+from qhsplit.ainfty import AInftyAlgebra, Brane, Violation, check_ainfty, spectral_decompose
 from qhsplit.novikov import NovikovElement as N
 
 
@@ -76,61 +75,3 @@ def test_spectral_decomposition_equal_values_merge():
     assert len(groups) == 1
     assert len(next(iter(groups.values()))) == 2
     assert len(spectral_decompose([b1])) == 1
-
-
-# --- collapse map ----------------------------------------------------------------
-
-def test_collapse_pair_is_algebra_product():
-    # on a pair the Koszul sign cancels the composition dictionary sign
-    alg, W, y = clifford_pn(2)
-    e1, e2 = alg.index_of("e1"), alg.index_of("e2")
-    value = collapse_mu(alg, [{e1: N.one()}, {e2: N.one()}])
-    product = {o: (v if alg.degrees[e1] % 2 == 0 else -v)
-               for o, v in alg.m_basis((e1, e2)).items()}
-    assert value == product
-
-
-def test_collapse_unit_in_interior_slot_vanishes():
-    alg, _, _ = clifford_pn(1)
-    e = alg.index_of("e1")
-    one_vec = {alg.unit: N.one()}
-    assert collapse_mu(alg, [{e: N.one()}, one_vec, {e: N.one()}]) == {}
-
-
-def test_collapse_degree_bookkeeping():
-    alg, _, _ = clifford_pn(2)
-    e1, e2 = alg.index_of("e1"), alg.index_of("e2")
-    value = collapse_mu(alg, [{e1: N.one()}, {e2: N.one()}])
-    for out in value:
-        assert alg.degrees[out] == (alg.degrees[e1] + alg.degrees[e2]) % 2
-
-
-def test_collapse_kills_bar_boundaries():
-    # composing after the interior contractions of the bar complex gives zero
-    alg, _, _ = clifford_pn(2)
-    import random
-    rng = random.Random(3)
-    basis = list(range(alg.rank))
-    for _ in range(25):
-        factors = [{rng.choice(basis): N.one()} for _ in range(rng.randint(2, 4))]
-        total: dict = {}
-        for piece in bar_boundary(alg, factors):
-            if len(piece) < 2:
-                continue
-            for o, v in collapse_mu(alg, piece).items():
-                total[o] = total.get(o, N.zero()) + v
-        assert all(v.is_zero() for v in total.values())
-
-
-# --- signs and curvature ---------------------------------------------------------
-
-def test_sign_heart_examples():
-    assert sign_heart([1, 0, 1]) == 1
-    assert sign_heart([0, 2, 4]) == 1
-    assert sign_heart([1]) == -1
-
-
-def test_curvature_valuation_flag():
-    assert curved_rank2(N.q_power(F(1, 2))).curvature_valuation_positive()
-    assert curved_rank2().curvature_valuation_positive()  # flat
-    assert not curved_rank2(N.one()).curvature_valuation_positive()

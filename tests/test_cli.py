@@ -103,6 +103,16 @@ def test_negative_eps_reaches_the_value_check(command):
     assert result.stdout == ""
 
 
+@pytest.mark.parametrize("command", [("potential", "crit"), ("oc", "matrix")])
+def test_exceptional_kind_without_eps_is_a_value_error(command):
+    result = run_cli(*command, "--kind", "exceptional", "--n", "3")
+    assert result.returncode == EXIT_FAILURE
+    error = json.loads(result.stderr)
+    assert error == {"error": "value error",
+                     "message": "the exceptional family needs the size parameter eps"}
+    assert result.stdout == ""
+
+
 def test_unknown_flag_exit_code():
     result = run_cli("blowup", "split", "--n", "2", "--eps", "1/10", "--bogus", "1")
     assert result.returncode == EXIT_USAGE

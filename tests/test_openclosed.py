@@ -99,38 +99,31 @@ def test_co_values_respect_quantum_products():
 # --- surjectivity -----------------------------------------------------------------
 
 def test_surjectivity_projective():
-    assert oc.surjectivity_test(oc.oc_matrix(2, oc.PROJECTIVE), 2) == oc.SURJECTIVE
+    assert oc.surjectivity_test(oc.oc_matrix(2, oc.PROJECTIVE)) == oc.SURJECTIVE
 
 
 def test_surjectivity_zero_matrix():
     zero = [[N.zero(), N.zero()], [N.zero(), N.zero()]]
-    assert oc.surjectivity_test(zero, 2) == oc.DEFICIENT
+    assert oc.surjectivity_test(zero) == oc.DEFICIENT
 
 
 def test_surjectivity_high_valuation():
-    high = [[N.q_power(3), N.zero()], [N.zero(), N.q_power(3)]]
-    assert oc.surjectivity_test(high, 2) == oc.CUTOFF_LIMITED
+    # rows are normalized first, so a uniform q-factor such as q^3 I is no
+    # test; here the normalized determinant is q^3, above the split at 2
+    high = [[N.one(), N.one()], [N.one(), N.one() + N.q_power(3)]]
+    assert oc.surjectivity_test(high) == oc.CUTOFF_LIMITED
 
 
 def test_surjectivity_singular_matrix():
     singular = [[N.one(), N.one()], [N.one(), N.one()]]
-    assert oc.surjectivity_test(singular, 2) == oc.DEFICIENT
-
-
-def test_row_normalization_restores_split_window():
-    # determinant valuation n/2 leaves the window at n = 4 without it
-    m = oc.oc_matrix(4, oc.PROJECTIVE)
-    assert oc.surjectivity_test(m, 2) == oc.CUTOFF_LIMITED
-    assert oc.surjectivity_test(m, 2, normalize_rows=True) == oc.SURJECTIVE
+    assert oc.surjectivity_test(singular) == oc.DEFICIENT
 
 
 def test_surjectivity_both_kinds_all_n():
     for n in range(1, 7):
-        assert oc.surjectivity_test(oc.oc_matrix(n, oc.PROJECTIVE), 2,
-                                    normalize_rows=True) == oc.SURJECTIVE
+        assert oc.surjectivity_test(oc.oc_matrix(n, oc.PROJECTIVE)) == oc.SURJECTIVE
     for n in range(2, 7):
-        assert oc.surjectivity_test(oc.oc_matrix(n, oc.EXCEPTIONAL, F(1, 10)), 2,
-                                    normalize_rows=True) == oc.SURJECTIVE
+        assert oc.surjectivity_test(oc.oc_matrix(n, oc.EXCEPTIONAL, F(1, 10))) == oc.SURJECTIVE
 
 
 # --- pairing and orthogonality ----------------------------------------------------

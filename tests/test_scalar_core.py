@@ -81,7 +81,7 @@ def test_differential_inverse():
     rng = random.Random(99)
     done = 0
     while done < 300:
-        a, ra = random_pair(rng, rng.choice(range(1, 21)))
+        a, ra = random_pair(rng, rng.choice(ORDERS))
         if a.is_zero():
             continue
         done += 1

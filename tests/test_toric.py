@@ -13,7 +13,6 @@ from qhsplit.toric import (
     clifford_algebra,
     critical_points,
     divisor_equation_check,
-    floer_cohomology_dims,
     hessian,
     zk_constraint,
 )
@@ -167,15 +166,6 @@ def test_divisor_equation_both_kinds():
                   PotentialFunction.exceptional(n, F(1, 10))):
             for y in critical_points(W):
                 assert divisor_equation_check(W, y)
-
-
-# --- floer cohomology ------------------------------------------------------------
-
-def test_floer_dims():
-    assert floer_cohomology_dims(1)["z"] == {0: 1, 1: 1}
-    assert floer_cohomology_dims(2)["z"] == {0: 1, 1: 2, 2: 1}
-    assert floer_cohomology_dims(3)["z"] == {0: 1, 1: 3, 2: 3, 3: 1}
-    assert floer_cohomology_dims(3)["z2"] == {0: 4, 1: 4}
 
 
 # --- blaschke classes --------------------------------------------------------------

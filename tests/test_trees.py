@@ -1,19 +1,14 @@
-from fractions import Fraction as F
-
 import pytest
 
 from qhsplit import trees
 from qhsplit.trees import (
     EnumerationBudgetError,
-    MapTypeSkeleton,
     Node,
     TreedDiskType,
     ZERO, POS, INF,
     associahedron_face_counts,
     boundary_strata,
     census_by_dimension,
-    crowded_reduction_drop,
-    energy_bound,
     enumerate_stable_types,
     leq,
     single_vertex_type,
@@ -91,26 +86,6 @@ def test_canonical_form_isomorphism_invariance():
                                   ("in", 3)])))
     assert a.canonical_key() == b.canonical_key()
     assert a == b
-
-
-def test_weighted_census_product_identity():
-    # grey inputs contribute interval factors: the count over a fixed
-    # grey assignment equals the black-only skeleton count
-    for d in (2, 3):
-        plain = enumerate_stable_types(d, 0)
-        grey = enumerate_stable_types(d, 0, grey_inputs=(1,))
-        assert len(grey) == len(plain)
-
-
-@pytest.mark.parametrize("weights, bad", [
-    (dict(grey_inputs=(7,), white_inputs=(7,)), "7"),
-    (dict(grey_inputs=(0,)), "0"),
-    (dict(white_inputs=(2, 4)), "4"),
-    (dict(grey_inputs=(1,), white_inputs=(1,)), "1"),
-])
-def test_weighted_inputs_must_be_distinct_boundary_inputs(weights, bad):
-    with pytest.raises(ValueError, match=f"weighted input {bad} "):
-        enumerate_stable_types(3, 0, metric_classes=(ZERO,), **weights)
 
 
 # --- dimension -------------------------------------------------------------
@@ -248,45 +223,3 @@ def test_leq_distinct_top_cells_incomparable():
     a, b = two_vertex_pos(True), two_vertex_pos(False)
     assert not leq(a, b)
     assert not leq(b, a)
-
-
-# --- expected dimension and energy ----------------------------------------
-
-def test_expected_dim_divisor_constraints():
-    # all interior inputs carrying codimension-two constraints cancel 2l
-    t = single_vertex_type(2, 2)
-    skeleton = MapTypeSkeleton(t, maslov=0, morse_indices=(),
-                               constraint_codims=(2, 2))
-    assert t.dim() == 2 + 4 - 2
-    assert skeleton.expected_dim() == t.dim() - 4
-
-
-def test_expected_dim_substitution():
-    skeleton = MapTypeSkeleton(single_vertex_type(2), maslov=2)
-    assert skeleton.expected_dim() == 2
-
-
-def test_crowded_reduction_drop():
-    assert crowded_reduction_drop(1) == 2
-    assert crowded_reduction_drop(3) == 6
-
-
-def test_energy_bound_values():
-    t = single_vertex_type(2)  # edges: 2 inputs + output = 3
-    assert t.edge_count() == 3
-    assert energy_bound(t, 6, F(0), F(0)) == F(1, 2)
-    assert energy_bound(t, 3, F(1, 100), F(2)) == 1 + F(1, 50)
-    with pytest.raises(ZeroDivisionError):
-        energy_bound(t, 0, F(0), F(0))
-
-
-def test_energy_additive_under_breaking():
-    # a broken type splits so that edge counts and a-values add exactly
-    child = Node((("in", 1), ("in", 2)))
-    broken = TreedDiskType(Node((("edge", child, INF), ("in", 3))))
-    pieces = broken.cut_at_breakings()
-    assert broken.edge_count() == sum(p.edge_count() for p in pieces)
-    k = 4
-    total = energy_bound(broken, k, F(1, 10), F(3))
-    parts = sum(energy_bound(p, k, F(1, 10), a) for p, a in zip(pieces, (F(1), F(2))))
-    assert total == parts
