@@ -11,6 +11,14 @@ object; the boundary sums two families of contractions:
   wrapping past it), the composed value landing in the final slot, with sign
   exponent ``M(1,p) * (1 + M(p+1,d)) + M(p+1,d-1) + 1`` where ``M(i,k)`` sums
   reduced degrees of slots ``i..k`` and ``p`` counts wrapped-in front slots.
+
+Homology is computed on the normalized complex (Loday, *Cyclic Homology*,
+1.1.14-15): chains with the unit in a slot other than the final one, where
+wraparound contractions land, span an acyclic subcomplex, so they are
+dropped from the basis and from every boundary.  That holds when the
+boundary is length-graded and the object's declared unit satisfies the
+strict-unit axioms (``AInftyAlgebra.unit_violations`` is empty); otherwise
+no chain is dropped.
 """
 
 from __future__ import annotations
@@ -63,54 +71,47 @@ def chain_basis(cat: FlatCategory, length: int) -> list:
     return out
 
 
-def _maltese(alg: AInftyAlgebra, word, i, k) -> int:
-    """Sum of reduced degrees of slots i..k (1-based, inclusive), mod 2."""
-    return sum(alg.reduced(word[j - 1]) for j in range(i, k + 1)) % 2
-
-
 def hochschild_boundary_basis(cat: FlatCategory, key) -> Chain:
     """Boundary of one basis chain."""
     obj, word = key
     alg = cat.algebra(obj)
     d = len(word)
+    # prefix[k]: sum of the reduced degrees of slots 1..k, mod 2, so slots
+    # i..k sum to prefix[k] ^ prefix[i - 1]
+    prefix = [0]
+    for i in word:
+        prefix.append(prefix[-1] ^ alg.reduced(i))
     acc: Chain = {}
 
     def add(new_word, scalar):
         k = (obj, new_word)
-        if k in acc:
-            acc[k] = acc[k] + scalar
-        else:
-            acc[k] = scalar
+        acc[k] = acc[k] + scalar if k in acc else scalar
 
     # interior contractions (block avoids the final slot)
-    for arity in alg.tensors:
-        if arity == 0 or arity > d:
+    for arity, tensor in alg.tensors.items():
+        if arity > d:
             continue
         for start in range(0, d - arity):
-            inner = alg.m_basis(word[start:start + arity])
+            inner = tensor.get(word[start:start + arity])
             if not inner:
                 continue
-            sign = _maltese(alg, word, 1, start) if start else 0
+            sign = prefix[start]
             for o, val in inner.items():
-                scalar = -val if sign else val
-                add(word[:start] + (o,) + word[start + arity:], scalar)
+                add(word[:start] + (o,) + word[start + arity:], -val if sign else val)
 
     # wraparound contractions (block contains the final slot)
     for p in range(0, d):
         for t in range(0, d - p):
-            arity = t + 1 + p
-            if arity not in alg.tensors:
+            tensor = alg.tensors.get(t + 1 + p)
+            if not tensor:
                 continue
-            block = word[d - 1 - t:] + word[:p]
-            inner = alg.m_basis(block)
+            inner = tensor.get(word[d - 1 - t:] + word[:p])
             if not inner:
                 continue
             kept = word[p:d - 1 - t]
-            section = (_maltese(alg, word, 1, p) * (1 + _maltese(alg, word, p + 1, d))
-                       + _maltese(alg, word, p + 1, d - 1) + 1) % 2
+            section = (prefix[p] & (1 ^ prefix[d] ^ prefix[p])) ^ prefix[d - 1] ^ prefix[p] ^ 1
             for o, val in inner.items():
-                scalar = -val if section else val
-                add(kept + (o,), scalar)
+                add(kept + (o,), -val if section else val)
 
     return {k: v for k, v in acc.items() if not v.is_zero()}
 
@@ -157,18 +158,28 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6) -> Homology
     ``l + 1`` is known, so the report covers lengths up to ``max_length - 1``
     and is flagged stable when dropping the top computed length changes
     nothing.  Otherwise the truncated subcomplex is used and the result is
-    flagged as an unstable truncation.  Ranks are taken at ``DEFAULT_CUTOFF``.
+    flagged as an unstable truncation.  Ranks are taken at ``DEFAULT_CUTOFF``,
+    on the normalized complex where it applies (see the module docstring).
     """
     if max_length < 2:
         raise ValueError(f"the truncation length must be at least 2, got {max_length}")
     graded = is_length_graded(cat)
+    # the unit of each object whose chains are normalized, else None
+    units = [alg.unit if graded and alg.unit is not None and not alg.unit_violations()
+             else None for alg in cat.algebras]
+
+    def degenerate(key) -> bool:
+        obj, word = key
+        return units[obj] is not None and units[obj] in word[:-1]
+
     # per (length, parity): basis and boundary matrix ranks
     by_parity: dict[tuple, list] = {}
     position: dict[tuple, int] = {}  # chain -> its column in every boundary matrix
     for length in range(1, max_length + 1):
         for key in chain_basis(cat, length):
-            by_parity.setdefault((length, chain_parity(cat, key)), []).append(key)
-            position[key] = len(position)
+            if not degenerate(key):
+                by_parity.setdefault((length, chain_parity(cat, key)), []).append(key)
+                position[key] = len(position)
 
     cutoff_limited = False
     ranks: dict[tuple, int] = {}
@@ -181,7 +192,7 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6) -> Homology
         rows = []
         for basis_key in by_parity.get((length, parity), []):
             image = hochschild_boundary_basis(cat, basis_key)
-            rows.append({_column(k): v for k, v in image.items()})
+            rows.append({_column(k): v for k, v in image.items() if not degenerate(k)})
         rk, _, limited = linalg.row_reduce(rows, DEFAULT_CUTOFF)
         cutoff_limited = cutoff_limited or limited
         ranks[key] = rk

@@ -40,8 +40,8 @@ def row_reduce(rows, cutoff: Fraction | None = None):
 
     def subtract(target: Row, coeff: NovikovElement, source: Row):
         for c, v in source.items():
-            cur = target.get(c, NovikovElement.zero())
-            nxt = cur - coeff * v
+            cur = target.get(c)
+            nxt = -(coeff * v) if cur is None else cur - coeff * v
             if nxt.is_zero():
                 target.pop(c, None)
             else:

@@ -273,13 +273,20 @@ class CyclotomicNumber:
         other = _coerce_cyclotomic(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        a, b = self._unify(other)
+        den, bden = a.den, b.den
+        if den == bden:
+            num = [x - y for x, y in zip(a.num, b.num)]
+        else:
+            num = [x * bden - y * den for x, y in zip(a.num, b.num)]
+            den *= bden
+        return _reduced(a.order, num, den)
 
     def __rsub__(self, other):
         other = _coerce_cyclotomic(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         other = _coerce_cyclotomic(other)
@@ -424,11 +431,13 @@ def _split_index(terms: tuple, bound: Fraction) -> int:
     return k
 
 
-def _merge(a: tuple, b: tuple) -> tuple:
-    # Sum of two canonical term tuples with no exponent at or above the cutoff.
+def _merge(a: tuple, b: tuple, negate: bool) -> tuple:
+    # ``a + b``, or ``a - b`` when ``negate``, for two canonical term tuples
+    # with no exponent at or above the cutoff; ``b`` is negated term by term
+    # as it is merged, never copied first.
     if not b:
         return a
-    if not a:
+    if not negate and not a:
         return b
     out = []
     i = j = 0
@@ -436,7 +445,7 @@ def _merge(a: tuple, b: tuple) -> tuple:
     while i < na and j < nb:
         ea, eb = a[i][0], b[j][0]
         if ea == eb:
-            c = a[i][1] + b[j][1]
+            c = a[i][1] - b[j][1] if negate else a[i][1] + b[j][1]
             if not c.is_zero():
                 out.append((ea, c))
             i += 1
@@ -445,11 +454,27 @@ def _merge(a: tuple, b: tuple) -> tuple:
             out.append(a[i])
             i += 1
         else:
-            out.append(b[j])
+            out.append((eb, -b[j][1]) if negate else b[j])
             j += 1
     out.extend(a[i:])
-    out.extend(b[j:])
+    if negate:
+        out.extend((e, -c) for e, c in b[j:])
+    else:
+        out.extend(b[j:])
     return tuple(out)
+
+
+def _sum(x: "NovikovElement", y: "NovikovElement", negate: bool) -> "NovikovElement":
+    # ``x + y``, or ``x - y`` when ``negate``, at the smaller cutoff
+    cutoff = _merge_cutoff(x.cutoff, y.cutoff)
+    a, b = x.terms, y.terms
+    if cutoff is not None:
+        # only an operand with a larger (or no) cutoff can hold terms above it
+        if x.cutoff is not cutoff:
+            a = a[:_split_index(a, cutoff)]
+        if y.cutoff is not cutoff:
+            b = b[:_split_index(b, cutoff)]
+    return _nov(_merge(a, b, negate), cutoff)
 
 
 def _exponent(term):
@@ -576,15 +601,7 @@ class NovikovElement:
         other = _coerce_novikov(other)
         if other is NotImplemented:
             return NotImplemented
-        cutoff = _merge_cutoff(self.cutoff, other.cutoff)
-        a, b = self.terms, other.terms
-        if cutoff is not None:
-            # only an operand with a larger (or no) cutoff can hold terms above it
-            if self.cutoff is not cutoff:
-                a = a[:_split_index(a, cutoff)]
-            if other.cutoff is not cutoff:
-                b = b[:_split_index(b, cutoff)]
-        return _nov(_merge(a, b), cutoff)
+        return _sum(self, other, False)
 
     __radd__ = __add__
 
@@ -595,13 +612,13 @@ class NovikovElement:
         other = _coerce_novikov(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _sum(self, other, True)
 
     def __rsub__(self, other):
         other = _coerce_novikov(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return _sum(other, self, True)
 
     def __mul__(self, other):
         if isinstance(other, CyclotomicNumber):

@@ -93,12 +93,15 @@ def co_value(n: int, k: int, ell: int) -> NovikovElement:
     return NovikovElement.monomial(Fraction(n - ell, n + 1), root ** (k * (n - ell)))
 
 
-def ring_hom_check(n: int, k: int) -> bool:
+def ring_hom_check(potential: toric.PotentialFunction, k: int, y: tuple) -> bool:
     """Quantum relation through the brane algebra: the hyperplane image to
     the power ``n + 1`` must equal ``q`` times the unit, multiplied out in
-    the Clifford endomorphism algebra."""
-    potential = toric.PotentialFunction.clifford_torus(n)
-    y = toric.critical_points(potential)[k]
+    the Clifford endomorphism algebra.
+
+    ``y`` is the ``k``-th critical point of the Clifford-torus potential of
+    P^n, as ``toric.critical_points`` returns it.
+    """
+    n = potential.n
     algebra = toric.brane_algebra(potential, y)
     scalar = co_value(n, k, n - 1)
     element = {algebra.unit: scalar}
@@ -142,9 +145,6 @@ def surjectivity_test(matrix) -> str:
     n = len(matrix)
     if n == 0 or any(len(row) != n for row in matrix):
         raise ValueError("need a nonempty square matrix")
-    entry_vals = [e.val_q() for row in matrix for e in row if not e.is_zero()]
-    if not entry_vals:
-        return DEFICIENT
     scaled = []
     for row in matrix:
         vals = [e.val_q() for e in row if not e.is_zero()]
@@ -157,7 +157,7 @@ def surjectivity_test(matrix) -> str:
     if not det.below(SPLIT).is_zero():
         return SURJECTIVE
     truncated = any(e.truncated for row in scaled for e in row)
-    if min(entry_vals) >= SPLIT or not det.is_zero() or truncated:
+    if not det.is_zero() or truncated:
         return CUTOFF_LIMITED
     return DEFICIENT
 

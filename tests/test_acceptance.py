@@ -9,7 +9,9 @@ import sys
 
 import pytest
 
-from qhsplit import acceptance
+from qhsplit import acceptance, toric
+from qhsplit.ainfty import AInftyAlgebra
+from qhsplit.novikov import NovikovElement
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +47,26 @@ def test_criterion_05_divisor_equation(results):
 
 def test_criterion_06_hochschild_one_dimensional(results):
     _check(results, 6)
+
+
+def test_criterion_06_fails_on_the_exterior_algebra():
+    # Lambda[e] (basis 1, e in degrees 0, 1, e * e = 0) has one class in each
+    # parity at every word length, so its homology never stabilizes
+    one = NovikovElement.one
+    exterior = AInftyAlgebra(
+        ["1", "e"], [0, 1],
+        {2: {(0, 0): {0: one()}, (0, 1): {1: one()}, (1, 0): {1: -one()}}}, unit=0)
+    result = acceptance.hochschild_check("exterior", exterior, 0, 5)
+    assert not result.passed
+    assert result.line() == ("[FAIL]  6 one-dimensional Hochschild homology: "
+                             "exterior: dims {0: 4, 1: 4} stable False")
+
+
+def test_criterion_06_helper_passes_a_brane_algebra():
+    potential = toric.PotentialFunction.clifford_torus(1)
+    algebra = toric.brane_algebra(potential, toric.critical_points(potential)[0])
+    assert acceptance.hochschild_check("projective n=1", algebra, 1, 6).passed
+    assert not acceptance.hochschild_check("projective n=1", algebra, 0, 6).passed
 
 
 def test_criterion_07_open_closed_matrix(results):

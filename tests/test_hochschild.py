@@ -38,6 +38,37 @@ def dga_category():
     return FlatCategory.single(alg)
 
 
+def exterior_category(unit=0):
+    # Lambda[e]: basis 1, e in degrees 0, 1 with e * e = 0
+    one = N.one
+    alg = AInftyAlgebra(
+        ["1", "e"], [0, 1],
+        {2: {(0, 0): {0: one()}, (0, 1): {1: one()}, (1, 0): {1: -one()}}},
+        unit=unit)
+    return FlatCategory.single(alg)
+
+
+def full_complex_per_length(cat, max_length):
+    """Per-length homology of the whole complex, degenerate chains and all."""
+    basis = {}
+    for length in range(1, max_length + 1):
+        for key in chain_basis(cat, length):
+            basis.setdefault((length, chain_parity(cat, key)), []).append(key)
+    column = {key: i for keys in basis.values() for i, key in enumerate(keys)}
+    ranks = {}
+
+    def rank(length, parity):
+        if (length, parity) not in ranks:
+            ranks[length, parity] = linalg.rank(
+                [{column[t]: v for t, v in hochschild_boundary_basis(cat, key).items()}
+                 for key in basis.get((length, parity), [])])
+        return ranks[length, parity]
+
+    return {length: {parity: len(basis.get((length, parity), [])) - rank(length, parity)
+                     - rank(length + 1, 1 - parity) for parity in (0, 1)}
+            for length in range(1, max_length)}
+
+
 # --- boundary -------------------------------------------------------------
 
 def test_boundary_squares_to_zero():
@@ -127,6 +158,47 @@ def test_cutoff_limited_ranks_are_flagged():
     alg = clifford_algebra([[N.q_power(4)]], 1)
     report = hochschild_homology_dims(FlatCategory.single(alg), 4)
     assert report.cutoff_limited
+
+
+# --- the normalized complex ---------------------------------------------------
+
+def test_degenerate_chains_form_a_subcomplex():
+    # a chain with the unit in a non-final slot has a boundary of such chains
+    # only, so dropping them leaves a quotient complex
+    for cat, maxlen in ((rank1_category(), 4), (clifford_category(1), 4),
+                        (clifford_category(2), 4), (clifford_category(3), 3),
+                        (clifford_category(2, "exc"), 4), (dga_category(), 4)):
+        unit = cat.algebras[0].unit
+        degenerate = 0
+        for length in range(2, maxlen + 1):
+            for key in chain_basis(cat, length):
+                if unit not in key[1][:-1]:
+                    continue
+                degenerate += 1
+                for target in hochschild_boundary_basis(cat, key):
+                    assert unit in target[1][:-1], (key, target)
+        assert degenerate
+
+
+def test_normalized_homology_matches_the_full_complex():
+    cases = (rank1_category(), clifford_category(1), clifford_category(2),
+             clifford_category(2, "exc"), exterior_category())
+    for cat in cases:
+        report = hochschild_homology_dims(cat, 5)
+        full = full_complex_per_length(cat, 5)
+        assert report.per_length == full
+        assert report.dims == {parity: sum(h[parity] for h in full.values())
+                               for parity in (0, 1)}
+
+
+def test_failed_unit_axioms_give_the_full_complex():
+    # e is declared the unit of Lambda[e] but is not one; dropping the words
+    # with e in a non-final slot would lose the classes of lengths 2..4
+    cat = exterior_category(unit=1)
+    assert cat.algebras[0].unit_violations()
+    report = hochschild_homology_dims(cat, 5)
+    assert report.per_length == full_complex_per_length(cat, 5)
+    assert report.dims == {0: 4, 1: 4}
 
 
 def test_supercommutator_quotient_oracle():

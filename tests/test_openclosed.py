@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from qhsplit import acceptance, toric
 from qhsplit import openclosed as oc
 from qhsplit.novikov import CyclotomicNumber as C, NovikovElement as N
 
@@ -69,8 +70,29 @@ def test_co_value_formula():
 
 def test_ring_hom_check():
     for n in (1, 2, 3):
-        for k in range(n + 1):
-            assert oc.ring_hom_check(n, k)
+        W = toric.PotentialFunction.clifford_torus(n)
+        for k, y in enumerate(toric.critical_points(W)):
+            assert oc.ring_hom_check(W, k, y)
+
+
+def test_criterion_9_checks_each_critical_point_twice(monkeypatch):
+    # critical_points checks every point of P^n once and brane_algebra's
+    # hessian checks the point it is given once more: two checks per point
+    points = {n: toric.critical_points(toric.PotentialFunction.clifford_torus(n))
+              for n in range(1, 5)}
+    checked = []
+    is_critical = toric.PotentialFunction.is_critical
+
+    def counting(self, y):
+        checked.append((self.n, y))
+        return is_critical(self, y)
+
+    monkeypatch.setattr(toric.PotentialFunction, "is_critical", counting)
+    assert acceptance.criterion_9().passed
+    for n, ys in points.items():
+        for y in ys:
+            assert sum(1 for m, z in checked if m == n and z == y) == 2, (n, y)
+    assert len(checked) == 2 * sum(len(ys) for ys in points.values())
 
 
 def test_ring_hom_negative_control():
@@ -117,6 +139,13 @@ def test_surjectivity_high_valuation():
 def test_surjectivity_singular_matrix():
     singular = [[N.one(), N.one()], [N.one(), N.one()]]
     assert oc.surjectivity_test(singular) == oc.DEFICIENT
+
+
+def test_surjectivity_singular_matrix_of_high_entries():
+    # exact entries all above the split: the normalized determinant is an
+    # exact zero, so the matrix is deficient, not cutoff-limited
+    q3 = N.q_power(3)
+    assert oc.surjectivity_test([[q3, q3], [q3, q3]]) == oc.DEFICIENT
 
 
 def test_surjectivity_both_kinds_all_n():

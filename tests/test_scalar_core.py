@@ -112,6 +112,54 @@ def test_zero_and_one_have_one_stored_form():
         assert (half - half).den == 1
 
 
+# --- subtraction without a negated copy ---------------------------------------
+
+def stored(x):
+    """Every stored field of a scalar: ``==`` ignores orders and cutoffs."""
+    if isinstance(x, CyclotomicNumber):
+        return x.order, x.num, x.den
+    return [(e,) + stored(c) for e, c in x.terms], x.cutoff
+
+
+def random_novikov(rng):
+    # few exponents, so terms often meet; negative ones and orders 1..12
+    terms = [(F(rng.randint(-4, 6), rng.choice((1, 2, 3))),
+              random_pair(rng, rng.randint(1, 12))[0])
+             for _ in range(rng.randint(0, 4))]
+    cutoff = rng.choice((None, None, F(rng.randint(-2, 6), rng.choice((1, 2)))))
+    return NovikovElement(terms, cutoff)
+
+
+def test_cyclotomic_subtraction_matches_adding_the_negation():
+    rng = random.Random(20241018)
+    for _ in range(3000):
+        order = rng.randint(1, 12)
+        a, _ = random_pair(rng, order)
+        b, _ = random_pair(rng, rng.randint(1, 12) if rng.random() < 0.5 else order)
+        assert stored(a - b) == stored(a + (-b))
+        assert stored(a - a) == stored(a + (-a))
+        r = F(rng.randint(-9, 9), rng.randint(1, 6))
+        assert stored(a - r) == stored(a + (-r))
+        assert stored(r - a) == stored(r + (-a))
+
+
+def test_novikov_subtraction_matches_adding_the_negation():
+    rng = random.Random(20241019)
+    cancelled = 0
+    for _ in range(3000):
+        a, b = random_novikov(rng), random_novikov(rng)
+        assert stored(a - b) == stored(a + (-b))
+        # the same terms at another cutoff cancel exactly below both cutoffs
+        c = NovikovElement(a.terms, rng.choice((None, F(rng.randint(-2, 6)))))
+        assert stored(a - c) == stored(a + (-c))
+        assert stored(c - a) == stored(c + (-a))
+        cancelled += (a - c).is_zero()
+        r = rng.randint(-3, 3)
+        assert stored(a - r) == stored(a + (-r))
+        assert stored(r - a) == stored(r + (-a))
+    assert cancelled == 3000
+
+
 # --- value semantics ---------------------------------------------------------
 
 def test_scalars_are_unhashable():
