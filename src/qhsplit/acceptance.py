@@ -77,7 +77,7 @@ def criterion_2() -> CriterionResult:
         if oracle != census:
             return CriterionResult(2, "tree census", False,
                                    f"d={d}: oracle {oracle} != census {census}")
-    allowed_ops = {"collapse", "length_zero", "length_inf", "weight_zero", "weight_one"}
+    allowed_ops = {"collapse", "length_zero", "length_inf"}
     checked = 0
     for d in (2, 3, 4):
         for t in trees.enumerate_stable_types(d, 0):

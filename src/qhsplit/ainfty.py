@@ -178,15 +178,21 @@ class AInftyAlgebra:
         if not isinstance(tensor_data, dict):
             raise ValueError(f"algebra key 'tensors' must be a JSON dict, got {tensor_data!r}")
         for d, entries in tensor_data.items():
+            if not d.isdigit():
+                raise ValueError(f"algebra key 'tensors' has a non-integer arity {d!r}")
+            if not isinstance(entries, list):
+                raise ValueError(f"algebra key 'tensors' maps arity {d} to {entries!r}, "
+                                 "not a JSON list")
             store = {}
             for entry in entries:
-                key = tuple(lookup(name, "inputs")
-                            for name in json_field(entry, "inputs", "tensor entry", list))
+                names = json_field(entry, "inputs", "tensor entry", list)
+                if len(names) != int(d):
+                    raise ValueError(f"tensor entry key 'inputs' has {len(names)} names "
+                                     f"for arity {d}")
+                key = tuple(lookup(name, "inputs") for name in names)
                 vec = {lookup(name, "outputs"): NovikovElement.from_json_dict(val)
                        for name, val in json_field(entry, "outputs", "tensor entry", dict).items()}
                 store[key] = vec
-            if not d.isdigit():
-                raise ValueError(f"algebra key 'tensors' has a non-integer arity {d!r}")
             tensors[int(d)] = store
         unit = lookup(data["unit"], "unit") if data.get("unit") is not None else None
         n_grading = data.get("n_grading", 2)

@@ -4,8 +4,8 @@ All numeric flags are exact rationals of the form ``p/q``; no floats are
 accepted anywhere.  Reports embed the scalar cutoff and cyclotomic order in
 use, and identical invocations produce byte-identical output.
 
-Exit codes: 0 success, 2 usage error, 3 malformed rational, 4 enumeration
-budget exceeded, 1 any other failure.
+Exit codes: 0 success, 2 usage error, 3 malformed rational, 1 any other
+failure.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_MALFORMED_RATIONAL = 3
-EXIT_BUDGET = 4
 
 
 def _emit(text: str, out_path: str | None):
@@ -61,12 +60,7 @@ def cmd_trees_enumerate(args) -> int:
         "zero": (trees.ZERO,),
         "all": (trees.ZERO, trees.POS, trees.INF),
     }[args.metric]
-    try:
-        types = trees.enumerate_stable_types(
-            args.boundary, args.interior,
-            max_vertices=args.budget, metric_classes=metric)
-    except trees.EnumerationBudgetError as exc:
-        return _error(EXIT_BUDGET, "enumeration budget", str(exc))
+    types = trees.enumerate_stable_types(args.boundary, args.interior, metric_classes=metric)
     census = trees.census_by_dimension(types)
     lines = ["# cutoff=inf cyclotomic_order=1", "dimension,count"]
     lines.extend(f"{dim},{census[dim]}" for dim in sorted(census))
@@ -287,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = trees_sub.add_parser("enumerate", help="census of stable types")
     p_enum.add_argument("--boundary", type=int, required=True)
     p_enum.add_argument("--interior", type=int, default=0)
-    p_enum.add_argument("--budget", type=int, default=None)
     p_enum.add_argument("--metric", choices=["zero", "all"], default="zero")
     p_enum.add_argument("--out", default=None)
     p_enum.set_defaults(func=cmd_trees_enumerate)
@@ -361,8 +354,6 @@ def main(argv=None) -> int:
         if "malformed rational" in str(exc):
             return _error(EXIT_MALFORMED_RATIONAL, "malformed rational", str(exc))
         return _error(EXIT_FAILURE, "value error", str(exc))
-    except trees.EnumerationBudgetError as exc:
-        return _error(EXIT_BUDGET, "enumeration budget", str(exc))
     except FileNotFoundError as exc:
         return _error(EXIT_FAILURE, "missing file", str(exc))
     except OSError as exc:

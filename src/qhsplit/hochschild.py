@@ -184,15 +184,17 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6) -> Homology
     cutoff_limited = False
     ranks: dict[tuple, int] = {}
 
-    def boundary_rank(length: int, parity: int) -> int:
+    def boundary_rank(lengths: tuple, parity: int) -> int:
+        """Rank of the boundary on the chains of these lengths and parity."""
         nonlocal cutoff_limited
-        key = (length, parity)
+        key = (lengths, parity)
         if key in ranks:
             return ranks[key]
         rows = []
-        for basis_key in by_parity.get((length, parity), []):
-            image = hochschild_boundary_basis(cat, basis_key)
-            rows.append({_column(k): v for k, v in image.items() if not degenerate(k)})
+        for length in lengths:
+            for basis_key in by_parity.get((length, parity), []):
+                image = hochschild_boundary_basis(cat, basis_key)
+                rows.append({_column(k): v for k, v in image.items() if not degenerate(k)})
         rk, _, limited = linalg.row_reduce(rows, DEFAULT_CUTOFF)
         cutoff_limited = cutoff_limited or limited
         ranks[key] = rk
@@ -210,19 +212,21 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6) -> Homology
     if graded:
         for length in range(1, max_length):
             per_length[length] = {
-                parity: (count(length, parity) - boundary_rank(length, parity)
-                         - boundary_rank(length + 1, (parity + 1) % 2))
+                parity: (count(length, parity) - boundary_rank((length,), parity)
+                         - boundary_rank((length + 1,), (parity + 1) % 2))
                 for parity in (0, 1)
             }
         dims = {parity: sum(h[parity] for h in per_length.values()) for parity in (0, 1)}
         # dropping the top length changes the sum iff that length has homology
         stable = per_length[max_length - 1] == {0: 0, 1: 0}
     else:
-        # homology of the truncated subcomplex, spurious top classes and all
-        lengths = range(1, max_length + 1)
-        dims = {parity: sum(count(length, parity) - boundary_rank(length, parity)
-                            - boundary_rank(length, (parity + 1) % 2)
-                            for length in lengths)
+        # homology of the truncated subcomplex, spurious top classes and all;
+        # boundaries of different lengths land in the same chains, so each
+        # parity's boundary is ranked over all lengths at once
+        lengths = tuple(range(1, max_length + 1))
+        dims = {parity: (sum(count(length, parity) for length in lengths)
+                         - boundary_rank(lengths, parity)
+                         - boundary_rank(lengths, (parity + 1) % 2))
                 for parity in (0, 1)}
         stable = False
     return HomologyReport(dims=dims, stable=stable, per_length=per_length,

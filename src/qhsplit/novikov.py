@@ -756,8 +756,6 @@ class NovikovElement:
         return cls(terms, cutoff_val)
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
         parts = []
         for e, c in self.terms:
             cs = repr(c)
@@ -769,7 +767,7 @@ class NovikovElement:
                 qs = f"q^({format_rational(e)})" if e.denominator != 1 or e < 0 else (
                     "q" if e == 1 else f"q^{e}")
                 parts.append(qs if cs == "1" else f"{cs}*{qs}")
-        text = " + ".join(parts)
+        text = " + ".join(parts) or "0"
         if self.truncated:
             text += f" [cutoff {format_rational(self.cutoff)}]"
         return text

@@ -4,11 +4,7 @@ A combinatorial type here is a planar rooted tree of disk vertices.  Each
 vertex carries, in counterclockwise (ribbon) order, a list of slots that are
 either boundary-input leaves or edges to child vertices, plus an unordered
 collection of labelled interior inputs.  Finite edges carry a metric class
-(length zero, positive length, or broken/infinite length) and boundary inputs
-carry a weight class (black = weight 0, grey = weight in (0,1), white =
-weight 1).  Interior inputs are always black.  The output weight class is
-determined by the product rule: black if any input is black, white if all are
-white, grey otherwise.
+(length zero, positive length, or broken/infinite length).
 
 Types are stored in a nested canonical form, so structural equality is
 isomorphism of based ribbon trees with labelled inputs.
@@ -21,14 +17,8 @@ from dataclasses import dataclass
 
 
 ZERO, POS, INF = "zero", "pos", "inf"
-BLACK, GREY, WHITE = "black", "grey", "white"
 
 _METRIC_CLASSES = (ZERO, POS, INF)
-_WEIGHT_CLASSES = (BLACK, GREY, WHITE)
-
-
-class EnumerationBudgetError(RuntimeError):
-    """Raised when an enumeration would exceed its vertex budget."""
 
 
 class UnstableTypeError(ValueError):
@@ -67,22 +57,11 @@ class Node:
 
 @dataclass(frozen=True)
 class TreedDiskType:
-    """A stable combinatorial type: rooted planar tree + weight classes.
-
-    ``weights`` maps each boundary-input label to its weight class.  The
-    output class is derived, never stored.
-    """
+    """A combinatorial type: a rooted planar tree of disk vertices."""
 
     root: Node
-    weights: tuple = ()  # sorted tuple of (input_label, class)
 
     # -- basic accessors -----------------------------------------------------
-    def weight_of(self, label) -> str:
-        for lab, cls in self.weights:
-            if lab == label:
-                return cls
-        return BLACK
-
     def boundary_inputs(self) -> list:
         out = []
 
@@ -105,11 +84,6 @@ class TreedDiskType:
         walk(self.root)
         return sorted(out)
 
-    def vertex_count(self) -> int:
-        def walk(node):
-            return 1 + sum(walk(slot[1]) for slot in node.children())
-        return walk(self.root)
-
     def finite_edges(self) -> list:
         """All finite base edges as (path-to-child, metric-class)."""
         out = []
@@ -122,19 +96,6 @@ class TreedDiskType:
         walk(self.root, ())
         return out
 
-    def output_weight(self) -> str:
-        """Weight class of the output, forced by the product-of-inputs rule."""
-        classes = [self.weight_of(lab) for lab in self.boundary_inputs()]
-        if self.interior_inputs():
-            classes.append(BLACK)
-        if not classes:
-            return BLACK
-        if any(c == BLACK for c in classes):
-            return BLACK
-        if any(c == GREY for c in classes):
-            return GREY
-        return WHITE
-
     # -- validity ------------------------------------------------------------
     def is_stable(self) -> bool:
         def walk(node):
@@ -143,24 +104,13 @@ class TreedDiskType:
             return all(walk(slot[1]) for slot in node.children())
         return walk(self.root)
 
-    def validate(self):
-        labels = self.boundary_inputs()
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate boundary input labels")
-        for lab, cls in self.weights:
-            if cls not in _WEIGHT_CLASSES:
-                raise ValueError(f"unknown weight class {cls}")
-            if lab not in labels:
-                raise ValueError(f"weight assigned to unknown input {lab}")
-        return self
-
     # -- canonical form ------------------------------------------------------
     def canonical_key(self) -> str:
         def render(node):
             parts = []
             for slot in node.slots:
                 if slot[0] == "in":
-                    parts.append(f"i{slot[1]}:{self.weight_of(slot[1])}")
+                    parts.append(f"i{slot[1]}")
                 else:
                     parts.append(f"e[{slot[2]}]{render(slot[1])}")
             inner = ",".join(parts)
@@ -172,51 +122,36 @@ class TreedDiskType:
     def dim(self) -> int:
         """Dimension of the cell of treed disks with this combinatorial type.
 
-        For unbroken types this is
-        ``k + 2l + #grey - #zero_edges - 2#interior_edges - (2 or 4)``
-        with the last constant 4 exactly when the output is grey.  Broken
+        For unbroken types this is ``k + 2l - #zero_edges - 2``.  Broken
         types (edges of infinite length) are scored as products: the type is
         cut at each breaking and the per-piece dimensions are added.
 
-        One walk sums ``[k, l, #grey inputs, #zero edges, any black input]``
-        per piece; an infinite edge closes a piece and is one black input of
-        its parent.
+        One walk returns, for a vertex, ``k + 2l - #zero_edges`` of the part
+        of its piece at or below it plus the dimensions of the pieces closed
+        below it; an infinite edge closes a piece and counts as one boundary
+        input of its parent.
         """
-        weight = dict(reversed(self.weights))  # first entry wins, as in weight_of
-        pieces = []
-
-        def walk(node, acc):
+        def walk(node) -> int:
             if not node.is_stable():
                 raise UnstableTypeError("dimension is defined for stable types only")
-            acc[1] += len(node.interior)
-            acc[4] = acc[4] or bool(node.interior)
+            total = 2 * len(node.interior)
             for slot in node.slots:
                 if slot[0] == "in":
-                    cls = weight.get(slot[1], BLACK)
-                    acc[0] += 1
-                    acc[2] += cls == GREY
-                    acc[4] = acc[4] or cls == BLACK
+                    total += 1
                 elif slot[2] == INF:
-                    pieces.append(walk(slot[1], [0, 0, 0, 0, False]))
-                    acc[0] += 1
-                    acc[4] = True
+                    total += 1 + (walk(slot[1]) - 2)
                 else:
-                    acc[3] += slot[2] == ZERO
-                    walk(slot[1], acc)
-            return acc
+                    total += walk(slot[1]) - (slot[2] == ZERO)
+            return total
 
-        pieces.append(walk(self.root, [0, 0, 0, 0, False]))
-        # a grey output (no black input, some grey one) adds one grey edge
-        # and lowers the constant from 2 to 4
-        return sum(k + 2 * l + grey - zero - (3 if grey and not black else 2)
-                   for k, l, grey, zero, black in pieces)
+        return walk(self.root) - 2
 
     def cut_at_breakings(self) -> list:
         """Split at infinite-length edges into unbroken types.
 
         The half of a broken edge pointing away from the root becomes the
         output of its piece; the half pointing towards the root becomes a
-        black boundary input labelled ``("brk", i)``.
+        boundary input labelled ``("brk", i)``.
         """
         pieces = []
         counter = itertools.count()
@@ -229,49 +164,25 @@ class TreedDiskType:
                 elif slot[2] == INF:
                     label = ("brk", next(counter))
                     new_slots.append(("in", label))
-                    pieces.append(TreedDiskType(strip(slot[1]),
-                                                _weights_for_subtree(self, slot[1])))
+                    pieces.append(TreedDiskType(strip(slot[1])))
                 else:
                     new_slots.append(("edge", strip(slot[1]), slot[2]))
             return Node(tuple(new_slots), node.interior)
 
-        top = TreedDiskType(strip(self.root),
-                            tuple((lab, cls) for lab, cls in self.weights))
-        out = [top] + pieces
-        # weights of stripped pieces must only mention their own inputs
-        fixed = []
-        for piece in out:
-            labs = set(piece.boundary_inputs())
-            fixed.append(TreedDiskType(piece.root,
-                                       tuple((lab, cls) for lab, cls in piece.weights
-                                             if lab in labs)))
-        return fixed
+        return [TreedDiskType(strip(self.root))] + pieces
 
     def __repr__(self):
         return f"TreedDiskType({self.canonical_key()})"
-
-
-def _weights_for_subtree(full: TreedDiskType, node: Node) -> tuple:
-    labs = set()
-
-    def walk(n):
-        for slot in n.slots:
-            if slot[0] == "in":
-                labs.add(slot[1])
-            else:
-                walk(slot[1])
-    walk(node)
-    return tuple((lab, cls) for lab, cls in full.weights if lab in labs)
 
 
 # ---------------------------------------------------------------------------
 # constructors
 
 
-def single_vertex_type(d_boundary: int, d_interior: int = 0, weights=()) -> TreedDiskType:
+def single_vertex_type(d_boundary: int, d_interior: int = 0) -> TreedDiskType:
     slots = tuple(("in", i + 1) for i in range(d_boundary))
     interior = tuple(range(1, d_interior + 1))
-    return TreedDiskType(Node(slots, interior), tuple(sorted(weights))).validate()
+    return TreedDiskType(Node(slots, interior))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +192,6 @@ def single_vertex_type(d_boundary: int, d_interior: int = 0, weights=()) -> Tree
 def enumerate_stable_types(
     d_boundary: int,
     d_interior: int = 0,
-    max_vertices: int | None = None,
     metric_classes: tuple = _METRIC_CLASSES,
 ) -> list[TreedDiskType]:
     """All isomorphism classes of stable types, each exactly once.
@@ -290,20 +200,20 @@ def enumerate_stable_types(
     and interior inputs ``1..d_interior``.  ``metric_classes`` restricts the
     classes finite edges may take; the default allows all three, and
     ``(ZERO,)`` gives the nodal census, where every finite edge has length
-    zero.  Every boundary input is black.
+    zero.
+
+    Distinct shapes, interior placements and edge classes give distinct
+    types, so each type is appended once, as it is built.
     """
     if d_boundary < 0 or d_interior < 0:
         raise ValueError("input counts must be nonnegative")
     if d_boundary == 0 and d_interior == 0:
         raise ValueError("a type needs at least one input or a vertex")
-    needed = max(d_boundary + 2 * d_interior - 1, 1)
-    budget = max_vertices if max_vertices is not None else 2 * (d_boundary + d_interior) + 2
-    if budget < needed:
-        raise EnumerationBudgetError(
-            f"enumeration budget: need up to {needed} vertices, budget {budget}")
-
-    shapes = _enumerate_shapes(tuple(range(1, d_boundary + 1)), budget, d_interior)
-    results: dict[str, TreedDiskType] = {}
+    # summing the stability condition 1 + #slots + 2#interior >= 3 over the
+    # V vertices gives V + (d_boundary + V - 1) + 2 d_interior >= 3V
+    max_vertices = max(d_boundary + 2 * d_interior - 1, 1)
+    shapes = _enumerate_shapes(tuple(range(1, d_boundary + 1)), max_vertices, d_interior)
+    types = []
     for shape in shapes:
         vertex_paths = _vertex_paths(shape)
         for assignment in itertools.product(range(len(vertex_paths)), repeat=d_interior):
@@ -313,20 +223,19 @@ def enumerate_stable_types(
                 continue
             edges = base.finite_edges()
             for classes in itertools.product(metric_classes, repeat=len(edges)):
-                typed = _with_metric_classes(base, dict(zip((p for p, _ in edges), classes)))
-                results[typed.canonical_key()] = typed
-    ordered = sorted(results.items(), key=lambda item: (item[1].vertex_count(), item[0]))
-    return [t for _, t in ordered]
+                types.append(_with_metric_classes(
+                    base, dict(zip((p for p, _ in edges), classes))))
+    return types
 
 
-def _enumerate_shapes(labels: tuple, budget: int, max_need: int):
+def _enumerate_shapes(labels: tuple, max_vertices: int, max_need: int):
     """Planar rooted trees over an ordered run of boundary labels.
 
     Shapes are produced together with their vertex count and their interior
     "need": the minimal number of interior inputs required to stabilize all
     currently under-stabilized vertices.  Shapes whose need exceeds the
-    number of interior inputs available, or whose vertex count exceeds the
-    budget, are pruned during generation.
+    number of interior inputs available, or whose vertex count exceeds
+    ``max_vertices``, are pruned during generation.
     """
     cache: dict[tuple, list] = {}
 
@@ -347,7 +256,7 @@ def _enumerate_shapes(labels: tuple, budget: int, max_need: int):
                 results.append((Node(slots), vertices, need))
                 return
             for slot, v, n in slot_options[len(slots)]:
-                if vertices + v <= budget and need + n <= max_need:
+                if vertices + v <= max_vertices and need + n <= max_need:
                     extend(slot_options, slots + (slot,), vertices + v, need + n)
 
         for blocks in _ordered_blocks(run):
@@ -386,7 +295,7 @@ def _enumerate_shapes(labels: tuple, budget: int, max_need: int):
                 seq.extend([()] * empties[-1])
                 yield tuple(seq)
 
-    return [node for node, _, _ in build(labels, budget)]
+    return [node for node, _, _ in build(labels, max_vertices)]
 
 
 def _vertex_paths(node: Node, path=()) -> list:
@@ -423,7 +332,7 @@ def _with_metric_classes(t: TreedDiskType, classes: dict) -> TreedDiskType:
             else:
                 slots.append(slot)
         return Node(tuple(slots), node.interior)
-    return TreedDiskType(rebuild(t.root, ()), t.weights)
+    return TreedDiskType(rebuild(t.root, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +386,7 @@ def boundary_strata(t: TreedDiskType) -> list[tuple[str, TreedDiskType]]:
 
     The operations are exactly: a vertex splitting into two joined by a new
     zero-length edge ("collapse"); a positive-length edge degenerating to
-    length zero or breaking ("length_zero"/"length_inf"); a grey input weight
-    reaching zero or one ("weight_zero"/"weight_one"), with weight-one the
-    only admissible move when the output itself is weighted.
+    length zero or breaking ("length_zero"/"length_inf").
     """
     if not t.is_stable():
         raise UnstableTypeError("boundary strata are defined for stable types")
@@ -499,25 +406,7 @@ def boundary_strata(t: TreedDiskType) -> list[tuple[str, TreedDiskType]]:
             add("length_zero", _with_metric_classes(t, {path: ZERO}))
             add("length_inf", _with_metric_classes(t, {path: INF}))
 
-    # (3)/(4) grey input weights reaching an end of (0,1)
-    grey = [lab for lab, cls in t.weights if cls == GREY]
-    output_grey = t.output_weight() == GREY
-    for lab in grey:
-        if output_grey and len(grey) < 2:
-            # the single grey weight is tied to the output weight by the
-            # product rule and carries no modulus of its own
-            continue
-        add("weight_one", _set_weight(t, lab, WHITE))
-        if not output_grey:
-            add("weight_zero", _set_weight(t, lab, BLACK))
-
     return sorted(out.values(), key=lambda pair: (pair[0], pair[1].canonical_key()))
-
-
-def _set_weight(t: TreedDiskType, label, cls) -> TreedDiskType:
-    weights = tuple(sorted([(lab, c) for lab, c in t.weights if lab != label]
-                           + ([] if cls == BLACK else [(label, cls)])))
-    return TreedDiskType(t.root, weights)
 
 
 def _vertex_splits(t: TreedDiskType):
@@ -557,7 +446,7 @@ def _replace_node(t: TreedDiskType, path, new_node: Node) -> TreedDiskType:
         slot = node.slots[i]
         replaced = ("edge", rebuild(slot[1], remaining[1:]), slot[2])
         return Node(node.slots[:i] + (replaced,) + node.slots[i + 1:], node.interior)
-    return TreedDiskType(rebuild(t.root, path), t.weights)
+    return TreedDiskType(rebuild(t.root, path))
 
 
 def leq(lower: TreedDiskType, upper: TreedDiskType) -> bool:

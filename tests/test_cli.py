@@ -5,7 +5,6 @@ import sys
 import pytest
 
 from qhsplit.cli import (
-    EXIT_BUDGET,
     EXIT_FAILURE,
     EXIT_MALFORMED_RATIONAL,
     EXIT_OK,
@@ -118,12 +117,6 @@ def test_unknown_flag_exit_code():
     assert result.returncode == EXIT_USAGE
 
 
-def test_budget_exit_code():
-    result = run_cli("trees", "enumerate", "--boundary", "4", "--budget", "1")
-    assert result.returncode == EXIT_BUDGET
-    assert json.loads(result.stderr)["error"] == "enumeration budget"
-
-
 def test_failing_report_exit_code():
     result = run_cli("blowup", "split", "--n", "2", "--eps", "1")
     assert result.returncode == EXIT_FAILURE
@@ -196,10 +189,10 @@ def test_oc_matrix_order_override():
 
 # --- malformed inputs ------------------------------------------------------------
 
-def _algebra_with_scalar(order, coeff):
+def _algebra_with_scalar(order, coeff, inputs=("e", "e")):
     scalar = {"order": order, "terms": [{"exp": "0", "coeff": coeff}], "cutoff": "inf"}
     return {"basis": [{"name": "e", "degree": 0}],
-            "tensors": {"2": [{"inputs": ["e", "e"], "outputs": {"e": scalar}}]}}
+            "tensors": {"2": [{"inputs": list(inputs), "outputs": {"e": scalar}}]}}
 
 
 MALFORMED_ALGEBRAS = {
@@ -209,6 +202,8 @@ MALFORMED_ALGEBRAS = {
     "scalar_coeff_wrong_length": (_algebra_with_scalar(3, ["1"]), "'coeff'"),
     "n_grading_not_an_integer": ({"basis": [], "n_grading": "2"}, "'n_grading'"),
     "tensor_arity_not_an_integer": ({"basis": [], "tensors": {"two": []}}, "'tensors'"),
+    "tensor_entries_not_a_list": ({"basis": [], "tensors": {"2": 5}}, "'tensors'"),
+    "tensor_inputs_not_the_arity": (_algebra_with_scalar(1, ["1"], inputs=("e",)), "'inputs'"),
 }
 
 

@@ -152,6 +152,13 @@ def test_nongraded_category_flagged():
     assert not report.stable
 
 
+def test_nongraded_dims_rank_each_parity_over_all_lengths():
+    # m_1(e) = 1 makes the complex acyclic; ranking each length's boundary
+    # block separately counts images shared between lengths twice
+    for max_length in (3, 4, 5):
+        assert hochschild_homology_dims(dga_category(), max_length).dims == {0: 0, 1: 0}
+
+
 def test_cutoff_limited_ranks_are_flagged():
     # structure constants at valuation 4 sit above the default cutoff 3
     from qhsplit.toric import clifford_algebra

@@ -156,6 +156,13 @@ def test_cutoff_discards_and_flags():
     assert not NovikovElement.one().truncated
 
 
+def test_truncated_zero_prints_its_cutoff():
+    x = (NovikovElement.q_power(2) * NovikovElement.one(cutoff=2)) * NovikovElement.q_power(-1)
+    assert x.is_zero()
+    assert repr(x) == "0 [cutoff 2]"
+    assert repr(NovikovElement.zero()) == "0"
+
+
 # --- inversion -------------------------------------------------------------
 
 def test_invert_geometric_series():

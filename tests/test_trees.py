@@ -2,7 +2,6 @@ import pytest
 
 from qhsplit import trees
 from qhsplit.trees import (
-    EnumerationBudgetError,
     Node,
     TreedDiskType,
     ZERO, POS, INF,
@@ -74,9 +73,20 @@ def test_collapse_strata_are_enumerated(d_boundary, d_interior):
                 assert stratum.canonical_key() in keys, (t, stratum)
 
 
-def test_enumeration_budget_error():
-    with pytest.raises(EnumerationBudgetError, match="enumeration budget"):
-        enumerate_stable_types(4, 0, max_vertices=1)
+# (boundary, interior, metric classes), with the interior-only bubbles of
+# (0, 2) and (0, 3) and the 8,857 types of (2, 2)
+DISTINCT_CASES = ([(d, i, m) for d in range(5) for i in (0, 1)
+                   for m in ((ZERO,), (ZERO, POS, INF)) if (d, i) != (0, 0)]
+                  + [(0, 2, (ZERO, POS, INF)), (0, 3, (ZERO,)), (1, 2, (ZERO,)),
+                     (2, 2, (ZERO, POS, INF))])
+
+
+def test_enumerated_types_are_pairwise_distinct():
+    # the enumeration appends each type as it builds it, so no key repeats
+    for d, i, metric in DISTINCT_CASES:
+        types = enumerate_stable_types(d, i, metric_classes=metric)
+        keys = {t.canonical_key() for t in types}
+        assert len(keys) == len(types), (d, i, metric)
 
 
 def test_canonical_form_isomorphism_invariance():
@@ -98,13 +108,6 @@ def test_dim_examples():
     assert two_vertex_pos().dim() == 1
 
 
-def test_dim_grey_output_drop():
-    # two grey inputs and a grey output: k + #grey - 4
-    t = single_vertex_type(2, 0, weights=((1, trees.GREY), (2, trees.GREY)))
-    assert t.output_weight() == trees.GREY
-    assert t.dim() == 2 + 3 - 4
-
-
 def test_dim_broken_is_product():
     child = Node((("in", 1), ("in", 2)))
     broken = TreedDiskType(Node((("edge", child, INF), ("in", 3))))
@@ -123,16 +126,14 @@ def reference_dim(t):
     """The cell dimension summed over the unbroken pieces of ``t``."""
     total = 0
     for piece in t.cut_at_breakings():
-        out = piece.output_weight()
-        grey = sum(1 for _, c in piece.weights if c == trees.GREY) + (out == trees.GREY)
         zero = sum(1 for _, c in piece.finite_edges() if c == ZERO)
         total += (len(piece.boundary_inputs()) + 2 * len(piece.interior_inputs())
-                  + grey - zero - (4 if out == trees.GREY else 2))
+                  - zero - 2)
     return total
 
 
-# (5, 1) with all three metric classes has 129,367 types, about 50 s of the
-# reference formula under the four weightings; it runs without positive edges
+# (5, 1) with all three metric classes has 129,367 types, about 7 s to
+# enumerate and check; it runs without positive edges
 DIM_CASES = [(d, i, (ZERO, POS, INF)) for d in range(6) for i in (0, 1)
              if (d, i) not in ((0, 0), (5, 1))] + [(5, 1, (ZERO, INF))]
 
@@ -140,13 +141,8 @@ DIM_CASES = [(d, i, (ZERO, POS, INF)) for d in range(6) for i in (0, 1)
 @pytest.mark.parametrize("d_boundary, d_interior, metric", DIM_CASES,
                          ids=[f"{d}-{i}-{'/'.join(m)}" for d, i, m in DIM_CASES])
 def test_dim_matches_the_piecewise_formula(d_boundary, d_interior, metric):
-    weightings = [(), ((1, trees.GREY),),
-                  ((1, trees.GREY), (2, trees.GREY), (3, trees.WHITE)),
-                  tuple((lab, trees.WHITE) for lab in range(1, d_boundary + 1))]
     for t in enumerate_stable_types(d_boundary, d_interior, metric_classes=metric):
-        for weights in weightings:
-            weighted = TreedDiskType(t.root, weights)
-            assert weighted.dim() == reference_dim(weighted), weighted
+        assert t.dim() == reference_dim(t), t
 
 
 # --- boundary strata ----------------------------------------------------------
@@ -166,16 +162,8 @@ def test_top_cell_boundaries_are_collapses():
         assert stratum.dim() == 0 and stratum.is_stable()
 
 
-def test_grey_weight_boundaries():
-    # one grey input, unweighted output: strata at weight zero and one
-    t = single_vertex_type(3, 0, weights=((1, trees.GREY),))
-    assert t.output_weight() == trees.BLACK
-    ops = [op for op, _ in boundary_strata(t) if op.startswith("weight")]
-    assert sorted(ops) == ["weight_one", "weight_zero"]
-
-
 def test_no_weight_or_length_moves_without_grey_or_positive():
-    # with no grey inputs and no positive edges only collapses remain
+    # with no positive edges only collapses remain
     ops = boundary_strata(single_vertex_type(3))
     assert not [op for op, _ in ops if op != "collapse"]
 
