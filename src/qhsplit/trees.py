@@ -8,11 +8,18 @@ collection of labelled interior inputs.  Finite edges carry a metric class
 
 Types are stored in a nested canonical form, so structural equality is
 isomorphism of based ribbon trees with labelled inputs.
+
+The census by dimension is counted from the shapes (trees of vertices and
+boundary inputs) without building a type.  Every type has dimension
+``b + 2i - 2 - #(edges of class ZERO or INF)``, whatever its shape or
+interior placement, and edge classes do not affect stability; see
+``census_by_dimension``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 
@@ -205,16 +212,8 @@ def enumerate_stable_types(
     Distinct shapes, interior placements and edge classes give distinct
     types, so each type is appended once, as it is built.
     """
-    if d_boundary < 0 or d_interior < 0:
-        raise ValueError("input counts must be nonnegative")
-    if d_boundary == 0 and d_interior == 0:
-        raise ValueError("a type needs at least one input or a vertex")
-    # summing the stability condition 1 + #slots + 2#interior >= 3 over the
-    # V vertices gives V + (d_boundary + V - 1) + 2 d_interior >= 3V
-    max_vertices = max(d_boundary + 2 * d_interior - 1, 1)
-    shapes = _enumerate_shapes(tuple(range(1, d_boundary + 1)), max_vertices, d_interior)
     types = []
-    for shape in shapes:
+    for shape, _, _ in _stable_shapes(d_boundary, d_interior, metric_classes):
         vertex_paths = _vertex_paths(shape)
         for assignment in itertools.product(range(len(vertex_paths)), repeat=d_interior):
             placed = _place_interior(shape, vertex_paths, assignment)
@@ -228,14 +227,66 @@ def enumerate_stable_types(
     return types
 
 
+def census_by_dimension(
+    d_boundary: int,
+    d_interior: int = 0,
+    metric_classes: tuple = _METRIC_CLASSES,
+) -> dict[int, int]:
+    """The number of stable types of each cell dimension, counted.
+
+    Takes the arguments of ``enumerate_stable_types`` and gives the tally of
+    ``dim()`` over its types without building one.  In the ``dim`` walk a
+    ZERO edge adds ``child - 1``, an INF edge ``1 + (child - 2)`` and a POS
+    edge ``child``, so a type with ``j`` edges of class ZERO or INF has
+    dimension ``b + 2i - 2 - j``.  Stability asks only that each vertex
+    with fewer than two slots carry an interior input, so a shape with
+    ``V`` vertices, ``u`` of them short of slots, has
+    ``S = sum_k (-1)^k C(u, k) (V - k)^i`` stable placements of the ``i``
+    labelled interior inputs (inclusion-exclusion over the short vertices
+    left empty).  Its ``V - 1`` edges then take ``j`` non-POS classes in
+    ``C(V - 1, j) a^j p^(V - 1 - j)`` ways, with ``a`` and ``p`` the
+    entries of ``metric_classes`` other than and equal to POS, counted as
+    ``itertools.product`` counts them.
+    """
+    shapes = _stable_shapes(d_boundary, d_interior, metric_classes)
+    pos = metric_classes.count(POS)
+    non_pos = len(metric_classes) - pos
+    top = d_boundary + 2 * d_interior - 2
+    counts: dict[int, int] = {}
+    for _, vertices, need in shapes:
+        placements = sum((-1) ** k * math.comb(need, k) * (vertices - k) ** d_interior
+                         for k in range(need + 1))
+        edges = vertices - 1
+        for j in range(edges + 1):
+            count = placements * math.comb(edges, j) * non_pos ** j * pos ** (edges - j)
+            if count:
+                counts[top - j] = counts.get(top - j, 0) + count
+    return counts
+
+
+def _stable_shapes(d_boundary: int, d_interior: int, metric_classes: tuple) -> list:
+    """Check the enumeration arguments and return the shape triples."""
+    if d_boundary < 0 or d_interior < 0:
+        raise ValueError("input counts must be nonnegative")
+    if d_boundary == 0 and d_interior == 0:
+        raise ValueError("a type needs at least one input or a vertex")
+    for cls in metric_classes:
+        if cls not in _METRIC_CLASSES:
+            raise ValueError(f"unknown metric class {cls!r}")
+    # summing the stability condition 1 + #slots + 2#interior >= 3 over the
+    # V vertices gives V + (d_boundary + V - 1) + 2 d_interior >= 3V
+    max_vertices = max(d_boundary + 2 * d_interior - 1, 1)
+    return _enumerate_shapes(tuple(range(1, d_boundary + 1)), max_vertices, d_interior)
+
+
 def _enumerate_shapes(labels: tuple, max_vertices: int, max_need: int):
     """Planar rooted trees over an ordered run of boundary labels.
 
-    Shapes are produced together with their vertex count and their interior
-    "need": the minimal number of interior inputs required to stabilize all
-    currently under-stabilized vertices.  Shapes whose need exceeds the
-    number of interior inputs available, or whose vertex count exceeds
-    ``max_vertices``, are pruned during generation.
+    Returns ``(node, vertices, need)`` triples: each shape with its vertex
+    count and its interior "need", the number of vertices with fewer than
+    two slots, each of which needs an interior input to be stable.  Shapes
+    whose need exceeds the number of interior inputs available, or whose
+    vertex count exceeds ``max_vertices``, are pruned during generation.
     """
     cache: dict[tuple, list] = {}
 
@@ -295,7 +346,7 @@ def _enumerate_shapes(labels: tuple, max_vertices: int, max_need: int):
                 seq.extend([()] * empties[-1])
                 yield tuple(seq)
 
-    return [node for node, _, _ in build(labels, max_vertices)]
+    return build(labels, max_vertices)
 
 
 def _vertex_paths(node: Node, path=()) -> list:
@@ -366,14 +417,6 @@ def associahedron_face_counts(d_inputs: int) -> dict[int, int]:
             if all(compatible(a, b) for a, b in itertools.combinations(family, 2)):
                 dim = d_inputs - 2 - len(family)
                 counts[dim] = counts.get(dim, 0) + 1
-    return counts
-
-
-def census_by_dimension(types: list[TreedDiskType]) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for t in types:
-        dim = t.dim()
-        counts[dim] = counts.get(dim, 0) + 1
     return counts
 
 

@@ -4,12 +4,13 @@ Each test prints its pass/fail line; the final test runs the full suite
 through the command line twice and compares bytes.
 """
 
+import itertools
 import subprocess
 import sys
 
 import pytest
 
-from qhsplit import acceptance, toric
+from qhsplit import acceptance, toric, trees
 from qhsplit.ainfty import AInftyAlgebra
 from qhsplit.novikov import NovikovElement
 
@@ -31,6 +32,21 @@ def test_criterion_01_novikov_field_axioms(results):
 
 def test_criterion_02_tree_census(results):
     _check(results, 2)
+
+
+def test_criterion_02_fails_on_a_census_one_count_off():
+    # off at one dimension of the nodal census, the associahedron oracle
+    # catches it; off in the census over all three classes, the enumeration does
+    every_class = (trees.ZERO, trees.POS, trees.INF)
+    for metric, detail in (((trees.ZERO,), "oracle"), (every_class, "enumerated")):
+        def census(d, i=0, metric_classes=every_class):
+            counts = trees.census_by_dimension(d, i, metric_classes)
+            if d == 4 and metric_classes == metric:
+                counts[1] += 1
+            return counts
+        result = acceptance.criterion_2(census)
+        assert not result.passed
+        assert detail in result.detail
 
 
 def test_criterion_03_composition_relations(results):
@@ -95,6 +111,13 @@ def test_criterion_12_index_area_correspondence(results):
 
 def test_criterion_13_determinism(results):
     _check(results, 13)
+
+
+def test_criterion_13_fails_on_a_payload_that_changes():
+    calls = itertools.count()
+    result = acceptance.criterion_13(lambda: str(next(calls)))
+    assert not result.passed
+    assert result.line() == "[FAIL] 13 determinism: reports differ between runs"
 
 
 def test_verify_all_cli_runs_are_byte_identical(tmp_path):

@@ -54,6 +54,17 @@ def test_trees_enumerate_csv():
     assert "total,3" in result.stdout
 
 
+def test_trees_enumerate_counts_without_building_types():
+    # checked once against the tally of dim() over the 129,367 enumerated
+    # types (about 7 s in process) and recorded here
+    result = run_cli("trees", "enumerate", "--boundary", "5", "--interior", "1",
+                     "--metric", "all")
+    assert result.returncode == EXIT_OK
+    assert result.stdout.splitlines()[1:] == [
+        "dimension,count", "0,8064", "1,30240", "2,44800", "3,32760", "4,11820",
+        "5,1683", "total,129367"]
+
+
 def test_ainfty_verify_round_trip(tmp_path):
     from qhsplit import toric
     W = toric.PotentialFunction.clifford_torus(1)

@@ -18,6 +18,15 @@ def nodal_types(d):
     return enumerate_stable_types(d, 0, metric_classes=(ZERO,))
 
 
+def tally(types):
+    """The census by walking each type: the oracle for the counted census."""
+    counts = {}
+    for t in types:
+        dim = t.dim()
+        counts[dim] = counts.get(dim, 0) + 1
+    return counts
+
+
 def two_vertex_pos(first_pair=True):
     """Three inputs, one positive-length edge: the interval cell."""
     if first_pair:
@@ -38,7 +47,9 @@ def test_unique_stable_three_marked_disk():
 def test_census_matches_bracketing_oracle():
     # the oracle enumerates nested-or-disjoint bracket families, by dimension
     for d in (2, 3, 4, 5):
-        assert census_by_dimension(nodal_types(d)) == associahedron_face_counts(d)
+        assert tally(nodal_types(d)) == associahedron_face_counts(d)
+    for d in (2, 3, 4, 5, 6):
+        assert census_by_dimension(d, 0, (ZERO,)) == associahedron_face_counts(d)
 
 
 # (boundary, interior, metric classes) -> census by dimension; the cases
@@ -58,7 +69,8 @@ def test_census_d3_three_strata():
     assert len(nodal_types(3)) == 3
     for (d, i, metric), census in PINNED_CENSUSES.items():
         types = enumerate_stable_types(d, i, metric_classes=metric)
-        assert census_by_dimension(types) == census, (d, i, metric)
+        assert tally(types) == census, (d, i, metric)
+        assert census_by_dimension(d, i, metric) == census, (d, i, metric)
 
 
 @pytest.mark.parametrize("d_boundary, d_interior", [(0, 2), (0, 3), (1, 2), (2, 2)])
@@ -87,6 +99,28 @@ def test_enumerated_types_are_pairwise_distinct():
         types = enumerate_stable_types(d, i, metric_classes=metric)
         keys = {t.canonical_key() for t in types}
         assert len(keys) == len(types), (d, i, metric)
+
+
+# metric-class tuples that are not all three classes, counted with
+# repetition as itertools.product counts them
+METRIC_SUBSETS = [(ZERO,), (POS,), (INF,), (ZERO, POS), (ZERO, INF), (POS, INF),
+                  (ZERO, ZERO)]
+COUNT_CASES = (DISTINCT_CASES + [(3, 2, (ZERO,))]
+               + [(d, i, m) for d, i in ((3, 1), (2, 2), (0, 3)) for m in METRIC_SUBSETS])
+
+
+@pytest.mark.parametrize("d_boundary, d_interior, metric", COUNT_CASES,
+                         ids=[f"{d}-{i}-{'/'.join(m)}" for d, i, m in COUNT_CASES])
+def test_counted_census_matches_the_tally(d_boundary, d_interior, metric):
+    types = enumerate_stable_types(d_boundary, d_interior, metric_classes=metric)
+    assert census_by_dimension(d_boundary, d_interior, metric) == tally(types)
+
+
+@pytest.mark.parametrize("metric", [("foo",), (ZERO, "foo")])
+def test_unknown_metric_class_is_rejected(metric):
+    for routine in (enumerate_stable_types, census_by_dimension):
+        with pytest.raises(ValueError, match="'foo'"):
+            routine(3, 0, metric_classes=metric)
 
 
 def test_canonical_form_isomorphism_invariance():
