@@ -42,26 +42,25 @@ def area_correspondence(area_downstairs, eps, d: int) -> tuple[Fraction, bool]:
 class BlowupLocalModel:
     """Degree-vector model of disks near the exceptional locus.
 
-    Upstairs classes have ``n + 1`` components with areas ``(c, ..., c,
-    n c - eps)``; the projection adds the last degree to each of the first
-    ``n`` components, with downstairs areas ``(c, ..., c)``.
+    Upstairs classes have ``n + 1`` components with areas ``(1, ..., 1,
+    n - eps)``; the projection adds the last degree to each of the first
+    ``n`` components, with downstairs areas ``(1, ..., 1)``.
     """
 
     n: int
     eps: Fraction
-    chart: Fraction = Fraction(1)
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("blowups of curves are out of range (need n >= 2)")
-        if not 0 < self.eps < self.n * self.chart:
-            raise ValueError("need 0 < eps < n * chart for positive areas")
+        if not 0 < self.eps < self.n:
+            raise ValueError("need 0 < eps < n for positive areas")
 
     def upstairs_areas(self) -> tuple:
-        return tuple([self.chart] * self.n + [self.n * self.chart - self.eps])
+        return tuple([Fraction(1)] * self.n + [self.n - self.eps])
 
     def downstairs_areas(self) -> tuple:
-        return tuple([self.chart] * self.n)
+        return tuple([Fraction(1)] * self.n)
 
     def upstairs_class(self, degrees) -> toric.BlaschkeClass:
         return toric.BlaschkeClass(tuple(degrees), self.upstairs_areas())

@@ -112,13 +112,16 @@ def cmd_hh_dims(args) -> int:
                     order = math.lcm(order, value.order())
     cutoff = next((format_rational(alg.cutoff) for alg in algebras
                    if alg.cutoff is not None), "inf")
-    lines = [f"# cutoff={cutoff} cyclotomic_order={order}",
-             "degree,dimension,stable"]
+    header = f"# cutoff={cutoff} cyclotomic_order={order}"
+    if report.cutoff_limited:
+        # a rank taken at the scalar cutoff is not a dimension to rely on
+        header += " cutoff_limited=true"
+    lines = [header, "degree,dimension,stable"]
     for degree in sorted(report.dims):
         lines.append(f"{degree},{report.dims[degree]},{str(report.stable).lower()}")
     lines.append(f"total,{report.total()},{str(report.stable).lower()}")
     _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return EXIT_FAILURE if report.cutoff_limited else EXIT_OK
 
 
 def _eps_without_exceptional() -> int:
@@ -132,29 +135,31 @@ def cmd_potential_crit(args) -> int:
     n = args.n
     if args.kind == "pn":
         potential = toric.PotentialFunction.clifford_torus(n)
-        order = n + 1
     else:
         eps = parse_rational(args.eps) if args.eps else None
         potential = toric.PotentialFunction.exceptional(n, eps)
-        order = max(n - 1, 1)
     points = toric.critical_points(potential)
     entries = []
     for k, y in enumerate(points):
         h = toric.hessian(potential, y)
-        q_form = toric.brane_quadratic_form(h)
-        algebra = toric.clifford_algebra(q_form, n)
+        det = linalg.determinant(h)
+        # the brane algebra is the rank-2^n Clifford algebra of Q = -H/2,
+        # which clifford_algebra builds only for a nondegenerate form
+        if det.is_zero():
+            raise ValueError("degenerate quadratic form")
         entries.append({
             "index": k,
             "point": [repr(c) for c in y],
             "potential_value": repr(potential.evaluate(y)),
             "hessian": [[repr(entry) for entry in row] for row in h],
-            "hessian_det": repr(linalg.determinant(h)),
-            "clifford_rank": algebra.rank,
+            "hessian_det": repr(det),
+            "clifford_rank": 1 << n,
             # generator relations: e_a e_b + e_b e_a = 2 Q_ab
-            "clifford_form": [[repr(entry) for entry in row] for row in q_form],
+            "clifford_form": [[repr(entry) for entry in row]
+                              for row in toric.brane_quadratic_form(h)],
         })
     payload = {
-        "meta": _meta(order=order),
+        "meta": _meta(order=potential.order),
         "kind": args.kind,
         "n": n,
         "count": len(points),
@@ -170,7 +175,7 @@ def cmd_oc_matrix(args) -> int:
     kind = openclosed.PROJECTIVE if args.kind == "pn" else openclosed.EXCEPTIONAL
     eps = parse_rational(args.eps) if args.eps else None
     matrix = openclosed.oc_matrix(args.n, kind, eps)
-    order = args.n + 1 if kind == openclosed.PROJECTIVE else max(args.n - 1, 1)
+    order = matrix.order
     if args.order is not None:
         if args.order % order:
             return _error(EXIT_FAILURE, "order override",

@@ -9,9 +9,9 @@ truncated.  Everything is immutable and exact; no floats appear anywhere.
 A cyclotomic coefficient is stored on integers: a tuple ``num`` of integer
 numerators over one denominator ``den``, with ``den > 0`` and
 ``gcd(num..., den) = 1``, so each value of a given order has exactly one
-stored form.  ``Fraction`` appears only at the API boundary (``coeffs``,
-``as_rational``, the public constructors); ``inverse`` is a product of
-Galois conjugates over an integer norm.
+stored form.  ``Fraction`` appears only at the API boundary (``coeffs``
+and the public constructors); ``inverse`` is a product of Galois conjugates
+over an integer norm.
 
 Scalars are unhashable.  ``==`` identifies values stored at different
 cyclotomic orders (and, for Novikov elements, compares modulo the smaller
@@ -224,11 +224,6 @@ class CyclotomicNumber:
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("not a rational element")
-        return Fraction(self.num[0], self.den)
-
     def to_order(self, order: int) -> "CyclotomicNumber":
         """Embed into the field of a multiple order."""
         if order == self.order:
@@ -340,12 +335,6 @@ class CyclotomicNumber:
         if norm < 0:
             den, norm = -den, -norm
         return _reduced(order, [den * c for c in conjugates.num], norm)
-
-    def __truediv__(self, other):
-        other = _coerce_cyclotomic(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
 
     def __pow__(self, exp: int):
         if exp < 0:
@@ -573,13 +562,6 @@ class NovikovElement:
         if not self.terms:
             raise ValueError("zero element has no leading term")
         return self.terms[0]
-
-    def coefficient(self, exponent) -> CyclotomicNumber:
-        exponent = Fraction(exponent)
-        for e, c in self.terms:
-            if e == exponent:
-                return c
-        return CyclotomicNumber.zero()
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1

@@ -1,11 +1,11 @@
 """Closed-form open-closed and closed-open data for the torus brane families.
 
-The open-closed matrix of the projective family is a quantized discrete
-Fourier transform: entry ``(b, a) = q^{b/(n+1)} zeta^{ab}`` with ``zeta`` a
-primitive ``(n+1)``-st root of unity, rows indexed by the cycle basis
-``Z_0 .. Z_n`` and columns by the branes.  The exceptional family gives
-``(b, a) = q^{b eps} sigma^{ab}`` with ``sigma`` of order ``n - 1`` and rows
-``Z_1 .. Z_{n-1}``.  Specializing ``q -> 1`` recovers the classical DFT.
+The open-closed matrix of a brane family is a quantized discrete Fourier
+transform: entry ``(b, a) = (q^w zeta^a)^b``, where ``q^w`` is the
+coefficient of the family's disk potential and ``zeta`` a primitive root of
+unity of the family's order, with rows indexed by the cycle basis ``Z_b``
+and columns by the branes.  Specializing ``q -> 1`` recovers the classical
+DFT.
 """
 
 from __future__ import annotations
@@ -29,12 +29,10 @@ SPLIT = Fraction(2)
 
 @dataclass(frozen=True)
 class OCMatrix:
-    n: int
-    kind: str
     rows: tuple          # quantum basis labels
     cols: tuple          # brane labels
     entries: tuple       # tuple of row tuples of NovikovElement
-    eps: Fraction | None = None
+    order: int           # cyclotomic order of the entries
 
     def entry(self, b: int, a: int) -> NovikovElement:
         return self.entries[b][a]
@@ -47,50 +45,37 @@ class OCMatrix:
 
 
 def oc_matrix(n: int, kind: str, eps=None) -> OCMatrix:
-    """The open-closed matrix in the cycle and brane bases."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    """The open-closed matrix in the cycle and brane bases.
+
+    The projective family runs over ``Z_0 .. Z_n``, the exceptional one over
+    ``Z_1 .. Z_{n-1}``.
+    """
     if kind == PROJECTIVE:
-        order = n + 1
-        root = CyclotomicNumber.root_of_unity(order)
-        rows = tuple(f"Z{b}" for b in range(n + 1))
-        cols = tuple(f"pt{a}" for a in range(n + 1))
-        entries = tuple(
-            tuple(NovikovElement.monomial(Fraction(b, n + 1), root ** (a * b))
-                  for a in range(n + 1))
-            for b in range(n + 1))
-        return OCMatrix(n, kind, rows, cols, entries)
-    if kind == EXCEPTIONAL:
-        if n < 2:
-            raise ValueError("the exceptional family needs n >= 2")
-        if eps is None:
-            raise ValueError("the exceptional family needs the size parameter eps")
-        eps = Fraction(eps)
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        order = n - 1
-        root = CyclotomicNumber.root_of_unity(order)
-        rows = tuple(f"Z{b}" for b in range(1, n))
-        cols = tuple(f"pt{a}" for a in range(1, n))
-        entries = tuple(
-            tuple(NovikovElement.monomial(b * eps, root ** (a * b))
-                  for a in range(1, n))
-            for b in range(1, n))
-        return OCMatrix(n, kind, rows, cols, entries, eps=eps)
-    raise ValueError(f"unknown kind {kind}")
+        potential, labels = toric.PotentialFunction.clifford_torus(n), range(n + 1)
+    elif kind == EXCEPTIONAL:
+        potential, labels = toric.PotentialFunction.exceptional(n, eps), range(1, n)
+    else:
+        raise ValueError(f"unknown kind {kind}")
+    # every monomial of a family's potential carries q^w, up to sign
+    weight = potential.monomials[0][1].val_q()
+    root = CyclotomicNumber.root_of_unity(potential.order)
+    entries = tuple(
+        tuple(NovikovElement.monomial(weight * b, root ** (a * b)) for a in labels)
+        for b in labels)
+    return OCMatrix(tuple(f"Z{b}" for b in labels), tuple(f"pt{a}" for a in labels),
+                    entries, potential.order)
 
 
 def co_value(n: int, k: int, ell: int) -> NovikovElement:
     """Closed-open image of the codimension-graded cycle class on brane ``k``.
 
     The class of an ``ell``-plane maps to ``y_k^{n - ell} q^{(n-ell)/(n+1)}``
-    times the unit of the brane's endomorphism algebra; the scalar is
-    returned.
+    times the unit of the brane's endomorphism algebra, the projective
+    open-closed entry ``(n - ell, k)``; the scalar is returned.
     """
     if not (0 <= ell <= n and 0 <= k <= n):
         raise ValueError("need 0 <= k, ell <= n")
-    root = CyclotomicNumber.root_of_unity(n + 1)
-    return NovikovElement.monomial(Fraction(n - ell, n + 1), root ** (k * (n - ell)))
+    return oc_matrix(n, PROJECTIVE).entry(n - ell, k)
 
 
 def ring_hom_check(potential: toric.PotentialFunction, k: int, y: tuple) -> bool:

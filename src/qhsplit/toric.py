@@ -1,11 +1,13 @@
 """Torus branes in the toric disk models: potentials, Hessians, Clifford algebras.
 
-Two potential kinds are supported, both finite Laurent polynomials in the
-holonomy coordinates ``y_1 .. y_n`` with Novikov coefficients:
+A brane family is a disk potential (Cho-Oh): a finite Laurent polynomial in
+the holonomy coordinates ``y_1 .. y_n`` with Novikov coefficients, together
+with the order of the roots of unity that form its critical points.  The two
+families are built by the ``PotentialFunction`` constructors:
 
-* ``clifford_torus_pn``: ``q^{1/(n+1)} (y_1 + ... + y_n + (y_1 ... y_n)^{-1})``,
+* ``clifford_torus``: ``q^{1/(n+1)} (y_1 + ... + y_n + (y_1 ... y_n)^{-1})``,
   the full count of lowest-area disks through a torus fiber over the interior
-  of the simplex;
+  of the simplex, with critical points at the (n+1)-st roots of unity;
 * ``exceptional``: ``q^eps (y_1 + ... + y_n - y_1 ... y_n)``, the leading
   disk count for the monotone torus near an exceptional divisor of size
   parameter ``eps``.  The sign of the product term is fixed so that the
@@ -25,10 +27,6 @@ from fractions import Fraction
 from . import linalg
 from .ainfty import AInftyAlgebra
 from .novikov import CyclotomicNumber, NovikovElement
-
-
-CLIFFORD_TORUS_PN = "clifford_torus_pn"
-EXCEPTIONAL = "exceptional"
 
 
 # ---------------------------------------------------------------------------
@@ -114,12 +112,16 @@ def zk_constraint(n: int, k: int) -> frozenset:
 
 @dataclass(frozen=True)
 class PotentialFunction:
-    """Finite Laurent polynomial in y_1..y_n over Novikov scalars."""
+    """Finite Laurent polynomial in y_1..y_n over Novikov scalars.
+
+    ``order`` is the order of the roots of unity whose diagonal tuples are
+    the critical points of a brane family; a potential built without a
+    family has none.
+    """
 
     n: int
-    kind: str
     monomials: tuple  # ((exponent tuple, NovikovElement), ...)
-    eps: Fraction | None = None
+    order: int | None = None
 
     @classmethod
     def clifford_torus(cls, n: int) -> "PotentialFunction":
@@ -131,12 +133,12 @@ class PotentialFunction:
             exp = tuple(1 if j == i else 0 for j in range(n))
             monos.append((exp, coeff))
         monos.append((tuple(-1 for _ in range(n)), coeff))
-        return cls(n, CLIFFORD_TORUS_PN, tuple(monos))
+        return cls(n, tuple(monos), n + 1)
 
     @classmethod
     def exceptional(cls, n: int, eps) -> "PotentialFunction":
         if n < 2:
-            raise ValueError("the exceptional model needs ambient dimension n >= 2")
+            raise ValueError("the exceptional family needs n >= 2")
         if eps is None:
             raise ValueError("the exceptional family needs the size parameter eps")
         eps = Fraction(eps)
@@ -148,7 +150,7 @@ class PotentialFunction:
             exp = tuple(1 if j == i else 0 for j in range(n))
             monos.append((exp, coeff))
         monos.append((tuple(1 for _ in range(n)), -coeff))
-        return cls(n, EXCEPTIONAL, tuple(monos), eps=eps)
+        return cls(n, tuple(monos), n - 1)
 
     # -- evaluation ----------------------------------------------------------
     def evaluate(self, y: tuple) -> NovikovElement:
@@ -163,7 +165,7 @@ class PotentialFunction:
         for exp, coeff in self.monomials:
             if exp[a]:
                 monos.append((exp, coeff * NovikovElement.from_rational(exp[a])))
-        return PotentialFunction(self.n, self.kind, tuple(monos), eps=self.eps)
+        return PotentialFunction(self.n, tuple(monos), self.order)
 
     def gradient(self, y: tuple) -> list[NovikovElement]:
         return [self.log_derivative(a).evaluate(y) for a in range(self.n)]
@@ -188,17 +190,12 @@ def critical_points(potential: PotentialFunction) -> list[tuple]:
 
     Every returned point is verified to kill the symbolic gradient exactly.
     """
-    n = potential.n
-    if potential.kind == CLIFFORD_TORUS_PN:
-        order = n + 1
-    elif potential.kind == EXCEPTIONAL:
-        order = n - 1
-    else:
-        raise ValueError(f"unsupported potential kind {potential.kind}")
+    if potential.order is None:
+        raise ValueError("the potential belongs to no brane family")
     points = []
-    for k in range(order):
-        root = CyclotomicNumber.root_of_unity(order, k)
-        point = tuple(root for _ in range(n))
+    for k in range(potential.order):
+        root = CyclotomicNumber.root_of_unity(potential.order, k)
+        point = tuple(root for _ in range(potential.n))
         if not potential.is_critical(point):
             raise AssertionError(
                 f"claimed critical point {point} has nonvanishing gradient")
@@ -238,56 +235,31 @@ def clifford_algebra(q_matrix, n: int) -> AInftyAlgebra:
     names = ["1"] + ["e" + "".join(str(a + 1) for a in range(n) if s >> a & 1)
                      for s in subsets[1:]]
     degrees = [bin(s).count("1") % 2 for s in subsets]
+    one = NovikovElement.one()
+    two = NovikovElement.from_rational(2)
 
-    def gens(s):
-        return [a for a in range(n) if s >> a & 1]
-
-    def mul_gen(state: dict, g: int) -> dict:
-        """Right-multiply a combination of basis monomials by one generator."""
-        out: dict[int, NovikovElement] = {}
-
-        def emit(s, coeff):
-            if s in out:
-                out[s] = out[s] + coeff
-            else:
-                out[s] = coeff
-
-        for s, coeff in state.items():
-            word = gens(s)
-            # walk g leftward past larger generators
-            sign = 1
-            remaining = list(word)
-            produced = []  # (subset, scalar) contributions from contractions
-            k = len(remaining)
-            while k > 0 and remaining[k - 1] > g:
-                # crossing e_last: e_last e_g = 2 Q[last][g] - e_g e_last
-                last = remaining[k - 1]
-                contracted = remaining[:k - 1] + remaining[k:]
-                scalar = q_matrix[last][g] * NovikovElement.from_rational(2 * sign)
-                produced.append((contracted, scalar * coeff))
-                sign = -sign
-                k -= 1
-            if k > 0 and remaining[k - 1] == g:
-                contracted = remaining[:k - 1] + remaining[k:]
-                scalar = q_matrix[g][g] * NovikovElement.from_rational(sign)
-                emit(_subset(contracted), scalar * coeff)
-            else:
-                inserted = remaining[:k] + [g] + remaining[k:]
-                emit(_subset(inserted), coeff * NovikovElement.from_rational(sign))
-            for word2, scalar in produced:
-                emit(_subset(word2), scalar)
-        return {s: v for s, v in out.items() if not v.is_zero()}
-
-    def _subset(word):
-        s = 0
-        for a in word:
-            s |= 1 << a
-        return s
+    def times_gen(s, g) -> dict:
+        """``e_s e_g``, where ``e_s`` is the increasing product of the
+        generators in ``s``: move ``e_g`` left past the largest of them,
+        ``e_t e_g = 2 Q_tg - e_g e_t``, and recurse on the rest."""
+        t = s.bit_length() - 1
+        if t < g:
+            return {s | 1 << g: one}
+        rest = s ^ 1 << t
+        if t == g:
+            return {rest: q_matrix[g][g]}
+        out = {u | 1 << t: -c for u, c in times_gen(rest, g).items()}
+        out[rest] = two * q_matrix[t][g]
+        return out
 
     def product(s, t):
-        state = {s: NovikovElement.one()}
-        for g in gens(t):
-            state = mul_gen(state, g)
+        state = {s: one}
+        for g in (a for a in range(n) if t >> a & 1):
+            nxt: dict[int, NovikovElement] = {}
+            for u, c in state.items():
+                for v, d in times_gen(u, g).items():
+                    nxt[v] = nxt[v] + c * d if v in nxt else c * d
+            state = {v: c for v, c in nxt.items() if not c.is_zero()}
         return state
 
     tensors: dict[int, dict] = {2: {}}

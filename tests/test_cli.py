@@ -274,3 +274,58 @@ def test_hh_dims_rejects_lengths_below_two(tmp_path, length):
     assert error["error"] == "value error"
     assert "truncation length" in error["message"]
     assert result.stdout == ""
+
+
+def test_hh_dims_flags_cutoff_limited_ranks(tmp_path):
+    # structure constants at valuation 4 sit above the default cutoff 3, so
+    # the ranks are taken modulo terms the scalars cannot see
+    from qhsplit import toric
+    from qhsplit.novikov import NovikovElement
+    alg = toric.clifford_algebra([[NovikovElement.q_power(4)]], 1)
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(alg.to_json_dict()), encoding="utf-8")
+    result = run_cli("hh", "dims", str(path), "--length", "4")
+    assert result.returncode == EXIT_FAILURE
+    assert result.stdout.splitlines() == [
+        "# cutoff=inf cyclotomic_order=1 cutoff_limited=true",
+        "degree,dimension,stable", "0,3,false", "1,3,false", "total,6,false"]
+
+
+# --- category files ------------------------------------------------------------------
+
+def _brane_algebra_dict():
+    from qhsplit import toric
+    W = toric.PotentialFunction.clifford_torus(1)
+    return toric.brane_algebra(W, toric.critical_points(W)[0]).to_json_dict()
+
+
+def test_hh_dims_of_a_category_file_adds_its_objects(tmp_path):
+    alg = _brane_algebra_dict()
+    path = tmp_path / "category.json"
+    path.write_text(json.dumps({"objects": [{"name": "a", "algebra": alg},
+                                            {"name": "b", "algebra": alg}]}),
+                    encoding="utf-8")
+    result = run_cli("hh", "dims", str(path), "--length", "4")
+    assert result.returncode == EXIT_OK
+    assert result.stdout.splitlines()[1:] == [
+        "degree,dimension,stable", "0,0,true", "1,2,true", "total,2,true"]
+
+
+MALFORMED_CATEGORIES = {
+    "objects_not_a_list": (lambda alg: {"objects": {"a": alg}}, "'objects'"),
+    "object_not_an_object": (lambda alg: {"objects": ["a"]}, "object must be"),
+    "object_without_algebra": (lambda alg: {"objects": [{"name": "a"}]}, "'algebra'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CATEGORIES))
+def test_malformed_category_file_is_a_value_error(tmp_path, case):
+    build, key = MALFORMED_CATEGORIES[case]
+    path = tmp_path / "category.json"
+    path.write_text(json.dumps(build(_brane_algebra_dict())), encoding="utf-8")
+    result = run_cli("hh", "dims", str(path))
+    assert result.returncode == EXIT_FAILURE
+    error = json.loads(result.stderr)
+    assert error["error"] == "value error"
+    assert key in error["message"]
+    assert result.stdout == ""

@@ -120,6 +120,47 @@ def test_degenerate_form_rejected():
         clifford_algebra([[N.zero()]], 1)
 
 
+def _non_diagonal_form(rng, n):
+    # symmetric, every off-diagonal entry nonzero, rejected until nondegenerate
+    while True:
+        q = [[None] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a, n):
+                value = F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+                q[a][b] = q[b][a] = N.monomial(F(rng.randint(0, 2), 2), value)
+        if not linalg.determinant(q).is_zero():
+            return q
+
+
+@pytest.mark.parametrize("n,seed", [(2, 0), (2, 1), (3, 2), (3, 3)])
+def test_non_diagonal_clifford_relations(n, seed):
+    q = _non_diagonal_form(random.Random(seed), n)
+    alg = clifford_algebra(q, n)
+    gens = [alg.index_of(f"e{a + 1}") for a in range(n)]
+
+    def times(x, y, x_degree):
+        # algebra product from the stored m_2(x, y) = (-1)^{|x|} x y
+        out = alg.m([x, y])
+        return {o: -v for o, v in out.items()} if x_degree % 2 else out
+
+    for a in range(n):
+        for b in range(n):
+            ea, eb = {gens[a]: N.one()}, {gens[b]: N.one()}
+            anti = times(ea, eb, 1)
+            for o, v in times(eb, ea, 1).items():
+                anti[o] = anti[o] + v if o in anti else v
+            assert {o: v for o, v in anti.items() if not v.is_zero()} == \
+                {alg.unit: q[a][b] * N.from_rational(2)}
+    for s in range(1, 1 << n):
+        word = [a for a in range(n) if s >> a & 1]
+        acc = {alg.unit: N.one()}
+        for length, a in enumerate(word):
+            acc = times(acc, {gens[a]: N.one()}, length)
+        name = "e" + "".join(str(a + 1) for a in word)
+        assert acc == {alg.index_of(name): N.one()}
+    assert ainfty.check_ainfty(alg) == []
+
+
 def test_hessian_clifford_one_dimensional_homology():
     W = PotentialFunction.clifford_torus(2)
     y = critical_points(W)[0]
@@ -230,9 +271,16 @@ def test_enumeration_respects_cap():
 def test_divisor_equation_zero_pairing_direction():
     # a potential independent of the second direction pairs to zero with it
     coeff = N.q_power(1)
-    W = PotentialFunction(2, "custom", (((1, 0), coeff), ((-1, 0), coeff)))
+    W = PotentialFunction(2, (((1, 0), coeff), ((-1, 0), coeff)))
     y = (C.one(), C.root_of_unity(5))  # critical: gradient in y_2 is empty
     assert W.is_critical(y)
     assert divisor_equation_check(W, y)
     h = hessian(W, y)
     assert h[0][1].is_zero() and h[1][1].is_zero()
+
+
+def test_critical_points_need_a_brane_family():
+    coeff = N.q_power(1)
+    W = PotentialFunction(2, (((1, 0), coeff), ((-1, 0), coeff)))
+    with pytest.raises(ValueError, match="no brane family"):
+        critical_points(W)
