@@ -72,7 +72,9 @@ def criterion_2(census=trees.census_by_dimension) -> CriterionResult:
     """Tree census against the bracketing oracle plus boundary conformance.
 
     ``census`` is the counting routine under test; the types it counts are
-    also enumerated, and the two totals must agree.
+    also enumerated, and the two totals must agree: for d = 2, 3, 4 with no
+    interior input, and for three small cases with interior inputs, the only
+    ones with vertices short of slots or children over no boundary input.
     """
     for d in (2, 3, 4):
         oracle = trees.associahedron_face_counts(d)
@@ -100,6 +102,13 @@ def criterion_2(census=trees.census_by_dimension) -> CriterionResult:
                 if not trees.leq(stratum, t):
                     return CriterionResult(2, "tree census", False, "stratum not below")
                 checked += 1
+    for d, i in ((1, 1), (2, 1), (0, 2)):
+        enumerated = len(trees.enumerate_stable_types(d, i))
+        total = sum(census(d, i).values())
+        if enumerated != total:
+            return CriterionResult(
+                2, "tree census", False,
+                f"d={d} i={i}: {enumerated} types enumerated != {total} counted")
     return CriterionResult(2, "tree census", True,
                            f"censuses match for d=2,3,4; {checked} strata conform")
 

@@ -141,7 +141,9 @@ def generation_check(old_cols, exc_cols, pairing, total_dim: int,
     label set, ``pairing`` the bilinear form on labels.  Generation holds iff
     the cross Gram matrix vanishes identically and the ranks of the blocks
     sum to the full dimension.  Returns the verdict under ``generation``
-    together with the Gram matrix and block ranks it rests on.
+    together with the Gram matrix and block ranks it rests on.  When the
+    ranks fall short and a block has a row whose entries all sit at or
+    above ``cutoff``, the verdict is ``CUTOFF_LIMITED``, not ``FAILS``.
     """
     gram = linalg.gram_matrix(old_cols, exc_cols, pairing)
     orthogonal = all(entry.is_zero() for row in gram for entry in row)
@@ -157,11 +159,16 @@ def generation_check(old_cols, exc_cols, pairing, total_dim: int,
             rows.append(row)
         return rows
 
-    rank_old = linalg.rank(rows_of(old_cols), cutoff)
-    rank_exc = linalg.rank(rows_of(exc_cols), cutoff)
-    generates = orthogonal and rank_old + rank_exc == total_dim
+    rank_old, _, limited_old = linalg.row_reduce(rows_of(old_cols), cutoff)
+    rank_exc, _, limited_exc = linalg.row_reduce(rows_of(exc_cols), cutoff)
+    if orthogonal and rank_old + rank_exc == total_dim:
+        generation = GENERATES
+    elif orthogonal and (limited_old or limited_exc):
+        generation = CUTOFF_LIMITED
+    else:
+        generation = FAILS
     return {
-        "generation": GENERATES if generates else FAILS,
+        "generation": generation,
         "old_block_rank": rank_old,
         "exceptional_block_rank": rank_exc,
         "cross_gram": [[repr(entry) for entry in row] for row in gram],

@@ -9,10 +9,13 @@ collection of labelled interior inputs.  Finite edges carry a metric class
 Types are stored in a nested canonical form, so structural equality is
 isomorphism of based ribbon trees with labelled inputs.
 
-The census by dimension is counted from the shapes (trees of vertices and
-boundary inputs) without building a type.  Every type has dimension
+The census by dimension builds neither a type nor a shape (tree of vertices
+and boundary inputs).  Shapes are counted by vertex count and by the number
+of vertices that need an interior input, with a recurrence over the length
+of the run of boundary labels under a vertex.  Every type has dimension
 ``b + 2i - 2 - #(edges of class ZERO or INF)``, whatever its shape or
-interior placement, and edge classes do not affect stability; see
+interior placement, and edge classes do not affect stability, so these two
+numbers of a shape decide its share of the census; see
 ``census_by_dimension``.
 """
 
@@ -68,29 +71,7 @@ class TreedDiskType:
 
     root: Node
 
-    # -- basic accessors -----------------------------------------------------
-    def boundary_inputs(self) -> list:
-        out = []
-
-        def walk(node):
-            for slot in node.slots:
-                if slot[0] == "in":
-                    out.append(slot[1])
-                else:
-                    walk(slot[1])
-        walk(self.root)
-        return out
-
-    def interior_inputs(self) -> list:
-        out = []
-
-        def walk(node):
-            out.extend(node.interior)
-            for slot in node.children():
-                walk(slot[1])
-        walk(self.root)
-        return sorted(out)
-
+    # -- accessors -----------------------------------------------------------
     def finite_edges(self) -> list:
         """All finite base edges as (path-to-child, metric-class)."""
         out = []
@@ -153,43 +134,8 @@ class TreedDiskType:
 
         return walk(self.root) - 2
 
-    def cut_at_breakings(self) -> list:
-        """Split at infinite-length edges into unbroken types.
-
-        The half of a broken edge pointing away from the root becomes the
-        output of its piece; the half pointing towards the root becomes a
-        boundary input labelled ``("brk", i)``.
-        """
-        pieces = []
-        counter = itertools.count()
-
-        def strip(node) -> Node:
-            new_slots = []
-            for slot in node.slots:
-                if slot[0] == "in":
-                    new_slots.append(slot)
-                elif slot[2] == INF:
-                    label = ("brk", next(counter))
-                    new_slots.append(("in", label))
-                    pieces.append(TreedDiskType(strip(slot[1])))
-                else:
-                    new_slots.append(("edge", strip(slot[1]), slot[2]))
-            return Node(tuple(new_slots), node.interior)
-
-        return [TreedDiskType(strip(self.root))] + pieces
-
     def __repr__(self):
         return f"TreedDiskType({self.canonical_key()})"
-
-
-# ---------------------------------------------------------------------------
-# constructors
-
-
-def single_vertex_type(d_boundary: int, d_interior: int = 0) -> TreedDiskType:
-    slots = tuple(("in", i + 1) for i in range(d_boundary))
-    interior = tuple(range(1, d_interior + 1))
-    return TreedDiskType(Node(slots, interior))
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +158,9 @@ def enumerate_stable_types(
     Distinct shapes, interior placements and edge classes give distinct
     types, so each type is appended once, as it is built.
     """
+    max_vertices = _check_arguments(d_boundary, d_interior, metric_classes)
     types = []
-    for shape, _, _ in _stable_shapes(d_boundary, d_interior, metric_classes):
+    for shape in _enumerate_shapes(tuple(range(1, d_boundary + 1)), max_vertices, d_interior):
         vertex_paths = _vertex_paths(shape)
         for assignment in itertools.product(range(len(vertex_paths)), repeat=d_interior):
             placed = _place_interior(shape, vertex_paths, assignment)
@@ -247,25 +194,36 @@ def census_by_dimension(
     ``C(V - 1, j) a^j p^(V - 1 - j)`` ways, with ``a`` and ``p`` the
     entries of ``metric_classes`` other than and equal to POS, counted as
     ``itertools.product`` counts them.
+
+    No shape is built either.  The number of shapes with each ``(V, u)``
+    solves a recurrence over the length ``m`` of the run of boundary labels
+    under a vertex: the vertex cuts its run into blocks, each a leaf (when
+    it holds one label) or a child over that block, and puts children over
+    no label in the gaps between them.  With ``x`` marking a vertex and
+    ``y`` a vertex short of slots, the shapes over ``m`` labels are
+    ``f_m = x (G B_m + D S_m)``, where ``B_m = f_m + [m = 1]``, ``D`` counts
+    the gaps' children, ``G = y - 1 + D^2`` the gaps around one block and
+    ``S_m`` the runs of two blocks or more; ``_count_shapes`` solves it.
     """
-    shapes = _stable_shapes(d_boundary, d_interior, metric_classes)
+    max_vertices = _check_arguments(d_boundary, d_interior, metric_classes)
     pos = metric_classes.count(POS)
     non_pos = len(metric_classes) - pos
     top = d_boundary + 2 * d_interior - 2
     counts: dict[int, int] = {}
-    for _, vertices, need in shapes:
+    for (vertices, need), shapes in _count_shapes(d_boundary, max_vertices, d_interior).items():
         placements = sum((-1) ** k * math.comb(need, k) * (vertices - k) ** d_interior
                          for k in range(need + 1))
         edges = vertices - 1
         for j in range(edges + 1):
-            count = placements * math.comb(edges, j) * non_pos ** j * pos ** (edges - j)
+            count = (shapes * placements * math.comb(edges, j)
+                     * non_pos ** j * pos ** (edges - j))
             if count:
                 counts[top - j] = counts.get(top - j, 0) + count
     return counts
 
 
-def _stable_shapes(d_boundary: int, d_interior: int, metric_classes: tuple) -> list:
-    """Check the enumeration arguments and return the shape triples."""
+def _check_arguments(d_boundary: int, d_interior: int, metric_classes: tuple) -> int:
+    """Check the enumeration arguments and return the bound on vertices."""
     if d_boundary < 0 or d_interior < 0:
         raise ValueError("input counts must be nonnegative")
     if d_boundary == 0 and d_interior == 0:
@@ -275,18 +233,98 @@ def _stable_shapes(d_boundary: int, d_interior: int, metric_classes: tuple) -> l
             raise ValueError(f"unknown metric class {cls!r}")
     # summing the stability condition 1 + #slots + 2#interior >= 3 over the
     # V vertices gives V + (d_boundary + V - 1) + 2 d_interior >= 3V
-    max_vertices = max(d_boundary + 2 * d_interior - 1, 1)
-    return _enumerate_shapes(tuple(range(1, d_boundary + 1)), max_vertices, d_interior)
+    return max(d_boundary + 2 * d_interior - 1, 1)
 
 
-def _enumerate_shapes(labels: tuple, max_vertices: int, max_need: int):
+def _count_shapes(d_boundary: int, max_vertices: int, max_need: int) -> dict:
+    """The shapes of ``_enumerate_shapes``, counted by (vertices, need).
+
+    Shapes are counted with generating polynomials in ``x`` (one per
+    vertex) and ``y`` (one per vertex short of slots), stored as
+    ``{(vertices, need): count}`` and truncated above ``max_vertices`` and
+    ``max_need`` exactly where the enumeration prunes.  Let ``f_m`` count
+    the shapes over a run of ``m`` boundary labels, ``E = f_0`` (``empty``)
+    those over no label, ``B_m = f_m + [m = 1]`` a block (a block of one
+    label is a leaf or a child) and ``D = 1/(1 - E)`` (``gap``) a gap
+    holding any number of empty children.  A vertex over ``m > 0`` labels
+    cuts them into ``k`` blocks and puts empty children into the ``k + 1``
+    gaps; it is short of slots only when ``k = 1`` and the gaps are empty,
+    so
+
+        f_m = x (G B_m + D S_m),    G = y - 1 + D^2  (``single``),
+
+    where ``G`` is the two gaps around one block, ``D^2``, with the term of
+    no empty child marked ``y``, and ``S_m`` (``split``) sums ``prod_j B_{L_j} D`` over the
+    compositions ``L`` of ``m`` into at least two parts.  A vertex over no
+    label has only empty children and is short of slots with at most one,
+    so
+
+        E = x (y + y E + E^2 D),    that is    E = x y + (1 + x - x y) E^2.
+
+    Each unknown sits on its own right-hand side only under a factor ``x``,
+    so every round of substitution fixes one more vertex degree:
+    ``max_vertices`` rounds give ``E``, and ``f_m = x (G [m = 1] + D S_m)
+    / (1 - x G)`` follows for ``m = 1, 2, ...`` in turn.  ``S_m`` is summed
+    over the first part, ``S_m = sum_{l < m} B_l D Q_{m - l}``, with
+    ``Q_0 = 1`` and ``Q_m = S_m + B_m D`` (``runs``) the sum over
+    compositions into any number of parts.
+    """
+    def term(vertices, need, coeff=1):
+        if vertices <= max_vertices and need <= max_need:
+            return {(vertices, need): coeff}
+        return {}
+
+    def add(*polys):
+        out: dict = {}
+        for poly in polys:
+            for key, coeff in poly.items():
+                out[key] = out.get(key, 0) + coeff
+        return out
+
+    def mul(first, second):
+        out: dict = {}
+        for (v1, n1), c1 in first.items():
+            for (v2, n2), c2 in second.items():
+                if v1 + v2 <= max_vertices and n1 + n2 <= max_need:
+                    key = (v1 + v2, n1 + n2)
+                    out[key] = out.get(key, 0) + c1 * c2
+        return out
+
+    def geometric(poly):
+        # 1/(1 - poly) for a poly with no constant term
+        out = one
+        for _ in range(max_vertices):
+            out = add(one, mul(poly, out))
+        return out
+
+    one, x, y = term(0, 0), term(1, 0), term(0, 1)
+    empty: dict = {}
+    grow = add(one, x, term(1, 1, -1))
+    for _ in range(max_vertices):
+        empty = add(term(1, 1), mul(grow, mul(empty, empty)))
+    if d_boundary == 0:
+        return empty
+    gap = geometric(empty)
+    single = add(y, term(0, 0, -1), mul(gap, gap))
+    solve = geometric(mul(x, single))
+    block_gap, runs = [{}], [one]  # B_l D and Q_l by run length l
+    for m in range(1, d_boundary + 1):
+        split = add(*(mul(block_gap[l], runs[m - l]) for l in range(1, m)))
+        shapes = mul(solve, mul(x, add(mul(gap, split), single if m == 1 else {})))
+        block_gap.append(mul(add(shapes, one) if m == 1 else shapes, gap))
+        runs.append(add(split, block_gap[m]))
+    return shapes
+
+
+def _enumerate_shapes(labels: tuple, max_vertices: int, max_need: int) -> list:
     """Planar rooted trees over an ordered run of boundary labels.
 
-    Returns ``(node, vertices, need)`` triples: each shape with its vertex
-    count and its interior "need", the number of vertices with fewer than
-    two slots, each of which needs an interior input to be stable.  Shapes
-    whose need exceeds the number of interior inputs available, or whose
-    vertex count exceeds ``max_vertices``, are pruned during generation.
+    Returns the shapes as bare ``Node`` trees.  Each is built with its
+    vertex count and its interior "need", the number of vertices with fewer
+    than two slots, each of which needs an interior input to be stable.
+    Shapes whose need exceeds the number of interior inputs available, or
+    whose vertex count exceeds ``max_vertices``, are pruned during
+    generation.
     """
     cache: dict[tuple, list] = {}
 
@@ -346,7 +384,7 @@ def _enumerate_shapes(labels: tuple, max_vertices: int, max_need: int):
                 seq.extend([()] * empties[-1])
                 yield tuple(seq)
 
-    return build(labels, max_vertices)
+    return [node for node, _, _ in build(labels, max_vertices)]
 
 
 def _vertex_paths(node: Node, path=()) -> list:

@@ -4,6 +4,7 @@ Each test prints its pass/fail line; the final test runs the full suite
 through the command line twice and compares bytes.
 """
 
+import inspect
 import itertools
 import subprocess
 import sys
@@ -47,6 +48,31 @@ def test_criterion_02_fails_on_a_census_one_count_off():
         result = acceptance.criterion_2(census)
         assert not result.passed
         assert detail in result.detail
+
+
+def mutant_census(old, new):
+    """``census_by_dimension`` from the source of ``qhsplit.trees`` with the
+    one occurrence of ``old`` replaced by ``new``: a deliberately broken
+    census."""
+    source = inspect.getsource(trees)
+    assert source.count(old) == 1, old
+    namespace = {"__name__": trees.__name__}
+    exec(compile(source.replace(old, new), trees.__file__, "exec"), namespace)
+    return namespace["census_by_dimension"]
+
+
+@pytest.mark.parametrize("old, new", [
+    # no vertex over an empty run: the recurrence for E is dropped
+    ("empty = add(term(1, 1), mul(grow, mul(empty, empty)))", "empty = {}"),
+    # every placement of the interior inputs counted, stable or not
+    ("for k in range(need + 1))", "for k in range(1))"),
+], ids=["no-empty-children", "no-inclusion-exclusion"])
+def test_criterion_02_fails_on_a_census_wrong_only_with_interior_inputs(old, new):
+    # with no interior input both mutants count right, so the oracle and the
+    # nodal cross-checks pass; the cases with interior inputs catch them
+    result = acceptance.criterion_2(census=mutant_census(old, new))
+    assert not result.passed
+    assert " i=" in result.detail
 
 
 def test_criterion_03_composition_relations(results):

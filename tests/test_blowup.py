@@ -97,6 +97,19 @@ def test_generation_negative_control():
     assert check["generation"] == blowup.FAILS
 
 
+def test_generation_below_the_cutoff_is_cutoff_limited():
+    # the exceptional column is q^5, at or above the default cutoff 3, so its
+    # rank is unknown rather than short
+    model = blowup.BlowupModel(2, F(1, 10))
+    matrix, _ = openclosed.bulk_shift_perturbation(2, F(1, 10))
+    old_cols = [{("base", b): matrix.entry(b, a) for b in range(3)}
+                for a in range(3)]
+    high_cols = [{("exc", 1): N.q_power(5)}]
+    check = blowup.generation_check(old_cols, high_cols, model.pairing, 4)
+    assert check["exceptional_block_rank"] == 0
+    assert check["generation"] == blowup.CUTOFF_LIMITED
+
+
 def test_large_shift_reports_cutoff_limited():
     report = blowup.split_report(2, F(1))
     assert report["status"] == blowup.CUTOFF_LIMITED

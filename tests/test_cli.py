@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -63,6 +64,26 @@ def test_trees_enumerate_counts_without_building_types():
     assert result.stdout.splitlines()[1:] == [
         "dimension,count", "0,8064", "1,30240", "2,44800", "3,32760", "4,11820",
         "5,1683", "total,129367"]
+
+
+def test_trees_enumerate_two_interior_inputs_is_fast(capsys):
+    # recorded from the shape enumeration, which took about a minute for
+    # each metric; the counted census takes milliseconds
+    expected = {
+        "zero": ["0,24024", "1,96096", "2,156156", "3,132132", "4,61950", "5,15792",
+                 "6,1988", "7,98", "8,1", "total,488237"],
+        "all": ["0,6150144", "1,36900864", "2,96096000", "3,141837696", "4,129759840",
+                "5,75333888", "6,27101648", "7,5523420", "8,488237", "total,519191737"],
+    }
+    for metric, lines in expected.items():
+        start = time.perf_counter()
+        code = main(["trees", "enumerate", "--boundary", "6", "--interior", "2",
+                     "--metric", metric])
+        elapsed = time.perf_counter() - start
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            "# cutoff=inf cyclotomic_order=1", "dimension,count", *lines]
+        assert elapsed < 1.0, (metric, elapsed)
 
 
 def test_ainfty_verify_round_trip(tmp_path):

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import pytest
 
 from qhsplit import trees
@@ -10,8 +13,63 @@ from qhsplit.trees import (
     census_by_dimension,
     enumerate_stable_types,
     leq,
-    single_vertex_type,
 )
+
+
+def single_vertex_type(d_boundary, d_interior=0):
+    slots = tuple(("in", i + 1) for i in range(d_boundary))
+    interior = tuple(range(1, d_interior + 1))
+    return TreedDiskType(Node(slots, interior))
+
+
+def boundary_inputs(t):
+    out = []
+
+    def walk(node):
+        for slot in node.slots:
+            if slot[0] == "in":
+                out.append(slot[1])
+            else:
+                walk(slot[1])
+    walk(t.root)
+    return out
+
+
+def interior_inputs(t):
+    out = []
+
+    def walk(node):
+        out.extend(node.interior)
+        for slot in node.children():
+            walk(slot[1])
+    walk(t.root)
+    return sorted(out)
+
+
+def cut_at_breakings(t):
+    """Split at infinite-length edges into unbroken types.
+
+    The half of a broken edge pointing away from the root becomes the
+    output of its piece; the half pointing towards the root becomes a
+    boundary input labelled ``("brk", i)``.
+    """
+    pieces = []
+    counter = itertools.count()
+
+    def strip(node):
+        new_slots = []
+        for slot in node.slots:
+            if slot[0] == "in":
+                new_slots.append(slot)
+            elif slot[2] == INF:
+                label = ("brk", next(counter))
+                new_slots.append(("in", label))
+                pieces.append(TreedDiskType(strip(slot[1])))
+            else:
+                new_slots.append(("edge", strip(slot[1]), slot[2]))
+        return Node(tuple(new_slots), node.interior)
+
+    return [TreedDiskType(strip(t.root))] + pieces
 
 
 def nodal_types(d):
@@ -50,6 +108,21 @@ def test_census_matches_bracketing_oracle():
         assert tally(nodal_types(d)) == associahedron_face_counts(d)
     for d in (2, 3, 4, 5, 6):
         assert census_by_dimension(d, 0, (ZERO,)) == associahedron_face_counts(d)
+
+
+def test_nodal_census_is_the_kirkman_cayley_count():
+    # the faces of the associahedron of d letters with j brackets are the
+    # dissections of a (d + 1)-gon by j diagonals, C(d-2, j) C(d+j, j) / (j+1)
+    # of them; their totals are the little Schroeder numbers
+    totals = []
+    for d in range(2, 13):
+        expected = {d - 2 - j: math.comb(d - 2, j) * math.comb(d + j, j) // (j + 1)
+                    for j in range(d - 1)}
+        census = census_by_dimension(d, 0, (ZERO,))
+        assert census == expected, d
+        totals.append(sum(census.values()))
+    assert totals[:6] == [1, 3, 11, 45, 197, 903]
+    assert totals[-1] == 2646723
 
 
 # (boundary, interior, metric classes) -> census by dimension; the cases
@@ -159,9 +232,9 @@ def test_dim_rejects_unstable_types():
 def reference_dim(t):
     """The cell dimension summed over the unbroken pieces of ``t``."""
     total = 0
-    for piece in t.cut_at_breakings():
+    for piece in cut_at_breakings(t):
         zero = sum(1 for _, c in piece.finite_edges() if c == ZERO)
-        total += (len(piece.boundary_inputs()) + 2 * len(piece.interior_inputs())
+        total += (len(boundary_inputs(piece)) + 2 * len(interior_inputs(piece))
                   - zero - 2)
     return total
 
