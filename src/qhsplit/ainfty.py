@@ -102,6 +102,65 @@ class AInftyAlgebra:
                 _vec_add(acc, o, val * coeff)
         return _vec_clean(acc)
 
+    def q_weights(self) -> tuple[Fraction, ...] | None:
+        """Rational weights ``w`` making every stored entry q-homogeneous.
+
+        Each entry ``m_k(a_1..a_k)_o`` must be one exact term
+        ``c q^{w(a_1) + ... + w(a_k) - w(o)}`` with ``c`` free of q; then
+        ``e'_a = q^{-w(a)} e_a`` is a basis in which the structure constants
+        are the coefficients ``c``.  Returns ``None`` when an entry has two or
+        more terms, when an entry or the algebra has a finite cutoff (``c q^x``
+        is then known only modulo ``q^C``), or when no weights fit.  Weights
+        left free by the entries are 0.
+        """
+        if self.cutoff is not None:
+            return None
+        entries = []
+        for store in self.tensors.values():
+            for key, vec in store.items():
+                for o, value in vec.items():
+                    if value.cutoff is not None or len(value.terms) != 1:
+                        return None
+                    entries.append((key, o, value.terms[0][0]))
+        # one equation sum_i w(a_i) - w(o) - x = 0 per entry, as {variable:
+        # coefficient} with the constant under -1; the independent ones (at
+        # most ``rank``) are kept in reduced row echelon form, keyed by pivot,
+        # and every entry is checked against the solution below
+        pivots: dict[int, dict[int, Fraction]] = {}
+        for key, o, exponent in entries:
+            if len(pivots) == self.rank:
+                break
+            eq = {-1: -exponent}
+            for i in key:
+                eq[i] = eq.get(i, 0) + 1
+            eq[o] = eq.get(o, 0) - 1
+            for var in [v for v in eq if v in pivots]:
+                coeff = eq.pop(var)
+                for v, c in pivots[var].items():
+                    eq[v] = eq.get(v, 0) - coeff * c
+            eq = {v: c for v, c in eq.items() if c}
+            var = max(eq, default=-1)
+            if var == -1:
+                if eq:  # 0 = a nonzero constant
+                    return None
+                continue
+            lead = eq.pop(var)
+            row = {v: Fraction(c, lead) for v, c in eq.items()}
+            for other in pivots.values():
+                coeff = other.pop(var, 0)
+                if coeff:
+                    for v, c in row.items():
+                        other[v] = other.get(v, 0) - coeff * c
+            pivots[var] = row
+        # the weights left free are 0, so w(pivot) = -(its constant)
+        weights = [Fraction(0)] * self.rank
+        for var, row in pivots.items():
+            weights[var] = -Fraction(row.get(-1, 0))
+        for key, o, exponent in entries:
+            if sum(weights[i] for i in key) - weights[o] != exponent:
+                return None
+        return tuple(weights)
+
     # -- validation -------------------------------------------------------------
     def degree_violations(self) -> list:
         """Stored tensor entries that break the degree-(2-d) rule."""

@@ -19,11 +19,25 @@ dropped from the basis and from every boundary.  That holds when the
 boundary is length-graded and the object's declared unit satisfies the
 strict-unit axioms (``AInftyAlgebra.unit_violations`` is empty); otherwise
 no chain is dropped.
+
+Ranks are taken over the coefficient field when they can be.  An algebra
+with weights ``w`` (``AInftyAlgebra.q_weights``) has every structure
+constant of the form ``c q^{w(a_1) + ... + w(a_k) - w(o)}`` with ``c`` in a
+cyclotomic field ``Q(zeta)``, so ``e'_a = q^{-w(a)} e_a`` is an isomorphism
+over the Novikov field onto the algebra with structure constants ``c``.  It
+keeps word lengths, parities and the unit (``w(unit) = 0``), so it carries
+the (normalized) Hochschild complex isomorphically onto the complex of that
+algebra, which is defined over ``Q(zeta)``.  Rank does not change under the
+field extension from ``Q(zeta)`` to the Novikov field, so when every object
+has weights the ranks are computed exactly over ``Q(zeta)``: no q-exponent,
+no cutoff and no truncation (Loday, *Cyclic Homology*, 1.1).  Any other
+category is ranked over the truncated Novikov scalars.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from . import linalg
@@ -53,7 +67,8 @@ class FlatCategory:
         return self.algebras[obj_index]
 
 
-# chains: {(obj_index, word): scalar}, word a tuple of generator indices
+# chains: {(obj_index, word): scalar}, word a tuple of generator indices; the
+# scalars are NovikovElements, or CyclotomicNumbers over the coefficient field
 Chain = dict[tuple, NovikovElement]
 
 
@@ -116,18 +131,6 @@ def hochschild_boundary_basis(cat: FlatCategory, key) -> Chain:
     return {k: v for k, v in acc.items() if not v.is_zero()}
 
 
-def hochschild_boundary(cat: FlatCategory, chain: Chain) -> Chain:
-    acc: Chain = {}
-    for key, scalar in chain.items():
-        for k, v in hochschild_boundary_basis(cat, key).items():
-            val = v * scalar
-            if k in acc:
-                acc[k] = acc[k] + val
-            else:
-                acc[k] = val
-    return {k: v for k, v in acc.items() if not v.is_zero()}
-
-
 def is_length_graded(cat: FlatCategory) -> bool:
     """True when the boundary strictly lowers word length (only m_2 active)."""
     for alg in cat.algebras:
@@ -135,6 +138,30 @@ def is_length_graded(cat: FlatCategory) -> bool:
             if d != 2:
                 return False
     return True
+
+
+def _coefficient_category(cat: FlatCategory) -> FlatCategory | None:
+    """The category with every algebra rescaled out of the Novikov layer.
+
+    When every algebra has ``q_weights``, each structure constant ``c q^x``
+    is replaced by its coefficient ``c``, stored at the lcm of the orders of
+    the category's irrational coefficients (order 1, the field ``Q``, when
+    all are rational); otherwise ``None``.
+    """
+    if any(alg.q_weights() is None for alg in cat.algebras):
+        return None
+    coefficients = [value.terms[0][1] for alg in cat.algebras
+                    for store in alg.tensors.values()
+                    for vec in store.values() for value in vec.values()]
+    order = math.lcm(1, *(c.order for c in coefficients if not c.is_rational()))
+    return FlatCategory(cat.objects, tuple(
+        AInftyAlgebra(alg.basis, alg.degrees,
+                      {d: {key: {o: value.terms[0][1].to_order(order)
+                                 for o, value in vec.items()}
+                           for key, vec in store.items()}
+                       for d, store in alg.tensors.items()},
+                      unit=alg.unit, n_grading=alg.n_grading)
+        for alg in cat.algebras))
 
 
 @dataclass
@@ -158,8 +185,10 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6) -> Homology
     ``l + 1`` is known, so the report covers lengths up to ``max_length - 1``
     and is flagged stable when dropping the top computed length changes
     nothing.  Otherwise the truncated subcomplex is used and the result is
-    flagged as an unstable truncation.  Ranks are taken at ``DEFAULT_CUTOFF``,
-    on the normalized complex where it applies (see the module docstring).
+    flagged as an unstable truncation.  Ranks are taken on the normalized
+    complex where it applies, exactly over the coefficient field when every
+    algebra is q-homogeneous and at ``DEFAULT_CUTOFF`` otherwise (see the
+    module docstring).
     """
     if max_length < 2:
         raise ValueError(f"the truncation length must be at least 2, got {max_length}")
@@ -171,6 +200,9 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6) -> Homology
     def degenerate(key) -> bool:
         obj, word = key
         return units[obj] is not None and units[obj] in word[:-1]
+
+    # the boundary rows, over the coefficient field where that is exact
+    rows_cat = _coefficient_category(cat) or cat
 
     # per (length, parity): basis and boundary matrix ranks
     by_parity: dict[tuple, list] = {}
@@ -193,7 +225,7 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6) -> Homology
         rows = []
         for length in lengths:
             for basis_key in by_parity.get((length, parity), []):
-                image = hochschild_boundary_basis(cat, basis_key)
+                image = hochschild_boundary_basis(rows_cat, basis_key)
                 rows.append({_column(k): v for k, v in image.items() if not degenerate(k)})
         rk, _, limited = linalg.row_reduce(rows, DEFAULT_CUTOFF)
         cutoff_limited = cutoff_limited or limited

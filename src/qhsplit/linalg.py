@@ -1,18 +1,23 @@
 """Sparse exact linear algebra over truncated Novikov scalars.
 
-Rank computations use Gaussian elimination with minimal-valuation pivoting.
-An entry qualifies as a pivot only if its valuation lies strictly below the
-working cutoff; rows whose surviving entries all sit at or above the cutoff
-are counted as cutoff-limited rather than silently treated as zero.
+Rank computations use Gaussian elimination over either scalar kind: truncated
+Novikov scalars, or exact cyclotomic numbers (the coefficient field, where
+every entry has valuation 0).  A Novikov entry qualifies as a pivot only if
+its valuation lies strictly below the working cutoff; rows whose surviving
+entries all sit at or above the cutoff are counted as cutoff-limited rather
+than silently treated as zero.  Among the qualifying entries the pivot has
+the least valuation, then the fewest input rows in its column.
 Determinants use a division-free expansion over column subsets, with no
 size limit and no scalar inverse.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from fractions import Fraction
 
-from .novikov import DEFAULT_CUTOFF, NovikovElement
+from .novikov import DEFAULT_CUTOFF, CyclotomicNumber, NovikovElement
 
 Row = dict[int, NovikovElement]
 
@@ -24,13 +29,26 @@ def _clean(row: Row) -> Row:
 def row_reduce(rows, cutoff: Fraction | None = None):
     """Reduce rows against each other; returns (rank, pivots, cutoff_limited).
 
-    ``pivots`` maps pivot column -> normalized row (pivot entry 1).  Rows are
-    processed in order and pivot columns are chosen by minimal valuation with
-    the column index as tie-break, so the result is deterministic.
+    The entries are all ``NovikovElement``s or all ``CyclotomicNumber``s;
+    cyclotomic rows are first brought to one order.  ``pivots`` maps pivot
+    column -> normalized row (pivot entry 1).  Rows are processed in order,
+    and each row's pivot is its entry with the least key ``(valuation, number
+    of input rows with an entry in that column, column index)``, so the result
+    is deterministic and sparse columns are eliminated first, which keeps the
+    fill-in down.  A cyclotomic entry has valuation 0 and is never at or above
+    the cutoff, so cyclotomic rows are never cutoff-limited.
     """
     if cutoff is None:
         cutoff = DEFAULT_CUTOFF
     cutoff = Fraction(cutoff)
+    rows = [_clean(dict(row)) for row in rows]
+    entries = Counter(c for row in rows for c in row)
+    orders = {v.order for row in rows for v in row.values()
+              if isinstance(v, CyclotomicNumber)}
+    if orders:
+        order = math.lcm(*orders)
+        rows = [{c: v.to_order(order) for c, v in row.items()} for row in rows]
+        one = CyclotomicNumber.one(order)
     # Invariant: every stored pivot row has a 1 in its pivot column and no
     # entry in any other pivot column (reduced row echelon form), so one pass
     # suffices to reduce an incoming row.
@@ -38,7 +56,7 @@ def row_reduce(rows, cutoff: Fraction | None = None):
     rank = 0
     cutoff_limited = False
 
-    def subtract(target: Row, coeff: NovikovElement, source: Row):
+    def subtract(target: Row, coeff, source: Row):
         for c, v in source.items():
             cur = target.get(c)
             nxt = -(coeff * v) if cur is None else cur - coeff * v
@@ -47,43 +65,38 @@ def row_reduce(rows, cutoff: Fraction | None = None):
             else:
                 target[c] = nxt
 
-    for row in rows:
-        r = _clean(dict(row))
-        for col in sorted(set(r) & set(pivots)):
-            coeff = r.get(col)
-            if coeff is None or coeff.is_zero():
-                r.pop(col, None)
-                continue
-            subtract(r, coeff, pivots[col])
+    for r in rows:
+        for col in sorted(r.keys() & pivots.keys()):
+            subtract(r, r[col], pivots[col])
             r.pop(col, None)
-        r = _clean(r)
         if not r:
             continue
-        candidates = [(v.val_q(), c) for c, v in r.items() if v.val_q() is not None]
-        candidates = [(val, c) for val, c in candidates if val < cutoff]
-        if not candidates:
-            cutoff_limited = True
-            continue
-        _, col = min(candidates)
-        pivot = r[col]
-        inv_cut = cutoff - min(pivot.val_q(), 0) + 1
-        inv = pivot.invert(inv_cut)
-        normalized = {c: (v * inv) for c, v in r.items()}
-        normalized[col] = NovikovElement.one(normalized[col].cutoff)
+        if orders:
+            # an exact entry has valuation 0, below any cutoff
+            col = min(r, key=lambda c: (entries[c], c))
+            inv = r[col].inverse()
+            unit = one
+        else:
+            candidates = [(val, entries[c], c) for c, v in r.items()
+                          if (val := v.val_q()) < cutoff]
+            if not candidates:
+                cutoff_limited = True
+                continue
+            col = min(candidates)[2]
+            inv = r[col].invert(cutoff - min(r[col].val_q(), 0) + 1)
+            unit = NovikovElement.one(inv.cutoff)
+        normalized = {c: v * inv for c, v in r.items()}
+        normalized[col] = unit
         normalized = _clean(normalized)
         # back-substitute the new pivot column out of the existing pivots
-        for pcol, prow in pivots.items():
+        for prow in pivots.values():
             coeff = prow.get(col)
-            if coeff is not None and not coeff.is_zero():
+            if coeff is not None:
                 subtract(prow, coeff, normalized)
                 prow.pop(col, None)
         pivots[col] = normalized
         rank += 1
     return rank, pivots, cutoff_limited
-
-
-def rank(rows, cutoff: Fraction | None = None) -> int:
-    return row_reduce(rows, cutoff)[0]
 
 
 def determinant(matrix: list[list[NovikovElement]]) -> NovikovElement:

@@ -225,9 +225,12 @@ class CyclotomicNumber:
         return not any(self.num[1:])
 
     def to_order(self, order: int) -> "CyclotomicNumber":
-        """Embed into the field of a multiple order."""
+        """Embed into the field of a multiple order; a rational number embeds
+        into the field of any order."""
         if order == self.order:
             return self
+        if self.is_rational():
+            return _cyclo(order, self.num[:1] + (0,) * (euler_phi(order) - 1), self.den)
         if order % self.order != 0:
             raise ValueError(f"cannot embed order {self.order} into order {order}")
         step = order // self.order

@@ -111,6 +111,17 @@ def test_criterion_06_helper_passes_a_brane_algebra():
     assert not acceptance.hochschild_check("projective n=1", algebra, 0, 6).passed
 
 
+def test_criterion_06_check_at_rank_16():
+    # the projective n=4 brane algebra has rank 16; its one Hochschild class
+    # sits in parity 0 and is stable at truncation length 3
+    potential = toric.PotentialFunction.clifford_torus(4)
+    algebra = toric.brane_algebra(potential, toric.critical_points(potential)[0])
+    assert algebra.rank == 16
+    result = acceptance.hochschild_check("projective n=4", algebra, 0, 3)
+    assert result.passed
+    assert result.detail == "projective n=4: one stable class in parity 0"
+
+
 def test_criterion_07_open_closed_matrix(results):
     _check(results, 7)
 

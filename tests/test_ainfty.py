@@ -75,3 +75,65 @@ def test_spectral_decomposition_equal_values_merge():
     assert len(groups) == 1
     assert len(next(iter(groups.values()))) == 2
     assert len(spectral_decompose([b1])) == 1
+
+
+# --- q-homogeneous weights ----------------------------------------------------
+
+def brane_algebras_with_weights():
+    """All 32 brane algebras: projective n=1..4 and exceptional n=2..4 at
+    three eps, at every critical point."""
+    potentials = [toric.PotentialFunction.clifford_torus(n) for n in range(1, 5)]
+    potentials += [toric.PotentialFunction.exceptional(n, eps)
+                   for eps in (F(1, 10), F(1, 3), F(2, 5)) for n in range(2, 5)]
+    for W in potentials:
+        for y in toric.critical_points(W):
+            yield W, y, toric.brane_algebra(W, y)
+
+
+def test_brane_algebras_are_q_homogeneous():
+    count = 0
+    for W, y, alg in brane_algebras_with_weights():
+        count += 1
+        w = alg.q_weights()
+        assert w is not None
+        # every stored entry is c q^(sum of input weights - output weight)
+        for store in alg.tensors.values():
+            for key, vec in store.items():
+                for o, value in vec.items():
+                    assert value.is_monomial()
+                    assert value.val_q() == sum(w[i] for i in key) - w[o]
+        # e_S is the product of its generators, and e_a e_b + e_b e_a = 2 Q_ab
+        # with Q = -H/2, so w(e_a) + w(e_b) is the valuation of H_ab
+        gens = [alg.index_of(f"e{a + 1}") for a in range(W.n)]
+        assert w[alg.unit] == 0
+        for i, name in enumerate(alg.basis[1:], 1):
+            assert w[i] == sum(w[gens[int(a) - 1]] for a in name[1:])
+        for a, row in enumerate(toric.hessian(W, y)):
+            for b, entry in enumerate(row):
+                if not entry.is_zero():
+                    assert w[gens[a]] + w[gens[b]] == entry.val_q()
+    assert count == 32
+
+
+def test_q_weights_reject_a_two_term_entry():
+    alg = toric.clifford_algebra([[N.q_power(1) + N.q_power(2)]], 1)
+    assert alg.q_weights() is None
+
+
+def test_q_weights_reject_a_finite_cutoff():
+    # c q^x + O(q^3) is not one exact term
+    alg = toric.clifford_algebra([[N.q_power(1, cutoff=3)]], 1)
+    assert alg.q_weights() is None
+    exact = toric.clifford_algebra([[N.q_power(1)]], 1)
+    assert exact.q_weights() == (0, F(1, 2))
+    declared = AInftyAlgebra(exact.basis, exact.degrees, exact.tensors,
+                             unit=exact.unit, cutoff=3)
+    assert declared.q_weights() is None
+
+
+def test_q_weights_reject_inconsistent_exponents():
+    # e1 e1 = q forces w(e1) = 1/2, while e2 e1 = 2 - e1 e2 has a q-free unit
+    # term, forcing w(e1) + w(e2) = 0 = w(e2)
+    one = N.one()
+    alg = toric.clifford_algebra([[N.q_power(1), one], [one, one]], 2)
+    assert alg.q_weights() is None

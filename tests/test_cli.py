@@ -297,19 +297,39 @@ def test_hh_dims_rejects_lengths_below_two(tmp_path, length):
     assert result.stdout == ""
 
 
-def test_hh_dims_flags_cutoff_limited_ranks(tmp_path):
-    # structure constants at valuation 4 sit above the default cutoff 3, so
-    # the ranks are taken modulo terms the scalars cannot see
+def _write_clifford_rank2(tmp_path, square):
+    # the rank-2 Clifford algebra with e * e = square
     from qhsplit import toric
-    from qhsplit.novikov import NovikovElement
-    alg = toric.clifford_algebra([[NovikovElement.q_power(4)]], 1)
+    alg = toric.clifford_algebra([[square]], 1)
     path = tmp_path / "algebra.json"
     path.write_text(json.dumps(alg.to_json_dict()), encoding="utf-8")
+    return path
+
+
+def test_hh_dims_flags_cutoff_limited_ranks(tmp_path):
+    # q^4 + q^5 is not q-homogeneous, so the ranks are taken over the
+    # truncated scalars; its structure constants sit above the default
+    # cutoff 3, so the ranks are taken modulo terms the scalars cannot see
+    from qhsplit.novikov import NovikovElement
+    path = _write_clifford_rank2(
+        tmp_path, NovikovElement.q_power(4) + NovikovElement.q_power(5))
     result = run_cli("hh", "dims", str(path), "--length", "4")
     assert result.returncode == EXIT_FAILURE
     assert result.stdout.splitlines() == [
         "# cutoff=inf cyclotomic_order=1 cutoff_limited=true",
         "degree,dimension,stable", "0,3,false", "1,3,false", "total,6,false"]
+
+
+def test_hh_dims_ranks_homogeneous_constants_exactly(tmp_path):
+    # e * e = q^4 is q-homogeneous (e' = q^-2 e squares to 1), so the ranks
+    # are exact over the coefficient field however high the valuation
+    from qhsplit.novikov import NovikovElement
+    path = _write_clifford_rank2(tmp_path, NovikovElement.q_power(4))
+    result = run_cli("hh", "dims", str(path), "--length", "4")
+    assert result.returncode == EXIT_OK
+    assert result.stdout.splitlines() == [
+        "# cutoff=inf cyclotomic_order=1",
+        "degree,dimension,stable", "0,0,true", "1,1,true", "total,1,true"]
 
 
 # --- category files ------------------------------------------------------------------

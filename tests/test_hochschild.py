@@ -1,12 +1,13 @@
 from fractions import Fraction as F
 
+import pytest
+
 from qhsplit import linalg, toric
 from qhsplit.ainfty import AInftyAlgebra
 from qhsplit.hochschild import (
     FlatCategory,
     chain_basis,
     chain_parity,
-    hochschild_boundary,
     hochschild_boundary_basis,
     hochschild_homology_dims,
 )
@@ -48,6 +49,15 @@ def exterior_category(unit=0):
     return FlatCategory.single(alg)
 
 
+def hochschild_boundary(cat, chain):
+    """The boundary of a chain, extended linearly from the basis chains."""
+    acc = {}
+    for key, scalar in chain.items():
+        for k, v in hochschild_boundary_basis(cat, key).items():
+            acc[k] = acc[k] + v * scalar if k in acc else v * scalar
+    return {k: v for k, v in acc.items() if not v.is_zero()}
+
+
 def full_complex_per_length(cat, max_length):
     """Per-length homology of the whole complex, degenerate chains and all."""
     basis = {}
@@ -59,9 +69,9 @@ def full_complex_per_length(cat, max_length):
 
     def rank(length, parity):
         if (length, parity) not in ranks:
-            ranks[length, parity] = linalg.rank(
+            ranks[length, parity] = linalg.row_reduce(
                 [{column[t]: v for t, v in hochschild_boundary_basis(cat, key).items()}
-                 for key in basis.get((length, parity), [])])
+                 for key in basis.get((length, parity), [])])[0]
         return ranks[length, parity]
 
     return {length: {parity: len(basis.get((length, parity), [])) - rank(length, parity)
@@ -134,9 +144,9 @@ def test_dims_independent_of_ordering():
     for key in chain_basis(cat, 3):
         image = hochschild_boundary_basis(cat, key)
         rows.append({hash(t): v for t, v in image.items()})
-    forward = linalg.rank(rows)
-    backward = linalg.rank(list(reversed(rows)))
-    relabeled = linalg.rank([{-c: v for c, v in row.items()} for row in rows])
+    forward = linalg.row_reduce(rows)[0]
+    backward = linalg.row_reduce(list(reversed(rows)))[0]
+    relabeled = linalg.row_reduce([{-c: v for c, v in row.items()} for row in rows])[0]
     assert forward == backward == relabeled
 
 
@@ -160,11 +170,71 @@ def test_nongraded_dims_rank_each_parity_over_all_lengths():
 
 
 def test_cutoff_limited_ranks_are_flagged():
-    # structure constants at valuation 4 sit above the default cutoff 3
+    # e^2 = q^4 + q^5 has no weights, so the ranks are taken over the
+    # truncated scalars, whose structure constants sit above the cutoff 3
     from qhsplit.toric import clifford_algebra
-    alg = clifford_algebra([[N.q_power(4)]], 1)
+    alg = clifford_algebra([[N.q_power(4) + N.q_power(5)]], 1)
+    assert alg.q_weights() is None
     report = hochschild_homology_dims(FlatCategory.single(alg), 4)
     assert report.cutoff_limited
+    assert report.dims == {0: 3, 1: 3}
+    assert not report.stable
+
+
+def test_homogeneous_constants_above_the_cutoff_are_exact():
+    # e^2 = q^4: with e' = q^-2 e, e'^2 = 1 over the Novikov field, so the
+    # homology is the Clifford algebra's one class in parity 1
+    from qhsplit.toric import clifford_algebra
+    alg = clifford_algebra([[N.q_power(4)]], 1)
+    assert alg.q_weights() == (0, 2)
+    report = hochschild_homology_dims(FlatCategory.single(alg), 4)
+    assert not report.cutoff_limited
+    assert report.dims == {0: 0, 1: 1}
+    assert report.stable
+
+
+# --- ranks over the coefficient field -------------------------------------------
+
+def brane_categories():
+    """(category, length) at every critical point of projective n <= 3 and
+    exceptional n <= 3 at two eps, and the dga fixture."""
+    cases = []
+    families = [("pn", n, toric.PotentialFunction.clifford_torus(n), length)
+                for n, length in ((1, 6), (2, 5), (3, 3))]
+    families += [(f"exc{eps}", n, toric.PotentialFunction.exceptional(n, eps), length)
+                 for eps in (F(1, 10), F(1, 3)) for n, length in ((2, 5), (3, 4))]
+    for kind, n, W, length in families:
+        for k, y in enumerate(toric.critical_points(W)):
+            cases.append(pytest.param(FlatCategory.single(toric.brane_algebra(W, y)),
+                                      length, id=f"{kind} n={n} point {k}"))
+    cases.append(pytest.param(dga_category(), 4, id="dga"))
+    return cases
+
+
+@pytest.mark.parametrize("cat, length", brane_categories())
+def test_coefficient_field_ranks_match_the_novikov_ranks(cat, length, monkeypatch):
+    assert all(alg.q_weights() is not None for alg in cat.algebras)
+    exact = hochschild_homology_dims(cat, length)
+    # without weights, the same category is ranked over the Novikov scalars
+    monkeypatch.setattr(AInftyAlgebra, "q_weights", lambda self: None)
+    novikov = hochschild_homology_dims(cat, length)
+    assert not exact.cutoff_limited and not novikov.cutoff_limited
+    assert exact.per_length == novikov.per_length
+    assert exact.dims == novikov.dims
+    assert exact.stable == novikov.stable
+
+
+def test_a_category_without_weights_everywhere_uses_the_novikov_scalars():
+    # one object with weights and one without: the whole category takes the
+    # truncated scalars, and the cutoff-limited ranks of the second show
+    from qhsplit.toric import clifford_algebra
+    exact = clifford_algebra([[N.q_power(4)]], 1)
+    inexact = clifford_algebra([[N.q_power(4) + N.q_power(5)]], 1)
+    assert hochschild_homology_dims(FlatCategory.single(exact), 4).dims == {0: 0, 1: 1}
+    both = FlatCategory(("a", "b"), (exact, inexact))
+    report = hochschild_homology_dims(both, 4)
+    assert report.cutoff_limited
+    assert report.dims == {0: 6, 1: 6}
 
 
 # --- the normalized complex ---------------------------------------------------
@@ -229,7 +299,7 @@ def test_supercommutator_quotient_oracle():
                     s = -s if sign % 2 == 0 else s
                     comm[o] = comm.get(o, N.zero()) + s
                 rows.append(comm)
-        quotient_dim = alg.rank - linalg.rank(rows)
+        quotient_dim = alg.rank - linalg.row_reduce(rows)[0]
         assert quotient_dim == 1
         report = hochschild_homology_dims(cat, 4)
         assert sum(report.per_length[1].values()) == quotient_dim

@@ -11,9 +11,9 @@ from qhsplit.novikov import CyclotomicNumber as C, NovikovElement as N
 
 def test_rank_identity_and_singular():
     one, zero = N.one(), N.zero()
-    assert linalg.rank([{0: one}, {1: one}]) == 2
-    assert linalg.rank([{0: one, 1: one}, {0: one, 1: one}]) == 1
-    assert linalg.rank([{}]) == 0
+    assert linalg.row_reduce([{0: one}, {1: one}])[0] == 2
+    assert linalg.row_reduce([{0: one, 1: one}, {0: one, 1: one}])[0] == 1
+    assert linalg.row_reduce([{}])[0] == 0
 
 
 def test_rank_with_minimal_valuation_pivoting():
@@ -22,7 +22,7 @@ def test_rank_with_minimal_valuation_pivoting():
         {0: N.one(), 1: N.q_power(1)},
         {0: N.one(), 1: N.q_power(1) + N.q_power(2)},
     ]
-    assert linalg.rank(rows, F(3)) == 2
+    assert linalg.row_reduce(rows, F(3))[0] == 2
 
 
 def test_rank_cutoff_limited_rows_not_counted():
@@ -44,6 +44,29 @@ def test_row_reduce_keeps_reduced_pivots():
         for other in pivots:
             if other != col:
                 assert other not in row
+
+
+def test_pivot_is_the_least_valuation_then_the_sparsest_column():
+    one, q = N.one(), N.q_power(1)
+    # column 1 has one entry and column 0 two: the first row pivots on 1
+    _, pivots, _ = linalg.row_reduce([{0: one, 1: one}, {0: one}])
+    assert list(pivots) == [1, 0]
+    # valuation comes first: column 0 (valuation 0) beats the sparser column 1
+    _, pivots, _ = linalg.row_reduce([{0: one, 1: q}, {0: one, 2: one}])
+    assert list(pivots)[0] == 0
+
+
+def test_row_reduce_over_the_coefficient_field():
+    # cyclotomic rows of mixed orders are ranked exactly, at one order
+    zeta = C.root_of_unity(3)
+    rows = [{0: C.one(), 1: zeta}, {0: zeta, 1: zeta * zeta}, {1: C.from_rational(2), 2: zeta}]
+    rank, pivots, limited = linalg.row_reduce(rows, F(0))
+    assert (rank, limited) == (2, False)
+    assert {v.order for row in pivots.values() for v in row.values()} == {3}
+    for col, row in pivots.items():
+        assert row[col] == C.one()
+    novikov = [{c: N.from_cyclotomic(v) for c, v in row.items()} for row in rows]
+    assert linalg.row_reduce(novikov)[0] == rank
 
 
 def test_determinant_known_values():

@@ -72,6 +72,16 @@ def test_order_coercion():
     assert s - z4 == z3.to_order(12)
 
 
+def test_a_rational_number_embeds_into_every_order():
+    half = CyclotomicNumber.from_rational(F(-3, 2), 4)
+    for order in (1, 3, 4, 6):
+        moved = half.to_order(order)
+        assert moved.order == order
+        assert moved.coeffs == CyclotomicNumber.from_rational(F(-3, 2), order).coeffs
+    with pytest.raises(ValueError):
+        CyclotomicNumber.root_of_unity(4).to_order(6)
+
+
 # --- valuation -----------------------------------------------------------
 
 def test_val_q_minimum_of_exponents():
