@@ -280,21 +280,21 @@ def criterion_7() -> CriterionResult:
                            "entries exact for n=1..6; q->1 columns orthogonal")
 
 
-def criterion_8() -> CriterionResult:
+def criterion_8(oc_matrix=openclosed.oc_matrix) -> CriterionResult:
     """Determinant surjectivity with the valuation split at ``openclosed.SPLIT``.
 
-    ``surjectivity_test`` normalizes rows by their minimal q-power first;
-    without it the plain determinant valuation n/2 leaves the split window
-    for n >= 4.
+    ``oc_matrix`` is the matrix builder under test.  ``surjectivity_test``
+    normalizes rows by their minimal q-power first; without it the plain
+    determinant valuation n/2 leaves the split window for n >= 4.
     """
     for n in range(1, 7):
-        res = openclosed.surjectivity_test(openclosed.oc_matrix(n, openclosed.PROJECTIVE))
+        res = openclosed.surjectivity_test(oc_matrix(n, openclosed.PROJECTIVE))
         if res != openclosed.SURJECTIVE:
             return CriterionResult(8, "determinant surjectivity", False,
                                    f"projective n={n}: {res}")
     for n in range(2, 7):
         res = openclosed.surjectivity_test(
-            openclosed.oc_matrix(n, openclosed.EXCEPTIONAL, Fraction(1, 10)))
+            oc_matrix(n, openclosed.EXCEPTIONAL, Fraction(1, 10)))
         if res != openclosed.SURJECTIVE:
             return CriterionResult(8, "determinant surjectivity", False,
                                    f"exceptional n={n}: {res}")

@@ -70,9 +70,6 @@ class AInftyAlgebra:
     def rank(self) -> int:
         return len(self.basis)
 
-    def index_of(self, name) -> int:
-        return self.basis.index(name)
-
     def reduced(self, idx: int) -> int:
         return (self.degrees[idx] + 1) % 2
 

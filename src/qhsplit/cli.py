@@ -6,6 +6,12 @@ use, and identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 2 usage error, 3 malformed rational, 1 any other
 failure.
+
+A call builds only the parser branch of the command its argv names.  Every
+command is registered, so the root usage, help and errors list them all,
+but only the named one gets its subcommand and arguments: building all
+seven branches took about 2 ms per call on a 2-core x86 VM, most of a
+``trees enumerate`` run.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import math
 import sys
 from fractions import Fraction
 
-from . import acceptance, ainfty, blowup, hochschild, linalg, openclosed, toric, trees
+from . import ainfty, blowup, hochschild, linalg, openclosed, toric, trees
 from .novikov import DEFAULT_CUTOFF, format_rational, json_field, parse_rational
 
 EXIT_OK = 0
@@ -254,6 +260,9 @@ def cmd_blowup_split(args) -> int:
 
 
 def cmd_verify_all(args) -> int:
+    # only this command runs the suite, so only it imports the module
+    from . import acceptance
+
     results = acceptance.run_all()
     text = acceptance.summary_table(results)
     _emit(text, args.out)
@@ -274,70 +283,58 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+# command -> (help, subcommand, subcommand help, handler, arguments before
+# the "--out" every command takes); each argument is (name, add_argument
+# keywords).  verify-all is a command with no subcommand.
+COMMANDS = {
+    "trees": ("treed-disk combinatorics", "enumerate", "census of stable types",
+              cmd_trees_enumerate,
+              [("--boundary", {"type": int, "required": True}),
+               ("--interior", {"type": int, "default": 0}),
+               ("--metric", {"choices": ["zero", "all"], "default": "zero"})]),
+    "ainfty": ("composition-relation checking", "verify", "verify an algebra file",
+               cmd_ainfty_verify, [("file", {})]),
+    "hh": ("Hochschild homology", "dims", "homology dimensions of a category file",
+           cmd_hh_dims, [("file", {}), ("--length", {"type": int, "default": 6})]),
+    "potential": ("disk potentials", "crit", "critical points and Hessians",
+                  cmd_potential_crit,
+                  [("--kind", {"choices": ["pn", "exceptional"], "required": True}),
+                   ("--n", {"type": int, "required": True}),
+                   ("--eps", {"default": None})]),
+    "oc": ("open-closed matrices", "matrix", "emit the open-closed matrix", cmd_oc_matrix,
+           [("--n", {"type": int, "required": True}),
+            ("--kind", {"choices": ["pn", "exceptional"], "required": True}),
+            ("--eps", {"default": None}),
+            ("--order", {"type": _positive_int, "default": None,
+                         "help": "cyclotomic order override for serialization"}),
+            ("--format", {"choices": ["json", "csv", "md"], "default": "json"})]),
+    "blowup": ("blowup splitting", "split", "splitting and generation report",
+               cmd_blowup_split,
+               [("--n", {"type": int, "required": True}),
+                ("--eps", {"required": True}),
+                ("--format", {"choices": ["json", "md"], "default": "json"})]),
+    "verify-all": ("run the full acceptance suite", None, None, cmd_verify_all, []),
+}
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for ``argv``, with arguments only for the command it names:
+    its first element that is a command name."""
     parser = argparse.ArgumentParser(
         prog="qhsplit",
         description="exact verification of disk-potential and blowup-splitting identities")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_trees = sub.add_parser("trees", help="treed-disk combinatorics")
-    trees_sub = p_trees.add_subparsers(dest="subcommand", required=True)
-    p_enum = trees_sub.add_parser("enumerate", help="census of stable types")
-    p_enum.add_argument("--boundary", type=int, required=True)
-    p_enum.add_argument("--interior", type=int, default=0)
-    p_enum.add_argument("--metric", choices=["zero", "all"], default="zero")
-    p_enum.add_argument("--out", default=None)
-    p_enum.set_defaults(func=cmd_trees_enumerate)
-
-    p_ainfty = sub.add_parser("ainfty", help="composition-relation checking")
-    ainfty_sub = p_ainfty.add_subparsers(dest="subcommand", required=True)
-    p_verify = ainfty_sub.add_parser("verify", help="verify an algebra file")
-    p_verify.add_argument("file")
-    p_verify.add_argument("--out", default=None)
-    p_verify.set_defaults(func=cmd_ainfty_verify)
-
-    p_hh = sub.add_parser("hh", help="Hochschild homology")
-    hh_sub = p_hh.add_subparsers(dest="subcommand", required=True)
-    p_dims = hh_sub.add_parser("dims", help="homology dimensions of a category file")
-    p_dims.add_argument("file")
-    p_dims.add_argument("--length", type=int, default=6)
-    p_dims.add_argument("--out", default=None)
-    p_dims.set_defaults(func=cmd_hh_dims)
-
-    p_pot = sub.add_parser("potential", help="disk potentials")
-    pot_sub = p_pot.add_subparsers(dest="subcommand", required=True)
-    p_crit = pot_sub.add_parser("crit", help="critical points and Hessians")
-    p_crit.add_argument("--kind", choices=["pn", "exceptional"], required=True)
-    p_crit.add_argument("--n", type=int, required=True)
-    p_crit.add_argument("--eps", default=None)
-    p_crit.add_argument("--out", default=None)
-    p_crit.set_defaults(func=cmd_potential_crit)
-
-    p_oc = sub.add_parser("oc", help="open-closed matrices")
-    oc_sub = p_oc.add_subparsers(dest="subcommand", required=True)
-    p_matrix = oc_sub.add_parser("matrix", help="emit the open-closed matrix")
-    p_matrix.add_argument("--n", type=int, required=True)
-    p_matrix.add_argument("--kind", choices=["pn", "exceptional"], required=True)
-    p_matrix.add_argument("--eps", default=None)
-    p_matrix.add_argument("--order", type=_positive_int, default=None,
-                          help="cyclotomic order override for serialization")
-    p_matrix.add_argument("--format", choices=["json", "csv", "md"], default="json")
-    p_matrix.add_argument("--out", default=None)
-    p_matrix.set_defaults(func=cmd_oc_matrix)
-
-    p_blow = sub.add_parser("blowup", help="blowup splitting")
-    blow_sub = p_blow.add_subparsers(dest="subcommand", required=True)
-    p_split = blow_sub.add_parser("split", help="splitting and generation report")
-    p_split.add_argument("--n", type=int, required=True)
-    p_split.add_argument("--eps", required=True)
-    p_split.add_argument("--format", choices=["json", "md"], default="json")
-    p_split.add_argument("--out", default=None)
-    p_split.set_defaults(func=cmd_blowup_split)
-
-    p_all = sub.add_parser("verify-all", help="run the full acceptance suite")
-    p_all.add_argument("--out", default=None)
-    p_all.set_defaults(func=cmd_verify_all, subcommand="")
-
+    named = next((arg for arg in argv if arg in COMMANDS), None)
+    for name, (help_, leaf, leaf_help, func, arguments) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_)
+        if name != named:
+            continue
+        if leaf:
+            command = command.add_subparsers(dest="subcommand", required=True).add_parser(
+                leaf, help=leaf_help)
+        for arg, options in arguments + [("--out", {"default": None})]:
+            command.add_argument(arg, **options)
+        command.set_defaults(func=func)
     return parser
 
 
@@ -351,7 +348,7 @@ def main(argv=None) -> int:
             joined[-1] += "=" + arg
         else:
             joined.append(arg)
-    args = build_parser().parse_args(joined)
+    args = build_parser(joined).parse_args(joined)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -97,15 +97,6 @@ def blaschke_enumerate(n: int, areas, index_cap: int, constraints=None) -> list[
     return sorted(out, key=lambda c: (c.index, c.degrees))
 
 
-def zk_constraint(n: int, k: int) -> frozenset:
-    """Vanishing components forced by a marked point on the k-dimensional
-    cycle inside the exceptional locus: the last ``n - k`` of the ``n + 1``
-    coordinates."""
-    if not 1 <= k <= n - 1:
-        raise ValueError("the cycle dimension k must satisfy 1 <= k <= n-1")
-    return frozenset(range(k + 1, n + 1))
-
-
 # ---------------------------------------------------------------------------
 # potential functions
 

@@ -4,6 +4,7 @@ Each test prints its pass/fail line; the final test runs the full suite
 through the command line twice and compares bytes.
 """
 
+import dataclasses
 import inspect
 import itertools
 import subprocess
@@ -11,7 +12,7 @@ import sys
 
 import pytest
 
-from qhsplit import acceptance, toric, trees
+from qhsplit import acceptance, openclosed, toric, trees
 from qhsplit.ainfty import AInftyAlgebra
 from qhsplit.novikov import NovikovElement
 
@@ -128,6 +129,22 @@ def test_criterion_07_open_closed_matrix(results):
 
 def test_criterion_08_determinant_surjectivity(results):
     _check(results, 8)
+
+
+@pytest.mark.parametrize("kind, n", [("projective", 3), ("exceptional", 4)])
+def test_criterion_08_fails_on_a_repeated_oc_column(kind, n):
+    # the (kind, n) matrix gets its first column twice, so its determinant
+    # is zero; every other matrix is left as it is
+    def oc_matrix(size, family, eps=None):
+        matrix = openclosed.oc_matrix(size, family, eps)
+        if (family, size) != (kind, n):
+            return matrix
+        entries = tuple(row[:1] * 2 + row[2:] for row in matrix.entries)
+        return dataclasses.replace(matrix, entries=entries)
+
+    result = acceptance.criterion_8(oc_matrix)
+    assert not result.passed
+    assert result.detail.startswith(f"{kind} n={n}: ")
 
 
 def test_criterion_09_ring_relation(results):

@@ -35,7 +35,7 @@ def test_perturbed_structure_constant_reports_violation():
     alg, _, _ = clifford_pn(2)
     tensors = {d: {k: dict(v) for k, v in entries.items()}
                for d, entries in alg.tensors.items()}
-    e1, e2 = alg.index_of("e1"), alg.index_of("e2")
+    e1, e2 = alg.basis.index("e1"), alg.basis.index("e2")
     bad = dict(tensors[2][(e1, e2)])
     bad[alg.unit] = bad.get(alg.unit, N.zero()) + N.q_power(1)
     tensors[2][(e1, e2)] = bad
@@ -104,7 +104,7 @@ def test_brane_algebras_are_q_homogeneous():
                     assert value.val_q() == sum(w[i] for i in key) - w[o]
         # e_S is the product of its generators, and e_a e_b + e_b e_a = 2 Q_ab
         # with Q = -H/2, so w(e_a) + w(e_b) is the valuation of H_ab
-        gens = [alg.index_of(f"e{a + 1}") for a in range(W.n)]
+        gens = [alg.basis.index(f"e{a + 1}") for a in range(W.n)]
         assert w[alg.unit] == 0
         for i, name in enumerate(alg.basis[1:], 1):
             assert w[i] == sum(w[gens[int(a) - 1]] for a in name[1:])

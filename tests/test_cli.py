@@ -171,6 +171,15 @@ def test_main_in_process():
     assert main(["trees", "enumerate", "--boundary", "2"]) == EXIT_OK
 
 
+def test_importing_the_cli_leaves_the_acceptance_suite_unloaded():
+    # only verify-all runs the suite, so no other call should compile it
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qhsplit.cli; print('qhsplit.acceptance' in sys.modules)"],
+        capture_output=True, text=True)
+    assert result.stdout == "False\n", result.stderr
+
+
 def test_oc_matrix_json_reports_determinant_split():
     result = run_cli("oc", "matrix", "--n", "2", "--kind", "pn")
     payload = json.loads(result.stdout)

@@ -1,11 +1,16 @@
-"""Byte identity of the report commands: the sha256 of stdout and the exit
-code for a fixed grid of ``potential crit``, ``oc matrix`` and ``blowup
-split`` invocations, run in process through ``cli.main``.
+"""Byte identity of the command line, run in process through ``cli.main``.
 
-The digests were recorded once from the reports as they stood before the
-brane families were given one definition each; a refactor that keeps them
-changes no byte of these reports.  A deliberate change of a report updates
-the digests it changes, and says so.
+``GOLDEN`` pins the sha256 of stdout and the exit code for a fixed grid of
+``potential crit``, ``oc matrix`` and ``blowup split`` reports; the digests
+were recorded once from the reports as they stood before the brane families
+were given one definition each.  ``HELP_GOLDEN`` pins the sha256 of stdout
+and of stderr and the exit code for the help texts and usage errors; those
+digests were recorded from the parser as it stood before it built only the
+branch of the command a call names.  argparse wraps help to the terminal
+width, so they are taken at ``COLUMNS=80``.
+
+A refactor that keeps the digests changes no byte of these outputs.  A
+deliberate change of an output updates the digests it changes, and says so.
 """
 
 import contextlib
@@ -70,6 +75,51 @@ GOLDEN = {
 }
 
 
+# argv -> (sha256 of stdout, sha256 of stderr, exit code).  Every command
+# alone and with -h, every leaf with -h, the root's own paths (no command,
+# an unknown command, "--", a flag the named leaf lacks) and the leaves'
+# bad or missing values.
+# ``verify-all`` alone runs the whole suite, so it is left to
+# tests/test_acceptance.py.
+HELP_GOLDEN = {
+    "": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "9fbf5c2351498af65e97df09f366ca1ba1ae6ecfe28707a0fe3ecf493fa0518c", 2),
+    "-h": ("fd5c6dc615ea9ae6bd197b7f76cd65e10f2df573424d47bed63784ca1e67243b", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "--he": ("fd5c6dc615ea9ae6bd197b7f76cd65e10f2df573424d47bed63784ca1e67243b", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "bogus": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "dcf958917780dea1ef6de7c1b461ea4163174e946fdf33dd63f6e306ee8c218b", 2),
+    "-h trees": ("fd5c6dc615ea9ae6bd197b7f76cd65e10f2df573424d47bed63784ca1e67243b", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "-- trees enumerate --boundary 3": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "629cd6132bea1e3d1399b04600b05c34e9d3dd63ef4925e33882575882a44718", 2),
+    "trees": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "66da7dfede86eb05112d97ebb4028b3e1485a94f7de6742cfe668b823337432b", 2),
+    "ainfty": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "6cc874dd4c7f737b5f3dcb09b93c5074dba3e77203af0390302bcc01902f25a9", 2),
+    "hh": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "3dd917e165982dd67ec7c5e58373886b6fbacbb420671aea7c3ac53b9319a9b1", 2),
+    "potential": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "9bf3cc539dbca12ef35a6eb6ea72338cd738f3400a123228d2c9da91b5a328e7", 2),
+    "oc": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "ce1797a9eac47bfea6eb75aaffa980ee548be609872c421629d2b2a58ffd68c8", 2),
+    "blowup": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "0b3398a9e71af91a2a8ea9a24c8f3da779977a60c9b16012da3ea1713716deed", 2),
+    "trees -h": ("fe021f38879828d2aafd32874d9ff6248f92c3d775af9ea0811a5282c33fc4db", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "ainfty -h": ("686948c0a188df4a5ea6c180a5302a8906619a20361231859829c4760f15d548", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "hh -h": ("4bff085902c6d396bdeb945e826ca595e267fcb8e4fab1626bc233bacd2d73db", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "potential -h": ("19ed073f1842974246d7159baaf0c72f33a196248b56cf3a5b8f8658bed51ec8", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "oc -h": ("a2cbc30b2b0be76f7eaf15c09d4b9a7bf340164b622ee57b856129e1014759a6", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "blowup -h": ("b0ecd949824228a78a5643af50e107e1c793f00bc59e018f65f2812f4cdea003", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "verify-all -h": ("1b77dfddb6e1484a0e39073074023504d30f727c61e5da9e318fe3a36a46660f", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "trees enumerate -h": ("45f8e5f3d6da74cbf58e43325894cd684142ac75f5cf99086aace6d46770622f", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "ainfty verify -h": ("0f3a6ad3e9b622b526435cd7f82e5394b9621683d72cc0d30588d51c41b715ee", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "hh dims -h": ("ae4c2b9e19395237d2829b4e74eb3ac90a4ac9252c91dc5922fca750e5ba6982", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "potential crit -h": ("723b95ec13d23233a9bed60b200412f0de1d78fb05eea12c3ada6d7ee4a922cb", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "oc matrix -h": ("ba4ea3e3b0788c4f927975edba1fde27dc03ba47b7f86dc01bdfde1c8477f564", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "blowup split -h": ("deabdbd275ac946edbb6c084e9cf008d0c81d7aa2c7f2432be644ed314bdb0ad", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "trees bogus": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "154c7806bcb9225532a73811d63896d5c632d845c273a08bf87bc12b7a0d5743", 2),
+    "trees enumerate --boundary 3 --bogus": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "1fafca19e9b854a362b20aabcd8d7f6473b3282a5be78bdc86224250fbea53f0", 2),
+    "verify-all --bogus": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "1fafca19e9b854a362b20aabcd8d7f6473b3282a5be78bdc86224250fbea53f0", 2),
+    "trees enumerate --boundary 3 --metric bogus": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "fea44d68464232eea1309e41bdb3c1523d0525c70e27cdd50c765776abd058be", 2),
+    "oc matrix --n 2 --kind pn --format bogus": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "3fcb7a07a6ece870bce5a9cc19b8e06f0462e29bcbd0c141c1626312a0c4d449", 2),
+    "blowup split --n 2 --eps 1/10 --format bogus": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "78a4345e16ea6d827a6917fc598f275725284b0ca443a13808cf8f9bec92ab75", 2),
+    "trees enumerate --boundary x": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "05d85004fb5c75d3786594c06eb8747ae66c454d206d4326f350f74721e70f38", 2),
+    "blowup split --n 2": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "5b326e47509bcd99711bb57f13d2e5c32c0a7317f95337dd80dc42d9625cc1f5", 2),
+    "oc matrix --n 2 --kind pn --order 0": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "a333e794bbe4494cebd296d6a3a654b0622256d8747e29e371ecdf4b2eab70f8", 2),
+    "hh dims": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "0b647925581ad5604fa67c638d62157649fe204aa0069aa116dffbea58b53e86", 2),
+}
+
+
 @pytest.mark.parametrize("command", sorted(GOLDEN))
 def test_report_bytes_are_pinned(command):
     out = io.StringIO()
@@ -77,3 +127,17 @@ def test_report_bytes_are_pinned(command):
         code = main(command.split())
     digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
     assert (digest, code) == GOLDEN[command]
+
+
+@pytest.mark.parametrize("command", sorted(HELP_GOLDEN))
+def test_help_and_usage_error_bytes_are_pinned(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(command.split())
+        except SystemExit as exc:
+            code = exc.code
+    digests = tuple(hashlib.sha256(text.getvalue().encode("utf-8")).hexdigest()
+                    for text in (out, err))
+    assert (*digests, code) == HELP_GOLDEN[command]

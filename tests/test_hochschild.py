@@ -95,7 +95,7 @@ def test_pair_chain_has_wraparound_terms_only():
     # with no differential, a two-factor chain contracts only around the cycle
     cat = clifford_category(1)
     alg = cat.algebras[0]
-    e = alg.index_of("e1")
+    e = alg.basis.index("e1")
     image = hochschild_boundary_basis(cat, (0, (e, e)))
     # both wraparound contractions of m_2(e, e) land on the unit chain
     assert set(image) <= {(0, (alg.unit,))}
