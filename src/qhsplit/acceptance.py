@@ -303,22 +303,22 @@ def criterion_8(oc_matrix=openclosed.oc_matrix) -> CriterionResult:
                            + format_rational(openclosed.SPLIT))
 
 
-def criterion_9() -> CriterionResult:
-    """Quantum relation through the closed-open values."""
+def criterion_9(co_value=openclosed.co_value) -> CriterionResult:
+    """Quantum relation through the closed-open values ``co_value`` under test."""
     for n in range(1, 5):
-        potential = toric.PotentialFunction.clifford_torus(n)
-        for k, y in enumerate(toric.critical_points(potential)):
-            if not openclosed.ring_hom_check(potential, k, y):
+        for k in range(n + 1):
+            if not openclosed.ring_hom_check(n, k, co_value):
                 return CriterionResult(9, "closed-open ring relation", False,
                                        f"n={n} k={k}")
     return CriterionResult(9, "closed-open ring relation", True,
                            "hyperplane power relation holds for all branes, n=1..4")
 
 
-def criterion_10() -> CriterionResult:
-    """Frobenius orthogonality and blowup block orthogonality."""
+def criterion_10(oc_matrix=openclosed.oc_matrix) -> CriterionResult:
+    """Frobenius orthogonality of the OC matrices ``oc_matrix`` builds, and
+    blowup block orthogonality."""
     for n in range(1, 5):
-        gram = openclosed.frobenius_orthogonality(n)
+        gram = openclosed.frobenius_orthogonality(oc_matrix(n, openclosed.PROJECTIVE))
         for j in range(n + 1):
             for k in range(n + 1):
                 if j != k and not gram[j][k].is_zero():

@@ -26,9 +26,6 @@ from .novikov import NovikovElement, format_rational, json_field, parse_rational
 
 Vector = dict[int, NovikovElement]
 
-# the largest arity whose composition relation ``check_ainfty`` checks
-MAX_ARITY = 6
-
 
 def _vec_add(acc: Vector, idx: int, value: NovikovElement):
     if idx in acc:
@@ -274,48 +271,35 @@ class Violation:
 
 
 def check_ainfty(algebra: AInftyAlgebra) -> list[Violation]:
-    """All failures of the quadratic composition relations up to ``MAX_ARITY``.
+    """All failures of the quadratic composition relations of the stored arities.
 
-    For every arity ``d`` the signed sum over ways of nesting one composition
-    inside another must vanish on every basis tuple; the sign exponent is the
-    sum of reduced degrees of the inputs preceding the inner composition.
+    Nesting an inner composition of arity ``k_in`` in a slot of an outer one
+    of arity ``k_out`` contributes to the relation of arity
+    ``k_in + k_out - 1``, so one pass over the pairs of stored arities covers
+    every relation they reach.  On every basis tuple the signed sum must
+    vanish; the sign exponent is the sum of reduced degrees of the inputs
+    preceding the inner composition.  Violations are sorted by arity, inputs
+    and output.
     """
-    violations = []
-    for d in range(0, MAX_ARITY + 1):
-        defect = _relation_defect(algebra, d)
-        for key in sorted(defect):
-            for o in sorted(defect[key]):
-                value = defect[key][o]
-                if not value.is_zero():
-                    violations.append(Violation(
-                        d,
-                        tuple(algebra.basis[i] for i in key),
-                        algebra.basis[o],
-                        value,
-                    ))
-    return violations
-
-
-def _relation_defect(algebra: AInftyAlgebra, d: int) -> dict[tuple, Vector]:
+    # the inner entries indexed by the basis element they produce
+    producing: dict[int, list] = {}
+    for inner in algebra.tensors.values():
+        for tin, vin in inner.items():
+            for slot, value in vin.items():
+                producing.setdefault(slot, []).append((tin, value))
     acc: dict[tuple, Vector] = {}
-    for d2 in range(0, d + 1):
-        inner = algebra.tensors.get(d2)
-        outer = algebra.tensors.get(d - d2 + 1)
-        if inner is None or outer is None:
-            continue
-        for d1 in range(0, d - d2 + 1):
-            for tin, vin in inner.items():
-                for tout, vout in outer.items():
-                    slot = tout[d1]
-                    if slot not in vin:
-                        continue
-                    combined = tout[:d1] + tin + tout[d1 + 1:]
-                    maltese = sum(algebra.reduced(i) for i in combined[:d1]) % 2
-                    scale = vin[slot] * (-1 if maltese else 1)
-                    target = acc.setdefault(combined, {})
+    for outer in algebra.tensors.values():
+        for tout, vout in outer.items():
+            for d1, slot in enumerate(tout):
+                sign = -1 if sum(algebra.reduced(i) for i in tout[:d1]) % 2 else 1
+                for tin, value in producing.get(slot, ()):
+                    scale = value * sign
+                    target = acc.setdefault(tout[:d1] + tin + tout[d1 + 1:], {})
                     for o, val in vout.items():
                         _vec_add(target, o, val * scale)
-    return {key: _vec_clean(vec) for key, vec in acc.items()}
+    return [Violation(len(key), tuple(algebra.basis[i] for i in key), algebra.basis[o], value)
+            for key in sorted(acc, key=lambda key: (len(key), key))
+            for o, value in sorted(acc[key].items()) if not value.is_zero()]
 
 
 # ---------------------------------------------------------------------------

@@ -188,13 +188,13 @@ def cmd_oc_matrix(args) -> int:
                           f"override {args.order} is not a multiple of {order}")
         order = args.order
     split_at = openclosed.SPLIT
-    det = linalg.determinant(matrix.as_lists())
+    det = linalg.determinant(matrix.entries)
     det_report = {
         "split_at": format_rational(split_at),
         "det": repr(det),
         "det_below": repr(det.below(split_at)),
         "det_at_or_above": repr(det.at_or_above(split_at)),
-        "surjectivity": openclosed.surjectivity_test(matrix),
+        "surjectivity": openclosed.surjectivity_verdict(matrix.entries, det),
     }
     meta_comment = (f"# cutoff=inf cyclotomic_order={order} "
                     f"det={det_report['det']} split_at={det_report['split_at']} "

@@ -23,7 +23,7 @@ SURJECTIVE = "surjective"
 CUTOFF_LIMITED = "cutoff-limited"
 DEFICIENT = "deficient"
 
-# the valuation at which surjectivity_test splits the determinant
+# the valuation at which surjectivity_verdict splits the determinant
 SPLIT = Fraction(2)
 
 
@@ -36,9 +36,6 @@ class OCMatrix:
 
     def entry(self, b: int, a: int) -> NovikovElement:
         return self.entries[b][a]
-
-    def as_lists(self) -> list[list[NovikovElement]]:
-        return [list(row) for row in self.entries]
 
     def q_to_one(self) -> list[list[CyclotomicNumber]]:
         return [[entry.specialize_q_to_one() for entry in row] for row in self.entries]
@@ -58,9 +55,10 @@ def oc_matrix(n: int, kind: str, eps=None) -> OCMatrix:
         raise ValueError(f"unknown kind {kind}")
     # every monomial of a family's potential carries q^w, up to sign
     weight = potential.monomials[0][1].val_q()
-    root = CyclotomicNumber.root_of_unity(potential.order)
     entries = tuple(
-        tuple(NovikovElement.monomial(weight * b, root ** (a * b)) for a in labels)
+        tuple(NovikovElement.monomial(
+            weight * b, CyclotomicNumber.root_of_unity(potential.order, a * b))
+            for a in labels)
         for b in labels)
     return OCMatrix(tuple(f"Z{b}" for b in labels), tuple(f"pt{a}" for a in labels),
                     entries, potential.order)
@@ -78,71 +76,55 @@ def co_value(n: int, k: int, ell: int) -> NovikovElement:
     return oc_matrix(n, PROJECTIVE).entry(n - ell, k)
 
 
-def ring_hom_check(potential: toric.PotentialFunction, k: int, y: tuple) -> bool:
-    """Quantum relation through the brane algebra: the hyperplane image to
-    the power ``n + 1`` must equal ``q`` times the unit, multiplied out in
-    the Clifford endomorphism algebra.
+def ring_hom_check(n: int, k: int, co_value=co_value) -> bool:
+    """Quantum relation on brane ``k`` of P^n: the hyperplane image to the
+    power ``n + 1`` must equal ``q`` times the unit.
 
-    ``y`` is the ``k``-th critical point of the Clifford-torus potential of
-    P^n, as ``toric.critical_points`` returns it.
+    The image is ``co_value(n, k, n - 1)`` times the unit, an idempotent, so
+    its power is the scalar's power times the unit.
     """
-    n = potential.n
-    algebra = toric.brane_algebra(potential, y)
-    scalar = co_value(n, k, n - 1)
-    element = {algebra.unit: scalar}
-    power = {algebra.unit: NovikovElement.one()}
-    for _ in range(n + 1):
-        power = algebra.m([power, element])
-    expected = {algebra.unit: NovikovElement.q_power(1)}
-    diff = dict(power)
-    for o, v in expected.items():
-        diff[o] = diff.get(o, NovikovElement.zero()) - v
-    return all(v.is_zero() for v in diff.values())
+    return co_value(n, k, n - 1) ** (n + 1) == NovikovElement.q_power(1)
 
 
-def frobenius_orthogonality(n: int) -> list[list[NovikovElement]]:
-    """Gram matrix of the open-closed columns under the intersection pairing."""
-    matrix = oc_matrix(n, PROJECTIVE)
-    gram = []
-    for j in range(n + 1):
-        row = []
-        for k in range(n + 1):
-            acc = NovikovElement.zero()
-            for a in range(n + 1):
-                b = n - a
-                acc = acc + matrix.entry(a, j) * matrix.entry(b, k)
-            row.append(acc)
-        gram.append(row)
-    return gram
+def frobenius_orthogonality(matrix: OCMatrix) -> list[list[NovikovElement]]:
+    """Gram matrix of the open-closed columns under the intersection pairing,
+    which pairs ``Z_b`` with ``Z_c`` when ``b + c`` is the top index."""
+    top = len(matrix.rows) - 1
+    cols = [{b: row[a] for b, row in enumerate(matrix.entries)}
+            for a in range(len(matrix.cols))]
+    one = NovikovElement.one()
+    return linalg.gram_matrix(cols, cols, lambda b, c: one if b + c == top else None)
 
 
 def surjectivity_test(matrix) -> str:
-    """Determinant-based surjectivity check with a valuation split.
-
-    Each row is first divided by its minimal q-power - an invertible row
-    operation that leaves surjectivity unchanged and keeps the split
-    meaningful for matrices whose rows carry large uniform q-factors.  The
-    determinant is then split at ``SPLIT``: surjective iff the part below
-    the split is nonzero.
-    """
+    """Determinant-based surjectivity check with a valuation split."""
     if isinstance(matrix, OCMatrix):
-        matrix = matrix.as_lists()
+        matrix = matrix.entries
     n = len(matrix)
     if n == 0 or any(len(row) != n for row in matrix):
         raise ValueError("need a nonempty square matrix")
-    scaled = []
-    for row in matrix:
-        vals = [e.val_q() for e in row if not e.is_zero()]
-        if not vals:
-            scaled.append(list(row))
-            continue
-        shift = NovikovElement.q_power(-min(vals))
-        scaled.append([e * shift for e in row])
-    det = linalg.determinant(scaled)
-    if not det.below(SPLIT).is_zero():
+    return surjectivity_verdict(matrix, linalg.determinant(matrix))
+
+
+def surjectivity_verdict(matrix, det: NovikovElement) -> str:
+    """The surjectivity of a square ``matrix`` (rows of entries) read off its
+    determinant ``det``.
+
+    Dividing each row by its minimal q-power is an invertible row operation
+    that leaves surjectivity unchanged and keeps the split meaningful for
+    matrices whose rows carry large uniform q-factors; it divides the
+    determinant by ``q^S``, ``S`` the sum of the row minima.  That is the
+    determinant of the row-scaled matrix exactly when the entries are exact.
+    ``det q^{-S}`` is then split at ``SPLIT``: surjective iff the part below
+    the split is nonzero.
+    """
+    shift = sum(min((e.val_q() for e in row if not e.is_zero()), default=0)
+                for row in matrix)
+    scaled = det * NovikovElement.q_power(-shift)
+    if not scaled.below(SPLIT).is_zero():
         return SURJECTIVE
-    truncated = any(e.truncated for row in scaled for e in row)
-    if not det.is_zero() or truncated:
+    truncated = any(e.truncated for row in matrix for e in row)
+    if not scaled.is_zero() or truncated:
         return CUTOFF_LIMITED
     return DEFICIENT
 

@@ -9,6 +9,7 @@ import inspect
 import itertools
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -151,8 +152,38 @@ def test_criterion_09_ring_relation(results):
     _check(results, 9)
 
 
+def test_criterion_09_fails_on_a_wrong_power_of_q():
+    # one closed-open value off by q^(1/7) breaks h^(n+1) = q at that brane
+    for n, k in ((2, 0), (4, 3)):
+        def co_value(size, brane, ell):
+            value = openclosed.co_value(size, brane, ell)
+            if (size, brane) == (n, k):
+                return value * NovikovElement.q_power(Fraction(1, 7))
+            return value
+
+        result = acceptance.criterion_9(co_value)
+        assert not result.passed
+        assert result.detail == f"n={n} k={k}"
+
+
 def test_criterion_10_orthogonality(results):
     _check(results, 10)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_criterion_10_fails_on_a_repeated_oc_column(n):
+    # column 1 of the P^n matrix repeats column 0, so the two columns pair
+    # as column 0 pairs with itself
+    def oc_matrix(size, family, eps=None):
+        matrix = openclosed.oc_matrix(size, family, eps)
+        if size != n:
+            return matrix
+        entries = tuple(row[:1] * 2 + row[2:] for row in matrix.entries)
+        return dataclasses.replace(matrix, entries=entries)
+
+    result = acceptance.criterion_10(oc_matrix)
+    assert not result.passed
+    assert result.detail == f"n={n} off-diagonal (0,1)"
 
 
 def test_criterion_11_blowup_splitting(results):

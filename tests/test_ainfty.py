@@ -1,6 +1,10 @@
+import contextlib
+import io
+import json
 from fractions import Fraction as F
 
 from qhsplit import toric
+from qhsplit.cli import EXIT_FAILURE, main
 from qhsplit.ainfty import AInftyAlgebra, Brane, Violation, check_ainfty, spectral_decompose
 from qhsplit.novikov import NovikovElement as N
 
@@ -50,6 +54,34 @@ def test_perturbed_structure_constant_reports_violation():
 def test_curvature_multiple_of_unit_passes():
     alg = curved_rank2(N.q_power(F(1, 2)) * 3)
     assert check_ainfty(alg) == []
+
+
+def m4_only():
+    # m_4(x,x,x,x) = y and m_4(y,x,x,x) = x: every relation of arity up to 6
+    # is empty, and m_4 nested in m_4 breaks the relation of arity 7
+    one = N.one()
+    return AInftyAlgebra(["x", "y"], [1, 0],
+                         {4: {(0, 0, 0, 0): {1: one}, (1, 0, 0, 0): {0: one}}})
+
+
+def test_relations_are_checked_at_every_arity_the_tensors_reach():
+    violations = check_ainfty(m4_only())
+    assert len(violations) == 8
+    assert {v.arity for v in violations} == {7}
+    assert violations[0].inputs == ("x",) * 7 and violations[0].output == "x"
+    assert violations == sorted(violations, key=lambda v: (v.inputs, v.output))
+
+
+def test_ainfty_verify_reports_an_arity_7_violation(tmp_path):
+    path = tmp_path / "m4.json"
+    path.write_text(json.dumps(m4_only().to_json_dict()), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["ainfty", "verify", str(path)])
+    payload = json.loads(out.getvalue())
+    assert code == EXIT_FAILURE
+    assert payload["ok"] is False
+    assert [v["arity"] for v in payload["relation_violations"]] == [7] * 8
 
 
 # --- spectral decomposition -----------------------------------------------------

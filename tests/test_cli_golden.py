@@ -3,11 +3,12 @@
 ``GOLDEN`` pins the sha256 of stdout and the exit code for a fixed grid of
 ``potential crit``, ``oc matrix`` and ``blowup split`` reports; the digests
 were recorded once from the reports as they stood before the brane families
-were given one definition each.  ``HELP_GOLDEN`` pins the sha256 of stdout
-and of stderr and the exit code for the help texts and usage errors; those
-digests were recorded from the parser as it stood before it built only the
-branch of the command a call names.  argparse wraps help to the terminal
-width, so they are taken at ``COLUMNS=80``.
+were given one definition each, and the ``--order`` entries from ``oc matrix``
+as it stood before it computed one determinant per matrix.  ``HELP_GOLDEN``
+pins the sha256 of stdout and of stderr and the exit code for the help texts
+and usage errors; those digests were recorded from the parser as it stood
+before it built only the branch of the command a call names.  argparse wraps
+help to the terminal width, so they are taken at ``COLUMNS=80``.
 
 A refactor that keeps the digests changes no byte of these outputs.  A
 deliberate change of an output updates the digests it changes, and says so.
@@ -38,6 +39,10 @@ GOLDEN = {
     "oc matrix --kind exceptional --n 3 --eps 1/7 --format json": ("097417920fccb4b5398dc3b8827bf59608a6e65293e2ebb7867be6fa14f0466a", 0),
     "oc matrix --kind exceptional --n 4 --eps 1/7 --format json": ("5fffd960ac0e273b772e22e52e26eb9aceb19c2be50ff6d1d551fea86a36e3de", 0),
     "oc matrix --kind exceptional --n 5 --eps 1/7 --format json": ("becc896ac892a1c021cddb9c52ce9789b4f44c5f942b4d44672e6fe2e3b8f98d", 0),
+    "oc matrix --n 2 --kind pn --order 6 --format json": ("370ee7846721a5f940308c005605fe641d3658a487065504182ba5aa9c54835d", 0),
+    "oc matrix --n 2 --kind pn --order 6 --format csv": ("c6ecda112d023eb4a1068c4cef79daa78c249c157c94dabf33c3e3be2573ffe6", 0),
+    "oc matrix --n 2 --kind pn --order 6 --format md": ("1a43ba9feb113285431a5dbf4b3bd872d09b8c2f7730217e1abd63c063864d73", 0),
+    "oc matrix --n 3 --kind exceptional --eps 1/7 --order 12": ("dd2d3d682703710195e1757d05c7181e7b41d549c83d58d9ae94a91d22da2130", 0),
     "oc matrix --kind pn --n 1 --format csv": ("bc5d3f4550f56f65bb089c6066eae6ca06aee2e39082256c2190e1727f5869f5", 0),
     "oc matrix --kind pn --n 2 --format csv": ("5c606a37313736399aaae1508129fa83369e0e08f08520e26e0c1af7ae882a55", 0),
     "oc matrix --kind pn --n 3 --format csv": ("ed5a6aae37fc8c0e9374b4d2268ce3a627e3dcbfd8d8b2702e16433155571fd5", 0),

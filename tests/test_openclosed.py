@@ -70,39 +70,19 @@ def test_co_value_formula():
 
 def test_ring_hom_check():
     for n in (1, 2, 3):
-        W = toric.PotentialFunction.clifford_torus(n)
-        for k, y in enumerate(toric.critical_points(W)):
-            assert oc.ring_hom_check(W, k, y)
+        for k in range(n + 1):
+            assert oc.ring_hom_check(n, k)
 
 
-def test_criterion_9_checks_each_critical_point_twice(monkeypatch):
-    # critical_points checks every point of P^n once and brane_algebra's
-    # hessian checks the point it is given once more: two checks per point
-    points = {n: toric.critical_points(toric.PotentialFunction.clifford_torus(n))
-              for n in range(1, 5)}
-    checked = []
-    is_critical = toric.PotentialFunction.is_critical
+def test_criterion_9_builds_no_brane_algebra_and_checks_no_gradient(monkeypatch):
+    # the hyperplane image is a scalar times the unit, so neither the brane
+    # algebra nor the critical points are needed
+    def forbidden(*args):
+        raise AssertionError("C9 reached a brane algebra or a gradient")
 
-    def counting(self, y):
-        checked.append((self.n, y))
-        return is_critical(self, y)
-
-    monkeypatch.setattr(toric.PotentialFunction, "is_critical", counting)
+    monkeypatch.setattr(toric, "brane_algebra", forbidden)
+    monkeypatch.setattr(toric.PotentialFunction, "is_critical", forbidden)
     assert acceptance.criterion_9().passed
-    for n, ys in points.items():
-        for y in ys:
-            assert sum(1 for m, z in checked if m == n and z == y) == 2, (n, y)
-    assert len(checked) == 2 * sum(len(ys) for ys in points.values())
-
-
-def test_ring_hom_negative_control():
-    # a deliberately wrong exponent breaks the quantum relation
-    n, k = 2, 0
-    wrong = oc.co_value(n, k, n - 1) * N.q_power(F(1, 7))
-    power = N.one()
-    for _ in range(n + 1):
-        power = power * wrong
-    assert power != N.q_power(1)
 
 
 def test_co_values_respect_quantum_products():
@@ -136,6 +116,23 @@ def test_surjectivity_high_valuation():
     assert oc.surjectivity_test(high) == oc.CUTOFF_LIMITED
 
 
+def test_surjectivity_truncated_entry():
+    # the determinant q [cutoff 2] is nonzero below the split
+    one = N.one()
+    truncated = [[one, one], [one, one + N.q_power(1, cutoff=2)]]
+    assert oc.surjectivity_test(truncated) == oc.SURJECTIVE
+
+
+def test_surjectivity_verdict_reads_the_scaled_determinant():
+    # rows q^1 and q^2 put q^3 in front of the row-scaled determinant
+    q = N.q_power
+    matrix = [[q(1), q(1)], [q(2), q(2) + q(F(7, 2))]]
+    det = q(F(9, 2))
+    assert oc.surjectivity_verdict(matrix, det) == oc.SURJECTIVE
+    assert oc.surjectivity_verdict(matrix, q(5)) == oc.CUTOFF_LIMITED
+    assert oc.surjectivity_test(matrix) == oc.SURJECTIVE
+
+
 def test_surjectivity_singular_matrix():
     singular = [[N.one(), N.one()], [N.one(), N.one()]]
     assert oc.surjectivity_test(singular) == oc.DEFICIENT
@@ -159,7 +156,7 @@ def test_surjectivity_both_kinds_all_n():
 
 def test_frobenius_gram_diagonal():
     for n in (1, 2, 3):
-        gram = oc.frobenius_orthogonality(n)
+        gram = oc.frobenius_orthogonality(oc.oc_matrix(n, oc.PROJECTIVE))
         zeta = C.root_of_unity(n + 1)
         for j in range(n + 1):
             for k in range(n + 1):
