@@ -256,10 +256,11 @@ def criterion_6() -> CriterionResult:
                            "total dimension 1, top-class parity, stable at two lengths")
 
 
-def criterion_7() -> CriterionResult:
-    """Open-closed matrix entries and the q -> 1 character sums."""
+def criterion_7(oc_matrix=openclosed.oc_matrix) -> CriterionResult:
+    """Entries of the OC matrices ``oc_matrix`` builds and the q -> 1
+    character sums."""
     for n in range(1, 7):
-        matrix = openclosed.oc_matrix(n, openclosed.PROJECTIVE)
+        matrix = oc_matrix(n, openclosed.PROJECTIVE)
         zeta = CyclotomicNumber.root_of_unity(n + 1)
         for b in range(n + 1):
             for a in range(n + 1):

@@ -17,10 +17,17 @@ of the run of boundary labels under a vertex.  Every type has dimension
 interior placement, and edge classes do not affect stability, so these two
 numbers of a shape decide its share of the census; see
 ``census_by_dimension``.
+
+The enumeration is the census's independent oracle: one recursion builds
+each vertex from its interior labels and a slot sequence, straight from the
+definition, and reads no vertex bound.  Boundary strata come from one
+recursion over vertices, which degenerates each vertex or positive edge in
+place.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -155,23 +162,54 @@ def enumerate_stable_types(
     ``(ZERO,)`` gives the nodal census, where every finite edge has length
     zero.
 
-    Distinct shapes, interior placements and edge classes give distinct
-    types, so each type is appended once, as it is built.
+    This is the census's independent oracle: it builds every type from the
+    definition and shares no bound or count with ``census_by_dimension``.
+    A type is its root vertex.  A vertex over a run of boundary labels and
+    a set of interior labels keeps some of the interior labels and cuts the
+    rest into a slot sequence: each slot is a leaf holding the next boundary
+    label, or an edge of each class in ``metric_classes`` to a child vertex
+    over a prefix of the remaining run and a subset of the remaining
+    interior labels.  Each decomposition gives a distinct type.  A stable
+    vertex has no child with as many inputs as itself (that child would be
+    its only slot, with no interior input beside it), so children strictly
+    shrink and no vertex bound is needed.
     """
-    max_vertices = _check_arguments(d_boundary, d_interior, metric_classes)
-    types = []
-    for shape in _enumerate_shapes(tuple(range(1, d_boundary + 1)), max_vertices, d_interior):
-        vertex_paths = _vertex_paths(shape)
-        for assignment in itertools.product(range(len(vertex_paths)), repeat=d_interior):
-            placed = _place_interior(shape, vertex_paths, assignment)
-            base = TreedDiskType(placed)
-            if not base.is_stable():
-                continue
-            edges = base.finite_edges()
-            for classes in itertools.product(metric_classes, repeat=len(edges)):
-                types.append(_with_metric_classes(
-                    base, dict(zip((p for p, _ in edges), classes))))
-    return types
+    _check_inputs(d_boundary, d_interior, metric_classes)
+
+    @functools.cache
+    def vertices(run, labels):
+        out = []
+        for own in _subsets(labels):
+            rest = tuple(x for x in labels if x not in own)
+            for slots in sequences(run, rest, len(run) + len(labels)):
+                node = Node(slots, own)
+                if node.is_stable():
+                    out.append(node)
+        return out
+
+    @functools.cache
+    def sequences(run, labels, size):
+        # slot sequences over all of run and labels whose children each have
+        # fewer than ``size`` inputs
+        if not run and not labels:
+            return [()]
+        out = [(("in", run[0]),) + tail for tail in sequences(run[1:], labels, size)] if run else []
+        for k in range(len(run) + 1):
+            for sub in _subsets(labels):
+                if 0 < k + len(sub) < size:
+                    tails = sequences(run[k:], tuple(x for x in labels if x not in sub), size)
+                    for child in vertices(run[:k], sub):
+                        for cls in metric_classes:
+                            out.extend((("edge", child, cls),) + tail for tail in tails)
+        return out
+
+    roots = vertices(tuple(range(1, d_boundary + 1)), tuple(range(1, d_interior + 1)))
+    return [TreedDiskType(root) for root in roots]
+
+
+def _subsets(labels: tuple):
+    return itertools.chain.from_iterable(
+        itertools.combinations(labels, r) for r in range(len(labels) + 1))
 
 
 def census_by_dimension(
@@ -223,7 +261,14 @@ def census_by_dimension(
 
 
 def _check_arguments(d_boundary: int, d_interior: int, metric_classes: tuple) -> int:
-    """Check the enumeration arguments and return the bound on vertices."""
+    """Check the census arguments and return the bound on vertices."""
+    _check_inputs(d_boundary, d_interior, metric_classes)
+    # summing the stability condition 1 + #slots + 2#interior >= 3 over the
+    # V vertices gives V + (d_boundary + V - 1) + 2 d_interior >= 3V
+    return max(d_boundary + 2 * d_interior - 1, 1)
+
+
+def _check_inputs(d_boundary: int, d_interior: int, metric_classes: tuple) -> None:
     if d_boundary < 0 or d_interior < 0:
         raise ValueError("input counts must be nonnegative")
     if d_boundary == 0 and d_interior == 0:
@@ -231,18 +276,19 @@ def _check_arguments(d_boundary: int, d_interior: int, metric_classes: tuple) ->
     for cls in metric_classes:
         if cls not in _METRIC_CLASSES:
             raise ValueError(f"unknown metric class {cls!r}")
-    # summing the stability condition 1 + #slots + 2#interior >= 3 over the
-    # V vertices gives V + (d_boundary + V - 1) + 2 d_interior >= 3V
-    return max(d_boundary + 2 * d_interior - 1, 1)
 
 
 def _count_shapes(d_boundary: int, max_vertices: int, max_need: int) -> dict:
-    """The shapes of ``_enumerate_shapes``, counted by (vertices, need).
+    """Shapes over ``d_boundary`` labels, counted by (vertices, need).
+
+    A shape is a planar rooted tree of vertices and boundary leaves; its
+    need is the number of its vertices with fewer than two slots, each of
+    which needs an interior input to be stable.
 
     Shapes are counted with generating polynomials in ``x`` (one per
     vertex) and ``y`` (one per vertex short of slots), stored as
     ``{(vertices, need): count}`` and truncated above ``max_vertices`` and
-    ``max_need`` exactly where the enumeration prunes.  Let ``f_m`` count
+    ``max_need``.  Let ``f_m`` count
     the shapes over a run of ``m`` boundary labels, ``E = f_0`` (``empty``)
     those over no label, ``B_m = f_m + [m = 1]`` a block (a block of one
     label is a leaf or a child) and ``D = 1/(1 - E)`` (``gap``) a gap
@@ -316,101 +362,7 @@ def _count_shapes(d_boundary: int, max_vertices: int, max_need: int) -> dict:
     return shapes
 
 
-def _enumerate_shapes(labels: tuple, max_vertices: int, max_need: int) -> list:
-    """Planar rooted trees over an ordered run of boundary labels.
-
-    Returns the shapes as bare ``Node`` trees.  Each is built with its
-    vertex count and its interior "need", the number of vertices with fewer
-    than two slots, each of which needs an interior input to be stable.
-    Shapes whose need exceeds the number of interior inputs available, or
-    whose vertex count exceeds ``max_vertices``, are pruned during
-    generation.
-    """
-    cache: dict[tuple, list] = {}
-
-    def build(run, depth):
-        """All (node, vertices, need) triples over the given boundary run,
-        using at most ``depth`` further levels of vertices."""
-        if depth <= 0:
-            return []
-        key = (run, depth)
-        if key in cache:
-            return cache[key]
-        results = []
-
-        def extend(slot_options, slots, vertices, need):
-            # depth-first product of the slot options; both totals only
-            # grow, so a branch is cut as soon as either exceeds its bound
-            if len(slots) == len(slot_options):
-                results.append((Node(slots), vertices, need))
-                return
-            for slot, v, n in slot_options[len(slots)]:
-                if vertices + v <= max_vertices and need + n <= max_need:
-                    extend(slot_options, slots + (slot,), vertices + v, need + n)
-
-        for blocks in _ordered_blocks(run):
-            # interior inputs this vertex needs itself: ceil((2 - #slots)/2)
-            own_need = 1 if len(blocks) < 2 else 0
-            if own_need > max_need:
-                continue
-            slot_options = []
-            for block in blocks:
-                opts = [(("in", block[0]), 0, 0)] if len(block) == 1 else []
-                opts += [(("edge", child, ZERO), v, need)
-                         for child, v, need in build(block, depth - 1)]
-                if not opts:
-                    break
-                slot_options.append(opts)
-            else:
-                extend(slot_options, (), 1, own_need)
-        cache[key] = results
-        return results
-
-    def _ordered_blocks(run):
-        # consecutive nonempty blocks covering the run, with at most
-        # ``max_need`` empty blocks (vertices without boundary inputs,
-        # each needing an interior input) placed in the gaps between them
-        n = len(run)
-        for cuts in itertools.product([0, 1], repeat=max(n - 1, 0)):
-            ends = [i for i, cut in enumerate(cuts, start=1) if cut] + [n]
-            blocks = [run[start:end] for start, end in zip([0] + ends, ends)] if n else []
-            for empties in itertools.product(range(max_need + 1), repeat=len(blocks) + 1):
-                if sum(empties) > max_need:
-                    continue
-                seq = []
-                for count, block in zip(empties, blocks):
-                    seq.extend([()] * count)
-                    seq.append(block)
-                seq.extend([()] * empties[-1])
-                yield tuple(seq)
-
-    return [node for node, _, _ in build(labels, max_vertices)]
-
-
-def _vertex_paths(node: Node, path=()) -> list:
-    out = [path]
-    for i, slot in enumerate(node.slots):
-        if slot[0] == "edge":
-            out.extend(_vertex_paths(slot[1], path + (i,)))
-    return out
-
-
-def _place_interior(node: Node, vertex_paths, assignment) -> Node:
-    by_path: dict[tuple, list] = {}
-    for label, vidx in enumerate(assignment, start=1):
-        by_path.setdefault(vertex_paths[vidx], []).append(label)
-
-    def rebuild(n, path):
-        slots = []
-        for i, slot in enumerate(n.slots):
-            if slot[0] == "edge":
-                slots.append(("edge", rebuild(slot[1], path + (i,)), slot[2]))
-            else:
-                slots.append(slot)
-        return Node(tuple(slots), tuple(sorted(by_path.get(path, ()))))
-    return rebuild(node, ())
-
-
+# no caller in the package; perfbench/tracer.py counts its calls by this name
 def _with_metric_classes(t: TreedDiskType, classes: dict) -> TreedDiskType:
     def rebuild(node, path):
         slots = []
@@ -467,86 +419,58 @@ def boundary_strata(t: TreedDiskType) -> list[tuple[str, TreedDiskType]]:
 
     The operations are exactly: a vertex splitting into two joined by a new
     zero-length edge ("collapse"); a positive-length edge degenerating to
-    length zero or breaking ("length_zero"/"length_inf").
+    length zero or breaking ("length_zero"/"length_inf").  Each stratum is
+    listed once, sorted by operation and canonical key.
     """
     if not t.is_stable():
         raise UnstableTypeError("boundary strata are defined for stable types")
-    out: dict[str, tuple[str, TreedDiskType]] = {}
-
-    def add(op, new_type):
-        if new_type.is_stable():
-            out.setdefault(new_type.canonical_key(), (op, new_type))
-
-    # (1) a new vertex with a zero-length edge (the stratum collapses onto t)
-    for split in _vertex_splits(t):
-        add("collapse", split)
-
-    # (2) positive-length edges to zero or infinity
-    for path, cls in t.finite_edges():
-        if cls == POS:
-            add("length_zero", _with_metric_classes(t, {path: ZERO}))
-            add("length_inf", _with_metric_classes(t, {path: INF}))
-
-    return sorted(out.values(), key=lambda pair: (pair[0], pair[1].canonical_key()))
+    strata: dict[TreedDiskType, str] = {}
+    for op, root in _strata(t.root):
+        strata.setdefault(TreedDiskType(root), op)
+    return sorted(((op, s) for s, op in strata.items()),
+                  key=lambda pair: (pair[0], pair[1].canonical_key()))
 
 
-def _vertex_splits(t: TreedDiskType):
-    """All stable ways one vertex splits into parent+child with a zero edge."""
-    results = []
-
-    def walk(node, path):
-        n = len(node.slots)
-        interior = list(node.interior)
-        for i in range(n + 1):
-            for j in range(i, n + 1):
-                block = node.slots[i:j]
-                rest = node.slots[:i] + node.slots[j:]
-                for r in range(len(interior) + 1):
-                    for moved in itertools.combinations(interior, r):
-                        kept = tuple(x for x in interior if x not in moved)
-                        child = Node(tuple(block), tuple(sorted(moved)))
-                        if not child.is_stable():
-                            continue
-                        parent = Node(rest[:i] + (("edge", child, ZERO),) + rest[i:], kept)
-                        if not parent.is_stable():
-                            continue
-                        results.append(_replace_node(t, path, parent))
-        for i, slot in enumerate(node.slots):
-            if slot[0] == "edge":
-                walk(slot[1], path + (i,))
-
-    walk(t.root, ())
-    return results
-
-
-def _replace_node(t: TreedDiskType, path, new_node: Node) -> TreedDiskType:
-    def rebuild(node, remaining):
-        if not remaining:
-            return new_node
-        i = remaining[0]
-        slot = node.slots[i]
-        replaced = ("edge", rebuild(slot[1], remaining[1:]), slot[2])
-        return Node(node.slots[:i] + (replaced,) + node.slots[i + 1:], node.interior)
-    return TreedDiskType(rebuild(t.root, path))
+def _strata(node: Node):
+    """``(op, vertex)`` for each degeneration of the subtree at a stable vertex."""
+    slots, interior = node.slots, node.interior
+    for i in range(len(slots) + 1):
+        for j in range(i, len(slots) + 1):
+            for moved in _subsets(interior):
+                child = Node(slots[i:j], moved)
+                kept = tuple(x for x in interior if x not in moved)
+                parent = Node(slots[:i] + (("edge", child, ZERO),) + slots[j:], kept)
+                if child.is_stable() and parent.is_stable():
+                    yield "collapse", parent
+    for i, slot in enumerate(slots):
+        if slot[0] == "in":
+            continue
+        _, child, cls = slot
+        moves = [("length_zero", child, ZERO), ("length_inf", child, INF)] if cls == POS else []
+        moves += [(op, stratum, cls) for op, stratum in _strata(child)]
+        for op, new_child, new_cls in moves:
+            yield op, Node(slots[:i] + (("edge", new_child, new_cls),) + slots[i + 1:], interior)
 
 
 def leq(lower: TreedDiskType, upper: TreedDiskType) -> bool:
     """Degeneration partial order: True iff ``lower`` is reachable from
-    ``upper`` by finitely many codimension-one moves."""
+    ``upper`` by finitely many codimension-one moves.
+
+    The search goes down through ``boundary_strata``, never below the
+    dimension of ``lower``, and keeps the types it has seen in a set.
+    """
     if not (lower.is_stable() and upper.is_stable()):
         raise UnstableTypeError("partial order is defined on stable types")
-    target = lower.canonical_key()
-    seen = {upper.canonical_key()}
+    seen = {upper}
     frontier = [upper]
     while frontier:
         current = frontier.pop()
-        if current.canonical_key() == target:
+        if current == lower:
             return True
-        if current.dim() <= lower.dim() and current.canonical_key() != target:
+        if current.dim() <= lower.dim():
             continue
-        for _, nxt in boundary_strata(current):
-            key = nxt.canonical_key()
-            if key not in seen:
-                seen.add(key)
-                frontier.append(nxt)
-    return target in seen
+        for _, stratum in boundary_strata(current):
+            if stratum not in seen:
+                seen.add(stratum)
+                frontier.append(stratum)
+    return False

@@ -77,6 +77,21 @@ def test_criterion_02_fails_on_a_census_wrong_only_with_interior_inputs(old, new
     assert " i=" in result.detail
 
 
+def test_criterion_02_fails_on_a_vertex_bound_one_short(monkeypatch):
+    # a census that prunes one vertex early with two interior inputs; the
+    # enumeration reads no vertex bound, so the two totals differ
+    check_arguments = trees._check_arguments
+
+    def one_short(d_boundary, d_interior, metric_classes):
+        bound = check_arguments(d_boundary, d_interior, metric_classes)
+        return bound - 1 if d_interior >= 2 else bound
+
+    monkeypatch.setattr(trees, "_check_arguments", one_short)
+    result = acceptance.criterion_2()
+    assert not result.passed
+    assert result.detail == "d=0 i=2: 25 types enumerated != 7 counted"
+
+
 def test_criterion_03_composition_relations(results):
     _check(results, 3)
 
@@ -126,6 +141,19 @@ def test_criterion_06_check_at_rank_16():
 
 def test_criterion_07_open_closed_matrix(results):
     _check(results, 7)
+
+
+def test_criterion_07_fails_on_swapped_oc_columns():
+    # columns 0 and 1 of every P^n matrix trade places; row 0 is all ones,
+    # so the first wrong entry is (1, 0) of the P^1 matrix
+    def oc_matrix(size, family, eps=None):
+        matrix = openclosed.oc_matrix(size, family, eps)
+        entries = tuple(row[1::-1] + row[2:] for row in matrix.entries)
+        return dataclasses.replace(matrix, entries=entries)
+
+    result = acceptance.criterion_7(oc_matrix)
+    assert not result.passed
+    assert result.detail == "n=1 entry (1,0)"
 
 
 def test_criterion_08_determinant_surjectivity(results):
