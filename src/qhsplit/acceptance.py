@@ -124,13 +124,14 @@ def _brane_algebras(max_n: int):
             yield ("exceptional", n, k, potential, y)
 
 
-def criterion_3() -> CriterionResult:
-    """Relation check on the Hessian Clifford algebras, ranks 2..16."""
+def criterion_3(brane_algebra=toric.brane_algebra) -> CriterionResult:
+    """Relation check on the Hessian Clifford algebras ``brane_algebra``
+    builds, ranks 2..16."""
     count = 0
     for kind, n, k, potential, y in _brane_algebras(4):
         if k > 0:
             continue  # one critical point per potential suffices for the relations
-        algebra = toric.brane_algebra(potential, y)
+        algebra = brane_algebra(potential, y)
         violations = ainfty.check_ainfty(algebra)
         if violations:
             return CriterionResult(3, "composition relations", False,

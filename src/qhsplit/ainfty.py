@@ -14,11 +14,30 @@ Sign conventions, fixed once and used everywhere:
 
 Under these conventions ``m_2`` encodes an associative product ``a * b`` via
 ``m_2(a, b) = (-1)^{|a|} a * b``.
+
+The q-free rescaling.  An algebra with weights ``w`` (``q_weights``) has
+every structure constant of the form ``c q^{w(a_1) + ... + w(a_k) - w(o)}``
+with ``c`` in a cyclotomic field, so ``e'_a = q^{-w(a)} e_a`` is a basis in
+which the structure constants are the coefficients ``c``
+(``coefficient_algebras``).  In the relation component of inputs
+``a_1..a_d`` and output ``o``, a term nests ``m(b)_s`` in the slot ``s`` of
+an outer entry ``m(.., s, ..)_o``.  It carries ``q^{sum w(b) - w(s)}``
+times ``q^{sum w(outer inputs) - w(o)}``, which is ``q^{sum w(a) - w(o)}``
+whatever the nesting.  So each component is that one power of q times the
+same component of the q-free constants, and the relations are checked
+exactly over the coefficient field, with no cutoff.  A violating component
+is reported as the monomial with q-exponent ``sum w(a) - w(o)`` and
+coefficient in the field of the lcm of the orders of the algebra's
+irrational coefficients.  For an algebra whose irrational coefficients span
+two or more orders, that field can be larger than the one the Novikov
+arithmetic would print the coefficient in; the value is the same under
+``==``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .novikov import NovikovElement, format_rational, json_field, parse_rational
@@ -270,6 +289,34 @@ class Violation:
         return f"Violation(d={self.arity}, ({ins}) -> {self.output}: {self.value})"
 
 
+def coefficient_algebras(algebras) -> list[tuple[AInftyAlgebra, tuple[Fraction, ...]]] | None:
+    """Each algebra rescaled out of the Novikov layer, with its weights.
+
+    When every algebra has ``q_weights``, each structure constant ``c q^x``
+    is replaced by its coefficient ``c``, stored at the lcm of the orders of
+    the irrational coefficients of all the algebras (order 1, the field
+    ``Q``, when all are rational); otherwise ``None``.  See the module
+    docstring for why relations and ranks survive the rescaling.
+    """
+    weights = []
+    for alg in algebras:
+        w = alg.q_weights()
+        if w is None:
+            return None
+        weights.append(w)
+    order = math.lcm(1, *(value.terms[0][1].order for alg in algebras
+                          for store in alg.tensors.values()
+                          for vec in store.values() for value in vec.values()
+                          if not value.terms[0][1].is_rational()))
+    return [(AInftyAlgebra(alg.basis, alg.degrees,
+                           {d: {key: {o: value.terms[0][1].to_order(order)
+                                      for o, value in vec.items()}
+                                for key, vec in store.items()}
+                            for d, store in alg.tensors.items()},
+                           unit=alg.unit, n_grading=alg.n_grading), w)
+            for alg, w in zip(algebras, weights)]
+
+
 def check_ainfty(algebra: AInftyAlgebra) -> list[Violation]:
     """All failures of the quadratic composition relations of the stored arities.
 
@@ -280,55 +327,37 @@ def check_ainfty(algebra: AInftyAlgebra) -> list[Violation]:
     vanish; the sign exponent is the sum of reduced degrees of the inputs
     preceding the inner composition.  Violations are sorted by arity, inputs
     and output.
+
+    The pass runs over the q-free constants of ``coefficient_algebras`` when
+    the algebra has weights, and over its Novikov scalars otherwise.  On the
+    field path a violating component ``(a_1..a_d) -> o`` with coefficient
+    ``c`` is reported as ``c q^{sum w(a) - w(o)}``, ``c`` in the field of the
+    lcm order (module docstring).
     """
+    rescaled = coefficient_algebras([algebra])
+    scalars, weights = rescaled[0] if rescaled else (algebra, None)
     # the inner entries indexed by the basis element they produce
     producing: dict[int, list] = {}
-    for inner in algebra.tensors.values():
+    for inner in scalars.tensors.values():
         for tin, vin in inner.items():
             for slot, value in vin.items():
                 producing.setdefault(slot, []).append((tin, value))
-    acc: dict[tuple, Vector] = {}
-    for outer in algebra.tensors.values():
+    acc: dict[tuple, dict] = {}
+    for outer in scalars.tensors.values():
         for tout, vout in outer.items():
             for d1, slot in enumerate(tout):
-                sign = -1 if sum(algebra.reduced(i) for i in tout[:d1]) % 2 else 1
+                negate = sum(scalars.reduced(i) for i in tout[:d1]) % 2
                 for tin, value in producing.get(slot, ()):
-                    scale = value * sign
+                    scale = -value if negate else value
                     target = acc.setdefault(tout[:d1] + tin + tout[d1 + 1:], {})
                     for o, val in vout.items():
                         _vec_add(target, o, val * scale)
-    return [Violation(len(key), tuple(algebra.basis[i] for i in key), algebra.basis[o], value)
-            for key in sorted(acc, key=lambda key: (len(key), key))
-            for o, value in sorted(acc[key].items()) if not value.is_zero()]
-
-
-# ---------------------------------------------------------------------------
-# branes and the spectral decomposition
-
-
-@dataclass
-class Brane:
-    """An object: an algebra with a local system and the value of its disk
-    potential."""
-
-    algebra: AInftyAlgebra
-    local_system: tuple = ()
-    potential_value: NovikovElement = field(default_factory=NovikovElement.zero)
-    name: str = ""
-
-
-def spectral_decompose(branes: list[Brane]) -> dict[int, list[Brane]]:
-    """Group branes by exact potential value, keyed by group index.
-
-    Morphisms between groups are zero by construction.  Scalars are
-    unhashable, so groups are found by ``==`` on the values.
-    """
-    groups: dict[int, list[Brane]] = {}
-    for brane in branes:
-        for members in groups.values():
-            if members[0].potential_value == brane.potential_value:
-                members.append(brane)
-                break
-        else:
-            groups[len(groups)] = [brane]
-    return groups
+    bad = sorted(((len(key), key, o, value) for key, vec in acc.items()
+                  for o, value in vec.items() if not value.is_zero()),
+                 key=lambda v: v[:3])
+    if weights is not None:
+        bad = [(d, key, o, NovikovElement.monomial(sum(weights[i] for i in key) - weights[o],
+                                                   value))
+               for d, key, o, value in bad]
+    return [Violation(d, tuple(algebra.basis[i] for i in key), algebra.basis[o], value)
+            for d, key, o, value in bad]

@@ -24,7 +24,8 @@ Ranks are taken over the coefficient field when they can be.  An algebra
 with weights ``w`` (``AInftyAlgebra.q_weights``) has every structure
 constant of the form ``c q^{w(a_1) + ... + w(a_k) - w(o)}`` with ``c`` in a
 cyclotomic field ``Q(zeta)``, so ``e'_a = q^{-w(a)} e_a`` is an isomorphism
-over the Novikov field onto the algebra with structure constants ``c``.  It
+over the Novikov field onto the algebra with structure constants ``c``
+(``ainfty.coefficient_algebras``, shared with the relation check).  It
 keeps word lengths, parities and the unit (``w(unit) = 0``), so it carries
 the (normalized) Hochschild complex isomorphically onto the complex of that
 algebra, which is defined over ``Q(zeta)``.  Rank does not change under the
@@ -37,10 +38,9 @@ category is ranked over the truncated Novikov scalars.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
-from . import linalg
+from . import ainfty, linalg
 from .ainfty import AInftyAlgebra
 from .novikov import DEFAULT_CUTOFF, NovikovElement
 
@@ -140,30 +140,6 @@ def is_length_graded(cat: FlatCategory) -> bool:
     return True
 
 
-def _coefficient_category(cat: FlatCategory) -> FlatCategory | None:
-    """The category with every algebra rescaled out of the Novikov layer.
-
-    When every algebra has ``q_weights``, each structure constant ``c q^x``
-    is replaced by its coefficient ``c``, stored at the lcm of the orders of
-    the category's irrational coefficients (order 1, the field ``Q``, when
-    all are rational); otherwise ``None``.
-    """
-    if any(alg.q_weights() is None for alg in cat.algebras):
-        return None
-    coefficients = [value.terms[0][1] for alg in cat.algebras
-                    for store in alg.tensors.values()
-                    for vec in store.values() for value in vec.values()]
-    order = math.lcm(1, *(c.order for c in coefficients if not c.is_rational()))
-    return FlatCategory(cat.objects, tuple(
-        AInftyAlgebra(alg.basis, alg.degrees,
-                      {d: {key: {o: value.terms[0][1].to_order(order)
-                                 for o, value in vec.items()}
-                           for key, vec in store.items()}
-                       for d, store in alg.tensors.items()},
-                      unit=alg.unit, n_grading=alg.n_grading)
-        for alg in cat.algebras))
-
-
 @dataclass
 class HomologyReport:
     dims: dict
@@ -202,7 +178,9 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6) -> Homology
         return units[obj] is not None and units[obj] in word[:-1]
 
     # the boundary rows, over the coefficient field where that is exact
-    rows_cat = _coefficient_category(cat) or cat
+    rescaled = ainfty.coefficient_algebras(cat.algebras)
+    rows_cat = (FlatCategory(cat.objects, tuple(alg for alg, _ in rescaled))
+                if rescaled else cat)
 
     # per (length, parity): basis and boundary matrix ranks
     by_parity: dict[tuple, list] = {}

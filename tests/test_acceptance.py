@@ -96,6 +96,32 @@ def test_criterion_03_composition_relations(results):
     _check(results, 3)
 
 
+def test_criterion_03_fails_on_a_flipped_m2_sign(monkeypatch):
+    # m_2(e1, e2) changes sign in every brane algebra with an e2, so P^2 is
+    # the first to break; the flip keeps the exponent, so the algebra stays
+    # q-homogeneous and C3 checks it over the coefficient field
+    def brane_algebra(potential, y):
+        algebra = toric.brane_algebra(potential, y)
+        if "e2" not in algebra.basis:
+            return algebra
+        e1, e2 = algebra.basis.index("e1"), algebra.basis.index("e2")
+        tensors = {d: dict(entries) for d, entries in algebra.tensors.items()}
+        tensors[2][(e1, e2)] = {o: -value for o, value in tensors[2][(e1, e2)].items()}
+        return AInftyAlgebra(algebra.basis, algebra.degrees, tensors, unit=algebra.unit)
+
+    potential = toric.PotentialFunction.clifford_torus(2)
+    weights = brane_algebra(potential, toric.critical_points(potential)[0]).q_weights()
+    assert weights is not None
+    # (e1,e1,e2) -> e2 carries q^(w(e1) + w(e1) + w(e2) - w(e2))
+    assert 2 * weights[1] == Fraction(1, 3)
+    result = acceptance.criterion_3(brane_algebra)
+    assert not result.passed
+    assert result.detail == "projective n=2: Violation(d=3, (e1,e1,e2) -> e2: 2*q^(1/3))"
+    # the Novikov scalars report the same violation
+    monkeypatch.setattr(AInftyAlgebra, "q_weights", lambda self: None)
+    assert acceptance.criterion_3(brane_algebra) == result
+
+
 def test_criterion_04_critical_points(results):
     _check(results, 4)
 

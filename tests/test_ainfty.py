@@ -1,12 +1,15 @@
 import contextlib
 import io
 import json
+import random
 from fractions import Fraction as F
+
+import pytest
 
 from qhsplit import toric
 from qhsplit.cli import EXIT_FAILURE, main
-from qhsplit.ainfty import AInftyAlgebra, Brane, Violation, check_ainfty, spectral_decompose
-from qhsplit.novikov import NovikovElement as N
+from qhsplit.ainfty import AInftyAlgebra, Violation, check_ainfty
+from qhsplit.novikov import CyclotomicNumber, NovikovElement as N
 
 
 def clifford_pn(n, k=0):
@@ -84,31 +87,6 @@ def test_ainfty_verify_reports_an_arity_7_violation(tmp_path):
     assert [v["arity"] for v in payload["relation_violations"]] == [7] * 8
 
 
-# --- spectral decomposition -----------------------------------------------------
-
-def test_spectral_decomposition_projective_plane():
-    W = toric.PotentialFunction.clifford_torus(2)
-    branes = []
-    for k, y in enumerate(toric.critical_points(W)):
-        alg = toric.brane_algebra(W, y)
-        branes.append(Brane(alg, local_system=y, potential_value=W.evaluate(y),
-                            name=f"pt{k}"))
-    groups = spectral_decompose(branes)
-    assert len(groups) == 3
-    assert all(len(members) == 1 for members in groups.values())
-
-
-def test_spectral_decomposition_equal_values_merge():
-    alg = curved_rank2(N.q_power(1))
-    w = N.q_power(1)
-    b1 = Brane(alg, potential_value=w, name="a")
-    b2 = Brane(alg, potential_value=w, name="b")
-    groups = spectral_decompose([b1, b2])
-    assert len(groups) == 1
-    assert len(next(iter(groups.values()))) == 2
-    assert len(spectral_decompose([b1])) == 1
-
-
 # --- q-homogeneous weights ----------------------------------------------------
 
 def brane_algebras_with_weights():
@@ -169,3 +147,64 @@ def test_q_weights_reject_inconsistent_exponents():
     one = N.one()
     alg = toric.clifford_algebra([[N.q_power(1), one], [one, one]], 2)
     assert alg.q_weights() is None
+
+
+# --- relations over the coefficient field -----------------------------------------
+
+def with_flipped_signs(alg, seed, flips=3):
+    """The algebra with the signs of ``flips`` seeded ``m_2`` entries flipped;
+    each entry keeps its q-exponent, so the algebra stays q-homogeneous."""
+    tensors = {d: {k: dict(v) for k, v in entries.items()}
+               for d, entries in alg.tensors.items()}
+    m2 = tensors[2]
+    for key in random.Random(seed).sample(sorted(m2), flips):
+        m2[key] = {o: -value for o, value in m2[key].items()}
+    return AInftyAlgebra(alg.basis, alg.degrees, tensors, unit=alg.unit)
+
+
+def brane(kind, n, point):
+    if kind == "projective":
+        W = toric.PotentialFunction.clifford_torus(n)
+    else:
+        W = toric.PotentialFunction.exceptional(n, F(1, 10))
+    return toric.brane_algebra(W, toric.critical_points(W)[point])
+
+
+# irrational coefficients (orders 3 and 4) at point 1 of P^2 and P^3,
+# rational ones at point 0 of P^3 and of the exceptional n=3 model
+@pytest.mark.parametrize("kind, n, point", [("projective", 2, 1), ("projective", 3, 1),
+                                            ("projective", 3, 0), ("exceptional", 3, 0)])
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+def test_coefficient_field_violations_match_the_novikov_violations(kind, n, point, seed,
+                                                                   monkeypatch):
+    alg = brane(kind, n, point)
+    if seed is not None:
+        alg = with_flipped_signs(alg, seed)
+    assert alg.q_weights() is not None
+    exact = check_ainfty(alg)
+    assert bool(exact) == (seed is not None)
+    # without weights, the same algebra is checked over the Novikov scalars
+    monkeypatch.setattr(AInftyAlgebra, "q_weights", lambda self: None)
+    novikov = check_ainfty(alg)
+    assert exact == novikov
+    assert repr(exact) == repr(novikov)
+
+
+def test_a_violation_is_printed_in_the_field_of_the_lcm_order(monkeypatch):
+    # x and y do not interact; m_2(x, x) = z3 x and m_2(y, y) = z4 y break
+    # associativity by 2 z3^2 x and 2 z4^2 y = -2 y.  Over the coefficient
+    # field every constant lives at order 12, and so does the first value;
+    # the Novikov arithmetic keeps it at order 3.  The values are equal.
+    z3, z4 = CyclotomicNumber.root_of_unity(3), CyclotomicNumber.root_of_unity(4)
+    alg = AInftyAlgebra(["x", "y"], [1, 1], {2: {(0, 0): {0: N.from_cyclotomic(z3)},
+                                                 (1, 1): {1: N.from_cyclotomic(z4)}}})
+    violations = check_ainfty(alg)
+    assert [(v.inputs, v.output) for v in violations] == [(("x",) * 3, "x"), (("y",) * 3, "y")]
+    assert violations[0].value == N.from_cyclotomic(z3 * z3 * 2)
+    assert violations[0].value.leading()[1].order == 12
+    assert violations[1].value == N.from_rational(-2)
+    monkeypatch.setattr(AInftyAlgebra, "q_weights", lambda self: None)
+    novikov = check_ainfty(alg)
+    assert novikov == violations
+    assert novikov[0].value.leading()[1].order == 3
+    assert repr(novikov[0]) != repr(violations[0])

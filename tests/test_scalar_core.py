@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclotomic_reference import RefCyclotomic
-from qhsplit import ainfty, toric
 from qhsplit.novikov import CyclotomicNumber, NovikovElement, euler_phi
 
 ORDERS = range(1, 31)
@@ -171,17 +170,6 @@ def test_scalars_are_unhashable():
             hash(value)
         with pytest.raises(TypeError):
             {value}
-
-
-def test_spectral_decompose_groups_values_equal_across_orders():
-    W = toric.PotentialFunction.clifford_torus(1)
-    alg = toric.brane_algebra(W, toric.critical_points(W)[0])
-    one_at_4 = NovikovElement.from_cyclotomic(CyclotomicNumber.one(4))
-    branes = [ainfty.Brane(alg, potential_value=NovikovElement.one(), name="a"),
-              ainfty.Brane(alg, potential_value=one_at_4, name="b"),
-              ainfty.Brane(alg, potential_value=NovikovElement.q_power(1), name="c")]
-    groups = ainfty.spectral_decompose(branes)
-    assert sorted([b.name for b in g] for g in groups.values()) == [["a", "b"], ["c"]]
 
 
 # --- hypothesis properties -----------------------------------------------------
