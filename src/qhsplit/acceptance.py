@@ -144,11 +144,12 @@ def criterion_3(brane_algebra=toric.brane_algebra) -> CriterionResult:
                            f"{count} algebras pass with zero violations")
 
 
-def criterion_4() -> CriterionResult:
-    """Critical points, Hessian shape, and determinant, both kinds."""
+def criterion_4(critical_points=toric.critical_points) -> CriterionResult:
+    """Critical points that ``critical_points`` returns, their Hessian shape
+    and determinant, both kinds."""
     for n in range(1, 7):
         potential = toric.PotentialFunction.clifford_torus(n)
-        points = toric.critical_points(potential)
+        points = critical_points(potential)
         if len(points) != n + 1:
             return CriterionResult(4, "critical points", False, f"P^{n} count")
         zeta = CyclotomicNumber.root_of_unity(n + 1)
@@ -167,7 +168,7 @@ def criterion_4() -> CriterionResult:
     for n in range(2, 7):
         eps = Fraction(1, 10)
         potential = toric.PotentialFunction.exceptional(n, eps)
-        points = toric.critical_points(potential)
+        points = critical_points(potential)
         if len(points) != n - 1:
             return CriterionResult(4, "critical points", False, f"exceptional n={n} count")
         aleph = CyclotomicNumber.root_of_unity(n - 1)
@@ -359,31 +360,34 @@ def criterion_11() -> CriterionResult:
                            "n=2..5, eps in {1/10, 1/3, 9/10}")
 
 
-def criterion_12() -> CriterionResult:
-    """Index/area correspondence on random classes; sphere obstruction grid."""
+def criterion_12(blowup_model=toric.ToricModel.blowup) -> CriterionResult:
+    """Index and area of random classes of the cut simplex against their
+    blowdown, both read off the polytopes.
+
+    ``blowup_model(model, eps)`` cuts the simplex's vertex at the first ``n``
+    facets.  Their normals are the unit vectors, so the exceptional class
+    ``beta_E`` blows down to the vertex classes with the coordinates of the
+    cut normal as degrees.  Meeting the exceptional divisor ``d`` times must
+    lower the index by ``2 (n - 1) d`` and the area by ``eps d``.
+    """
     rng = random.Random(SEED + 12)
     for _ in range(100):
         n = rng.randint(2, 5)
-        eps = Fraction(rng.randint(1, 9), 10)
-        model = blowup.BlowupLocalModel(n, eps)
-        up = model.upstairs_class(tuple(rng.randint(0, 3) for _ in range(n + 1)))
-        down = model.project(up)
-        d = model.e_intersection(up)
-        if blowup.index_correspondence(down.index, n, d) != up.index:
+        eps = Fraction(rng.randint(1, 9), 10 * (n + 1))
+        base = toric.ToricModel.simplex(n)
+        cut = blowup_model(base, eps)
+        up = tuple(rng.randint(0, 3) for _ in range(n + 2))
+        d = up[-1]
+        down = tuple(k + d * c for k, c in zip(up, cut.normals[-1])) + (up[n],)
+        if base.index(down) - cut.index(up) != 2 * (n - 1) * d:
             return CriterionResult(12, "index/area correspondence", False,
-                                   f"index mismatch {up.degrees}")
-        area_up, _ = blowup.area_correspondence(down.area, eps, d)
-        if area_up != up.area:
+                                   f"n={n}: index mismatch {up}")
+        if base.area(down) - cut.area(up) != eps * d:
             return CriterionResult(12, "index/area correspondence", False,
-                                   f"area mismatch {up.degrees}")
-    for n in range(2, 7):
-        for k in range(0, 11):
-            for m in range(1, 6):
-                if not blowup.exceptional_sphere_obstruction(n, k, m):
-                    return CriterionResult(12, "index/area correspondence", False,
-                                           f"obstruction failed ({n},{k},{m})")
+                                   f"n={n} eps={format_rational(eps)}: area mismatch {up}")
     return CriterionResult(12, "index/area correspondence", True,
-                           "100 random classes agree; obstruction holds on the grid")
+                           "100 random classes of the cut simplex, n=2..5: index drops "
+                           "2(n-1)d and area eps*d under blowdown")
 
 
 def _determinism_payload() -> str:

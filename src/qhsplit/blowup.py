@@ -1,13 +1,10 @@
-"""Blowup bookkeeping: index/area correspondence, splitting, generation.
+"""Blowup bookkeeping: quantum-cohomology splitting and generation.
 
-The local model realizes the blowup of affine n-space as a quotient of a
-product of ``n + 1`` coordinate lines; a disk class upstairs projects to the
-class downstairs obtained by adding the exceptional-component degree to each
-of the first ``n`` components.  Index and area transform as
-
-    I(up) = I(down) - 2 (n - 1) d,      A(up) = A(down) - eps d,
-
-with ``d`` the intersection number with the exceptional divisor.
+The blowup of projective n-space at a point splits its quantum cohomology
+into the bulk-shifted base (the projective open-closed block) plus ``n - 1``
+point summands (the exceptional block); ``split_report`` checks that the two
+blocks are orthogonal, of full combined rank and each surjective.  The
+blowup's disk classes are those of ``toric.ToricModel.simplex(n).blowup(eps)``.
 """
 
 from __future__ import annotations
@@ -15,77 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg, openclosed, toric
+from . import linalg, openclosed
 from .novikov import NovikovElement
 
 GENERATES = "generates"
 FAILS = "fails"
 CUTOFF_LIMITED = openclosed.CUTOFF_LIMITED
-
-
-def index_correspondence(index_downstairs: int, n: int, d: int) -> int:
-    """Index upstairs of a class meeting the exceptional divisor ``d`` times."""
-    if d < 0:
-        raise ValueError("intersection number must be nonnegative")
-    return index_downstairs - 2 * (n - 1) * d
-
-
-def area_correspondence(area_downstairs, eps, d: int) -> tuple[Fraction, bool]:
-    """Area upstairs and a flag marking a nonpositive result."""
-    if d < 0:
-        raise ValueError("intersection number must be nonnegative")
-    area = Fraction(area_downstairs) - Fraction(eps) * d
-    return area, area <= 0
-
-
-@dataclass(frozen=True)
-class BlowupLocalModel:
-    """Degree-vector model of disks near the exceptional locus.
-
-    Upstairs classes have ``n + 1`` components with areas ``(1, ..., 1,
-    n - eps)``; the projection adds the last degree to each of the first
-    ``n`` components, with downstairs areas ``(1, ..., 1)``.
-    """
-
-    n: int
-    eps: Fraction
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("blowups of curves are out of range (need n >= 2)")
-        if not 0 < self.eps < self.n:
-            raise ValueError("need 0 < eps < n for positive areas")
-
-    def upstairs_areas(self) -> tuple:
-        return tuple([Fraction(1)] * self.n + [self.n - self.eps])
-
-    def downstairs_areas(self) -> tuple:
-        return tuple([Fraction(1)] * self.n)
-
-    def upstairs_class(self, degrees) -> toric.BlaschkeClass:
-        return toric.BlaschkeClass(tuple(degrees), self.upstairs_areas())
-
-    def project(self, cls: toric.BlaschkeClass) -> toric.BlaschkeClass:
-        d = cls.degrees[self.n]
-        down = tuple(cls.degrees[i] + d for i in range(self.n))
-        return toric.BlaschkeClass(down, self.downstairs_areas())
-
-    def e_intersection(self, cls: toric.BlaschkeClass) -> int:
-        return cls.degrees[self.n]
-
-
-def exceptional_sphere_obstruction(n: int, k: int, m: int) -> bool:
-    """No integer degree can satisfy both sphere-reduction index bounds.
-
-    The two bounds are ``d >= k + 2m`` and ``d <= k - 2k/(n-1)``; the
-    function reports whether they are incompatible over integers ``d >= 1``.
-    """
-    if n < 2 or k < 0 or m < 1:
-        raise ValueError("need n >= 2, k >= 0, m >= 1")
-    lower = k + 2 * m
-    upper = Fraction(k) - Fraction(2 * k, n - 1)
-    d = max(lower, 1)
-    return Fraction(d) > upper
 
 
 @dataclass(frozen=True)

@@ -55,13 +55,15 @@ def oc_matrix(n: int, kind: str, eps=None) -> OCMatrix:
         raise ValueError(f"unknown kind {kind}")
     # every monomial of a family's potential carries q^w, up to sign
     weight = potential.monomials[0][1].val_q()
-    entries = tuple(
-        tuple(NovikovElement.monomial(
-            weight * b, CyclotomicNumber.root_of_unity(potential.order, a * b))
-            for a in labels)
-        for b in labels)
+    entries = tuple(tuple(_oc_entry(weight, potential.order, b, a) for a in labels)
+                    for b in labels)
     return OCMatrix(tuple(f"Z{b}" for b in labels), tuple(f"pt{a}" for a in labels),
                     entries, potential.order)
+
+
+def _oc_entry(weight: Fraction, order: int, b: int, a: int) -> NovikovElement:
+    """Entry ``(b, a) = (q^weight zeta^a)^b``, ``zeta`` of order ``order``."""
+    return NovikovElement.monomial(weight * b, CyclotomicNumber.root_of_unity(order, a * b))
 
 
 def co_value(n: int, k: int, ell: int) -> NovikovElement:
@@ -69,11 +71,12 @@ def co_value(n: int, k: int, ell: int) -> NovikovElement:
 
     The class of an ``ell``-plane maps to ``y_k^{n - ell} q^{(n-ell)/(n+1)}``
     times the unit of the brane's endomorphism algebra, the projective
-    open-closed entry ``(n - ell, k)``; the scalar is returned.
+    open-closed entry ``(n - ell, k)``, whose weight is the level of the
+    simplex's facets at its barycentre; the scalar is returned.
     """
     if not (0 <= ell <= n and 0 <= k <= n):
         raise ValueError("need 0 <= k, ell <= n")
-    return oc_matrix(n, PROJECTIVE).entry(n - ell, k)
+    return _oc_entry(toric.ToricModel.simplex(n).levels[0], n + 1, n - ell, k)
 
 
 def ring_hom_check(n: int, k: int, co_value=co_value) -> bool:
@@ -134,8 +137,9 @@ def bulk_shift_perturbation(n: int, eps) -> tuple[OCMatrix, Fraction]:
 
     The leading part is the projective matrix; corrections come from disks
     forced through the shifted point, whose minimal extra valuation is found
-    by enumerating degree vectors with the point constraint (one insertion;
-    the point sits at a toric fixed point and forces ``n`` additional roots).
+    by enumerating the disk classes of ``toric.ToricModel.simplex(n)`` with
+    the point constraint (one insertion; the point sits at a toric fixed
+    point and forces ``n`` additional roots).
     Returns the leading matrix and the exact minimal correction valuation.
     """
     if n < 2:
@@ -146,18 +150,17 @@ def bulk_shift_perturbation(n: int, eps) -> tuple[OCMatrix, Fraction]:
     if eps <= 0:
         raise ValueError("eps must be positive")
     leading = oc_matrix(n, PROJECTIVE)
-    areas = [Fraction(1, n + 1)] * (n + 1)
-    point_constraint = frozenset(range(n))  # all but the last coordinate
+    model = toric.ToricModel.simplex(n)
+    point_constraint = frozenset(range(n))  # all but the last facet
     best: Fraction | None = None
     for b in range(1, n + 1):
         row_constraint = frozenset(range(n + 1 - b, n + 1))
         classes = toric.blaschke_enumerate(
-            n, areas, index_cap=2 * (n + b + 1),
+            model, index_cap=2 * (n + b + 1),
             constraints=[row_constraint, point_constraint])
         if not classes:
             continue
-        min_area = min(c.area for c in classes)
-        val = min_area - eps
+        val = min(model.area(k) for k in classes) - eps
         if best is None or val < best:
             best = val
     if best is None:

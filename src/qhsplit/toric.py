@@ -1,13 +1,16 @@
 """Torus branes in the toric disk models: potentials, Hessians, Clifford algebras.
 
-A brane family is a disk potential (Cho-Oh): a finite Laurent polynomial in
-the holonomy coordinates ``y_1 .. y_n`` with Novikov coefficients, together
-with the order of the roots of unity that form its critical points.  The two
-families are built by the ``PotentialFunction`` constructors:
+Disk classes are read off a moment polytope (``ToricModel``): one Maslov-2
+class per facet, of area the facet's level at the brane.  A brane family is a
+disk potential (Cho-Oh): a finite Laurent polynomial in the holonomy
+coordinates ``y_1 .. y_n`` with Novikov coefficients, together with the order
+of the roots of unity that form its critical points.  The two families are
+built by the ``PotentialFunction`` constructors:
 
 * ``clifford_torus``: ``q^{1/(n+1)} (y_1 + ... + y_n + (y_1 ... y_n)^{-1})``,
-  the full count of lowest-area disks through a torus fiber over the interior
-  of the simplex, with critical points at the (n+1)-st roots of unity;
+  one monomial per facet of ``ToricModel.simplex(n)``, the torus fiber over
+  the barycentre of the simplex, with critical points at the (n+1)-st roots
+  of unity;
 * ``exceptional``: ``q^eps (y_1 + ... + y_n - y_1 ... y_n)``, the leading
   disk count for the monotone torus near an exceptional divisor of size
   parameter ``eps``.  The sign of the product term is fixed so that the
@@ -30,71 +33,77 @@ from .novikov import CyclotomicNumber, NovikovElement
 
 
 # ---------------------------------------------------------------------------
-# Blaschke degree vectors
+# disk classes from the moment polytope
 
 
 @dataclass(frozen=True)
-class BlaschkeClass:
-    """Degree vector of a holomorphic disk in a product-of-lines model."""
+class ToricModel:
+    """A moment polytope ``{x : <v_j, x> >= c_j}`` seen from a torus fiber.
 
-    degrees: tuple
-    areas: tuple
+    ``normals`` are the facet normals ``v_j`` and ``levels`` the heights
+    ``l_j = <v_j, u> - c_j`` of the fiber's point ``u`` above the facets.
+    Each facet bounds one Maslov-2 disk class ``beta_j`` of area ``l_j``
+    (Cho-Oh), so a class is a degree tuple ``k`` over the facets, with index
+    ``2 sum k_j`` and area ``sum k_j l_j``.
+    """
+
+    normals: tuple  # one integer vector per facet
+    levels: tuple   # one positive Fraction per facet
 
     def __post_init__(self):
-        if len(self.degrees) != len(self.areas):
-            raise ValueError("degrees and areas must have equal length")
-        if any(d < 0 for d in self.degrees):
-            raise ValueError("degrees are nonnegative")
-        if any(Fraction(a) <= 0 for a in self.areas):
-            raise ValueError("component areas are positive")
+        if any(level <= 0 for level in self.levels):
+            raise ValueError("the fiber must lie inside the polytope")
 
-    @property
-    def index(self) -> int:
-        return 2 * sum(self.degrees)
+    @classmethod
+    def simplex(cls, n: int) -> "ToricModel":
+        """The simplex ``x_i >= 0, x_1 + ... + x_n <= 1`` at its barycentre."""
+        if n < 1:
+            raise ValueError("n must be at least 1")
+        normals = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        return cls(normals + ((-1,) * n,), (Fraction(1, n + 1),) * (n + 1))
 
-    @property
-    def area(self) -> Fraction:
-        return sum((Fraction(a) * d for d, a in zip(self.degrees, self.areas)),
-                   Fraction(0))
+    def blowup(self, eps) -> "ToricModel":
+        """Cut off the vertex where the first ``n`` facets meet by size ``eps``.
 
-    def __add__(self, other: "BlaschkeClass") -> "BlaschkeClass":
-        if self.areas != other.areas:
-            raise ValueError("classes live in different models")
-        return BlaschkeClass(tuple(a + b for a, b in zip(self.degrees, other.degrees)),
-                             self.areas)
+        The new facet's normal is the sum of theirs, and its level the sum of
+        their levels minus ``eps``.
+        """
+        n = len(self.normals[0])
+        normal = tuple(map(sum, zip(*self.normals[:n])))
+        level = sum(self.levels[:n]) - Fraction(eps)
+        return ToricModel(self.normals + (normal,), self.levels + (level,))
+
+    def index(self, k) -> int:
+        return 2 * sum(k)
+
+    def area(self, k) -> Fraction:
+        return sum((d * level for d, level in zip(k, self.levels)), Fraction(0))
 
 
-def blaschke_enumerate(n: int, areas, index_cap: int, constraints=None) -> list[BlaschkeClass]:
-    """All degree vectors with index at most the cap, meeting the constraints.
+def blaschke_enumerate(model: ToricModel, index_cap: int, constraints=None) -> list[tuple]:
+    """All degree tuples of ``model`` with index at most the cap, meeting the
+    constraints, sorted by index and then degrees.
 
-    The model has ``n + 1`` coordinate lines.  Each constraint is a set of
-    component indices (0-based) forced to vanish at one marked point, so it
-    raises the minimal degree of those components by one.
+    Each constraint is a set of facet indices (0-based) forced to vanish at
+    one marked point, so it raises the minimal degree of those facets by one.
     """
     if index_cap < 0:
         raise ValueError("index cap must be nonnegative")
-    areas = tuple(Fraction(a) for a in areas)
-    if len(areas) != n + 1:
-        raise ValueError("need one area per coordinate line")
-    required = [0] * (n + 1)
+    required = [0] * len(model.normals)
     for constraint in constraints or ():
         for i in constraint:
             required[i] += 1
-    max_total = index_cap // 2
     out = []
 
     def fill(pos, remaining, prefix):
-        if pos == n:
-            if remaining >= required[n]:
-                for d in range(required[n], remaining + 1):
-                    out.append(BlaschkeClass(prefix + (d,), areas))
+        if pos == len(required):
+            out.append(prefix)
             return
         for d in range(required[pos], remaining + 1):
             fill(pos + 1, remaining - d, prefix + (d,))
 
-    if max_total >= sum(required):
-        fill(0, max_total, ())
-    return sorted(out, key=lambda c: (c.index, c.degrees))
+    fill(0, index_cap // 2, ())
+    return sorted(out, key=lambda k: (sum(k), k))
 
 
 # ---------------------------------------------------------------------------
@@ -116,15 +125,11 @@ class PotentialFunction:
 
     @classmethod
     def clifford_torus(cls, n: int) -> "PotentialFunction":
-        if n < 1:
-            raise ValueError("n must be at least 1")
-        coeff = NovikovElement.q_power(Fraction(1, n + 1))
-        monos = []
-        for i in range(n):
-            exp = tuple(1 if j == i else 0 for j in range(n))
-            monos.append((exp, coeff))
-        monos.append((tuple(-1 for _ in range(n)), coeff))
-        return cls(n, tuple(monos), n + 1)
+        """The simplex's potential: one monomial ``q^{l_j} y^{v_j}`` per facet."""
+        model = ToricModel.simplex(n)
+        monos = tuple((normal, NovikovElement.q_power(level))
+                      for normal, level in zip(model.normals, model.levels))
+        return cls(n, monos, n + 1)
 
     @classmethod
     def exceptional(cls, n: int, eps) -> "PotentialFunction":

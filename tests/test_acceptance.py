@@ -126,6 +126,25 @@ def test_criterion_04_critical_points(results):
     _check(results, 4)
 
 
+@pytest.mark.parametrize("order, n, line", [
+    (4, 3, "P^3 det -4*z4*q^(3/4) != -4*q^(3/4)"),
+    (3, 4, "exceptional n=4 det -3*z3*q^(2/5) != (3 + 3*z3)*q^(2/5)"),
+])
+def test_criterion_04_fails_on_a_repeated_root(order, n, line):
+    # the third critical point of one potential repeats the second: it is
+    # still critical with the same Hessian shape, but its determinant
+    # belongs to the second root
+    def critical_points(potential):
+        points = toric.critical_points(potential)
+        if (potential.order, potential.n) == (order, n):
+            points[2] = points[1]
+        return points
+
+    result = acceptance.criterion_4(critical_points)
+    assert not result.passed
+    assert result.line() == f"[FAIL]  4 critical points: {line}"
+
+
 def test_criterion_05_divisor_equation(results):
     _check(results, 5)
 
@@ -246,6 +265,25 @@ def test_criterion_11_blowup_splitting(results):
 
 def test_criterion_12_index_area_correspondence(results):
     _check(results, 12)
+
+
+def test_criterion_12_fails_on_a_wrong_cut_normal():
+    # the normal (1, ..., 1, 2) blows beta_E down to n + 1 vertex classes,
+    # so the index drops by 2n d instead of 2(n - 1) d
+    def blowup_model(model, eps):
+        cut = model.blowup(eps)
+        n = len(model.normals[0])
+        return toric.ToricModel(cut.normals[:-1] + ((1,) * (n - 1) + (2,),), cut.levels)
+
+    result = acceptance.criterion_12(blowup_model)
+    assert not result.passed
+    assert result.detail == "n=5: index mismatch (0, 2, 1, 3, 3, 3, 3)"
+
+
+def test_criterion_12_fails_on_a_cut_of_twice_the_size():
+    result = acceptance.criterion_12(lambda model, eps: model.blowup(2 * eps))
+    assert not result.passed
+    assert result.detail == "n=5 eps=1/12: area mismatch (0, 2, 1, 3, 3, 3, 3)"
 
 
 def test_criterion_13_determinism(results):

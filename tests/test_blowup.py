@@ -5,64 +5,53 @@ import pytest
 
 from qhsplit import blowup, openclosed
 from qhsplit.novikov import NovikovElement as N
+from qhsplit.toric import ToricModel
 
 
-# --- correspondences --------------------------------------------------------
+# --- correspondences under the blowdown of the cut simplex ---------------------
+
+def blow_down(n: int, cut: ToricModel, k: tuple) -> tuple:
+    """The simplex class of ``k``: the exceptional degree moves onto the vertex
+    facets with the coordinates of the cut normal."""
+    d = k[-1]
+    return tuple(a + d * c for a, c in zip(k, cut.normals[-1])) + (k[n],)
+
 
 def test_index_correspondence_values():
-    assert blowup.index_correspondence(4, 2, 1) == 2
-    assert blowup.index_correspondence(6, 3, 0) == 6
+    cut = ToricModel.simplex(2).blowup(F(1, 10))
+    assert cut.index((0, 0, 0, 1)) == 2
+    assert ToricModel.simplex(2).index(blow_down(2, cut, (0, 0, 0, 1))) == 4
+    assert cut.index((1, 1, 1, 0)) == 6
 
 
 def test_area_correspondence_values():
-    area, flagged = blowup.area_correspondence(1, F(1, 10), 1)
-    assert area == F(9, 10) and not flagged
-    area, flagged = blowup.area_correspondence(F(1, 10), F(1, 10), 2)
-    assert area == -F(1, 10) and flagged
-    assert blowup.area_correspondence(F(5), F(1, 3), 0) == (F(5), False)
+    base, cut = ToricModel.simplex(2), ToricModel.simplex(2).blowup(F(1, 10))
+    assert cut.area((0, 0, 0, 1)) == F(2, 3) - F(1, 10)
+    assert base.area(blow_down(2, cut, (0, 0, 0, 1))) == F(2, 3)
+    assert cut.area((0, 0, 5, 0)) == base.area((0, 0, 5)) == F(5, 3)
 
 
 def test_local_model_consistency():
     rng = random.Random(99)
     for _ in range(100):
         n = rng.randint(2, 5)
-        eps = F(rng.randint(1, 9), 10)
-        model = blowup.BlowupLocalModel(n, eps)
-        up = model.upstairs_class(tuple(rng.randint(0, 3) for _ in range(n + 1)))
-        down = model.project(up)
-        d = model.e_intersection(up)
-        assert blowup.index_correspondence(down.index, n, d) == up.index
-        area, _ = blowup.area_correspondence(down.area, eps, d)
-        assert area == up.area
+        eps = F(rng.randint(1, 9), 10 * (n + 1))
+        base = ToricModel.simplex(n)
+        cut = base.blowup(eps)
+        up = tuple(rng.randint(0, 3) for _ in range(n + 2))
+        down, d = blow_down(n, cut, up), up[-1]
+        assert cut.index(up) == base.index(down) - 2 * (n - 1) * d
+        assert cut.area(up) == base.area(down) - eps * d
 
 
 def test_weight_accounting_matches_area_shift():
     # q^{A(down)} * (q^{-eps})^d = q^{A(up)}
-    model = blowup.BlowupLocalModel(3, F(1, 5))
-    up = model.upstairs_class((1, 0, 2, 2))
-    down = model.project(up)
-    d = model.e_intersection(up)
-    lhs = N.q_power(down.area) * (N.q_power(-model.eps) ** d)
-    assert lhs == N.q_power(up.area)
-
-
-# --- sphere obstruction ---------------------------------------------------------
-
-def test_obstruction_examples():
-    assert blowup.exceptional_sphere_obstruction(3, 1, 1)
-    assert blowup.exceptional_sphere_obstruction(2, 0, 1)
-
-
-def test_obstruction_whole_grid():
-    for n in range(2, 7):
-        for k in range(0, 11):
-            for m in range(1, 6):
-                assert blowup.exceptional_sphere_obstruction(n, k, m)
-
-
-def test_obstruction_preconditions():
-    with pytest.raises(ValueError):
-        blowup.exceptional_sphere_obstruction(2, 0, 0)
+    eps = F(1, 5)
+    base, cut = ToricModel.simplex(3), ToricModel.simplex(3).blowup(eps)
+    up = (1, 0, 2, 0, 2)
+    down, d = blow_down(3, cut, up), up[-1]
+    lhs = N.q_power(base.area(down)) * (N.q_power(-eps) ** d)
+    assert lhs == N.q_power(cut.area(up))
 
 
 # --- splitting ----------------------------------------------------------------

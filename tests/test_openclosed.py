@@ -68,6 +68,20 @@ def test_co_value_formula():
     assert oc.co_value(1, 1, 0) == N.monomial(F(1, 2), C.root_of_unity(2))
 
 
+def test_co_value_is_the_oc_entry_without_the_matrix(monkeypatch):
+    matrices = {n: oc.oc_matrix(n, oc.PROJECTIVE) for n in range(1, 6)}
+
+    def forbidden(*args):
+        raise AssertionError("co_value built a matrix or a potential")
+
+    monkeypatch.setattr(oc, "oc_matrix", forbidden)
+    monkeypatch.setattr(toric.PotentialFunction, "clifford_torus", forbidden)
+    for n, matrix in matrices.items():
+        for k in range(n + 1):
+            for ell in range(n + 1):
+                assert oc.co_value(n, k, ell) == matrix.entry(n - ell, k)
+
+
 def test_ring_hom_check():
     for n in (1, 2, 3):
         for k in range(n + 1):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -6,8 +7,8 @@ import pytest
 from qhsplit import ainfty, hochschild, linalg, toric
 from qhsplit.novikov import CyclotomicNumber as C, NovikovElement as N
 from qhsplit.toric import (
-    BlaschkeClass,
     PotentialFunction,
+    ToricModel,
     blaschke_enumerate,
     brane_algebra,
     clifford_algebra,
@@ -208,70 +209,108 @@ def test_divisor_equation_both_kinds():
                 assert divisor_equation_check(W, y)
 
 
-# --- blaschke classes --------------------------------------------------------------
+# --- disk classes of the polytope ---------------------------------------------------
 
 def test_primitive_disk_index_and_area():
-    cls = BlaschkeClass((1, 0, 0), (F(1, 3), F(1, 3), F(1, 3)))
-    assert cls.index == 2
-    assert cls.area == F(1, 3)
+    model = ToricModel.simplex(2)
+    assert model.index((1, 0, 0)) == 2
+    assert model.area((1, 0, 0)) == F(1, 3)
 
 
 def test_full_degree_vector():
-    areas = tuple(F(1, 4) for _ in range(4))
-    cls = BlaschkeClass((1, 1, 1, 1), areas)
-    assert cls.index == 2 * 4
-    assert cls.area == 1
+    model = ToricModel.simplex(3)
+    assert model.index((1, 1, 1, 1)) == 2 * 4
+    assert model.area((1, 1, 1, 1)) == 1
 
 
 def test_index_area_additive():
     rng = random.Random(4)
-    areas = tuple(F(rng.randint(1, 5), 7) for _ in range(4))
+    normals = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1))
+    model = ToricModel(normals, tuple(F(rng.randint(1, 5), 7) for _ in range(4)))
     for _ in range(50):
-        u = BlaschkeClass(tuple(rng.randint(0, 3) for _ in range(4)), areas)
-        v = BlaschkeClass(tuple(rng.randint(0, 3) for _ in range(4)), areas)
-        w = u + v
-        assert w.index == u.index + v.index
-        assert w.area == u.area + v.area
+        u = tuple(rng.randint(0, 3) for _ in range(4))
+        v = tuple(rng.randint(0, 3) for _ in range(4))
+        w = tuple(a + b for a, b in zip(u, v))
+        assert model.index(w) == model.index(u) + model.index(v)
+        assert model.area(w) == model.area(u) + model.area(v)
 
 
 def test_monotone_when_areas_equal():
-    eps = F(2, 7)
-    areas = tuple(eps for _ in range(5))
+    # the simplex at its barycentre is monotone: area = index / (2 (n + 1))
+    model = ToricModel.simplex(4)
     rng = random.Random(9)
     for _ in range(30):
-        cls = BlaschkeClass(tuple(rng.randint(0, 3) for _ in range(5)), areas)
-        assert cls.area * 2 == eps * cls.index
+        k = tuple(rng.randint(0, 3) for _ in range(5))
+        assert model.area(k) * 2 * 5 == model.index(k)
+
+
+def test_blowup_cuts_the_first_vertex():
+    cut = ToricModel.simplex(3).blowup(F(1, 10))
+    assert cut.normals[:4] == ToricModel.simplex(3).normals
+    assert cut.normals[4] == (1, 1, 1)
+    assert cut.levels[4] == F(3, 4) - F(1, 10)
+    with pytest.raises(ValueError, match="inside the polytope"):
+        ToricModel.simplex(3).blowup(F(3, 4))
+
+
+def test_clifford_torus_monomials_are_the_simplex_facets():
+    # the hand-written potential q^{1/(n+1)} (y_1 + ... + y_n + 1/(y_1 ... y_n))
+    for n in range(1, 7):
+        coeff = N.q_power(F(1, n + 1))
+        monos = tuple((tuple(int(i == j) for j in range(n)), coeff) for i in range(n))
+        monos += (((-1,) * n, coeff),)
+        W = PotentialFunction.clifford_torus(n)
+        assert W.monomials == monos
+        assert W.order == n + 1
 
 
 def zk_constraint(n: int, k: int) -> frozenset:
     """Vanishing components forced by a marked point on the k-dimensional
     cycle inside the exceptional locus: the last ``n - k`` of the ``n + 1``
-    coordinates."""
+    facets."""
     return frozenset(range(k + 1, n + 1))
 
 
 def test_zk_constraint_minimal_class():
-    mins = blaschke_enumerate(2, [F(1, 10)] * 3, 2, [zk_constraint(2, 1)])
-    assert len(mins) == 1
-    assert mins[0].degrees == (0, 0, 1)
-    assert mins[0].index == 2
-    assert mins[0].area == F(1, 10)
+    model = ToricModel.simplex(2)
+    mins = blaschke_enumerate(model, 2, [zk_constraint(2, 1)])
+    assert mins == [(0, 0, 1)]
+    assert model.index(mins[0]) == 2
+    assert model.area(mins[0]) == F(1, 3)
 
 
 def test_zk_constraint_index():
     for n in (3, 4):
+        model = ToricModel.simplex(n)
         for k in range(1, n):
             constraint = zk_constraint(n, k)
-            classes = blaschke_enumerate(n, [F(1)] * (n + 1), 2 * (n - k), [constraint])
-            minimal = min(classes, key=lambda c: c.index)
-            assert minimal.index == 2 * (n - k)
-            assert all(minimal.degrees[i] == 1 for i in constraint)
+            classes = blaschke_enumerate(model, 2 * (n - k), [constraint])
+            minimal = min(classes, key=model.index)
+            assert model.index(minimal) == 2 * (n - k)
+            assert all(minimal[i] == 1 for i in constraint)
 
 
 def test_enumeration_respects_cap():
-    classes = blaschke_enumerate(2, [F(1, 3)] * 3, 4)
-    assert all(c.index <= 4 for c in classes)
-    assert BlaschkeClass((0, 0, 0), tuple([F(1, 3)] * 3)) in classes
+    model = ToricModel.simplex(2)
+    classes = blaschke_enumerate(model, 4)
+    assert all(model.index(k) <= 4 for k in classes)
+    assert (0, 0, 0) in classes
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_enumeration_matches_brute_force(n):
+    model = ToricModel.simplex(n)
+    facets = n + 1
+    constraint_sets = [[], [frozenset({0})], [frozenset(range(n)), frozenset({n})],
+                       [frozenset(range(facets)), frozenset({0})]]
+    for index_cap in range(0, 2 * facets + 3):
+        for constraints in constraint_sets:
+            need = [sum(i in c for c in constraints) for i in range(facets)]
+            brute = [k for k in itertools.product(range(index_cap // 2 + 1), repeat=facets)
+                     if model.index(k) <= index_cap
+                     and all(d >= r for d, r in zip(k, need))]
+            brute.sort(key=lambda k: (model.index(k), k))
+            assert blaschke_enumerate(model, index_cap, constraints) == brute
 
 
 def test_divisor_equation_zero_pairing_direction():
