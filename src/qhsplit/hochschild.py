@@ -31,8 +31,11 @@ the (normalized) Hochschild complex isomorphically onto the complex of that
 algebra, which is defined over ``Q(zeta)``.  Rank does not change under the
 field extension from ``Q(zeta)`` to the Novikov field, so when every object
 has weights the ranks are computed exactly over ``Q(zeta)``: no q-exponent,
-no cutoff and no truncation (Loday, *Cyclic Homology*, 1.1).  Any other
-category is ranked over the truncated Novikov scalars.
+no cutoff and no truncation (Loday, *Cyclic Homology*, 1.1).  ``linalg``
+takes those ranks on integers: the power-basis coordinates of ``zeta^k r``,
+``k < phi = euler_phi(order)``, span over Q what the boundary rows ``r`` span
+over ``Q(zeta)``, so the rank over ``Q(zeta)`` is their rank over Q over
+``phi``.  Any other category is ranked over the truncated Novikov scalars.
 """
 
 from __future__ import annotations

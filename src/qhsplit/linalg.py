@@ -1,14 +1,17 @@
 """Sparse exact linear algebra over truncated Novikov scalars.
 
-Rank computations use Gaussian elimination over either scalar kind: truncated
-Novikov scalars, or exact cyclotomic numbers (the coefficient field, where
-every entry has valuation 0).  A Novikov entry qualifies as a pivot only if
-its valuation lies strictly below the working cutoff; rows whose surviving
-entries all sit at or above the cutoff are counted as cutoff-limited rather
-than silently treated as zero.  Among the qualifying entries the pivot has
-the least valuation, then the fewest input rows in its column.
-Determinants use a division-free expansion over column subsets, with no
-size limit and no scalar inverse.
+Ranks are taken by Gaussian elimination.  A Novikov entry qualifies as a
+pivot only if its valuation lies strictly below the working cutoff; rows
+whose surviving entries all sit at or above the cutoff are counted as
+cutoff-limited rather than silently treated as zero.  Among the qualifying
+entries the pivot has the least valuation, then the fewest input rows in its
+column.  Rows over a cyclotomic field ``K = Q(zeta)`` are exact and ranked
+on integers: with ``phi = euler_phi(order)``, ``1, zeta, ..., zeta^(phi-1)``
+is a Q-basis of ``K``, so the power-basis coordinate rows of ``zeta^k r``
+(``k < phi``) span over Q what the rows ``r`` span over ``K``, and the K-rank
+is their Q-rank over ``phi``, found by fraction-free elimination (Bareiss,
+Math. Comp. 22, 1968).  Determinants use a division-free expansion over
+column subsets, with no size limit and no scalar inverse.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from .novikov import DEFAULT_CUTOFF, CyclotomicNumber, NovikovElement
+from .novikov import DEFAULT_CUTOFF, CyclotomicNumber, NovikovElement, _power_table, euler_phi
 
 Row = dict[int, NovikovElement]
 
@@ -29,26 +32,22 @@ def _clean(row: Row) -> Row:
 def row_reduce(rows, cutoff: Fraction | None = None):
     """Reduce rows against each other; returns (rank, pivots, cutoff_limited).
 
-    The entries are all ``NovikovElement``s or all ``CyclotomicNumber``s;
-    cyclotomic rows are first brought to one order.  ``pivots`` maps pivot
-    column -> normalized row (pivot entry 1).  Rows are processed in order,
-    and each row's pivot is its entry with the least key ``(valuation, number
-    of input rows with an entry in that column, column index)``, so the result
-    is deterministic and sparse columns are eliminated first, which keeps the
-    fill-in down.  A cyclotomic entry has valuation 0 and is never at or above
-    the cutoff, so cyclotomic rows are never cutoff-limited.
+    The entries are all ``NovikovElement``s or all ``CyclotomicNumber``s.
+    For Novikov rows ``pivots`` maps pivot column -> normalized row (pivot
+    entry 1).  Rows are processed in order, and each row's pivot is its entry
+    with the least key ``(valuation, number of input rows with an entry in
+    that column, column index)``, so the result is deterministic and sparse
+    columns are eliminated first, which keeps the fill-in down.  For
+    cyclotomic rows ``pivots`` maps a column of the realified integer rows to
+    a primitive integer row, and the rank is over their field.
     """
     if cutoff is None:
         cutoff = DEFAULT_CUTOFF
     cutoff = Fraction(cutoff)
     rows = [_clean(dict(row)) for row in rows]
     entries = Counter(c for row in rows for c in row)
-    orders = {v.order for row in rows for v in row.values()
-              if isinstance(v, CyclotomicNumber)}
-    if orders:
-        order = math.lcm(*orders)
-        rows = [{c: v.to_order(order) for c, v in row.items()} for row in rows]
-        one = CyclotomicNumber.one(order)
+    if any(isinstance(v, CyclotomicNumber) for row in rows for v in row.values()):
+        return _field_row_reduce(rows, entries)
     # Invariant: every stored pivot row has a 1 in its pivot column and no
     # entry in any other pivot column (reduced row echelon form), so one pass
     # suffices to reduce an incoming row.
@@ -71,22 +70,15 @@ def row_reduce(rows, cutoff: Fraction | None = None):
             r.pop(col, None)
         if not r:
             continue
-        if orders:
-            # an exact entry has valuation 0, below any cutoff
-            col = min(r, key=lambda c: (entries[c], c))
-            inv = r[col].inverse()
-            unit = one
-        else:
-            candidates = [(val, entries[c], c) for c, v in r.items()
-                          if (val := v.val_q()) < cutoff]
-            if not candidates:
-                cutoff_limited = True
-                continue
-            col = min(candidates)[2]
-            inv = r[col].invert(cutoff - min(r[col].val_q(), 0) + 1)
-            unit = NovikovElement.one(inv.cutoff)
+        candidates = [(val, entries[c], c) for c, v in r.items()
+                      if (val := v.val_q()) < cutoff]
+        if not candidates:
+            cutoff_limited = True
+            continue
+        col = min(candidates)[2]
+        inv = r[col].invert(cutoff - min(r[col].val_q(), 0) + 1)
         normalized = {c: v * inv for c, v in r.items()}
-        normalized[col] = unit
+        normalized[col] = NovikovElement.one(inv.cutoff)
         normalized = _clean(normalized)
         # back-substitute the new pivot column out of the existing pivots
         for prow in pivots.values():
@@ -97,6 +89,57 @@ def row_reduce(rows, cutoff: Fraction | None = None):
         pivots[col] = normalized
         rank += 1
     return rank, pivots, cutoff_limited
+
+
+def _eliminate(target: dict, source: dict, col) -> None:
+    # target <- (a target - b source) / gcd in place; a / b = source[col] / target[col]
+    g = math.gcd(source[col], target[col])
+    a, b = source[col] // g, target[col] // g
+    if a != 1:
+        for c, v in target.items():
+            target[c] = a * v
+    for c, v in source.items():
+        if nxt := target.get(c, 0) - b * v:
+            target[c] = nxt
+        else:
+            del target[c]
+    if (g := math.gcd(*target.values())) > 1:
+        for c, v in target.items():
+            target[c] = v // g
+
+
+def _field_row_reduce(rows, entries: Counter):
+    """K-rank of cyclotomic rows on integers; column ``c`` becomes ``c * phi + i``."""
+    order = math.lcm(*(v.order for row in rows for v in row.values()))
+    phi = euler_phi(order)
+    zeta_phi = _power_table(order, phi)[phi]
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = {c: v.to_order(order) for c, v in row.items()}
+        den = math.lcm(*(v.den for v in row.values()))
+        coords = {c: [n * (den // v.den) for n in v.num] for c, v in row.items()}
+        for _ in range(phi):
+            r = {c * phi + i: n for c, vec in coords.items() for i, n in enumerate(vec) if n}
+            for col in r.keys() & pivots.keys():
+                _eliminate(r, pivots[col], col)
+            if not r:  # the pivots span a K-space, so r's zeta-multiples go too
+                break
+            col = min(r, key=lambda c: (entries[c // phi], c))
+            g = math.gcd(*r.values()) * (1 if r[col] > 0 else -1)
+            r = {c: v // g for c, v in r.items()}
+            for prow in pivots.values():  # back-substitute
+                if col in prow:
+                    _eliminate(prow, r, col)
+            pivots[col] = r
+            for vec in coords.values():  # times zeta: shift, reduce by Phi
+                top = vec.pop()
+                vec.insert(0, 0)
+                for i, x in zeta_phi:
+                    vec[i] += top * x
+    rank, rest = divmod(len(pivots), phi)
+    if rest:
+        raise ArithmeticError(f"Q-rank {len(pivots)} is not a multiple of phi = {phi}")
+    return rank, pivots, False
 
 
 def determinant(matrix: list[list[NovikovElement]]) -> NovikovElement:

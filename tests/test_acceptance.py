@@ -33,6 +33,18 @@ def test_criterion_01_novikov_field_axioms(results):
     _check(results, 1)
 
 
+def test_criterion_01_fails_on_a_product_that_drops_its_top_term():
+    # dropping the highest-exponent term of a product of three elements
+    # depends on how they are bracketed
+    def mul(x, y):
+        product = x * y
+        return NovikovElement(product.terms[:-1], product.cutoff)
+
+    result = acceptance.criterion_1(mul)
+    assert not result.passed
+    assert result.line() == "[FAIL]  1 novikov field axioms: associativity broke"
+
+
 def test_criterion_02_tree_census(results):
     _check(results, 2)
 

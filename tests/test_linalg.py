@@ -6,7 +6,7 @@ import pytest
 
 from linalg_reference import permutation_determinant
 from qhsplit import linalg
-from qhsplit.novikov import CyclotomicNumber as C, NovikovElement as N
+from qhsplit.novikov import CyclotomicNumber as C, NovikovElement as N, euler_phi
 
 
 def test_rank_identity_and_singular():
@@ -57,16 +57,74 @@ def test_pivot_is_the_least_valuation_then_the_sparsest_column():
 
 
 def test_row_reduce_over_the_coefficient_field():
-    # cyclotomic rows of mixed orders are ranked exactly, at one order
+    # cyclotomic rows of mixed orders are ranked exactly over Q(zeta_3), on
+    # the realified integer rows: two per row, since phi(3) = 2
     zeta = C.root_of_unity(3)
     rows = [{0: C.one(), 1: zeta}, {0: zeta, 1: zeta * zeta}, {1: C.from_rational(2), 2: zeta}]
     rank, pivots, limited = linalg.row_reduce(rows, F(0))
     assert (rank, limited) == (2, False)
-    assert {v.order for row in pivots.values() for v in row.values()} == {3}
+    assert len(pivots) == 2 * 2
     for col, row in pivots.items():
-        assert row[col] == C.one()
+        assert all(type(v) is int and v for v in row.values())
+        assert math.gcd(*row.values()) == 1
+        assert row[col] > 0
+        assert not row.keys() & (pivots.keys() - {col})
     novikov = [{c: N.from_cyclotomic(v) for c, v in row.items()} for row in rows]
     assert linalg.row_reduce(novikov)[0] == rank
+
+
+FIELD_ORDERS = (1, 2, 3, 4, 5, 8, 12)
+
+
+def random_field_rows(seed):
+    """Seeded cyclotomic rows with planted dependencies over the field.
+
+    Each dependent row is a combination of independent rows with random
+    coefficients of the field, irrational where the field is not Q, so that
+    the rows are independent over Q but not over the field.  Entries are
+    stored at divisors of the order as well, rational ones at order 1.
+    """
+    rng = random.Random(seed)
+    order = FIELD_ORDERS[seed % len(FIELD_ORDERS)]
+    divisors = [d for d in range(1, order + 1) if order % d == 0]
+
+    def scalar():
+        d = rng.choice(divisors)
+        return C(d, [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(euler_phi(d))])
+
+    def irrational():
+        # zeta^k (a + zeta) has a nonzero zeta-coordinate when phi > 1
+        a = C.from_rational(rng.randint(-2, 2))
+        return C.root_of_unity(order, rng.randrange(order)) * (a + C.root_of_unity(order))
+
+    cols = rng.randint(2, 6)
+    base = [{c: scalar() for c in range(cols) if rng.random() < 0.7}
+            for _ in range(rng.randint(1, cols))]
+    dependent = []
+    for _ in range(rng.randint(1, 3)):
+        row = {}
+        for source in rng.sample(base, rng.randint(1, len(base))):
+            coeff = irrational()
+            for c, v in source.items():
+                row[c] = row[c] + coeff * v if c in row else coeff * v
+        dependent.append(row)
+    rows = base + dependent
+    rng.shuffle(rows)
+    return order, rows
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_field_ranks_match_the_novikov_ranks(block):
+    # ranks of the realified integer rows over phi against the elimination
+    # over the field itself, through the Novikov scalars
+    for seed in range(50 * block, 50 * block + 50):
+        order, rows = random_field_rows(seed)
+        rank, pivots, limited = linalg.row_reduce(rows)
+        novikov = [{c: N.from_cyclotomic(v) for c, v in row.items()} for row in rows]
+        expected, _, novikov_limited = linalg.row_reduce(novikov)
+        assert not limited and not novikov_limited, seed
+        assert rank == expected < len(rows), (seed, order)
+        assert len(pivots) == rank * euler_phi(order), seed
 
 
 def test_determinant_known_values():
