@@ -6,6 +6,7 @@ seeds so the whole suite is deterministic.
 
 from __future__ import annotations
 
+import itertools
 import json
 import operator
 import random
@@ -146,44 +147,37 @@ def criterion_3(brane_algebra=toric.brane_algebra) -> CriterionResult:
 
 
 def criterion_4(critical_points=toric.critical_points) -> CriterionResult:
-    """Critical points that ``critical_points`` returns, their Hessian shape
-    and determinant, both kinds."""
-    for n in range(1, 7):
-        potential = toric.PotentialFunction.clifford_torus(n)
+    """Critical points that ``critical_points`` returns, their Hessian
+    determinant and entries against the closed forms, both kinds.
+
+    At the k-th point the Hessian is ``x (I + J)`` with
+    ``x = q^{1/(n+1)} zeta^k`` on P^n and ``x (I - J)`` with
+    ``x = q^eps eta^k`` on the exceptional family, of determinant
+    ``(n + 1) x^n`` and ``(1 - n) x^n``.
+    """
+    eps = Fraction(1, 10)
+    families = [(f"P^{n}", toric.PotentialFunction.clifford_torus(n), Fraction(1, n + 1), 1)
+                for n in range(1, 7)]
+    families += [(f"exceptional n={n}", toric.PotentialFunction.exceptional(n, eps), eps, -1)
+                 for n in range(2, 7)]
+    for name, potential, weight, sign in families:
+        n = potential.n
         points = critical_points(potential)
-        if len(points) != n + 1:
-            return CriterionResult(4, "critical points", False, f"P^{n} count")
-        zeta = CyclotomicNumber.root_of_unity(n + 1)
+        if len(points) != potential.order:
+            return CriterionResult(4, "critical points", False, f"{name} count")
+        root = CyclotomicNumber.root_of_unity(potential.order)
         for k, y in enumerate(points):
             h = toric.hessian(potential, y)
-            shape = _hessian_shape(h)
-            if shape != "identity-plus-ones":
-                return CriterionResult(4, "critical points", False,
-                                       f"P^{n} hessian shape {shape}")
             det = linalg.determinant(h)
-            expected = NovikovElement.monomial(
-                Fraction(n, n + 1), zeta ** (k * n) * (n + 1))
+            expected = NovikovElement.monomial(n * weight, root ** (k * n) * (1 + sign * n))
             if det != expected:
                 return CriterionResult(4, "critical points", False,
-                                       f"P^{n} det {det} != {expected}")
-    for n in range(2, 7):
-        eps = Fraction(1, 10)
-        potential = toric.PotentialFunction.exceptional(n, eps)
-        points = critical_points(potential)
-        if len(points) != n - 1:
-            return CriterionResult(4, "critical points", False, f"exceptional n={n} count")
-        aleph = CyclotomicNumber.root_of_unity(n - 1)
-        for k, y in enumerate(points):
-            h = toric.hessian(potential, y)
-            shape = _hessian_shape(h)
-            if shape != "identity-minus-ones":
-                return CriterionResult(4, "critical points", False,
-                                       f"exceptional n={n} hessian shape {shape}")
-            det = linalg.determinant(h)
-            expected = NovikovElement.monomial(n * eps, aleph ** (k * n) * (1 - n))
-            if det != expected:
-                return CriterionResult(4, "critical points", False,
-                                       f"exceptional n={n} det {det} != {expected}")
+                                       f"{name} det {det} != {expected}")
+            x = NovikovElement.monomial(weight, root ** k)
+            for a, b in itertools.product(range(n), repeat=2):
+                if h[a][b] != x * ((a == b) + sign):
+                    return CriterionResult(4, "critical points", False,
+                                           f"{name} hessian entry ({a},{b})")
     return CriterionResult(
         4, "critical points", True,
         "counts n+1 / n-1 with exact roots and vanishing gradients; "
@@ -191,37 +185,26 @@ def criterion_4(critical_points=toric.critical_points) -> CriterionResult:
         "[exceptional], determinants (n+1)/(1-n) times unit q-powers")
 
 
-def _hessian_shape(h) -> str:
-    """Classify a symmetric matrix as unit*(I+J), unit*(I-J), or other."""
-    n = len(h)
-    for a in range(n):
-        for b in range(n):
-            if h[a][b] != h[b][a]:
-                return "asymmetric"
-    if n == 1:
-        return "identity-plus-ones" if not h[0][0].is_zero() else "degenerate"
-    off = h[0][1]
-    for a in range(n):
-        for b in range(n):
-            if a != b and h[a][b] != off:
-                return "irregular"
-    diag = h[0][0]
-    for a in range(n):
-        if h[a][a] != diag:
-            return "irregular"
-    if diag == off + off:
-        return "identity-plus-ones"
-    if diag.is_zero():
-        return "identity-minus-ones"
-    return "other"
+def criterion_5(brane_algebra=toric.brane_algebra) -> CriterionResult:
+    """Divisor equation on the algebras ``brane_algebra`` builds at every
+    critical point, both kinds, n = 1..4: the unit component of
+    ``m_2(e_a, e_b) + m_2(e_b, e_a)`` is the Hessian entry ``H_ab``.
 
-
-def criterion_5() -> CriterionResult:
-    """Divisor equation on all degree-one pairs, both kinds, n = 1..4."""
+    With ``m_2(x, y) = (-1)^{|x|} x y`` that component is ``-2 Q_ab``, and
+    ``Q = -H/2``.
+    """
     count = 0
+    zero = NovikovElement.zero()
     for kind, n, k, potential, y in _brane_algebras(4):
-        if not toric.divisor_equation_check(potential, y):
-            return CriterionResult(5, "divisor equation", False, f"{kind} n={n} k={k}")
+        algebra = brane_algebra(potential, y)
+        h = toric.hessian(potential, y)
+        gens = [algebra.basis.index(f"e{a + 1}") for a in range(n)]
+        for a, b in itertools.product(range(n), repeat=2):
+            symmetrized = (algebra.m_basis((gens[a], gens[b])).get(algebra.unit, zero)
+                           + algebra.m_basis((gens[b], gens[a])).get(algebra.unit, zero))
+            if symmetrized != h[a][b]:
+                return CriterionResult(5, "divisor equation", False,
+                                       f"{kind} n={n} k={k} entry ({a},{b})")
         count += 1
     return CriterionResult(5, "divisor equation", True,
                            f"{count} critical points, all degree-one pairs, exact")

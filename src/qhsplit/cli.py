@@ -122,6 +122,10 @@ def cmd_hh_dims(args) -> int:
     if report.cutoff_limited:
         # a rank taken at the scalar cutoff is not a dimension to rely on
         header += " cutoff_limited=true"
+    if report.rank_cutoff is not None:
+        header += f" rank_cutoff={format_rational(report.rank_cutoff)}"
+    if not report.graded:
+        header += " graded=false"
     lines = [header, "degree,dimension,stable"]
     for degree in sorted(report.dims):
         lines.append(f"{degree},{report.dims[degree]},{str(report.stable).lower()}")

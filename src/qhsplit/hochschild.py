@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import ainfty, linalg
 from .ainfty import AInftyAlgebra
@@ -151,6 +152,7 @@ class HomologyReport:
     cutoff_limited: bool = False
     graded: bool = True
     max_length: int = 0
+    rank_cutoff: Fraction | None = None  # of the Novikov ranks; None over the field
 
     def total(self) -> int:
         return sum(self.dims.values())
@@ -166,8 +168,8 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6) -> Homology
     nothing.  Otherwise the truncated subcomplex is used and the result is
     flagged as an unstable truncation.  Ranks are taken on the normalized
     complex where it applies, exactly over the coefficient field when every
-    algebra is q-homogeneous and at ``DEFAULT_CUTOFF`` otherwise (see the
-    module docstring).
+    algebra is q-homogeneous and at ``DEFAULT_CUTOFF``, recorded as
+    ``rank_cutoff``, otherwise (see the module docstring).
     """
     if max_length < 2:
         raise ValueError(f"the truncation length must be at least 2, got {max_length}")
@@ -244,4 +246,5 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6) -> Homology
         stable = False
     return HomologyReport(dims=dims, stable=stable, per_length=per_length,
                           cutoff_limited=cutoff_limited, graded=graded,
-                          max_length=max_length)
+                          max_length=max_length,
+                          rank_cutoff=None if rescaled else DEFAULT_CUTOFF)

@@ -3,9 +3,11 @@
 Ranks are taken by Gaussian elimination.  A Novikov entry qualifies as a
 pivot only if its valuation lies strictly below the working cutoff; rows
 whose surviving entries all sit at or above the cutoff are counted as
-cutoff-limited rather than silently treated as zero.  Among the qualifying
-entries the pivot has the least valuation, then the fewest input rows in its
-column.  Rows over a cyclotomic field ``K = Q(zeta)`` are exact and ranked
+cutoff-limited rather than silently treated as zero.  So is any rank taken
+from a truncated entry or through a non-monomial pivot, whose inverse is a
+truncated series: both hide terms the elimination cannot see.  Among the
+qualifying entries the pivot has the least valuation, then the fewest input
+rows in its column.  Rows over a cyclotomic field ``K = Q(zeta)`` are exact and ranked
 on integers: with ``phi = euler_phi(order)``, ``1, zeta, ..., zeta^(phi-1)``
 is a Q-basis of ``K``, so the power-basis coordinate rows of ``zeta^k r``
 (``k < phi``) span over Q what the rows ``r`` span over ``K``, and the K-rank
@@ -53,7 +55,7 @@ def row_reduce(rows, cutoff: Fraction | None = None):
     # suffices to reduce an incoming row.
     pivots: dict[int, Row] = {}
     rank = 0
-    cutoff_limited = False
+    cutoff_limited = any(v.truncated for row in rows for v in row.values())
 
     def subtract(target: Row, coeff, source: Row):
         for c, v in source.items():
@@ -77,6 +79,7 @@ def row_reduce(rows, cutoff: Fraction | None = None):
             continue
         col = min(candidates)[2]
         inv = r[col].invert(cutoff - min(r[col].val_q(), 0) + 1)
+        cutoff_limited = cutoff_limited or inv.truncated
         normalized = {c: v * inv for c, v in r.items()}
         normalized[col] = NovikovElement.one(inv.cutoff)
         normalized = _clean(normalized)

@@ -136,10 +136,12 @@ def bulk_shift_perturbation(n: int, eps) -> tuple[OCMatrix, Fraction]:
     """Leading open-closed matrix under a point bulk shift of weight ``-eps``.
 
     The leading part is the projective matrix; corrections come from disks
-    forced through the shifted point, whose minimal extra valuation is found
-    by enumerating the disk classes of ``toric.ToricModel.simplex(n)`` with
-    the point constraint (one insertion; the point sits at a toric fixed
-    point and forces ``n`` additional roots).
+    of ``toric.ToricModel.simplex(n)`` forced through the shifted point and
+    the cycle of their row.  The point sits at the toric fixed point of the
+    first ``n`` facets and ``Z_b`` meets the last ``b``; each constraint
+    raises the least degree of its facets by one, and the levels are
+    positive, so the least constrained class has degree on each facet the
+    number of constraints containing it.
     Returns the leading matrix and the exact minimal correction valuation.
     """
     if n < 2:
@@ -149,20 +151,7 @@ def bulk_shift_perturbation(n: int, eps) -> tuple[OCMatrix, Fraction]:
         raise ValueError("shift too large")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    leading = oc_matrix(n, PROJECTIVE)
     model = toric.ToricModel.simplex(n)
-    point_constraint = frozenset(range(n))  # all but the last facet
-    best: Fraction | None = None
-    for b in range(1, n + 1):
-        row_constraint = frozenset(range(n + 1 - b, n + 1))
-        classes = toric.blaschke_enumerate(
-            model, index_cap=2 * (n + b + 1),
-            constraints=[row_constraint, point_constraint])
-        if not classes:
-            continue
-        val = min(model.area(k) for k in classes) - eps
-        if best is None or val < best:
-            best = val
-    if best is None:
-        raise AssertionError("no constrained disks found")
-    return leading, best
+    least = min(model.area([(i < n) + (i > n - b) for i in range(n + 1)])
+                for b in range(1, n + 1))
+    return oc_matrix(n, PROJECTIVE), least - eps

@@ -80,32 +80,6 @@ class ToricModel:
         return sum((d * level for d, level in zip(k, self.levels)), Fraction(0))
 
 
-def blaschke_enumerate(model: ToricModel, index_cap: int, constraints=None) -> list[tuple]:
-    """All degree tuples of ``model`` with index at most the cap, meeting the
-    constraints, sorted by index and then degrees.
-
-    Each constraint is a set of facet indices (0-based) forced to vanish at
-    one marked point, so it raises the minimal degree of those facets by one.
-    """
-    if index_cap < 0:
-        raise ValueError("index cap must be nonnegative")
-    required = [0] * len(model.normals)
-    for constraint in constraints or ():
-        for i in constraint:
-            required[i] += 1
-    out = []
-
-    def fill(pos, remaining, prefix):
-        if pos == len(required):
-            out.append(prefix)
-            return
-        for d in range(required[pos], remaining + 1):
-            fill(pos + 1, remaining - d, prefix + (d,))
-
-    fill(0, index_cap // 2, ())
-    return sorted(out, key=lambda k: (sum(k), k))
-
-
 # ---------------------------------------------------------------------------
 # potential functions
 
@@ -284,32 +258,3 @@ def brane_quadratic_form(h):
 
 def brane_algebra(potential: PotentialFunction, y: tuple) -> AInftyAlgebra:
     return clifford_algebra(brane_quadratic_form(hessian(potential, y)), potential.n)
-
-
-# ---------------------------------------------------------------------------
-# checks
-
-
-def divisor_equation_check(potential: PotentialFunction, y: tuple) -> bool:
-    """Two routes to the symmetrized degree-one products must agree.
-
-    Route one sums, class by class, the product of boundary pairings times
-    the class contribution to the curvature.  Route two differentiates the
-    potential twice symbolically and evaluates.  Both are computed for every
-    pair of degree-one directions.
-    """
-    if not potential.is_critical(y):
-        raise ValueError("checked at critical points only")
-    n = potential.n
-    for a in range(n):
-        for b in range(n):
-            per_class = NovikovElement.zero()
-            for exp, coeff in potential.monomials:
-                pairing = exp[a] * exp[b]
-                if pairing:
-                    per_class = per_class + (coeff * _power_product(y, exp)
-                                             * NovikovElement.from_rational(pairing))
-            symbolic = potential.log_derivative(a).log_derivative(b).evaluate(y)
-            if per_class != symbolic:
-                return False
-    return True

@@ -5,6 +5,7 @@ through the command line twice and compares bytes.
 """
 
 import dataclasses
+import hashlib
 import inspect
 import itertools
 import subprocess
@@ -161,6 +162,36 @@ def test_criterion_05_divisor_equation(results):
     _check(results, 5)
 
 
+def test_criterion_05_fails_on_a_flipped_quadratic_form():
+    # Q = +H/2 makes every symmetrized degree-one product -H
+    def brane_algebra(potential, y):
+        form = toric.brane_quadratic_form(toric.hessian(potential, y))
+        return toric.clifford_algebra([[-entry for entry in row] for row in form],
+                                      potential.n)
+
+    result = acceptance.criterion_5(brane_algebra)
+    assert not result.passed
+    assert result.line() == "[FAIL]  5 divisor equation: projective n=1 k=0 entry (0,0)"
+
+
+def test_criterion_05_fails_on_one_negated_m2_entry():
+    # m_2(e2, e1) negated at the last critical point only: its unit
+    # component is the whole of the symmetrized (0, 1) entry, since
+    # m_2(e1, e2) = -e12 has none
+    def brane_algebra(potential, y):
+        algebra = toric.brane_algebra(potential, y)
+        if (potential.order, potential.n) != (3, 4) or y != toric.critical_points(potential)[2]:
+            return algebra
+        e1, e2 = algebra.basis.index("e1"), algebra.basis.index("e2")
+        tensors = {d: dict(entries) for d, entries in algebra.tensors.items()}
+        tensors[2][(e2, e1)] = {o: -value for o, value in tensors[2][(e2, e1)].items()}
+        return AInftyAlgebra(algebra.basis, algebra.degrees, tensors, unit=algebra.unit)
+
+    result = acceptance.criterion_5(brane_algebra)
+    assert not result.passed
+    assert result.line() == "[FAIL]  5 divisor equation: exceptional n=4 k=2 entry (0,1)"
+
+
 def test_criterion_06_hochschild_one_dimensional(results):
     _check(results, 6)
 
@@ -307,6 +338,13 @@ def test_criterion_13_fails_on_a_payload_that_changes():
     result = acceptance.criterion_13(lambda: str(next(calls)))
     assert not result.passed
     assert result.line() == "[FAIL] 13 determinism: reports differ between runs"
+
+
+def test_verify_all_report_bytes_are_pinned(results):
+    # the sha256 of what `python -m qhsplit verify-all` prints
+    table = acceptance.summary_table([results[number] for number in sorted(results)])
+    assert hashlib.sha256(table.encode("utf-8")).hexdigest() == (
+        "22146515534a944d5b69d4e9f70ae1b666a6af68a4e9b7e396c3178e200cb97a")
 
 
 def test_verify_all_cli_runs_are_byte_identical(tmp_path):

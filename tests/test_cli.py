@@ -306,10 +306,10 @@ def test_hh_dims_rejects_lengths_below_two(tmp_path, length):
     assert result.stdout == ""
 
 
-def _write_clifford_rank2(tmp_path, square):
-    # the rank-2 Clifford algebra with e * e = square
+def _write_clifford(tmp_path, form):
+    # the Clifford algebra of the quadratic form
     from qhsplit import toric
-    alg = toric.clifford_algebra([[square]], 1)
+    alg = toric.clifford_algebra(form, len(form))
     path = tmp_path / "algebra.json"
     path.write_text(json.dumps(alg.to_json_dict()), encoding="utf-8")
     return path
@@ -320,25 +320,56 @@ def test_hh_dims_flags_cutoff_limited_ranks(tmp_path):
     # truncated scalars; its structure constants sit above the default
     # cutoff 3, so the ranks are taken modulo terms the scalars cannot see
     from qhsplit.novikov import NovikovElement
-    path = _write_clifford_rank2(
-        tmp_path, NovikovElement.q_power(4) + NovikovElement.q_power(5))
+    path = _write_clifford(
+        tmp_path, [[NovikovElement.q_power(4) + NovikovElement.q_power(5)]])
     result = run_cli("hh", "dims", str(path), "--length", "4")
     assert result.returncode == EXIT_FAILURE
     assert result.stdout.splitlines() == [
-        "# cutoff=inf cyclotomic_order=1 cutoff_limited=true",
+        "# cutoff=inf cyclotomic_order=1 cutoff_limited=true rank_cutoff=3",
         "degree,dimension,stable", "0,3,false", "1,3,false", "total,6,false"]
+
+
+def test_hh_dims_flags_ranks_through_a_truncated_pivot_inverse(tmp_path):
+    # exact entries with no weights: a non-monomial pivot's inverse is cut
+    # at the rank cutoff, which printed an unflagged dimension -1 at length 4
+    from fractions import Fraction
+    from qhsplit.novikov import NovikovElement as N
+    off, top = N.from_rational(2) - N.q_power(1), N.q_power(Fraction(3, 2))
+    form = [[top, off], [off, top - N.q_power(2) * 3]]
+    result = run_cli("hh", "dims", str(_write_clifford(tmp_path, form)), "--length", "5")
+    assert result.returncode == EXIT_FAILURE
+    assert result.stdout.splitlines()[0] == (
+        "# cutoff=inf cyclotomic_order=1 cutoff_limited=true rank_cutoff=3")
 
 
 def test_hh_dims_ranks_homogeneous_constants_exactly(tmp_path):
     # e * e = q^4 is q-homogeneous (e' = q^-2 e squares to 1), so the ranks
     # are exact over the coefficient field however high the valuation
     from qhsplit.novikov import NovikovElement
-    path = _write_clifford_rank2(tmp_path, NovikovElement.q_power(4))
+    path = _write_clifford(tmp_path, [[NovikovElement.q_power(4)]])
     result = run_cli("hh", "dims", str(path), "--length", "4")
     assert result.returncode == EXIT_OK
     assert result.stdout.splitlines() == [
         "# cutoff=inf cyclotomic_order=1",
         "degree,dimension,stable", "0,0,true", "1,1,true", "total,1,true"]
+
+
+
+def test_hh_dims_says_when_the_complex_is_not_length_graded(tmp_path):
+    # m_1(e) = 1 makes the boundary mix word lengths; the complex is acyclic
+    from qhsplit.ainfty import AInftyAlgebra
+    from qhsplit.novikov import NovikovElement as N
+    dga = AInftyAlgebra(["1", "e"], [0, 1],
+                        {1: {(1,): {0: N.one()}},
+                         2: {(0, 0): {0: N.one()}, (0, 1): {1: N.one()}, (1, 0): {1: -N.one()}}},
+                        unit=0)
+    path = tmp_path / "dga.json"
+    path.write_text(json.dumps(dga.to_json_dict()), encoding="utf-8")
+    result = run_cli("hh", "dims", str(path), "--length", "3")
+    assert result.returncode == EXIT_OK
+    assert result.stdout.splitlines() == [
+        "# cutoff=inf cyclotomic_order=1 graded=false",
+        "degree,dimension,stable", "0,0,false", "1,0,false", "total,0,false"]
 
 
 # --- category files ------------------------------------------------------------------

@@ -181,6 +181,18 @@ def test_cutoff_limited_ranks_are_flagged():
     assert not report.stable
 
 
+def test_ranks_through_a_truncated_pivot_inverse_are_flagged():
+    # every entry is exact and there are no weights, but a non-monomial
+    # pivot's inverse is a series cut at the rank cutoff; unflagged, length
+    # 4 showed dimension -1
+    from qhsplit.toric import clifford_algebra
+    off, top = N.from_rational(2) - N.q_power(1), N.q_power(F(3, 2))
+    alg = clifford_algebra([[top, off], [off, top - N.q_power(2) * 3]], 2)
+    report = hochschild_homology_dims(FlatCategory.single(alg), 5)
+    assert report.cutoff_limited
+    assert report.rank_cutoff == 3
+
+
 def test_homogeneous_constants_above_the_cutoff_are_exact():
     # e^2 = q^4: with e' = q^-2 e, e'^2 = 1 over the Novikov field, so the
     # homology is the Clifford algebra's one class in parity 1
@@ -188,7 +200,7 @@ def test_homogeneous_constants_above_the_cutoff_are_exact():
     alg = clifford_algebra([[N.q_power(4)]], 1)
     assert alg.q_weights() == (0, 2)
     report = hochschild_homology_dims(FlatCategory.single(alg), 4)
-    assert not report.cutoff_limited
+    assert not report.cutoff_limited and report.rank_cutoff is None
     assert report.dims == {0: 0, 1: 1}
     assert report.stable
 

@@ -32,6 +32,16 @@ def test_rank_cutoff_limited_rows_not_counted():
     assert limited
 
 
+def test_truncated_entries_and_pivot_inverses_are_cutoff_limited():
+    one, q = N.one(), N.q_power(1)
+    # monomial pivots invert exactly
+    assert not linalg.row_reduce([{0: q, 1: one}, {1: q}])[2]
+    # a truncated input entry, even one the elimination never pivots on
+    assert linalg.row_reduce([{0: one, 1: N.one(cutoff=2)}])[2]
+    # an exact non-monomial pivot, whose inverse is a truncated series
+    assert linalg.row_reduce([{0: one + q}])[2]
+
+
 def test_row_reduce_keeps_reduced_pivots():
     rows = [
         {0: N.one(), 1: N.one()},

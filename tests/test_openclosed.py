@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -197,6 +198,33 @@ def test_bulk_shift_bound_on_grid():
         for eps in (F(1, 10), F(1, 3), F(9, 10)):
             _, extra = oc.bulk_shift_perturbation(n, eps)
             assert extra >= 1 - eps
+
+
+def least_constrained_area(n):
+    """Brute force: the least area of a class of the simplex through the
+    point (the first n facets) and the cycle of a row b (the last b facets),
+    over every class under the index cap 2 (n + b + 1).  A class of index 2m
+    is a multiset of m facets, and a constraint raises by one the least
+    degree of each facet it contains."""
+    model = toric.ToricModel.simplex(n)
+    facets = range(n + 1)
+    areas = []
+    for b in range(1, n + 1):
+        constraints = [set(range(n)), set(range(n + 1 - b, n + 1))]
+        need = [sum(i in c for c in constraints) for i in facets]
+        for m in range(n + b + 2):
+            for word in itertools.combinations_with_replacement(facets, m):
+                k = [word.count(i) for i in facets]
+                if all(d >= r for d, r in zip(k, need)):
+                    areas.append(model.area(k))
+    return min(areas)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_bulk_shift_matches_brute_force(n):
+    least = least_constrained_area(n)
+    for eps in (F(1, 10), F(1, 3), F(9, 10)):
+        assert oc.bulk_shift_perturbation(n, eps)[1] == least - eps
 
 
 def test_bulk_shift_rejects_bad_parameters():

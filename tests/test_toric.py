@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction as F
 
@@ -9,11 +8,9 @@ from qhsplit.novikov import CyclotomicNumber as C, NovikovElement as N
 from qhsplit.toric import (
     PotentialFunction,
     ToricModel,
-    blaschke_enumerate,
     brane_algebra,
     clifford_algebra,
     critical_points,
-    divisor_equation_check,
     hessian,
 )
 
@@ -172,16 +169,32 @@ def test_hessian_clifford_one_dimensional_homology():
 
 # --- divisor equation -------------------------------------------------------------
 
+def symmetrized_unit_part(algebra, a, b):
+    """The unit component of ``m_2(e_a, e_b) + m_2(e_b, e_a)``, which the
+    divisor equation equates with the Hessian entry ``(a, b)``."""
+    ea, eb = algebra.basis.index(f"e{a + 1}"), algebra.basis.index(f"e{b + 1}")
+    return (algebra.m_basis((ea, eb)).get(algebra.unit, N.zero())
+            + algebra.m_basis((eb, ea)).get(algebra.unit, N.zero()))
+
+
+def assert_divisor_equation(W, y):
+    algebra, h = brane_algebra(W, y), hessian(W, y)
+    for a in range(W.n):
+        for b in range(W.n):
+            assert symmetrized_unit_part(algebra, a, b) == h[a][b]
+
+
 def test_divisor_equation_p1():
     W = PotentialFunction.clifford_torus(1)
     for y in critical_points(W):
-        assert divisor_equation_check(W, y)
+        assert_divisor_equation(W, y)
 
 
 def test_divisor_equation_diagonal_entries():
     W = PotentialFunction.clifford_torus(2)
     y = critical_points(W)[0]
-    # the (a, a) case is the equality of diagonal Hessian entries
+    # the (a, a) Hessian entry is the class-by-class sum of the curvature
+    # contributions weighted by the squared boundary pairing
     h = hessian(W, y)
     per_class = N.zero()
     for exp, coeff in W.monomials:
@@ -189,16 +202,16 @@ def test_divisor_equation_diagonal_entries():
             per_class = per_class + coeff * toric._power_product(y, exp) \
                 * N.from_rational(exp[0] * exp[0])
     assert per_class == h[0][0]
-    assert divisor_equation_check(W, y)
+    assert symmetrized_unit_part(brane_algebra(W, y), 0, 0) == h[0][0]
 
 
 def test_divisor_equation_zero_pairings():
-    # a potential with no dependence on one direction pairs to zero with it
+    # the off-diagonal entries: e_1 and e_2 anticommute up to the unit
     W = PotentialFunction.clifford_torus(2)
-    da = W.log_derivative(0).log_derivative(1)
     y = critical_points(W)[0]
-    # evaluated via both routes inside the checker
-    assert divisor_equation_check(W, y)
+    algebra, h = brane_algebra(W, y), hessian(W, y)
+    assert symmetrized_unit_part(algebra, 0, 1) == h[0][1]
+    assert symmetrized_unit_part(algebra, 1, 0) == h[1][0]
 
 
 def test_divisor_equation_both_kinds():
@@ -206,7 +219,7 @@ def test_divisor_equation_both_kinds():
         for W in (PotentialFunction.clifford_torus(n),
                   PotentialFunction.exceptional(n, F(1, 10))):
             for y in critical_points(W):
-                assert divisor_equation_check(W, y)
+                assert_divisor_equation(W, y)
 
 
 # --- disk classes of the polytope ---------------------------------------------------
@@ -264,64 +277,17 @@ def test_clifford_torus_monomials_are_the_simplex_facets():
         assert W.order == n + 1
 
 
-def zk_constraint(n: int, k: int) -> frozenset:
-    """Vanishing components forced by a marked point on the k-dimensional
-    cycle inside the exceptional locus: the last ``n - k`` of the ``n + 1``
-    facets."""
-    return frozenset(range(k + 1, n + 1))
-
-
-def test_zk_constraint_minimal_class():
-    model = ToricModel.simplex(2)
-    mins = blaschke_enumerate(model, 2, [zk_constraint(2, 1)])
-    assert mins == [(0, 0, 1)]
-    assert model.index(mins[0]) == 2
-    assert model.area(mins[0]) == F(1, 3)
-
-
-def test_zk_constraint_index():
-    for n in (3, 4):
-        model = ToricModel.simplex(n)
-        for k in range(1, n):
-            constraint = zk_constraint(n, k)
-            classes = blaschke_enumerate(model, 2 * (n - k), [constraint])
-            minimal = min(classes, key=model.index)
-            assert model.index(minimal) == 2 * (n - k)
-            assert all(minimal[i] == 1 for i in constraint)
-
-
-def test_enumeration_respects_cap():
-    model = ToricModel.simplex(2)
-    classes = blaschke_enumerate(model, 4)
-    assert all(model.index(k) <= 4 for k in classes)
-    assert (0, 0, 0) in classes
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_enumeration_matches_brute_force(n):
-    model = ToricModel.simplex(n)
-    facets = n + 1
-    constraint_sets = [[], [frozenset({0})], [frozenset(range(n)), frozenset({n})],
-                       [frozenset(range(facets)), frozenset({0})]]
-    for index_cap in range(0, 2 * facets + 3):
-        for constraints in constraint_sets:
-            need = [sum(i in c for c in constraints) for i in range(facets)]
-            brute = [k for k in itertools.product(range(index_cap // 2 + 1), repeat=facets)
-                     if model.index(k) <= index_cap
-                     and all(d >= r for d, r in zip(k, need))]
-            brute.sort(key=lambda k: (model.index(k), k))
-            assert blaschke_enumerate(model, index_cap, constraints) == brute
-
-
 def test_divisor_equation_zero_pairing_direction():
     # a potential independent of the second direction pairs to zero with it
     coeff = N.q_power(1)
     W = PotentialFunction(2, (((1, 0), coeff), ((-1, 0), coeff)))
     y = (C.one(), C.root_of_unity(5))  # critical: gradient in y_2 is empty
     assert W.is_critical(y)
-    assert divisor_equation_check(W, y)
     h = hessian(W, y)
     assert h[0][1].is_zero() and h[1][1].is_zero()
+    # so the Hessian is degenerate and bounds no brane algebra
+    with pytest.raises(ValueError, match="degenerate quadratic form"):
+        brane_algebra(W, y)
 
 
 def test_critical_points_need_a_brane_family():
