@@ -31,22 +31,30 @@ the (normalized) Hochschild complex isomorphically onto the complex of that
 algebra, which is defined over ``Q(zeta)``.  Rank does not change under the
 field extension from ``Q(zeta)`` to the Novikov field, so when every object
 has weights the ranks are computed exactly over ``Q(zeta)``: no q-exponent,
-no cutoff and no truncation (Loday, *Cyclic Homology*, 1.1).  ``linalg``
-takes those ranks on integers: the power-basis coordinates of ``zeta^k r``,
+no cutoff and no truncation (Loday, *Cyclic Homology*, 1.1).  Those ranks
+are taken on integers: the power-basis coordinates of ``zeta^k r``,
 ``k < phi = euler_phi(order)``, span over Q what the boundary rows ``r`` span
 over ``Q(zeta)``, so the rank over ``Q(zeta)`` is their rank over Q over
-``phi``.  Any other category is ranked over the truncated Novikov scalars.
+``phi`` (``linalg.integer_rank``).  The rows are built on integers too: every
+entry is a signed sum of single structure constants, so each constant is
+converted once per algebra to the coordinates of its ``zeta``-multiples over
+a common denominator (``linalg.realify``), and a chain's rows are sums and
+differences of those, with the signs of the same contractions that
+``hochschild_boundary_basis`` enumerates.  Any other category is ranked over
+the truncated Novikov scalars.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add, sub
 
 from . import ainfty, linalg
 from .ainfty import AInftyAlgebra
-from .novikov import DEFAULT_CUTOFF, NovikovElement
+from .novikov import DEFAULT_CUTOFF, NovikovElement, euler_phi
 
 
 @dataclass(frozen=True)
@@ -90,49 +98,66 @@ def chain_basis(cat: FlatCategory, length: int) -> list:
     return out
 
 
-def hochschild_boundary_basis(cat: FlatCategory, key) -> Chain:
-    """Boundary of one basis chain."""
-    obj, word = key
-    alg = cat.algebra(obj)
+def _contractions(tensors, reduced, word):
+    """Each contraction of a word as ``(head, tail, sign, inner)``: the block
+    composes to ``inner``'s outputs ``o``, giving ``head + (o,) + tail`` with
+    sign ``(-1)^sign``; ``reduced(i)`` is generator ``i``'s reduced degree."""
     d = len(word)
     # prefix[k]: sum of the reduced degrees of slots 1..k, mod 2, so slots
     # i..k sum to prefix[k] ^ prefix[i - 1]
     prefix = [0]
     for i in word:
-        prefix.append(prefix[-1] ^ alg.reduced(i))
-    acc: Chain = {}
-
-    def add(new_word, scalar):
-        k = (obj, new_word)
-        acc[k] = acc[k] + scalar if k in acc else scalar
+        prefix.append(prefix[-1] ^ reduced(i))
 
     # interior contractions (block avoids the final slot)
-    for arity, tensor in alg.tensors.items():
-        if arity > d:
-            continue
+    for arity, tensor in tensors.items():
         for start in range(0, d - arity):
-            inner = tensor.get(word[start:start + arity])
-            if not inner:
-                continue
-            sign = prefix[start]
-            for o, val in inner.items():
-                add(word[:start] + (o,) + word[start + arity:], -val if sign else val)
+            if inner := tensor.get(word[start:start + arity]):
+                yield word[:start], word[start + arity:], prefix[start], inner
 
     # wraparound contractions (block contains the final slot)
     for p in range(0, d):
         for t in range(0, d - p):
-            tensor = alg.tensors.get(t + 1 + p)
-            if not tensor:
-                continue
-            inner = tensor.get(word[d - 1 - t:] + word[:p])
-            if not inner:
-                continue
-            kept = word[p:d - 1 - t]
-            section = (prefix[p] & (1 ^ prefix[d] ^ prefix[p])) ^ prefix[d - 1] ^ prefix[p] ^ 1
-            for o, val in inner.items():
-                add(kept + (o,), -val if section else val)
+            tensor = tensors.get(t + 1 + p)
+            if tensor and (inner := tensor.get(word[d - 1 - t:] + word[:p])):
+                section = (prefix[p] & (1 ^ prefix[d] ^ prefix[p])) ^ prefix[d - 1] ^ prefix[p] ^ 1
+                yield word[p:d - 1 - t], (), section, inner
 
+
+def hochschild_boundary_basis(cat: FlatCategory, key) -> Chain:
+    """Boundary of one basis chain."""
+    obj, word = key
+    alg = cat.algebra(obj)
+    acc: Chain = {}
+    for head, tail, sign, inner in _contractions(alg.tensors, alg.reduced, word):
+        for o, val in inner.items():
+            k = (obj, head + (o,) + tail)
+            val = -val if sign else val
+            acc[k] = acc[k] + val if k in acc else val
     return {k: v for k, v in acc.items() if not v.is_zero()}
+
+
+def _integer_tables(algebras) -> tuple[int, list]:
+    """``phi`` and each algebra's tensors with every constant ``c`` (all of
+    one order) replaced by ``linalg.realify(c)`` over one denominator per algebra."""
+    order, tables = 1, []
+    for alg in algebras:
+        values = [v for store in alg.tensors.values() for vec in store.values() for v in vec.values()]
+        order, den = math.lcm(order, *(v.order for v in values)), math.lcm(1, *(v.den for v in values))
+        tables.append({d: {key: {o: linalg.realify(v, v.order, den) for o, v in vec.items()}
+                               for key, vec in store.items()} for d, store in alg.tensors.items()})
+    return euler_phi(order), tables
+
+
+def _integer_row(tables, cat: FlatCategory, key, column) -> dict:
+    """A basis chain's boundary with ``realify``d entries, summed from the
+    ``_integer_tables``; ``column`` maps a chain to its column, or to None."""
+    (obj, word), acc = key, {}
+    for head, tail, sign, inner in _contractions(tables[obj], cat.algebras[obj].reduced, word):
+        for o, coords in inner.items():
+            if (col := column((obj, head + (o,) + tail))) is not None:
+                acc[col] = tuple(map(sub if sign else add, acc.get(col, itertools.repeat(0)), coords))
+    return {c: v for c, v in acc.items() if any(v)}
 
 
 def is_length_graded(cat: FlatCategory) -> bool:
@@ -151,7 +176,6 @@ class HomologyReport:
     per_length: dict = field(default_factory=dict)
     cutoff_limited: bool = False
     graded: bool = True
-    max_length: int = 0
     rank_cutoff: Fraction | None = None  # of the Novikov ranks; None over the field
 
     def total(self) -> int:
@@ -184,8 +208,8 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6) -> Homology
 
     # the boundary rows, over the coefficient field where that is exact
     rescaled = ainfty.coefficient_algebras(cat.algebras)
-    rows_cat = (FlatCategory(cat.objects, tuple(alg for alg, _ in rescaled))
-                if rescaled else cat)
+    if rescaled:
+        phi, tables = _integer_tables([alg for alg, _ in rescaled])
 
     # per (length, parity): basis and boundary matrix ranks
     by_parity: dict[tuple, list] = {}
@@ -199,26 +223,27 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6) -> Homology
     cutoff_limited = False
     ranks: dict[tuple, int] = {}
 
+    def column(target) -> int | None:  # None for a degenerate chain
+        col = position.get(target)
+        if col is None and not degenerate(target):
+            raise KeyError("boundary left the truncation window")
+        return col
+
     def boundary_rank(lengths: tuple, parity: int) -> int:
         """Rank of the boundary on the chains of these lengths and parity."""
         nonlocal cutoff_limited
         key = (lengths, parity)
-        if key in ranks:
-            return ranks[key]
-        rows = []
-        for length in lengths:
-            for basis_key in by_parity.get((length, parity), []):
-                image = hochschild_boundary_basis(rows_cat, basis_key)
-                rows.append({_column(k): v for k, v in image.items() if not degenerate(k)})
-        rk, _, limited = linalg.row_reduce(rows, DEFAULT_CUTOFF)
-        cutoff_limited = cutoff_limited or limited
-        ranks[key] = rk
-        return rk
-
-    def _column(key) -> int:
-        if key not in position:
-            raise KeyError("boundary left the truncation window")
-        return position[key]
+        if key not in ranks:
+            chains = [c for length in lengths for c in by_parity.get((length, parity), [])]
+            if rescaled:
+                rows = [_integer_row(tables, cat, c, column) for c in chains]
+                ranks[key] = linalg.integer_rank(rows, phi)[0]
+            else:
+                rows = [{col: v for k, v in hochschild_boundary_basis(cat, c).items()
+                         if (col := column(k)) is not None} for c in chains]
+                ranks[key], _, limited = linalg.row_reduce(rows, DEFAULT_CUTOFF)
+                cutoff_limited = cutoff_limited or limited
+        return ranks[key]
 
     def count(length: int, parity: int) -> int:
         return len(by_parity.get((length, parity), []))
@@ -246,5 +271,4 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6) -> Homology
         stable = False
     return HomologyReport(dims=dims, stable=stable, per_length=per_length,
                           cutoff_limited=cutoff_limited, graded=graded,
-                          max_length=max_length,
                           rank_cutoff=None if rescaled else DEFAULT_CUTOFF)

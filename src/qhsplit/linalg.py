@@ -12,7 +12,8 @@ on integers: with ``phi = euler_phi(order)``, ``1, zeta, ..., zeta^(phi-1)``
 is a Q-basis of ``K``, so the power-basis coordinate rows of ``zeta^k r``
 (``k < phi``) span over Q what the rows ``r`` span over ``K``, and the K-rank
 is their Q-rank over ``phi``, found by fraction-free elimination (Bareiss,
-Math. Comp. 22, 1968).  Determinants use a division-free expansion over
+Math. Comp. 22, 1968): ``realify`` gives an entry's coordinates for every
+``k``, and ``integer_rank`` ranks such rows, built here or by the caller.  Determinants use a division-free expansion over
 column subsets, with no size limit and no scalar inverse.
 """
 
@@ -47,9 +48,12 @@ def row_reduce(rows, cutoff: Fraction | None = None):
         cutoff = DEFAULT_CUTOFF
     cutoff = Fraction(cutoff)
     rows = [_clean(dict(row)) for row in rows]
-    entries = Counter(c for row in rows for c in row)
     if any(isinstance(v, CyclotomicNumber) for row in rows for v in row.values()):
-        return _field_row_reduce(rows, entries)
+        order = math.lcm(*(v.order for row in rows for v in row.values()))
+        den = math.lcm(*(v.den for row in rows for v in row.values()))
+        return integer_rank([{c: realify(v, order, den) for c, v in row.items()} for row in rows],
+                            euler_phi(order))
+    entries = Counter(c for row in rows for c in row)
     # Invariant: every stored pivot row has a 1 in its pivot column and no
     # entry in any other pivot column (reduced row echelon form), so one pass
     # suffices to reduce an incoming row.
@@ -111,18 +115,35 @@ def _eliminate(target: dict, source: dict, col) -> None:
             target[c] = v // g
 
 
-def _field_row_reduce(rows, entries: Counter):
-    """K-rank of cyclotomic rows on integers; column ``c`` becomes ``c * phi + i``."""
-    order = math.lcm(*(v.order for row in rows for v in row.values()))
-    phi = euler_phi(order)
+def realify(value: CyclotomicNumber, order: int, den: int) -> tuple[int, ...]:
+    """The power-basis coordinates at ``order`` of ``den * zeta^k * value``
+    for ``k < phi``, ``k``-major; ``den`` is a multiple of ``value.den``."""
+    value = value.to_order(order)
+    vec = [n * (den // value.den) for n in value.num]
+    phi = len(vec)
     zeta_phi = _power_table(order, phi)[phi]
+    out = []
+    for _ in range(phi):
+        out += vec
+        top = vec.pop()  # times zeta: shift, reduce by Phi
+        vec.insert(0, 0)
+        for i, x in zeta_phi:
+            vec[i] += top * x
+    return tuple(out)
+
+
+def integer_rank(rows, phi: int):
+    """K-rank of K-rows ``{column c: realify(entry)}`` as ``row_reduce`` returns it.
+
+    The integer row of ``zeta^k`` times a K-row, with coordinate ``i`` of
+    column ``c`` in column ``c * phi + i``, is built only if that of
+    ``zeta^(k-1)`` survived.  The pivot has the least (number of K-rows with
+    an entry in its ``c``, column)."""
+    entries = Counter(c for row in rows for c in row)
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        row = {c: v.to_order(order) for c, v in row.items()}
-        den = math.lcm(*(v.den for v in row.values()))
-        coords = {c: [n * (den // v.den) for n in v.num] for c, v in row.items()}
-        for _ in range(phi):
-            r = {c * phi + i: n for c, vec in coords.items() for i, n in enumerate(vec) if n}
+        for k in range(0, phi * phi, phi):
+            r = {c * phi + i: n for c, m in row.items() for i in range(phi) if (n := m[k + i])}
             for col in r.keys() & pivots.keys():
                 _eliminate(r, pivots[col], col)
             if not r:  # the pivots span a K-space, so r's zeta-multiples go too
@@ -134,11 +155,6 @@ def _field_row_reduce(rows, entries: Counter):
                 if col in prow:
                     _eliminate(prow, r, col)
             pivots[col] = r
-            for vec in coords.values():  # times zeta: shift, reduce by Phi
-                top = vec.pop()
-                vec.insert(0, 0)
-                for i, x in zeta_phi:
-                    vec[i] += top * x
     rank, rest = divmod(len(pivots), phi)
     if rest:
         raise ArithmeticError(f"Q-rank {len(pivots)} is not a multiple of phi = {phi}")

@@ -1,8 +1,10 @@
+import math
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from qhsplit import linalg, toric
+from qhsplit import ainfty, hochschild, linalg, toric
 from qhsplit.ainfty import AInftyAlgebra
 from qhsplit.hochschild import (
     FlatCategory,
@@ -11,7 +13,7 @@ from qhsplit.hochschild import (
     hochschild_boundary_basis,
     hochschild_homology_dims,
 )
-from qhsplit.novikov import NovikovElement as N
+from qhsplit.novikov import CyclotomicNumber as C, NovikovElement as N, euler_phi
 
 
 def rank1_category():
@@ -209,7 +211,8 @@ def test_homogeneous_constants_above_the_cutoff_are_exact():
 
 def brane_categories():
     """(category, length) at every critical point of projective n <= 3 and
-    exceptional n <= 3 at two eps, and the dga fixture."""
+    exceptional n <= 3 at two eps, the orders 3 and 4 category and the dga
+    fixture."""
     cases = []
     families = [("pn", n, toric.PotentialFunction.clifford_torus(n), length)
                 for n, length in ((1, 6), (2, 5), (3, 3))]
@@ -219,8 +222,18 @@ def brane_categories():
         for k, y in enumerate(toric.critical_points(W)):
             cases.append(pytest.param(FlatCategory.single(toric.brane_algebra(W, y)),
                                       length, id=f"{kind} n={n} point {k}"))
+    cases.append(pytest.param(orders_3_and_4_category(), 3, id="orders 3 and 4"))
     cases.append(pytest.param(dga_category(), 4, id="dga"))
     return cases
+
+
+def orders_3_and_4_category():
+    """Two objects whose constants lie in Q(zeta_3) and Q(i): lcm 12, phi 4."""
+    algebras = []
+    for n in (2, 3):
+        W = toric.PotentialFunction.clifford_torus(n)
+        algebras.append(toric.brane_algebra(W, toric.critical_points(W)[1]))
+    return FlatCategory(("a", "b"), tuple(algebras))
 
 
 @pytest.mark.parametrize("cat, length", brane_categories())
@@ -234,6 +247,64 @@ def test_coefficient_field_ranks_match_the_novikov_ranks(cat, length, monkeypatc
     assert exact.per_length == novikov.per_length
     assert exact.dims == novikov.dims
     assert exact.stable == novikov.stable
+
+
+def integer_row_cases():
+    """(category, length) at every critical point of projective n <= 3 and
+    exceptional n <= 3 at two eps, up to length 4, and the orders 3 and 4
+    category."""
+    families = [(f"pn n={n}", toric.PotentialFunction.clifford_torus(n)) for n in (1, 2, 3)]
+    families += [(f"exc{eps} n={n}", toric.PotentialFunction.exceptional(n, eps))
+                 for eps in (F(1, 10), F(1, 3)) for n in (2, 3)]
+    cases = [pytest.param(FlatCategory.single(toric.brane_algebra(W, y)), 4, id=f"{name} point {k}")
+             for name, W in families for k, y in enumerate(toric.critical_points(W))]
+    cases.append(pytest.param(orders_3_and_4_category(), 3, id="orders 3 and 4"))
+    return cases
+
+
+@pytest.mark.parametrize("cat, length", integer_row_cases())
+def test_integer_rows_match_the_realified_boundary(cat, length):
+    # oracle: the boundary over the coefficient category, each entry v
+    # realified by field products, den * (zeta^k v) at the category's order
+    rescaled = [alg for alg, _ in ainfty.coefficient_algebras(cat.algebras)]
+    coefficient = FlatCategory(cat.objects, tuple(rescaled))
+    constants = [[v for store in alg.tensors.values() for vec in store.values()
+                  for v in vec.values()] for alg in rescaled]
+    order = math.lcm(*(v.order for values in constants for v in values))
+    phi, tables = hochschild._integer_tables(rescaled)
+    assert phi == euler_phi(order)
+    # a column for every chain but those with the unit in a non-final slot
+    keys = [key for n in range(1, length + 1) for key in chain_basis(cat, n)
+            if cat.algebras[key[0]].unit not in key[1][:-1]]
+    column = {key: i for i, key in enumerate(keys)}.get
+    for key in keys:
+        den = math.lcm(*(v.den for v in constants[key[0]]))
+        expected = {}
+        for target, v in hochschild_boundary_basis(coefficient, key).items():
+            if column(target) is not None:
+                multiples = [(C.root_of_unity(order, k) * v).to_order(order) for k in range(phi)]
+                expected[column(target)] = tuple(n * (den // w.den) for w in multiples for n in w.num)
+        assert hochschild._integer_row(tables, cat, key, column) == expected, key
+
+
+def test_the_field_path_does_no_scalar_arithmetic_per_chain(monkeypatch):
+    # the constants are converted once per algebra, so the count of field
+    # operations is the same at length 3 (456 chains) and 4 (3,200)
+    W = toric.PotentialFunction.clifford_torus(3)
+    cat = FlatCategory.single(toric.brane_algebra(W, toric.critical_points(W)[1]))
+
+    def operations(length):
+        calls = Counter()
+        for name in ("__add__", "__neg__", "__mul__", "to_order"):
+            def counted(*args, name=name, method=getattr(C, name)):
+                calls[name] += 1
+                return method(*args)
+            monkeypatch.setattr(C, name, counted)
+        assert hochschild_homology_dims(cat, length).dims == {0: 0, 1: 1}
+        monkeypatch.undo()
+        return calls
+
+    assert operations(3) == operations(4)
 
 
 def test_a_category_without_weights_everywhere_uses_the_novikov_scalars():

@@ -83,6 +83,21 @@ def test_row_reduce_over_the_coefficient_field():
     assert linalg.row_reduce(novikov)[0] == rank
 
 
+def test_realify_gives_the_coordinates_of_every_zeta_multiple():
+    # against field products, for values stored at divisors of the order
+    rng = random.Random(3)
+    for order in (1, 3, 4, 5, 12):
+        phi = euler_phi(order)
+        for d in (d for d in range(1, order + 1) if order % d == 0):
+            value = C(d, [F(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(euler_phi(d))])
+            den = 2 * value.den
+            flat = linalg.realify(value, order, den)
+            assert len(flat) == phi * phi
+            for k in range(phi):
+                w = (C.root_of_unity(order, k) * value).to_order(order)
+                assert flat[k * phi:(k + 1) * phi] == tuple(n * den // w.den for n in w.num)
+
+
 FIELD_ORDERS = (1, 2, 3, 4, 5, 8, 12)
 
 
