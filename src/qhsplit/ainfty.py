@@ -19,7 +19,7 @@ The q-free rescaling.  An algebra with weights ``w`` (``q_weights``) has
 every structure constant of the form ``c q^{w(a_1) + ... + w(a_k) - w(o)}``
 with ``c`` in a cyclotomic field, so ``e'_a = q^{-w(a)} e_a`` is a basis in
 which the structure constants are the coefficients ``c``
-(``coefficient_algebras``).  In the relation component of inputs
+(``coefficient_tensors``).  In the relation component of inputs
 ``a_1..a_d`` and output ``o``, a term nests ``m(b)_s`` in the slot ``s`` of
 an outer entry ``m(.., s, ..)_o``.  It carries ``q^{sum w(b) - w(s)}``
 times ``q^{sum w(outer inputs) - w(o)}``, which is ``q^{sum w(a) - w(o)}``
@@ -92,28 +92,6 @@ class AInftyAlgebra:
     def m_basis(self, inputs: tuple) -> Vector:
         entry = self.tensors.get(len(inputs), {}).get(tuple(inputs))
         return dict(entry) if entry else {}
-
-    def m(self, elements: list[Vector]) -> Vector:
-        """Apply the composition of the given arity multilinearly."""
-        d = len(elements)
-        tensor = self.tensors.get(d)
-        if not tensor:
-            return {}
-        acc: Vector = {}
-        for key, out in tensor.items():
-            coeff = NovikovElement.one(self.cutoff)
-            ok = True
-            for idx, element in zip(key, elements):
-                c = element.get(idx)
-                if c is None or c.is_zero():
-                    ok = False
-                    break
-                coeff = coeff * c
-            if not ok:
-                continue
-            for o, val in out.items():
-                _vec_add(acc, o, val * coeff)
-        return _vec_clean(acc)
 
     def q_weights(self) -> tuple[Fraction, ...] | None:
         """Rational weights ``w`` making every stored entry q-homogeneous.
@@ -289,14 +267,15 @@ class Violation:
         return f"Violation(d={self.arity}, ({ins}) -> {self.output}: {self.value})"
 
 
-def coefficient_algebras(algebras) -> list[tuple[AInftyAlgebra, tuple[Fraction, ...]]] | None:
-    """Each algebra rescaled out of the Novikov layer, with its weights.
+def coefficient_tensors(algebras) -> list[tuple[dict, tuple[Fraction, ...]]] | None:
+    """Each algebra's tensors rescaled out of the Novikov layer, with its weights.
 
     When every algebra has ``q_weights``, each structure constant ``c q^x``
     is replaced by its coefficient ``c``, stored at the lcm of the orders of
     the irrational coefficients of all the algebras (order 1, the field
-    ``Q``, when all are rational); otherwise ``None``.  See the module
-    docstring for why relations and ranks survive the rescaling.
+    ``Q``, when all are rational); otherwise ``None``.  The tensors keep the
+    algebra's basis, degrees and unit.  See the module docstring for why the
+    relations survive the rescaling.
     """
     weights = []
     for alg in algebras:
@@ -308,12 +287,9 @@ def coefficient_algebras(algebras) -> list[tuple[AInftyAlgebra, tuple[Fraction, 
                           for store in alg.tensors.values()
                           for vec in store.values() for value in vec.values()
                           if not value.terms[0][1].is_rational()))
-    return [(AInftyAlgebra(alg.basis, alg.degrees,
-                           {d: {key: {o: value.terms[0][1].to_order(order)
-                                      for o, value in vec.items()}
-                                for key, vec in store.items()}
-                            for d, store in alg.tensors.items()},
-                           unit=alg.unit, n_grading=alg.n_grading), w)
+    return [({d: {key: {o: value.terms[0][1].to_order(order) for o, value in vec.items()}
+                  for key, vec in store.items()}
+              for d, store in alg.tensors.items()}, w)
             for alg, w in zip(algebras, weights)]
 
 
@@ -328,25 +304,25 @@ def check_ainfty(algebra: AInftyAlgebra) -> list[Violation]:
     preceding the inner composition.  Violations are sorted by arity, inputs
     and output.
 
-    The pass runs over the q-free constants of ``coefficient_algebras`` when
+    The pass runs over the q-free constants of ``coefficient_tensors`` when
     the algebra has weights, and over its Novikov scalars otherwise.  On the
     field path a violating component ``(a_1..a_d) -> o`` with coefficient
     ``c`` is reported as ``c q^{sum w(a) - w(o)}``, ``c`` in the field of the
     lcm order (module docstring).
     """
-    rescaled = coefficient_algebras([algebra])
-    scalars, weights = rescaled[0] if rescaled else (algebra, None)
+    rescaled = coefficient_tensors([algebra])
+    tensors, weights = rescaled[0] if rescaled else (algebra.tensors, None)
     # the inner entries indexed by the basis element they produce
     producing: dict[int, list] = {}
-    for inner in scalars.tensors.values():
+    for inner in tensors.values():
         for tin, vin in inner.items():
             for slot, value in vin.items():
                 producing.setdefault(slot, []).append((tin, value))
     acc: dict[tuple, dict] = {}
-    for outer in scalars.tensors.values():
+    for outer in tensors.values():
         for tout, vout in outer.items():
             for d1, slot in enumerate(tout):
-                negate = sum(scalars.reduced(i) for i in tout[:d1]) % 2
+                negate = sum(algebra.reduced(i) for i in tout[:d1]) % 2
                 for tin, value in producing.get(slot, ()):
                     scale = -value if negate else value
                     target = acc.setdefault(tout[:d1] + tin + tout[d1 + 1:], {})

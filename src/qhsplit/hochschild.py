@@ -20,25 +20,19 @@ boundary is length-graded and the object's declared unit satisfies the
 strict-unit axioms (``AInftyAlgebra.unit_violations`` is empty); otherwise
 no chain is dropped.
 
-Ranks are taken over the coefficient field when they can be.  An algebra
-with weights ``w`` (``AInftyAlgebra.q_weights``) has every structure
-constant of the form ``c q^{w(a_1) + ... + w(a_k) - w(o)}`` with ``c`` in a
-cyclotomic field ``Q(zeta)``, so ``e'_a = q^{-w(a)} e_a`` is an isomorphism
-over the Novikov field onto the algebra with structure constants ``c``
-(``ainfty.coefficient_algebras``, shared with the relation check).  It
-keeps word lengths, parities and the unit (``w(unit) = 0``), so it carries
-the (normalized) Hochschild complex isomorphically onto the complex of that
-algebra, which is defined over ``Q(zeta)``.  Rank does not change under the
-field extension from ``Q(zeta)`` to the Novikov field, so when every object
-has weights the ranks are computed exactly over ``Q(zeta)``: no q-exponent,
-no cutoff and no truncation (Loday, *Cyclic Homology*, 1.1).  Those ranks
-are taken on integers: the power-basis coordinates of ``zeta^k r``,
-``k < phi = euler_phi(order)``, span over Q what the boundary rows ``r`` span
-over ``Q(zeta)``, so the rank over ``Q(zeta)`` is their rank over Q over
-``phi`` (``linalg.integer_rank``).  The rows are built on integers too: every
-entry is a signed sum of single structure constants, so each constant is
-converted once per algebra to the coordinates of its ``zeta``-multiples over
-a common denominator (``linalg.realify``), and a chain's rows are sums and
+Ranks are taken over the coefficient field when they can be.  When every
+algebra has weights, its structure constants are rescaled to their q-free
+coefficients in a cyclotomic field ``Q(zeta)`` (``ainfty.coefficient_tensors``,
+shared with the relation check; the module docstring of ``ainfty`` gives the
+argument).  The rescaling keeps word lengths, parities and the unit, so it
+carries the (normalized) Hochschild complex isomorphically onto that of the
+q-free constants, and rank does not change under the field extension to the
+Novikov field (Loday, *Cyclic Homology*, 1.1): the ranks are exact, with no
+q-exponent, cutoff or truncation.  They are taken on integers by
+``linalg.integer_rank``.  Every row entry is a signed sum of single structure
+constants, so each constant is converted once per algebra to the coordinates
+of its ``zeta``-multiples over a common denominator (``linalg.realify``; see
+the module docstring of ``linalg``), and a chain's rows are sums and
 differences of those, with the signs of the same contractions that
 ``hochschild_boundary_basis`` enumerates.  Any other category is ranked over
 the truncated Novikov scalars.
@@ -75,9 +69,6 @@ class FlatCategory:
     def single(cls, algebra: AInftyAlgebra, name="obj") -> "FlatCategory":
         return cls((name,), (algebra,))
 
-    def algebra(self, obj_index: int) -> AInftyAlgebra:
-        return self.algebras[obj_index]
-
 
 # chains: {(obj_index, word): scalar}, word a tuple of generator indices; the
 # scalars are NovikovElements, or CyclotomicNumbers over the coefficient field
@@ -86,7 +77,7 @@ Chain = dict[tuple, NovikovElement]
 
 def chain_parity(cat: FlatCategory, key) -> int:
     obj, word = key
-    alg = cat.algebra(obj)
+    alg = cat.algebras[obj]
     return (sum(alg.degrees[i] for i in word) + len(word) - 1) % 2
 
 
@@ -127,7 +118,7 @@ def _contractions(tensors, reduced, word):
 def hochschild_boundary_basis(cat: FlatCategory, key) -> Chain:
     """Boundary of one basis chain."""
     obj, word = key
-    alg = cat.algebra(obj)
+    alg = cat.algebras[obj]
     acc: Chain = {}
     for head, tail, sign, inner in _contractions(alg.tensors, alg.reduced, word):
         for o, val in inner.items():
@@ -137,15 +128,15 @@ def hochschild_boundary_basis(cat: FlatCategory, key) -> Chain:
     return {k: v for k, v in acc.items() if not v.is_zero()}
 
 
-def _integer_tables(algebras) -> tuple[int, list]:
-    """``phi`` and each algebra's tensors with every constant ``c`` (all of
-    one order) replaced by ``linalg.realify(c)`` over one denominator per algebra."""
+def _integer_tables(tensors) -> tuple[int, list]:
+    """``phi`` and each algebra's q-free tensors with every constant ``c`` (all
+    of one order) replaced by ``linalg.realify(c)`` over one denominator per algebra."""
     order, tables = 1, []
-    for alg in algebras:
-        values = [v for store in alg.tensors.values() for vec in store.values() for v in vec.values()]
+    for tensor in tensors:
+        values = [v for store in tensor.values() for vec in store.values() for v in vec.values()]
         order, den = math.lcm(order, *(v.order for v in values)), math.lcm(1, *(v.den for v in values))
         tables.append({d: {key: {o: linalg.realify(v, v.order, den) for o, v in vec.items()}
-                               for key, vec in store.items()} for d, store in alg.tensors.items()})
+                               for key, vec in store.items()} for d, store in tensor.items()})
     return euler_phi(order), tables
 
 
@@ -207,9 +198,9 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6) -> Homology
         return units[obj] is not None and units[obj] in word[:-1]
 
     # the boundary rows, over the coefficient field where that is exact
-    rescaled = ainfty.coefficient_algebras(cat.algebras)
+    rescaled = ainfty.coefficient_tensors(cat.algebras)
     if rescaled:
-        phi, tables = _integer_tables([alg for alg, _ in rescaled])
+        phi, tables = _integer_tables([tensors for tensors, _ in rescaled])
 
     # per (length, parity): basis and boundary matrix ranks
     by_parity: dict[tuple, list] = {}

@@ -7,13 +7,14 @@ cutoff-limited rather than silently treated as zero.  So is any rank taken
 from a truncated entry or through a non-monomial pivot, whose inverse is a
 truncated series: both hide terms the elimination cannot see.  Among the
 qualifying entries the pivot has the least valuation, then the fewest input
-rows in its column.  Rows over a cyclotomic field ``K = Q(zeta)`` are exact and ranked
-on integers: with ``phi = euler_phi(order)``, ``1, zeta, ..., zeta^(phi-1)``
-is a Q-basis of ``K``, so the power-basis coordinate rows of ``zeta^k r``
-(``k < phi``) span over Q what the rows ``r`` span over ``K``, and the K-rank
-is their Q-rank over ``phi``, found by fraction-free elimination (Bareiss,
-Math. Comp. 22, 1968): ``realify`` gives an entry's coordinates for every
-``k``, and ``integer_rank`` ranks such rows, built here or by the caller.  Determinants use a division-free expansion over
+rows in its column.  Rows over a cyclotomic field ``K = Q(zeta)`` are exact
+and ranked on integers: with ``phi = euler_phi(order)``, ``1, zeta, ...,
+zeta^(phi-1)`` is a Q-basis of ``K``, so the power-basis coordinate rows of
+``zeta^k r`` (``k < phi``) span over Q what the rows ``r`` span over ``K``,
+and the K-rank is their Q-rank over ``phi``, found by fraction-free
+elimination (Bareiss, Math. Comp. 22, 1968): ``realify`` gives an entry's
+coordinates for every ``k``, and ``integer_rank`` ranks the rows that the
+caller builds from them.  Determinants use a division-free expansion over
 column subsets, with no size limit and no scalar inverse.
 """
 
@@ -23,7 +24,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from .novikov import DEFAULT_CUTOFF, CyclotomicNumber, NovikovElement, _power_table, euler_phi
+from .novikov import DEFAULT_CUTOFF, CyclotomicNumber, NovikovElement, _power_table
 
 Row = dict[int, NovikovElement]
 
@@ -33,26 +34,18 @@ def _clean(row: Row) -> Row:
 
 
 def row_reduce(rows, cutoff: Fraction | None = None):
-    """Reduce rows against each other; returns (rank, pivots, cutoff_limited).
+    """Reduce Novikov rows against each other; returns (rank, pivots, cutoff_limited).
 
-    The entries are all ``NovikovElement``s or all ``CyclotomicNumber``s.
-    For Novikov rows ``pivots`` maps pivot column -> normalized row (pivot
-    entry 1).  Rows are processed in order, and each row's pivot is its entry
-    with the least key ``(valuation, number of input rows with an entry in
-    that column, column index)``, so the result is deterministic and sparse
-    columns are eliminated first, which keeps the fill-in down.  For
-    cyclotomic rows ``pivots`` maps a column of the realified integer rows to
-    a primitive integer row, and the rank is over their field.
+    ``pivots`` maps pivot column -> normalized row (pivot entry 1).  Rows are
+    processed in order, and each row's pivot is its entry with the least key
+    ``(valuation, number of input rows with an entry in that column, column
+    index)``, so the result is deterministic and sparse columns are eliminated
+    first, which keeps the fill-in down.
     """
     if cutoff is None:
         cutoff = DEFAULT_CUTOFF
     cutoff = Fraction(cutoff)
     rows = [_clean(dict(row)) for row in rows]
-    if any(isinstance(v, CyclotomicNumber) for row in rows for v in row.values()):
-        order = math.lcm(*(v.order for row in rows for v in row.values()))
-        den = math.lcm(*(v.den for row in rows for v in row.values()))
-        return integer_rank([{c: realify(v, order, den) for c, v in row.items()} for row in rows],
-                            euler_phi(order))
     entries = Counter(c for row in rows for c in row)
     # Invariant: every stored pivot row has a 1 in its pivot column and no
     # entry in any other pivot column (reduced row echelon form), so one pass
@@ -133,12 +126,13 @@ def realify(value: CyclotomicNumber, order: int, den: int) -> tuple[int, ...]:
 
 
 def integer_rank(rows, phi: int):
-    """K-rank of K-rows ``{column c: realify(entry)}`` as ``row_reduce`` returns it.
+    """``(rank, pivots)`` of K-rows ``{column c: realify(entry)}``.
 
-    The integer row of ``zeta^k`` times a K-row, with coordinate ``i`` of
-    column ``c`` in column ``c * phi + i``, is built only if that of
-    ``zeta^(k-1)`` survived.  The pivot has the least (number of K-rows with
-    an entry in its ``c``, column)."""
+    ``pivots`` maps a column of the integer rows to a primitive integer row,
+    and the rank is over K.  The integer row of ``zeta^k`` times a K-row,
+    with coordinate ``i`` of column ``c`` in column ``c * phi + i``, is built
+    only if that of ``zeta^(k-1)`` survived.  The pivot has the least (number
+    of K-rows with an entry in its ``c``, column)."""
     entries = Counter(c for row in rows for c in row)
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
@@ -158,7 +152,7 @@ def integer_rank(rows, phi: int):
     rank, rest = divmod(len(pivots), phi)
     if rest:
         raise ArithmeticError(f"Q-rank {len(pivots)} is not a multiple of phi = {phi}")
-    return rank, pivots, False
+    return rank, pivots
 
 
 def determinant(matrix: list[list[NovikovElement]]) -> NovikovElement:

@@ -78,19 +78,6 @@ class TreedDiskType:
 
     root: Node
 
-    # -- accessors -----------------------------------------------------------
-    def finite_edges(self) -> list:
-        """All finite base edges as (path-to-child, metric-class)."""
-        out = []
-
-        def walk(node, path):
-            for i, slot in enumerate(node.slots):
-                if slot[0] == "edge":
-                    out.append((path + (i,), slot[2]))
-                    walk(slot[1], path + (i,))
-        walk(self.root, ())
-        return out
-
     # -- validity ------------------------------------------------------------
     def is_stable(self) -> bool:
         def walk(node):

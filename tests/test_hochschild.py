@@ -266,10 +266,12 @@ def integer_row_cases():
 def test_integer_rows_match_the_realified_boundary(cat, length):
     # oracle: the boundary over the coefficient category, each entry v
     # realified by field products, den * (zeta^k v) at the category's order
-    rescaled = [alg for alg, _ in ainfty.coefficient_algebras(cat.algebras)]
-    coefficient = FlatCategory(cat.objects, tuple(rescaled))
-    constants = [[v for store in alg.tensors.values() for vec in store.values()
-                  for v in vec.values()] for alg in rescaled]
+    rescaled = [tensors for tensors, _ in ainfty.coefficient_tensors(cat.algebras)]
+    coefficient = FlatCategory(cat.objects, tuple(
+        AInftyAlgebra(alg.basis, alg.degrees, tensors, unit=alg.unit, n_grading=alg.n_grading)
+        for alg, tensors in zip(cat.algebras, rescaled)))
+    constants = [[v for store in tensors.values() for vec in store.values()
+                  for v in vec.values()] for tensors in rescaled]
     order = math.lcm(*(v.order for values in constants for v in values))
     phi, tables = hochschild._integer_tables(rescaled)
     assert phi == euler_phi(order)

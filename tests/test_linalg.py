@@ -66,13 +66,22 @@ def test_pivot_is_the_least_valuation_then_the_sparsest_column():
     assert list(pivots)[0] == 0
 
 
+def field_rank(rows):
+    """``integer_rank`` of cyclotomic rows, realified at the lcm of their
+    orders over the lcm of their denominators."""
+    order = math.lcm(*(v.order for row in rows for v in row.values()))
+    den = math.lcm(*(v.den for row in rows for v in row.values()))
+    return linalg.integer_rank([{c: linalg.realify(v, order, den) for c, v in row.items()}
+                                for row in rows], euler_phi(order))
+
+
 def test_row_reduce_over_the_coefficient_field():
     # cyclotomic rows of mixed orders are ranked exactly over Q(zeta_3), on
     # the realified integer rows: two per row, since phi(3) = 2
     zeta = C.root_of_unity(3)
     rows = [{0: C.one(), 1: zeta}, {0: zeta, 1: zeta * zeta}, {1: C.from_rational(2), 2: zeta}]
-    rank, pivots, limited = linalg.row_reduce(rows, F(0))
-    assert (rank, limited) == (2, False)
+    rank, pivots = field_rank(rows)
+    assert rank == 2
     assert len(pivots) == 2 * 2
     for col, row in pivots.items():
         assert all(type(v) is int and v for v in row.values())
@@ -144,10 +153,10 @@ def test_field_ranks_match_the_novikov_ranks(block):
     # over the field itself, through the Novikov scalars
     for seed in range(50 * block, 50 * block + 50):
         order, rows = random_field_rows(seed)
-        rank, pivots, limited = linalg.row_reduce(rows)
+        rank, pivots = field_rank(rows)
         novikov = [{c: N.from_cyclotomic(v) for c, v in row.items()} for row in rows]
         expected, _, novikov_limited = linalg.row_reduce(novikov)
-        assert not limited and not novikov_limited, seed
+        assert not novikov_limited, seed
         assert rank == expected < len(rows), (seed, order)
         assert len(pivots) == rank * euler_phi(order), seed
 

@@ -136,8 +136,14 @@ def test_non_diagonal_clifford_relations(n, seed):
     gens = [alg.basis.index(f"e{a + 1}") for a in range(n)]
 
     def times(x, y, x_degree):
-        # algebra product from the stored m_2(x, y) = (-1)^{|x|} x y
-        out = alg.m([x, y])
+        # algebra product from the stored m_2(x, y) = (-1)^{|x|} x y, extended
+        # bilinearly from the basis
+        out = {}
+        for a, u in x.items():
+            for b, v in y.items():
+                for o, w in alg.m_basis((a, b)).items():
+                    out[o] = out[o] + u * v * w if o in out else u * v * w
+        out = {o: w for o, w in out.items() if not w.is_zero()}
         return {o: -v for o, v in out.items()} if x_degree % 2 else out
 
     for a in range(n):
