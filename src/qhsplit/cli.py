@@ -103,11 +103,9 @@ def cmd_hh_dims(args) -> int:
     if isinstance(data, dict) and "objects" in data:
         algebras = [ainfty.AInftyAlgebra.from_json_dict(json_field(obj, "algebra", "object"))
                     for obj in json_field(data, "objects", "category", list)]
-        names = [obj.get("name", f"obj{i}") for i, obj in enumerate(data["objects"])]
     else:
         algebras = [ainfty.AInftyAlgebra.from_json_dict(data)]
-        names = ["obj0"]
-    category = hochschild.FlatCategory(tuple(names), tuple(algebras))
+    category = hochschild.FlatCategory(tuple(algebras))
     report = hochschild.hochschild_homology_dims(category, args.length)
     # the arithmetic runs in the smallest field holding every scalar
     order = 1

@@ -53,21 +53,18 @@ from .novikov import DEFAULT_CUTOFF, NovikovElement, euler_phi
 
 @dataclass(frozen=True)
 class FlatCategory:
-    """Objects with endomorphism algebras and zero cross-object morphisms."""
+    """Objects, one per endomorphism algebra, with zero cross-object morphisms."""
 
-    objects: tuple
     algebras: tuple
 
     def __post_init__(self):
-        if len(self.objects) != len(self.algebras):
-            raise ValueError("need one algebra per object")
         for alg in self.algebras:
             if alg.tensors.get(0):
                 raise ValueError("Hochschild theory here needs flat algebras (m_0 = 0)")
 
     @classmethod
-    def single(cls, algebra: AInftyAlgebra, name="obj") -> "FlatCategory":
-        return cls((name,), (algebra,))
+    def single(cls, algebra: AInftyAlgebra) -> "FlatCategory":
+        return cls((algebra,))
 
 
 # chains: {(obj_index, word): scalar}, word a tuple of generator indices; the

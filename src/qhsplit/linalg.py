@@ -24,7 +24,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from .novikov import DEFAULT_CUTOFF, CyclotomicNumber, NovikovElement, _power_table
+from .novikov import DEFAULT_CUTOFF, CyclotomicNumber, NovikovElement
 
 Row = dict[int, NovikovElement]
 
@@ -110,19 +110,16 @@ def _eliminate(target: dict, source: dict, col) -> None:
 
 def realify(value: CyclotomicNumber, order: int, den: int) -> tuple[int, ...]:
     """The power-basis coordinates at ``order`` of ``den * zeta^k * value``
-    for ``k < phi``, ``k``-major; ``den`` is a multiple of ``value.den``."""
+    for ``k < phi``, ``k``-major; ``den`` is a multiple of ``value.den``.
+    ``zeta`` (``CyclotomicNumber.root_of_unity``) is a unit of ``Z[zeta]``,
+    so each multiple keeps the denominator of ``value``."""
     value = value.to_order(order)
-    vec = [n * (den // value.den) for n in value.num]
-    phi = len(vec)
-    zeta_phi = _power_table(order, phi)[phi]
-    out = []
-    for _ in range(phi):
-        out += vec
-        top = vec.pop()  # times zeta: shift, reduce by Phi
-        vec.insert(0, 0)
-        for i, x in zeta_phi:
-            vec[i] += top * x
-    return tuple(out)
+    zeta = CyclotomicNumber.root_of_unity(order)
+    multiples = [value]
+    while len(multiples) < len(value.num):
+        multiples.append(multiples[-1] * zeta)
+    scale = den // value.den
+    return tuple(n * scale for multiple in multiples for n in multiple.num)
 
 
 def integer_rank(rows, phi: int):

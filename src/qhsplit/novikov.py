@@ -11,7 +11,12 @@ numerators over one denominator ``den``, with ``den > 0`` and
 ``gcd(num..., den) = 1``, so each value of a given order has exactly one
 stored form.  ``Fraction`` appears only at the API boundary (``coeffs``
 and the public constructors); ``inverse`` is a product of Galois conjugates
-over an integer norm.
+over an integer norm.  Only this module reduces by the cyclotomic
+polynomial; other modules multiply by ``CyclotomicNumber.root_of_unity``.
+
+A Novikov element's terms are sorted by exponent, with no exponent twice and
+no zero coefficient.  ``_merge`` alone combines terms, so every sum,
+difference, product and constructed element has that one canonical form.
 
 Scalars are unhashable.  ``==`` identifies values stored at different
 cyclotomic orders (and, for Novikov elements, compares modulo the smaller
@@ -85,24 +90,17 @@ def _poly_divide_exact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
-_CYCLOTOMIC_CACHE: dict[int, tuple[int, ...]] = {}
-
-
+@functools.cache
 def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     """Integer coefficients (low to high) of the ``order``-th cyclotomic polynomial."""
     if order < 1:
         raise ValueError("order must be a positive integer")
-    cached = _CYCLOTOMIC_CACHE.get(order)
-    if cached is not None:
-        return cached
     # x^order - 1 divided by the cyclotomic polynomials of proper divisors.
     poly = [-1] + [0] * (order - 1) + [1]
     for d in range(1, order):
         if order % d == 0:
             poly = _poly_divide_exact(poly, list(cyclotomic_polynomial(d)))
-    result = tuple(poly)
-    _CYCLOTOMIC_CACHE[order] = result
-    return result
+    return tuple(poly)
 
 
 _POWER_CACHE: dict[int, list[tuple[tuple[int, int], ...]]] = {}
@@ -265,20 +263,13 @@ class CyclotomicNumber:
     __radd__ = __add__
 
     def __neg__(self):
-        return _cyclo(self.order, tuple(-x for x in self.num), self.den)
+        return _cyclo(self.order, tuple([-x for x in self.num]), self.den)
 
     def __sub__(self, other):
         other = _coerce_cyclotomic(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._unify(other)
-        den, bden = a.den, b.den
-        if den == bden:
-            num = [x - y for x, y in zip(a.num, b.num)]
-        else:
-            num = [x * bden - y * den for x, y in zip(a.num, b.num)]
-            den *= bden
-        return _reduced(a.order, num, den)
+        return self + -other
 
     def __rsub__(self, other):
         other = _coerce_cyclotomic(other)
@@ -423,21 +414,18 @@ def _split_index(terms: tuple, bound: Fraction) -> int:
     return k
 
 
-def _merge(a: tuple, b: tuple, negate: bool) -> tuple:
-    # ``a + b``, or ``a - b`` when ``negate``, for two canonical term tuples
-    # with no exponent at or above the cutoff; ``b`` is negated term by term
-    # as it is merged, never copied first.
-    if not b:
-        return a
-    if not negate and not a:
-        return b
+def _merge(a: tuple, b: tuple) -> tuple:
+    # ``a + b`` for two canonical term tuples with no exponent at or above
+    # the cutoff; the one routine that combines terms.
+    if not a or not b:
+        return a or b
     out = []
     i = j = 0
     na, nb = len(a), len(b)
     while i < na and j < nb:
         ea, eb = a[i][0], b[j][0]
         if ea == eb:
-            c = a[i][1] - b[j][1] if negate else a[i][1] + b[j][1]
+            c = a[i][1] + b[j][1]
             if not c.is_zero():
                 out.append((ea, c))
             i += 1
@@ -446,18 +434,15 @@ def _merge(a: tuple, b: tuple, negate: bool) -> tuple:
             out.append(a[i])
             i += 1
         else:
-            out.append((eb, -b[j][1]) if negate else b[j])
+            out.append(b[j])
             j += 1
     out.extend(a[i:])
-    if negate:
-        out.extend((e, -c) for e, c in b[j:])
-    else:
-        out.extend(b[j:])
+    out.extend(b[j:])
     return tuple(out)
 
 
-def _sum(x: "NovikovElement", y: "NovikovElement", negate: bool) -> "NovikovElement":
-    # ``x + y``, or ``x - y`` when ``negate``, at the smaller cutoff
+def _sum(x: "NovikovElement", y: "NovikovElement") -> "NovikovElement":
+    # ``x + y`` at the smaller cutoff
     cutoff = _merge_cutoff(x.cutoff, y.cutoff)
     a, b = x.terms, y.terms
     if cutoff is not None:
@@ -466,11 +451,7 @@ def _sum(x: "NovikovElement", y: "NovikovElement", negate: bool) -> "NovikovElem
             a = a[:_split_index(a, cutoff)]
         if y.cutoff is not cutoff:
             b = b[:_split_index(b, cutoff)]
-    return _nov(_merge(a, b, negate), cutoff)
-
-
-def _exponent(term):
-    return term[0]
+    return _nov(_merge(a, b), cutoff)
 
 
 def _add_exponents(e1: Fraction, e2: Fraction) -> Fraction:
@@ -492,30 +473,21 @@ class NovikovElement:
     strictly increasing ``Fraction`` exponents and no stored zero
     coefficients.  ``cutoff`` is an exact rational or ``None`` for
     "+infinity"; terms with exponent at or above a finite cutoff are never
-    stored.  The public constructor validates, merges and sorts its input;
-    arithmetic results, already canonical, skip that step.
+    stored.  Every element is built through ``_merge``: the constructor folds
+    in its input pairs one monomial at a time, sums and differences merge
+    two term tuples, and a product merges one sorted row per term.
     """
 
     __slots__ = ("terms", "cutoff")
     __hash__ = None  # == is cutoff-tolerant; see the module docstring
 
     def __init__(self, terms=(), cutoff: Fraction | None = None):
-        cleaned: dict[Fraction, CyclotomicNumber] = {}
+        cutoff = Fraction(cutoff) if cutoff is not None else None
+        merged = ()
         for exp, coeff in terms:
-            exp = Fraction(exp)
-            if not isinstance(coeff, CyclotomicNumber):
-                coeff = CyclotomicNumber.from_rational(coeff)
-            if cutoff is not None and exp >= cutoff:
-                continue
-            if exp in cleaned:
-                cleaned[exp] = cleaned[exp] + coeff
-            else:
-                cleaned[exp] = coeff
-        self.terms = tuple(sorted(
-            ((e, c) for e, c in cleaned.items() if not c.is_zero()),
-            key=_exponent,
-        ))
-        self.cutoff = Fraction(cutoff) if cutoff is not None else None
+            merged = _merge(merged, NovikovElement.monomial(exp, coeff, cutoff).terms)
+        self.terms = merged
+        self.cutoff = cutoff
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -586,31 +558,26 @@ class NovikovElement:
         other = _coerce_novikov(other)
         if other is NotImplemented:
             return NotImplemented
-        return _sum(self, other, False)
+        return _sum(self, other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _nov(tuple((e, -c) for e, c in self.terms), self.cutoff)
+        return _nov(tuple([(e, -c) for e, c in self.terms]), self.cutoff)
 
     def __sub__(self, other):
         other = _coerce_novikov(other)
         if other is NotImplemented:
             return NotImplemented
-        return _sum(self, other, True)
+        return _sum(self, -other)
 
     def __rsub__(self, other):
         other = _coerce_novikov(other)
         if other is NotImplemented:
             return NotImplemented
-        return _sum(other, self, True)
+        return _sum(other, -self)
 
     def __mul__(self, other):
-        if isinstance(other, CyclotomicNumber):
-            if other.is_zero():
-                return _nov((), self.cutoff)
-            # a field has no zero divisors: every product stays nonzero
-            return _nov(tuple((e, c * other) for e, c in self.terms), self.cutoff)
         other = _coerce_novikov(other)
         if other is NotImplemented:
             return NotImplemented
@@ -622,19 +589,15 @@ class NovikovElement:
             if cutoff is not None and e >= cutoff:
                 return _nov((), cutoff)
             return _nov(((e, c1 * c2),), cutoff)
-        acc: dict[Fraction, CyclotomicNumber] = {}
+        # one row per term of self, sorted as other.terms is and cut below
+        # the cutoff; a field has no zero divisors, so every product is kept
+        merged = ()
         for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = _add_exponents(e1, e2)
-                if cutoff is not None and e >= cutoff:
-                    continue
-                prod = c1 * c2
-                if e in acc:
-                    acc[e] = acc[e] + prod
-                else:
-                    acc[e] = prod
-        return _nov(tuple(sorted(((e, c) for e, c in acc.items() if not c.is_zero()),
-                                 key=_exponent)), cutoff)
+            row = other.terms
+            if cutoff is not None:
+                row = row[:_split_index(row, cutoff - e1)]
+            merged = _merge(merged, tuple((_add_exponents(e1, e2), c1 * c2) for e2, c2 in row))
+        return _nov(merged, cutoff)
 
     __rmul__ = __mul__
 

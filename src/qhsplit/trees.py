@@ -398,7 +398,7 @@ def associahedron_face_counts(d_inputs: int) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# boundary strata and the degeneration partial order
+# boundary strata
 
 
 def boundary_strata(t: TreedDiskType) -> list[tuple[str, TreedDiskType]]:
@@ -437,27 +437,3 @@ def _strata(node: Node):
         moves += [(op, stratum, cls) for op, stratum in _strata(child)]
         for op, new_child, new_cls in moves:
             yield op, Node(slots[:i] + (("edge", new_child, new_cls),) + slots[i + 1:], interior)
-
-
-def leq(lower: TreedDiskType, upper: TreedDiskType) -> bool:
-    """Degeneration partial order: True iff ``lower`` is reachable from
-    ``upper`` by finitely many codimension-one moves.
-
-    The search goes down through ``boundary_strata``, never below the
-    dimension of ``lower``, and keeps the types it has seen in a set.
-    """
-    if not (lower.is_stable() and upper.is_stable()):
-        raise UnstableTypeError("partial order is defined on stable types")
-    seen = {upper}
-    frontier = [upper]
-    while frontier:
-        current = frontier.pop()
-        if current == lower:
-            return True
-        if current.dim() <= lower.dim():
-            continue
-        for _, stratum in boundary_strata(current):
-            if stratum not in seen:
-                seen.add(stratum)
-                frontier.append(stratum)
-    return False

@@ -105,6 +105,22 @@ def test_criterion_02_fails_on_a_vertex_bound_one_short(monkeypatch):
     assert result.detail == "d=0 i=2: 25 types enumerated != 7 counted"
 
 
+def test_criterion_02_fails_without_broken_edges(monkeypatch):
+    # with no length_inf move, no broken type is a stratum: 5 of the 20
+    # dimension-0 types at d = 4 are missed, and 2 of the 4 at d = 3 first
+    strata = trees._strata
+    monkeypatch.setattr(trees, "_strata", lambda node: (
+        (op, s) for op, s in strata(node) if op != "length_inf"))
+    types = trees.enumerate_stable_types(4, 0)
+    reached = {s for t in types if t.dim() == 1 for _, s in trees.boundary_strata(t)}
+    points = {t for t in types if t.dim() == 0}
+    assert (len(points - reached), len(points)) == (5, 20)
+    result = acceptance.criterion_2()
+    assert not result.passed
+    assert result.detail == ("d=3: the strata of the dimension-1 types miss 2 of the 4 "
+                             "dimension-0 types and add 0 others")
+
+
 def test_criterion_03_composition_relations(results):
     _check(results, 3)
 

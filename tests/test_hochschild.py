@@ -233,7 +233,7 @@ def orders_3_and_4_category():
     for n in (2, 3):
         W = toric.PotentialFunction.clifford_torus(n)
         algebras.append(toric.brane_algebra(W, toric.critical_points(W)[1]))
-    return FlatCategory(("a", "b"), tuple(algebras))
+    return FlatCategory(tuple(algebras))
 
 
 @pytest.mark.parametrize("cat, length", brane_categories())
@@ -267,7 +267,7 @@ def test_integer_rows_match_the_realified_boundary(cat, length):
     # oracle: the boundary over the coefficient category, each entry v
     # realified by field products, den * (zeta^k v) at the category's order
     rescaled = [tensors for tensors, _ in ainfty.coefficient_tensors(cat.algebras)]
-    coefficient = FlatCategory(cat.objects, tuple(
+    coefficient = FlatCategory(tuple(
         AInftyAlgebra(alg.basis, alg.degrees, tensors, unit=alg.unit, n_grading=alg.n_grading)
         for alg, tensors in zip(cat.algebras, rescaled)))
     constants = [[v for store in tensors.values() for vec in store.values()
@@ -316,7 +316,7 @@ def test_a_category_without_weights_everywhere_uses_the_novikov_scalars():
     exact = clifford_algebra([[N.q_power(4)]], 1)
     inexact = clifford_algebra([[N.q_power(4) + N.q_power(5)]], 1)
     assert hochschild_homology_dims(FlatCategory.single(exact), 4).dims == {0: 0, 1: 1}
-    both = FlatCategory(("a", "b"), (exact, inexact))
+    both = FlatCategory((exact, inexact))
     report = hochschild_homology_dims(both, 4)
     assert report.cutoff_limited
     assert report.dims == {0: 6, 1: 6}

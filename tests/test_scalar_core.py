@@ -1,8 +1,11 @@
-"""The integer scalar core against a Fraction-backed reference, plus properties.
+"""The integer scalar core against reference implementations, plus properties.
 
 ``cyclotomic_reference.RefCyclotomic`` is the power-basis arithmetic on
 ``Fraction`` coordinates; every operation of ``CyclotomicNumber`` must give
 the same order, the same coordinates and the same ``repr``.
+``novikov_reference`` puts raw Novikov terms in canonical form by a dict and
+a sort; every constructed element, sum, difference and product must give
+its terms and cutoff.
 """
 
 import json
@@ -13,6 +16,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import novikov_reference as ref
 from cyclotomic_reference import RefCyclotomic
 from qhsplit.novikov import CyclotomicNumber, NovikovElement, euler_phi
 
@@ -111,7 +115,7 @@ def test_zero_and_one_have_one_stored_form():
         assert (half - half).den == 1
 
 
-# --- subtraction without a negated copy ---------------------------------------
+# --- subtraction is adding the negation ---------------------------------------
 
 def stored(x):
     """Every stored field of a scalar: ``==`` ignores orders and cutoffs."""
@@ -157,6 +161,51 @@ def test_novikov_subtraction_matches_adding_the_negation():
         assert stored(a - r) == stored(a + (-r))
         assert stored(r - a) == stored(r + (-a))
     assert cancelled == 3000
+
+
+# --- Novikov terms against the dict-then-sort reference ------------------------
+
+def raw_terms(rng):
+    """Shuffled raw pairs over few exponents, some negative and some above any
+    cutoff: repeated exponents, zero coefficients and pairs that cancel."""
+    exponents = [rng.choice((rng.randint(-3, 6), F(rng.randint(-5, 11), 2))) for _ in range(4)]
+    terms = []
+    for _ in range(rng.randint(0, 8)):
+        shape = rng.random()
+        if shape < 0.15:
+            coeff = 0
+        elif shape < 0.3:
+            coeff = F(rng.randint(-4, 4), rng.randint(1, 3))
+        else:
+            coeff = random_pair(rng, rng.choice((1, 3, 4, 5, 6, 12)))[0]
+        exp = rng.choice(exponents)
+        terms.append((exp, coeff))
+        if rng.random() < 0.3:
+            terms.append((exp, -coeff))
+    rng.shuffle(terms)
+    return terms
+
+
+def random_cutoff(rng):
+    return rng.choice((None, None, F(rng.randint(-2, 6)), F(rng.randint(-3, 11), 2)))
+
+
+def test_novikov_terms_match_the_dict_then_sort_reference():
+    rng = random.Random(20241022)
+    for _ in range(2000):
+        raw_x = raw_terms(rng)
+        # y often shares x's terms, or their negations, so sums cancel
+        shared = raw_x[:rng.randint(0, len(raw_x))]
+        raw_y = raw_terms(rng) + rng.choice((shared, [(e, -c) for e, c in shared], []))
+        rng.shuffle(raw_y)
+        cut_x, cut_y = random_cutoff(rng), random_cutoff(rng)
+        x, y = NovikovElement(raw_x, cut_x), NovikovElement(raw_y, cut_y)
+        assert (x.terms, x.cutoff) == ref.canonical(raw_x, cut_x)
+        assert (y.terms, y.cutoff) == ref.canonical(raw_y, cut_y)
+        for value, expected in ((x + y, ref.sum_terms(x, y)),
+                                (x - y, ref.difference_terms(x, y)),
+                                (x * y, ref.product_terms(x, y))):
+            assert (value.terms, value.cutoff) == expected
 
 
 # --- value semantics ---------------------------------------------------------

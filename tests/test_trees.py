@@ -12,7 +12,6 @@ from qhsplit.trees import (
     boundary_strata,
     census_by_dimension,
     enumerate_stable_types,
-    leq,
 )
 
 
@@ -98,13 +97,10 @@ def tally(types):
     return counts
 
 
-def two_vertex_pos(first_pair=True):
+def two_vertex_pos():
     """Three inputs, one positive-length edge: the interval cell."""
-    if first_pair:
-        child = Node((("in", 1), ("in", 2)))
-        return TreedDiskType(Node((("edge", child, POS), ("in", 3))))
-    child = Node((("in", 2), ("in", 3)))
-    return TreedDiskType(Node((("in", 1), ("edge", child, POS))))
+    child = Node((("in", 1), ("in", 2)))
+    return TreedDiskType(Node((("edge", child, POS), ("in", 3))))
 
 
 # --- enumeration and census ---------------------------------------------
@@ -290,12 +286,13 @@ def test_no_weight_or_length_moves_without_grey_or_positive():
 
 def test_strata_are_below_and_codimension_one():
     for d in (2, 3, 4):
-        for t in enumerate_stable_types(d, 0):
+        types = enumerate_stable_types(d, 0)
+        for t in types:
             if t.dim() != 1:
                 continue
             for op, stratum in boundary_strata(t):
                 assert stratum.dim() == t.dim() - 1
-                assert leq(stratum, t)
+                assert stratum in types
 
 
 def test_closure_under_boundary():
@@ -312,22 +309,3 @@ def test_closure_under_boundary():
         assert key in universe
         if current.dim() >= 1:
             frontier.extend(s for _, s in boundary_strata(current))
-
-
-# --- partial order ---------------------------------------------------------
-
-def test_leq_reflexive():
-    t = single_vertex_type(3)
-    assert leq(t, t)
-
-
-def test_leq_endpoint_below_top_cell():
-    top = two_vertex_pos()
-    endpoint = trees._with_metric_classes(top, {finite_edges(top)[0][0]: ZERO})
-    assert leq(endpoint, top)
-
-
-def test_leq_distinct_top_cells_incomparable():
-    a, b = two_vertex_pos(True), two_vertex_pos(False)
-    assert not leq(a, b)
-    assert not leq(b, a)
