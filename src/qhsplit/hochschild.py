@@ -103,11 +103,13 @@ def _contractions(tensors, reduced, word):
             if inner := tensor.get(word[start:start + arity]):
                 yield word[:start], word[start + arity:], prefix[start], inner
 
-    # wraparound contractions (block contains the final slot)
-    for p in range(0, d):
-        for t in range(0, d - p):
-            tensor = tensors.get(t + 1 + p)
-            if tensor and (inner := tensor.get(word[d - 1 - t:] + word[:p])):
+    # wraparound contractions (block contains the final slot): an arity-k
+    # block is the final slot, the t = k - 1 - p slots before it and the
+    # first p slots, so only arities up to d have one
+    for arity, tensor in tensors.items():
+        for p in range(0, arity if arity <= d else 0):
+            t = arity - 1 - p
+            if inner := tensor.get(word[d - 1 - t:] + word[:p]):
                 section = (prefix[p] & (1 ^ prefix[d] ^ prefix[p])) ^ prefix[d - 1] ^ prefix[p] ^ 1
                 yield word[p:d - 1 - t], (), section, inner
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -6,10 +7,12 @@ import time
 import pytest
 
 from qhsplit.cli import (
+    COMMANDS,
     EXIT_FAILURE,
     EXIT_MALFORMED_RATIONAL,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 
@@ -178,6 +181,21 @@ def test_importing_the_cli_leaves_the_acceptance_suite_unloaded():
          "import sys, qhsplit.cli; print('qhsplit.acceptance' in sys.modules)"],
         capture_output=True, text=True)
     assert result.stdout == "False\n", result.stderr
+
+
+def registered_commands(parser) -> list:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(action.choices)
+
+
+def test_a_call_that_opens_with_a_command_registers_only_that_command():
+    narrowed = build_parser(["trees", "enumerate", "--boundary", "3"])
+    assert registered_commands(narrowed) == ["trees"]
+    for argv in ([], ["-h", "trees"], ["--", "trees", "enumerate"], ["bogus"]):
+        full = build_parser(argv)
+        assert registered_commands(full) == list(COMMANDS), argv
+        # the root usage lists every command either way
+        assert narrowed.format_usage() == full.format_usage(), argv
 
 
 def test_oc_matrix_json_reports_determinant_split():

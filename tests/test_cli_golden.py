@@ -8,7 +8,11 @@ as it stood before it computed one determinant per matrix.  ``HELP_GOLDEN``
 pins the sha256 of stdout and of stderr and the exit code for the help texts
 and usage errors; those digests were recorded from the parser as it stood
 before it built only the branch of the command a call names.  argparse wraps
-help to the terminal width, so they are taken at ``COLUMNS=80``.
+help to the terminal width, so they are taken at ``COLUMNS=80``.  The
+entries from ``trees enumerate --boundary 3 extra`` on, where a root-level
+error or help comes with or after a named command, were recorded later, from
+the parser as it stood before a call that opens with a command name
+registered only that command.
 
 A refactor that keeps the digests changes no byte of these outputs.  A
 deliberate change of an output updates the digests it changes, and says so.
@@ -83,7 +87,9 @@ GOLDEN = {
 # argv -> (sha256 of stdout, sha256 of stderr, exit code).  Every command
 # alone and with -h, every leaf with -h, the root's own paths (no command,
 # an unknown command, "--", a flag the named leaf lacks) and the leaves'
-# bad or missing values.
+# bad or missing values; then root errors and help with or after a named
+# command (an extra argument, a second command name, a root flag before the
+# command, -h before the leaf) and an abbreviated leaf flag.
 # ``verify-all`` alone runs the whole suite, so it is left to
 # tests/test_acceptance.py.
 HELP_GOLDEN = {
@@ -122,6 +128,13 @@ HELP_GOLDEN = {
     "blowup split --n 2": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "5b326e47509bcd99711bb57f13d2e5c32c0a7317f95337dd80dc42d9625cc1f5", 2),
     "oc matrix --n 2 --kind pn --order 0": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "a333e794bbe4494cebd296d6a3a654b0622256d8747e29e371ecdf4b2eab70f8", 2),
     "hh dims": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "0b647925581ad5604fa67c638d62157649fe204aa0069aa116dffbea58b53e86", 2),
+    "trees enumerate --boundary 3 extra": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "1f180fa42bf5238a335b5c34beb371b76184819b38c6d7e9aebd77c0425c4ba6", 2),
+    "trees -h enumerate": ("fe021f38879828d2aafd32874d9ff6248f92c3d775af9ea0811a5282c33fc4db", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "--he trees": ("fd5c6dc615ea9ae6bd197b7f76cd65e10f2df573424d47bed63784ca1e67243b", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "-x trees": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "66da7dfede86eb05112d97ebb4028b3e1485a94f7de6742cfe668b823337432b", 2),
+    "potential crit --kind pn --n 2 trees": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "04246f50f2ab87e5e3bee067b7b5925423cb03b7277d45774de07e091e69a2ca", 2),
+    "verify-all --bogus x": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "cd08b0105e47b7ccffb57de0f60b241526819888d2b4720d89e591844dac2562", 2),
+    "oc matrix --n 2 --kind pn --form json": ("16574460a358d35630e99b86c114ea61a1b10d2a56e745a86b5003e20bd4252b", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
 }
 
 

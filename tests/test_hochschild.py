@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from collections import Counter
 from fractions import Fraction as F
 
@@ -121,6 +123,47 @@ def test_boundary_flips_parity():
             p = chain_parity(cat, key)
             for target in hochschild_boundary_basis(cat, key):
                 assert chain_parity(cat, target) == 1 - p
+
+
+def contractions_oracle(tensors, reduced, word):
+    """``hochschild._contractions`` with the wraparound blocks found by a scan
+    of every pair (p, t) of front and back slot counts."""
+    d = len(word)
+    prefix = [0]
+    for i in word:
+        prefix.append(prefix[-1] ^ reduced(i))
+    for arity, tensor in tensors.items():
+        for start in range(0, d - arity):
+            if inner := tensor.get(word[start:start + arity]):
+                yield word[:start], word[start + arity:], prefix[start], inner
+    for p in range(0, d):
+        for t in range(0, d - p):
+            tensor = tensors.get(t + 1 + p)
+            if tensor and (inner := tensor.get(word[d - 1 - t:] + word[:p])):
+                section = (prefix[p] & (1 ^ prefix[d] ^ prefix[p])) ^ prefix[d - 1] ^ prefix[p] ^ 1
+                yield word[p:d - 1 - t], (), section, inner
+
+
+def test_contractions_match_the_scan_over_all_wraparound_pairs():
+    rng = random.Random(23)
+    wraparound = Counter()
+    for _ in range(40):
+        # stored arities 1, 2 and 3, each with about half of its keys
+        tensors = {arity: {key: {rng.randrange(3): N.one()}
+                           for key in itertools.product(range(3), repeat=arity)
+                           if rng.random() < 0.5}
+                   for arity in (1, 2, 3)}
+        alg = AInftyAlgebra(["a", "b", "c"], [rng.randrange(2) for _ in range(3)], tensors)
+        for length in range(1, 6):
+            word = tuple(rng.randrange(3) for _ in range(length))
+            # id(inner) names the stored entry a block composed through
+            got, want = (Counter((head, tail, sign, id(inner)) for head, tail, sign, inner
+                                 in contractions(alg.tensors, alg.reduced, word))
+                         for contractions in (hochschild._contractions, contractions_oracle))
+            assert got == want, word
+            # only a wraparound block, which holds the final slot, leaves no tail
+            wraparound[length] += sum(n for key, n in got.items() if key[1] == ())
+    assert all(wraparound[length] for length in range(1, 6))
 
 
 # --- homology dimensions ----------------------------------------------------
