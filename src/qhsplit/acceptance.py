@@ -78,7 +78,8 @@ def criterion_2(census=trees.census_by_dimension) -> CriterionResult:
     interior input, and for three small cases with interior inputs, the only
     ones with vertices short of slots or children over no boundary input.
     In each case but d = 2, a point, the boundary strata of the dimension-1
-    types must be exactly the dimension-0 types.
+    types must be exactly the dimension-0 types, and each dimension-1 type,
+    an interval, must have exactly two of them.
     """
     for d in (2, 3, 4):
         oracle = trees.associahedron_face_counts(d)
@@ -96,7 +97,8 @@ def criterion_2(census=trees.census_by_dimension) -> CriterionResult:
                                    f"{where}: {len(types)} types enumerated != {total} counted")
         if (d, i) == (2, 0):
             continue
-        strata = [s for t in types if t.dim() == 1 for _, s in trees.boundary_strata(t)]
+        boundaries = [trees.boundary_strata(t) for t in types if t.dim() == 1]
+        strata = [s for boundary in boundaries for _, s in boundary]
         reached, points = set(strata), {t for t in types if t.dim() == 0}
         if reached != points:
             return CriterionResult(
@@ -104,6 +106,12 @@ def criterion_2(census=trees.census_by_dimension) -> CriterionResult:
                 f"{where}: the strata of the dimension-1 types miss "
                 f"{len(points - reached)} of the {len(points)} dimension-0 types "
                 f"and add {len(reached - points)} others")
+        not_intervals = sum(len(boundary) != 2 for boundary in boundaries)
+        if not_intervals:
+            return CriterionResult(
+                2, "tree census", False,
+                f"{where}: {not_intervals} of the {len(boundaries)} dimension-1 types "
+                "have other than two boundary strata")
         if not i:  # the detail line counts the strata for d = 2, 3, 4
             checked += len(strata)
     return CriterionResult(2, "tree census", True,

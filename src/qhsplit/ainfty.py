@@ -46,17 +46,6 @@ from .novikov import NovikovElement, format_rational, json_field, parse_rational
 Vector = dict[int, NovikovElement]
 
 
-def _vec_add(acc: Vector, idx: int, value: NovikovElement):
-    if idx in acc:
-        acc[idx] = acc[idx] + value
-    else:
-        acc[idx] = value
-
-
-def _vec_clean(vec: Vector) -> Vector:
-    return {i: v for i, v in vec.items() if not v.is_zero()}
-
-
 class AInftyAlgebra:
     """Graded module with sparse composition tensors ``m_d``."""
 
@@ -75,7 +64,7 @@ class AInftyAlgebra:
         for d, entries in tensors.items():
             store: dict[tuple, Vector] = {}
             for key, vec in entries.items():
-                vec = _vec_clean(dict(vec))
+                vec = {i: v for i, v in dict(vec).items() if not v.is_zero()}
                 if vec:
                     store[tuple(key)] = vec
             if store:
@@ -169,22 +158,15 @@ class AInftyAlgebra:
         if self.unit is None:
             return []
         bad = []
-        e = self.unit
+        e, m2, one = self.unit, self.tensors.get(2, {}), NovikovElement.one()
         for i in range(self.rank):
-            left = dict(self.m_basis((e, i)))
-            _vec_add(left, i, -NovikovElement.one())
-            if _vec_clean(left):
+            if m2.get((e, i), {}) != {i: one}:
                 bad.append((2, (e, i), "left unit"))
-            right = dict(self.m_basis((i, e)))
-            _vec_add(right, i, NovikovElement.from_rational(-((-1) ** self.degrees[i])))
-            if _vec_clean(right):
+            if m2.get((i, e), {}) != {i: one if self.degrees[i] % 2 == 0 else -one}:
                 bad.append((2, (i, e), "right unit"))
-        for d, entries in self.tensors.items():
-            if d == 2:
-                continue
-            for key, vec in entries.items():
-                if e in key and _vec_clean(dict(vec)):
-                    bad.append((d, key, "unit insertion"))
+        # stored vectors are never empty, so every stored insertion is nonzero
+        bad += [(d, key, "unit insertion") for d, entries in self.tensors.items()
+                if d != 2 for key in entries if e in key]
         return sorted(bad, key=repr)
 
     # -- serialization ------------------------------------------------------------
@@ -327,7 +309,8 @@ def check_ainfty(algebra: AInftyAlgebra) -> list[Violation]:
                     scale = -value if negate else value
                     target = acc.setdefault(tout[:d1] + tin + tout[d1 + 1:], {})
                     for o, val in vout.items():
-                        _vec_add(target, o, val * scale)
+                        term = val * scale
+                        target[o] = target[o] + term if o in target else term
     bad = sorted(((len(key), key, o, value) for key, vec in acc.items()
                   for o, value in vec.items() if not value.is_zero()),
                  key=lambda v: v[:3])

@@ -70,29 +70,19 @@ def generation_check(old_cols, exc_cols, pairing, total_dim: int,
     """Orthogonality of the two images plus a full combined rank.
 
     ``old_cols`` and ``exc_cols`` are lists of sparse columns over a common
-    label set, ``pairing`` the bilinear form on labels.  Generation holds iff
-    the cross Gram matrix vanishes identically and the ranks of the blocks
-    sum to the full dimension.  Returns the verdict under ``generation``
-    together with the Gram matrix and block ranks it rests on.  When the
-    ranks fall short and a block has a row whose entries all sit at or
-    above ``cutoff``, the verdict is ``CUTOFF_LIMITED``, not ``FAILS``.
+    label set, ``pairing`` the bilinear form on labels; the labels of a block
+    sort against each other, which ``linalg.row_reduce`` needs.  Generation
+    holds iff the cross Gram matrix vanishes identically and the ranks of the
+    blocks sum to the full dimension.  Returns the verdict under
+    ``generation`` together with the Gram matrix and block ranks it rests
+    on.  When the ranks fall short and a block has a row whose entries all
+    sit at or above ``cutoff``, the verdict is ``CUTOFF_LIMITED``, not
+    ``FAILS``.
     """
     gram = linalg.gram_matrix(old_cols, exc_cols, pairing)
     orthogonal = all(entry.is_zero() for row in gram for entry in row)
-    label_index: dict = {}
-
-    def rows_of(cols):
-        rows = []
-        for col in cols:
-            row = {}
-            for label, value in col.items():
-                idx = label_index.setdefault(label, len(label_index))
-                row[idx] = value
-            rows.append(row)
-        return rows
-
-    rank_old, _, limited_old = linalg.row_reduce(rows_of(old_cols), cutoff)
-    rank_exc, _, limited_exc = linalg.row_reduce(rows_of(exc_cols), cutoff)
+    rank_old, _, limited_old = linalg.row_reduce(old_cols, cutoff)
+    rank_exc, _, limited_exc = linalg.row_reduce(exc_cols, cutoff)
     if orthogonal and rank_old + rank_exc == total_dim:
         generation = GENERATES
     elif orthogonal and (limited_old or limited_exc):

@@ -27,7 +27,7 @@ import sys
 from fractions import Fraction
 
 from . import ainfty, blowup, hochschild, linalg, openclosed, toric, trees
-from .novikov import DEFAULT_CUTOFF, format_rational, json_field, parse_rational
+from .novikov import DEFAULT_CUTOFF, MalformedRational, format_rational, json_field, parse_rational
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -365,9 +365,9 @@ def main(argv=None) -> int:
     args = build_parser(joined).parse_args(joined)
     try:
         return args.func(args)
+    except MalformedRational as exc:
+        return _error(EXIT_MALFORMED_RATIONAL, "malformed rational", str(exc))
     except ValueError as exc:
-        if "malformed rational" in str(exc):
-            return _error(EXIT_MALFORMED_RATIONAL, "malformed rational", str(exc))
         return _error(EXIT_FAILURE, "value error", str(exc))
     except FileNotFoundError as exc:
         return _error(EXIT_FAILURE, "missing file", str(exc))

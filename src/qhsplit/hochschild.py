@@ -198,7 +198,7 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6) -> Homology
 
     # the boundary rows, over the coefficient field where that is exact
     rescaled = ainfty.coefficient_tensors(cat.algebras)
-    if rescaled:
+    if rescaled is not None:
         phi, tables = _integer_tables([tensors for tensors, _ in rescaled])
 
     # per (length, parity): basis and boundary matrix ranks
@@ -225,7 +225,7 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6) -> Homology
         key = (lengths, parity)
         if key not in ranks:
             chains = [c for length in lengths for c in by_parity.get((length, parity), [])]
-            if rescaled:
+            if rescaled is not None:
                 rows = [_integer_row(tables, cat, c, column) for c in chains]
                 ranks[key] = linalg.integer_rank(rows, phi)[0]
             else:
@@ -261,4 +261,4 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6) -> Homology
         stable = False
     return HomologyReport(dims=dims, stable=stable, per_length=per_length,
                           cutoff_limited=cutoff_limited, graded=graded,
-                          rank_cutoff=None if rescaled else DEFAULT_CUTOFF)
+                          rank_cutoff=DEFAULT_CUTOFF if rescaled is None else None)

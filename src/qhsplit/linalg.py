@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .novikov import DEFAULT_CUTOFF, CyclotomicNumber, NovikovElement
 
-Row = dict[int, NovikovElement]
+Row = dict[object, NovikovElement]  # column keys of one row sort against each other
 
 
 def _clean(row: Row) -> Row:
@@ -39,7 +39,7 @@ def row_reduce(rows, cutoff: Fraction | None = None):
     ``pivots`` maps pivot column -> normalized row (pivot entry 1).  Rows are
     processed in order, and each row's pivot is its entry with the least key
     ``(valuation, number of input rows with an entry in that column, column
-    index)``, so the result is deterministic and sparse columns are eliminated
+    key)``, so the result is deterministic and sparse columns are eliminated
     first, which keeps the fill-in down.
     """
     if cutoff is None:
@@ -50,7 +50,7 @@ def row_reduce(rows, cutoff: Fraction | None = None):
     # Invariant: every stored pivot row has a 1 in its pivot column and no
     # entry in any other pivot column (reduced row echelon form), so one pass
     # suffices to reduce an incoming row.
-    pivots: dict[int, Row] = {}
+    pivots: dict[object, Row] = {}
     rank = 0
     cutoff_limited = any(v.truncated for row in rows for v in row.values())
 

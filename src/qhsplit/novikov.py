@@ -34,10 +34,14 @@ from typing import Iterable
 # ---------------------------------------------------------------------------
 # rational helpers
 
+class MalformedRational(ValueError):
+    """Text that ``parse_rational`` cannot read as an exact rational."""
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse an exact rational of the form ``p``, ``p/q`` or ``-p/q``."""
     if not isinstance(text, str):
-        raise ValueError(f"malformed rational {text!r}")
+        raise MalformedRational(f"malformed rational {text!r}")
     text = text.strip()
     try:
         if "/" in text:
@@ -45,7 +49,7 @@ def parse_rational(text: str) -> Fraction:
             return Fraction(int(num), int(den))
         return Fraction(int(text))
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed rational {text!r}") from exc
+        raise MalformedRational(f"malformed rational {text!r}") from exc
 
 
 def format_rational(value: Fraction) -> str:

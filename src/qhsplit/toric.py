@@ -18,12 +18,15 @@ built by the ``PotentialFunction`` constructors:
   vanishing logarithmic gradient.
 
 Derivatives are always taken in logarithmic coordinates (``y = exp(x)``), so
-the derivative of a monomial multiplies it by its exponent.
+the derivative of a monomial multiplies it by its exponent: at a point, ``W``,
+``d_a W`` and ``d_a d_b W`` are sums of the values ``c_j y^{v_j}`` of its
+monomials, each evaluated once, weighted by ``1``, ``v_j[a]`` and
+``v_j[a] v_j[b]``.
 """
 
 from __future__ import annotations
 
-
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -124,24 +127,14 @@ class PotentialFunction:
 
     # -- evaluation ----------------------------------------------------------
     def evaluate(self, y: tuple) -> NovikovElement:
-        total = NovikovElement.zero()
-        for exp, coeff in self.monomials:
-            total = total + coeff * _power_product(y, exp)
-        return total
-
-    def log_derivative(self, a: int) -> "PotentialFunction":
-        """d/dx_a in logarithmic coordinates: multiply monomials by exponents."""
-        monos = []
-        for exp, coeff in self.monomials:
-            if exp[a]:
-                monos.append((exp, coeff * NovikovElement.from_rational(exp[a])))
-        return PotentialFunction(self.n, tuple(monos), self.order)
-
-    def gradient(self, y: tuple) -> list[NovikovElement]:
-        return [self.log_derivative(a).evaluate(y) for a in range(self.n)]
+        return _log_derivative(self._monomial_values(y))
 
     def is_critical(self, y: tuple) -> bool:
-        return all(g.is_zero() for g in self.gradient(y))
+        return _gradient_vanishes(self._monomial_values(y), self.n)
+
+    def _monomial_values(self, y: tuple) -> list[tuple]:
+        """``(v_j, c_j y^{v_j})`` for each monomial: its exponent and its value at ``y``."""
+        return [(exp, coeff * _power_product(y, exp)) for exp, coeff in self.monomials]
 
 
 def _power_product(y: tuple, exp: tuple) -> NovikovElement:
@@ -155,10 +148,25 @@ def _power_product(y: tuple, exp: tuple) -> NovikovElement:
     return NovikovElement.from_cyclotomic(acc)
 
 
+def _log_derivative(values: list[tuple], *directions: int) -> NovikovElement:
+    """The derivative along each of ``directions`` (none: the value) of the
+    potential whose ``_monomial_values`` are ``values``."""
+    total = NovikovElement.zero()
+    for exp, value in values:
+        weight = math.prod(exp[a] for a in directions)
+        if weight:
+            total = total + value * weight
+    return total
+
+
+def _gradient_vanishes(values: list[tuple], n: int) -> bool:
+    return all(_log_derivative(values, a).is_zero() for a in range(n))
+
+
 def critical_points(potential: PotentialFunction) -> list[tuple]:
     """The critical local systems, as exact root-of-unity tuples.
 
-    Every returned point is verified to kill the symbolic gradient exactly.
+    Every returned point is verified to kill the logarithmic gradient exactly.
     """
     if potential.order is None:
         raise ValueError("the potential belongs to no brane family")
@@ -175,14 +183,11 @@ def critical_points(potential: PotentialFunction) -> list[tuple]:
 
 def hessian(potential: PotentialFunction, y: tuple) -> list[list[NovikovElement]]:
     """Second logarithmic derivative matrix at a critical point."""
-    if not potential.is_critical(y):
+    values = potential._monomial_values(y)
+    if not _gradient_vanishes(values, potential.n):
         raise ValueError("hessian is only evaluated at critical points")
-    n = potential.n
-    out = []
-    for a in range(n):
-        da = potential.log_derivative(a)
-        out.append([da.log_derivative(b).evaluate(y) for b in range(n)])
-    return out
+    return [[_log_derivative(values, a, b) for b in range(potential.n)]
+            for a in range(potential.n)]
 
 
 # ---------------------------------------------------------------------------

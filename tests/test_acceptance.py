@@ -121,6 +121,21 @@ def test_criterion_02_fails_without_broken_edges(monkeypatch):
                              "dimension-0 types and add 0 others")
 
 
+@pytest.mark.parametrize("move, detail", [
+    # without either move the strata still reach exactly the dimension-0
+    # types; only the count of strata per interval shows the loss
+    ("length_zero", "d=3: 2 of the 3 dimension-1 types have other than two boundary strata"),
+    ("collapse", "d=3: 1 of the 3 dimension-1 types have other than two boundary strata"),
+], ids=["no-length-zero", "no-collapse"])
+def test_criterion_02_fails_unless_every_one_cell_is_an_interval(monkeypatch, move, detail):
+    strata = trees._strata
+    monkeypatch.setattr(trees, "_strata", lambda node: (
+        (op, s) for op, s in strata(node) if op != move))
+    result = acceptance.criterion_2()
+    assert not result.passed
+    assert result.detail == detail
+
+
 def test_criterion_03_composition_relations(results):
     _check(results, 3)
 

@@ -54,6 +54,52 @@ def test_perturbed_structure_constant_reports_violation():
     assert "e1" in names or "e2" in names
 
 
+def unit_violations_oracle(alg):
+    """The strict-unit check written out: each m_2 with the unit minus its
+    expected vector, and every other stored insertion of the unit."""
+    bad = []
+    e = alg.unit
+    for i in range(alg.rank):
+        for key, want, what in (((e, i), N.one(), "left unit"),
+                                ((i, e), N.from_rational((-1) ** alg.degrees[i]), "right unit")):
+            diff = alg.m_basis(key)
+            diff[i] = diff.get(i, N.zero()) - want
+            if any(not v.is_zero() for v in diff.values()):
+                bad.append((2, key, what))
+    for d, entries in alg.tensors.items():
+        for key, vec in entries.items():
+            if d != 2 and e in key and any(not v.is_zero() for v in vec.values()):
+                bad.append((d, key, "unit insertion"))
+    return sorted(bad, key=repr)
+
+
+def test_unit_violations_match_the_written_out_check():
+    alg, _, _ = clifford_pn(2)
+    e1, e12 = alg.basis.index("e1"), alg.basis.index("e12")
+
+    def edited(*entries):
+        tensors = {d: {k: dict(v) for k, v in store.items()} for d, store in alg.tensors.items()}
+        for key, vec in entries:
+            tensors.setdefault(len(key), {})[key] = vec
+        return AInftyAlgebra(alg.basis, alg.degrees, tensors, unit=alg.unit)
+
+    q = N.q_power(1)
+    cases = {
+        "clean": alg,
+        "left_scaled": edited(((0, e1), {e1: q})),
+        "left_extra_output": edited(((0, e12), {e12: N.one(), 0: q})),
+        "left_missing": edited(((0, e1), {})),
+        "right_sign_flipped": edited(((e1, 0), {e1: N.one()})),
+        "m3_with_unit": edited(((e1, 0, e1), {e1: q}), ((e1, e1, e1), {e1: q})),
+        "curved": curved_rank2(N.q_power(F(1, 2))),
+        "unit_not_a_unit": AInftyAlgebra(alg.basis, alg.degrees, alg.tensors, unit=e1),
+    }
+    for name, case in cases.items():
+        assert case.unit_violations() == unit_violations_oracle(case), name
+    assert cases["clean"].unit_violations() == []
+    assert all(cases[name].unit_violations() for name in cases if name not in ("clean", "curved"))
+
+
 def test_curvature_multiple_of_unit_passes():
     alg = curved_rank2(N.q_power(F(1, 2)) * 3)
     assert check_ainfty(alg) == []

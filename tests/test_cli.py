@@ -263,6 +263,9 @@ MALFORMED_ALGEBRAS = {
     "tensor_arity_not_an_integer": ({"basis": [], "tensors": {"two": []}}, "'tensors'"),
     "tensor_entries_not_a_list": ({"basis": [], "tensors": {"2": 5}}, "'tensors'"),
     "tensor_inputs_not_the_arity": (_algebra_with_scalar(1, ["1"], inputs=("e",)), "'inputs'"),
+    # a bad basis name, not a bad rational, though its text says "malformed rational"
+    "tensor_input_named_malformed_rational": (
+        _algebra_with_scalar(1, ["1"], inputs=("malformed rational x", "e")), "'inputs'"),
 }
 
 
@@ -408,6 +411,16 @@ def test_hh_dims_of_a_category_file_adds_its_objects(tmp_path):
     assert result.returncode == EXIT_OK
     assert result.stdout.splitlines()[1:] == [
         "degree,dimension,stable", "0,0,true", "1,2,true", "total,2,true"]
+
+
+def test_hh_dims_of_an_empty_category_takes_no_rank(tmp_path):
+    path = tmp_path / "category.json"
+    path.write_text(json.dumps({"objects": []}), encoding="utf-8")
+    result = run_cli("hh", "dims", str(path))
+    assert result.returncode == EXIT_OK
+    assert result.stdout.splitlines() == [
+        "# cutoff=inf cyclotomic_order=1", "degree,dimension,stable",
+        "0,0,true", "1,0,true", "total,0,true"]
 
 
 MALFORMED_CATEGORIES = {

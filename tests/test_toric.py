@@ -301,3 +301,120 @@ def test_critical_points_need_a_brane_family():
     W = PotentialFunction(2, (((1, 0), coeff), ((-1, 0), coeff)))
     with pytest.raises(ValueError, match="no brane family"):
         critical_points(W)
+
+
+# --- derivatives against the symbolic route ------------------------------------------
+#
+# The oracle differentiates symbolically: ``d/dx_a`` of a potential is the
+# potential whose monomials are multiplied by their exponents in direction
+# ``a``, evaluated monomial by monomial with ``CyclotomicNumber.__pow__``.
+
+def oracle_evaluate(W, y):
+    total = N.zero()
+    for exp, coeff in W.monomials:
+        power = C.one()
+        for value, e in zip(y, exp):
+            power = power * value ** e
+        total = total + coeff * N.from_cyclotomic(power)
+    return total
+
+
+def oracle_log_derivative(W, a):
+    return PotentialFunction(W.n, tuple((exp, coeff * N.from_rational(exp[a]))
+                                        for exp, coeff in W.monomials if exp[a]), W.order)
+
+
+def oracle_gradient(W, y):
+    return [oracle_evaluate(oracle_log_derivative(W, a), y) for a in range(W.n)]
+
+
+def oracle_hessian(W, y):
+    return [[oracle_evaluate(oracle_log_derivative(oracle_log_derivative(W, a), b), y)
+             for b in range(W.n)] for a in range(W.n)]
+
+
+def _random_coefficient(rng):
+    coeff = N.monomial(F(rng.randint(0, 3), 2), F(rng.choice([-3, -2, -1, 1, 2, 3]),
+                                                   rng.randint(1, 3)))
+    return coeff * C.root_of_unity(rng.choice([1, 3, 4]), rng.randint(0, 3))
+
+
+def _random_exponent(rng, n):
+    return tuple(rng.randint(-2, 2) for _ in range(n))
+
+
+def random_potential(rng, n):
+    """A Laurent potential with exponents in -2..2, some with a family order."""
+    monos = tuple((_random_exponent(rng, n), _random_coefficient(rng))
+                  for _ in range(rng.randint(1, 5)))
+    return PotentialFunction(n, monos, rng.choice([None, None, 2, 3]))
+
+
+def palindromic_potential(rng, n):
+    """``sum_j c_j (y^{v_j} + y^{-v_j})``, critical wherever every ``y_a = +-1``."""
+    monos = ()
+    for _ in range(rng.randint(1, 3)):
+        exp, coeff = _random_exponent(rng, n), _random_coefficient(rng)
+        monos += ((exp, coeff), (tuple(-e for e in exp), coeff))
+    return PotentialFunction(n, monos)
+
+
+def random_point(rng, n):
+    """Roots of unity of mixed orders, some scaled by a rational."""
+    return tuple(C.root_of_unity(order, rng.randrange(order)) * rng.choice([1, 1, 2, F(-1, 3)])
+                 for order in (rng.choice([1, 2, 3, 4, 6]) for _ in range(n)))
+
+
+def sign_point(rng, n):
+    """Each coordinate 1 or -1, at cyclotomic order 1 or 2."""
+    return tuple(rng.choice([C.one(), C.root_of_unity(2, 0), C.root_of_unity(2)])
+                 for _ in range(n))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_derivatives_match_the_symbolic_route_on_random_potentials(seed):
+    # a palindromic potential at a sign point is critical, and a random
+    # potential at a random point almost never is; hessian raises exactly
+    # where the symbolic gradient is nonzero
+    rng = random.Random(seed)
+    seen = set()
+    for n in range(1, 5):
+        for W, y in ((random_potential(rng, n), random_point(rng, n)),
+                     (palindromic_potential(rng, n), sign_point(rng, n)),
+                     (palindromic_potential(rng, n), random_point(rng, n))):
+            assert W.evaluate(y) == oracle_evaluate(W, y)
+            critical = all(g.is_zero() for g in oracle_gradient(W, y))
+            assert W.is_critical(y) == critical
+            seen.add(critical)
+            if critical:
+                assert hessian(W, y) == oracle_hessian(W, y)
+            else:
+                with pytest.raises(ValueError, match="critical"):
+                    hessian(W, y)
+    assert seen == {True, False}
+
+
+def test_hessian_matches_the_symbolic_route_at_every_brane():
+    families = [PotentialFunction.clifford_torus(n) for n in range(1, 6)]
+    families += [PotentialFunction.exceptional(n, eps)
+                 for n in range(2, 6) for eps in (F(1, 10), F(1, 3))]
+    coeff = N.q_power(1)
+    custom = PotentialFunction(2, (((1, 0), coeff), ((-1, 0), coeff)))
+    cases = [(W, y) for W in families for y in critical_points(W)]
+    cases.append((custom, (C.one(), C.root_of_unity(5))))
+    for W, y in cases:
+        assert oracle_gradient(W, y) == [N.zero()] * W.n
+        assert hessian(W, y) == oracle_hessian(W, y)
+        assert W.evaluate(y) == oracle_evaluate(W, y)
+
+
+def test_one_hessian_evaluates_each_monomial_once(monkeypatch):
+    calls = []
+    power_product = toric._power_product
+    monkeypatch.setattr(toric, "_power_product",
+                        lambda y, exp: calls.append(exp) or power_product(y, exp))
+    for W in (PotentialFunction.clifford_torus(3), PotentialFunction.exceptional(4, F(1, 3))):
+        y = critical_points(W)[-1]
+        calls.clear()
+        hessian(W, y)
+        assert sorted(calls) == sorted(exp for exp, _ in W.monomials)
