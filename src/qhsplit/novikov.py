@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from fractions import Fraction
 from typing import Iterable
 
@@ -38,16 +39,21 @@ class MalformedRational(ValueError):
     """Text that ``parse_rational`` cannot read as an exact rational."""
 
 
+# ASCII digits and at most a leading minus sign
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse an exact rational of the form ``p``, ``p/q`` or ``-p/q``."""
     if not isinstance(text, str):
         raise MalformedRational(f"malformed rational {text!r}")
     text = text.strip()
+    match = _RATIONAL.fullmatch(text)
     try:
-        if "/" in text:
-            num, den = text.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
+        if match is None:
+            raise ValueError(text)
+        # int() of each part, as Fraction(text) parses three times slower
+        return Fraction(int(match[1]), int(match[2] or 1))
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedRational(f"malformed rational {text!r}") from exc
 
@@ -732,7 +738,9 @@ def json_field(data, key: str, what: str, kind: type | None = None):
     if key not in data:
         raise ValueError(f"{what} is missing key {key!r}")
     value = data[key]
-    if kind is not None and not isinstance(value, kind):
+    # a JSON boolean reads as a Python bool, which is an int
+    if kind is not None and (not isinstance(value, kind)
+                             or kind is int and isinstance(value, bool)):
         raise ValueError(f"{what} key {key!r} must be a JSON {kind.__name__}, got {value!r}")
     return value
 

@@ -44,15 +44,17 @@ class OCMatrix:
 def oc_matrix(n: int, kind: str, eps=None) -> OCMatrix:
     """The open-closed matrix in the cycle and brane bases.
 
-    The projective family runs over ``Z_0 .. Z_n``, the exceptional one over
-    ``Z_1 .. Z_{n-1}``.
+    One row and column per critical point of the family's potential, whose
+    ``order`` counts them: the projective family runs over ``Z_0 .. Z_n``,
+    the exceptional one over ``Z_1 .. Z_{n-1}``.
     """
     if kind == PROJECTIVE:
-        potential, labels = toric.PotentialFunction.clifford_torus(n), range(n + 1)
+        potential, first = toric.PotentialFunction.clifford_torus(n), 0
     elif kind == EXCEPTIONAL:
-        potential, labels = toric.PotentialFunction.exceptional(n, eps), range(1, n)
+        potential, first = toric.PotentialFunction.exceptional(n, eps), 1
     else:
         raise ValueError(f"unknown kind {kind}")
+    labels = range(first, first + potential.order)
     # every monomial of a family's potential carries q^w, up to sign
     weight = potential.monomials[0][1].val_q()
     entries = tuple(tuple(_oc_entry(weight, potential.order, b, a) for a in labels)
@@ -132,17 +134,16 @@ def surjectivity_verdict(matrix, det: NovikovElement) -> str:
     return DEFICIENT
 
 
-def bulk_shift_perturbation(n: int, eps) -> tuple[OCMatrix, Fraction]:
-    """Leading open-closed matrix under a point bulk shift of weight ``-eps``.
+def bulk_shift_perturbation(n: int, eps) -> Fraction:
+    """Minimal correction valuation of the projective open-closed matrix
+    under a point bulk shift of weight ``-eps``.
 
-    The leading part is the projective matrix; corrections come from disks
-    of ``toric.ToricModel.simplex(n)`` forced through the shifted point and
-    the cycle of their row.  The point sits at the toric fixed point of the
-    first ``n`` facets and ``Z_b`` meets the last ``b``; each constraint
-    raises the least degree of its facets by one, and the levels are
-    positive, so the least constrained class has degree on each facet the
-    number of constraints containing it.
-    Returns the leading matrix and the exact minimal correction valuation.
+    Corrections come from disks of ``toric.ToricModel.simplex(n)`` forced
+    through the shifted point and the cycle of their row.  The point sits at
+    the toric fixed point of the first ``n`` facets and ``Z_b`` meets the
+    last ``b``; each constraint raises the least degree of its facets by
+    one, and the levels are positive, so the least constrained class has
+    degree on each facet the number of constraints containing it.
     """
     if n < 2:
         raise ValueError("the bulk shift needs ambient dimension greater than 1")
@@ -154,4 +155,4 @@ def bulk_shift_perturbation(n: int, eps) -> tuple[OCMatrix, Fraction]:
     model = toric.ToricModel.simplex(n)
     least = min(model.area([(i < n) + (i > n - b) for i in range(n + 1)])
                 for b in range(1, n + 1))
-    return oc_matrix(n, PROJECTIVE), least - eps
+    return least - eps

@@ -337,6 +337,17 @@ def test_criterion_11_blowup_splitting(results):
     _check(results, 11)
 
 
+def test_criterion_11_fails_on_an_exceptional_family_of_n_branes(monkeypatch):
+    # the point summands are the exceptional block's columns, one per brane
+    # the family claims, so n branes make the blowup of P^2 five-dimensional
+    exceptional = toric.PotentialFunction.exceptional
+    monkeypatch.setattr(toric.PotentialFunction, "exceptional", lambda n, eps: (
+        dataclasses.replace(exceptional(n, eps), order=n)))
+    result = acceptance.criterion_11()
+    assert not result.passed
+    assert result.detail == "n=2: dim 5"
+
+
 def test_criterion_12_index_area_correspondence(results):
     _check(results, 12)
 

@@ -56,16 +56,16 @@ def test_weight_accounting_matches_area_shift():
 
 # --- splitting ----------------------------------------------------------------
 
-def test_qh_split_dimensions():
-    assert blowup.qh_split(blowup.BlowupModel(2, F(1, 10)))["total_dim"] == 4
-    report = blowup.qh_split(blowup.BlowupModel(3, F(1, 10)))
+def test_split_report_dimensions():
+    assert blowup.split_report(2, F(1, 10))["total_dim"] == 4
+    report = blowup.split_report(3, F(1, 10))
     assert report["total_dim"] == 6
     assert report["summands"] == ["base", "point", "point"]
 
 
-def test_no_blowup_model_in_dimension_one():
-    with pytest.raises(ValueError):
-        blowup.BlowupModel(1, F(1, 10))
+def test_no_split_report_in_dimension_one():
+    with pytest.raises(ValueError, match="no exceptional branes below dimension two"):
+        blowup.split_report(1, F(1, 10))
 
 
 def test_generation_for_p2_blowup():
@@ -77,24 +77,22 @@ def test_generation_for_p2_blowup():
 
 
 def test_generation_negative_control():
-    model = blowup.BlowupModel(2, F(1, 10))
-    matrix, _ = openclosed.bulk_shift_perturbation(2, F(1, 10))
+    matrix = openclosed.oc_matrix(2, openclosed.PROJECTIVE)
     old_cols = [{("base", b): matrix.entry(b, a) for b in range(3)}
                 for a in range(3)]
     zero_cols = [{("exc", 1): N.zero()}]
-    check = blowup.generation_check(old_cols, zero_cols, model.pairing, 4)
+    check = blowup.generation_check(old_cols, zero_cols, blowup._pairing(2))
     assert check["generation"] == blowup.FAILS
 
 
 def test_generation_below_the_cutoff_is_cutoff_limited():
     # the exceptional column is q^5, at or above the default cutoff 3, so its
     # rank is unknown rather than short
-    model = blowup.BlowupModel(2, F(1, 10))
-    matrix, _ = openclosed.bulk_shift_perturbation(2, F(1, 10))
+    matrix = openclosed.oc_matrix(2, openclosed.PROJECTIVE)
     old_cols = [{("base", b): matrix.entry(b, a) for b in range(3)}
                 for a in range(3)]
     high_cols = [{("exc", 1): N.q_power(5)}]
-    check = blowup.generation_check(old_cols, high_cols, model.pairing, 4)
+    check = blowup.generation_check(old_cols, high_cols, blowup._pairing(2))
     assert check["exceptional_block_rank"] == 0
     assert check["generation"] == blowup.CUTOFF_LIMITED
 
@@ -114,8 +112,8 @@ def test_split_grid():
 
 
 def test_pairing_blocks():
-    model = blowup.BlowupModel(3, F(1, 10))
-    assert model.pairing(("base", 0), ("base", 3)) == N.one()
-    assert model.pairing(("base", 1), ("exc", 2)).is_zero()
-    assert model.pairing(("exc", 1), ("exc", 2)) == -N.one()
-    assert model.pairing(("exc", 1), ("exc", 1)).is_zero()
+    pairing = blowup._pairing(3)
+    assert pairing(("base", 0), ("base", 3)) == N.one()
+    assert pairing(("base", 1), ("exc", 2)).is_zero()
+    assert pairing(("exc", 1), ("exc", 2)) == -N.one()
+    assert pairing(("exc", 1), ("exc", 1)).is_zero()

@@ -117,10 +117,13 @@ def test_hh_dims_csv(tmp_path):
 # --- error paths ----------------------------------------------------------------
 
 def test_malformed_rational_exit_code():
-    result = run_cli("blowup", "split", "--n", "2", "--eps", "0.1")
-    assert result.returncode == EXIT_MALFORMED_RATIONAL
-    error = json.loads(result.stderr)
-    assert error["error"] == "malformed rational"
+    # outside the grammar p, p/q, -p/q, though int() reads each part of all
+    # but the first
+    for eps in ("0.1", "1_0/1_00", "+1/10", "1/-10", "\u0661/\u0662"):
+        result = run_cli("blowup", "split", "--n", "2", "--eps", eps)
+        assert result.returncode == EXIT_MALFORMED_RATIONAL
+        error = json.loads(result.stderr)
+        assert error["error"] == "malformed rational"
 
 
 @pytest.mark.parametrize("command", [
@@ -257,6 +260,9 @@ def _algebra_with_scalar(order, coeff, inputs=("e", "e")):
 MALFORMED_ALGEBRAS = {
     "basis_entry_not_an_object": ({"basis": ["e"]}, "basis entry"),
     "basis_entry_without_degree": ({"basis": [{"name": "e"}]}, "'degree'"),
+    # JSON true is a Python bool, which is an int, but not a degree
+    "degree_true": ({"basis": [{"name": "1", "degree": True}, {"name": "e", "degree": False}],
+                     "tensors": {}}, "'degree'"),
     "scalar_order_below_one": (_algebra_with_scalar(0, []), "'order'"),
     "scalar_coeff_wrong_length": (_algebra_with_scalar(3, ["1"]), "'coeff'"),
     "n_grading_not_an_integer": ({"basis": [], "n_grading": "2"}, "'n_grading'"),

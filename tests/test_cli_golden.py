@@ -12,7 +12,11 @@ help to the terminal width, so they are taken at ``COLUMNS=80``.  The
 entries from ``trees enumerate --boundary 3 extra`` on, where a root-level
 error or help comes with or after a named command, were recorded later, from
 the parser as it stood before a call that opens with a command name
-registered only that command.
+registered only that command.  The ``blowup split`` reports at ``--eps 1``
+(cut short by the bulk-shift cutoff) and ``--eps 9/10``, and its two value
+errors in ``HELP_GOLDEN`` (dimension one, ``eps`` zero), were recorded from
+the report as it stood before it read the summand dimensions off the two
+open-closed blocks.
 
 A refactor that keeps the digests changes no byte of these outputs.  A
 deliberate change of an output updates the digests it changes, and says so.
@@ -81,6 +85,9 @@ GOLDEN = {
     "blowup split --n 3 --eps 1/3 --format md": ("6ca9d003f79d6d976287168f836892c942687c439228ed5b73d8e5b574911b5f", 0),
     "blowup split --n 4 --eps 1/3 --format md": ("6c4dac79c2dafe12c0ee76740ad74b68ba6b0dd3d476797e782ecec6818d504a", 0),
     "blowup split --n 5 --eps 1/3 --format md": ("862b096c56744874a98eb03ed6d8b55205d0a5a90303d65da89805fdd68852ef", 0),
+    "blowup split --n 2 --eps 1 --format json": ("590694d4767d2c027f0b7b15f82a55a15da83ef1b6d0ff2cf542274c56d89793", 1),
+    "blowup split --n 2 --eps 1 --format md": ("1b0a729a25cdfc187f4e850234a22fd9e72462dbe7e77e16bdd77ef92b9c4710", 1),
+    "blowup split --n 3 --eps 9/10": ("6571dd732f4ef5dc78835b4a48f63888b0964f1fe798ddf4011dc56f70eb41a2", 0),
 }
 
 
@@ -89,7 +96,8 @@ GOLDEN = {
 # an unknown command, "--", a flag the named leaf lacks) and the leaves'
 # bad or missing values; then root errors and help with or after a named
 # command (an extra argument, a second command name, a root flag before the
-# command, -h before the leaf) and an abbreviated leaf flag.
+# command, -h before the leaf), an abbreviated leaf flag and the value errors
+# of ``blowup split``, whose JSON message goes to stderr.
 # ``verify-all`` alone runs the whole suite, so it is left to
 # tests/test_acceptance.py.
 HELP_GOLDEN = {
@@ -135,6 +143,8 @@ HELP_GOLDEN = {
     "potential crit --kind pn --n 2 trees": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "04246f50f2ab87e5e3bee067b7b5925423cb03b7277d45774de07e091e69a2ca", 2),
     "verify-all --bogus x": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "cd08b0105e47b7ccffb57de0f60b241526819888d2b4720d89e591844dac2562", 2),
     "oc matrix --n 2 --kind pn --form json": ("16574460a358d35630e99b86c114ea61a1b10d2a56e745a86b5003e20bd4252b", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "blowup split --n 1 --eps 1/10": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "d2ecd7fb71cc4b0f02a289f2b2e7205900e060205ad0a8e25b7cb83329581abf", 1),
+    "blowup split --n 2 --eps=0": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "8083fe0dbb7f3d107b27d0c9daf32420a57a7a498c370fb0009add5ace6004e7", 1),
 }
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from qhsplit.novikov import (
     CyclotomicNumber,
+    MalformedRational,
     NovikovElement,
     cyclotomic_polynomial,
     euler_phi,
@@ -226,8 +227,13 @@ def test_rational_parsing():
     assert parse_rational("3/4") == F(3, 4)
     assert parse_rational("-2") == F(-2)
     assert format_rational(F(9, 10)) == "9/10"
-    with pytest.raises(ValueError, match="malformed rational"):
-        parse_rational("0.5")
+    assert parse_rational(" 1/10 ") == F(1, 10)
+    # outside the grammar p, p/q, -p/q, though int() reads each part of the
+    # second to fifth; the last is past int()'s digit limit
+    for text in ("0.5", "1_0", "\u0661/\u0662", "1/-2", "+1/2", "1/0", "1/", "-", "",
+                 "1" * 5000):
+        with pytest.raises(MalformedRational, match="malformed rational"):
+            parse_rational(text)
 
 
 def test_reduction_idempotent():

@@ -185,18 +185,16 @@ def test_frobenius_gram_diagonal():
 # --- bulk shift --------------------------------------------------------------------
 
 def test_bulk_shift_minimal_valuation():
-    leading, extra = oc.bulk_shift_perturbation(2, F(1, 10))
+    extra = oc.bulk_shift_perturbation(2, F(1, 10))
+    assert type(extra) is F
     assert extra == F(9, 10)
     assert extra >= 1 - F(1, 10)
-    # the leading matrix is untouched by the shift
-    reference = oc.oc_matrix(2, oc.PROJECTIVE)
-    assert leading.entries == reference.entries
 
 
 def test_bulk_shift_bound_on_grid():
     for n in (2, 3, 4):
         for eps in (F(1, 10), F(1, 3), F(9, 10)):
-            _, extra = oc.bulk_shift_perturbation(n, eps)
+            extra = oc.bulk_shift_perturbation(n, eps)
             assert extra >= 1 - eps
 
 
@@ -224,7 +222,7 @@ def least_constrained_area(n):
 def test_bulk_shift_matches_brute_force(n):
     least = least_constrained_area(n)
     for eps in (F(1, 10), F(1, 3), F(9, 10)):
-        assert oc.bulk_shift_perturbation(n, eps)[1] == least - eps
+        assert oc.bulk_shift_perturbation(n, eps) == least - eps
 
 
 def test_bulk_shift_rejects_bad_parameters():
