@@ -25,13 +25,23 @@ an outer entry ``m(.., s, ..)_o``.  It carries ``q^{sum w(b) - w(s)}``
 times ``q^{sum w(outer inputs) - w(o)}``, which is ``q^{sum w(a) - w(o)}``
 whatever the nesting.  So each component is that one power of q times the
 same component of the q-free constants, and the relations are checked
-exactly over the coefficient field, with no cutoff.  A violating component
-is reported as the monomial with q-exponent ``sum w(a) - w(o)`` and
-coefficient in the field of the lcm of the orders of the algebra's
-irrational coefficients.  For an algebra whose irrational coefficients span
-two or more orders, that field can be larger than the one the Novikov
-arithmetic would print the coefficient in; the value is the same under
-``==``.
+exactly over the coefficient field, with no cutoff.
+
+They are checked on integers, with the tables that the Hochschild ranks
+use: ``coefficient_tensors`` converts each constant ``c`` once to
+``realify(c)``, the coordinates of ``den zeta^k c`` for ``k < phi``, with
+``den`` one common denominator per algebra.  An outer constant ``a`` and an
+inner one ``b`` give ``den^2 a b = sum_k b0[k] den zeta^k a``, where ``b0``
+holds the coordinates of ``den b`` (block 0 of ``realify(b)``) and ``den
+zeta^k a`` is block ``k`` of ``realify(a)``: both are integer vectors, so
+every term of a relation is ``den^2`` times the field product, and each
+relation component is summed exactly on integers.  Dividing the sum by
+``den^2`` again is exact, so only a nonzero component goes back to the
+field, as the monomial with q-exponent ``sum w(a) - w(o)`` and coefficient
+in the field of the lcm of the orders of the algebra's irrational
+coefficients.  For an algebra whose irrational coefficients span two or
+more orders, that field can be larger than the one the Novikov arithmetic
+would print the coefficient in; the value is the same under ``==``.
 """
 
 from __future__ import annotations
@@ -39,8 +49,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, itemgetter, mul, neg
 
-from .novikov import NovikovElement, format_rational, json_field, parse_rational
+from . import linalg
+from .novikov import (CyclotomicNumber, NovikovElement, euler_phi, format_rational,
+                      json_field, parse_rational)
 
 
 Vector = dict[int, NovikovElement]
@@ -199,6 +212,9 @@ class AInftyAlgebra:
         cutoff = data.get("cutoff", "inf")
         cutoff_val = None if cutoff in (None, "inf") else parse_rational(cutoff)
         index = {name: i for i, name in enumerate(basis)}
+        if len(index) < len(basis):
+            name = next(name for i, name in enumerate(basis) if index[name] != i)
+            raise ValueError(f"algebra key 'basis' names {name!r} twice")
 
         def lookup(name, key):
             if not isinstance(name, str) or name not in index:
@@ -210,7 +226,7 @@ class AInftyAlgebra:
         if not isinstance(tensor_data, dict):
             raise ValueError(f"algebra key 'tensors' must be a JSON dict, got {tensor_data!r}")
         for d, entries in tensor_data.items():
-            if not d.isdigit():
+            if not (d.isascii() and d.isdigit()):  # [0-9]+, not every Unicode digit
                 raise ValueError(f"algebra key 'tensors' has a non-integer arity {d!r}")
             if not isinstance(entries, list):
                 raise ValueError(f"algebra key 'tensors' maps arity {d} to {entries!r}, "
@@ -249,15 +265,24 @@ class Violation:
         return f"Violation(d={self.arity}, ({ins}) -> {self.output}: {self.value})"
 
 
-def coefficient_tensors(algebras) -> list[tuple[dict, tuple[Fraction, ...]]] | None:
-    """Each algebra's tensors rescaled out of the Novikov layer, with its weights.
+def _map_tensors(tensors, f) -> dict:
+    """``tensors`` with every scalar ``v`` replaced by ``f(v)``."""
+    return {d: {key: {o: f(v) for o, v in vec.items()} for key, vec in store.items()}
+            for d, store in tensors.items()}
+
+
+def coefficient_tensors(algebras) -> tuple[int, int, list] | None:
+    """Each algebra's q-free structure constants as integer coordinates.
 
     When every algebra has ``q_weights``, each structure constant ``c q^x``
-    is replaced by its coefficient ``c``, stored at the lcm of the orders of
-    the irrational coefficients of all the algebras (order 1, the field
-    ``Q``, when all are rational); otherwise ``None``.  The tensors keep the
-    algebra's basis, degrees and unit.  See the module docstring for why the
-    relations survive the rescaling.
+    is replaced by its coefficient ``c`` at the lcm ``order`` of the orders
+    of the irrational coefficients of all the algebras (order 1, the field
+    ``Q``, when all are rational), and ``c`` by ``linalg.realify(c, order,
+    den)``, the power-basis coordinates of ``den zeta^k c`` for ``k < phi``,
+    with ``den`` the lcm of the denominators of that algebra's constants.
+    Returns ``(order, phi, [(tables, den, weights), ...])``, one triple per
+    algebra, ``tables`` keyed as its ``tensors``; otherwise ``None``.  See
+    the module docstring for why the relations survive the rescaling.
     """
     weights = []
     for alg in algebras:
@@ -269,10 +294,42 @@ def coefficient_tensors(algebras) -> list[tuple[dict, tuple[Fraction, ...]]] | N
                           for store in alg.tensors.values()
                           for vec in store.values() for value in vec.values()
                           if not value.terms[0][1].is_rational()))
-    return [({d: {key: {o: value.terms[0][1].to_order(order) for o, value in vec.items()}
-                  for key, vec in store.items()}
-              for d, store in alg.tensors.items()}, w)
-            for alg, w in zip(algebras, weights)]
+    out = []
+    for alg, w in zip(algebras, weights):
+        # the power basis of Z[zeta_m] is an integral basis, so a constant's
+        # least denominator is the same at every order that holds it
+        den = math.lcm(1, *(value.terms[0][1].den for store in alg.tensors.values()
+                            for vec in store.values() for value in vec.values()))
+        out.append((_map_tensors(alg.tensors,
+                                 lambda value: linalg.realify(value.terms[0][1], order, den)),
+                    den, w))
+    return order, euler_phi(order), out
+
+
+def _relation_sums(algebra: AInftyAlgebra, outer_tensors, inner_tensors, times, plus, minus):
+    """The relation sums ``{inputs: {output: sum}}``, over every entry of
+    ``inner_tensors`` nested in every slot of every entry of
+    ``outer_tensors``, two forms of the algebra's tensors.  A term is
+    ``times(outer scalar, inner scalar)``, the inner scalar replaced by
+    ``minus`` of it where the relation sign is odd, and ``plus`` sums."""
+    # the inner entries indexed by the basis element they produce
+    producing: dict[int, list] = {}
+    for inner in inner_tensors.values():
+        for tin, vin in inner.items():
+            for slot, value in vin.items():
+                producing.setdefault(slot, []).append((tin, value, minus(value)))
+    acc: dict[tuple, dict] = {}
+    for outer in outer_tensors.values():
+        for tout, vout in outer.items():
+            for d1, slot in enumerate(tout):
+                negate = sum(algebra.reduced(i) for i in tout[:d1]) % 2
+                for tin, value, negated in producing.get(slot, ()):
+                    scale = negated if negate else value
+                    target = acc.setdefault(tout[:d1] + tin + tout[d1 + 1:], {})
+                    for o, val in vout.items():
+                        term = times(val, scale)
+                        target[o] = plus(target[o], term) if o in target else term
+    return acc
 
 
 def check_ainfty(algebra: AInftyAlgebra) -> list[Violation]:
@@ -286,37 +343,40 @@ def check_ainfty(algebra: AInftyAlgebra) -> list[Violation]:
     preceding the inner composition.  Violations are sorted by arity, inputs
     and output.
 
-    The pass runs over the q-free constants of ``coefficient_tensors`` when
+    The pass runs on the integer coordinates of ``coefficient_tensors`` when
     the algebra has weights, and over its Novikov scalars otherwise.  On the
-    field path a violating component ``(a_1..a_d) -> o`` with coefficient
+    integer path a violating component ``(a_1..a_d) -> o`` with coefficient
     ``c`` is reported as ``c q^{sum w(a) - w(o)}``, ``c`` in the field of the
     lcm order (module docstring).
     """
     rescaled = coefficient_tensors([algebra])
-    tensors, weights = rescaled[0] if rescaled else (algebra.tensors, None)
-    # the inner entries indexed by the basis element they produce
-    producing: dict[int, list] = {}
-    for inner in tensors.values():
-        for tin, vin in inner.items():
-            for slot, value in vin.items():
-                producing.setdefault(slot, []).append((tin, value))
-    acc: dict[tuple, dict] = {}
-    for outer in tensors.values():
-        for tout, vout in outer.items():
-            for d1, slot in enumerate(tout):
-                negate = sum(algebra.reduced(i) for i in tout[:d1]) % 2
-                for tin, value in producing.get(slot, ()):
-                    scale = -value if negate else value
-                    target = acc.setdefault(tout[:d1] + tin + tout[d1 + 1:], {})
-                    for o, val in vout.items():
-                        term = val * scale
-                        target[o] = target[o] + term if o in target else term
-    bad = sorted(((len(key), key, o, value) for key, vec in acc.items()
-                  for o, value in vec.items() if not value.is_zero()),
-                 key=lambda v: v[:3])
-    if weights is not None:
-        bad = [(d, key, o, NovikovElement.monomial(sum(weights[i] for i in key) - weights[o],
-                                                   value))
-               for d, key, o, value in bad]
-    return [Violation(d, tuple(algebra.basis[i] for i in key), algebra.basis[o], value)
-            for d, key, o, value in bad]
+    if rescaled is None:
+        sums = _relation_sums(algebra, algebra.tensors, algebra.tensors, mul, add, neg)
+        bad = [(key, o, value) for key, vec in sums.items()
+               for o, value in vec.items() if not value.is_zero()]
+    else:
+        order, phi, [(tables, den, weights)] = rescaled
+        if phi == 1:
+            # over Q, realify(c) is (den c,) and den^2 a b one product; the
+            # loop sums plain ints about three times as fast as 1-tuples
+            ints = _map_tensors(tables, itemgetter(0))
+            sums = {key: {o: (x,) for o, x in vec.items()}
+                    for key, vec in _relation_sums(algebra, ints, ints, mul, add, neg).items()}
+        else:
+            # realify(a) is k-major, block k the coordinates of den zeta^k a,
+            # so with b0 the block 0 of realify(b), den^2 a b is
+            # sum_k b0[k] den zeta^k a: coordinate i is b0 dotted with the
+            # coordinates i of the blocks
+            sums = _relation_sums(
+                algebra, _map_tensors(tables, lambda c: tuple(c[i::phi] for i in range(phi))),
+                _map_tensors(tables, lambda c: c[:phi]),
+                lambda columns, b0: tuple([sum(map(mul, column, b0)) for column in columns]),
+                lambda x, y: tuple(map(add, x, y)), lambda b0: tuple([-x for x in b0]))
+        square = den * den
+        bad = [(key, o, NovikovElement.monomial(
+                    sum(weights[i] for i in key) - weights[o],
+                    CyclotomicNumber(order, [Fraction(x, square) for x in coords])))
+               for key, vec in sums.items() for o, coords in vec.items() if any(coords)]
+    bad.sort(key=lambda v: (len(v[0]), v[0], v[1]))
+    return [Violation(len(key), tuple(algebra.basis[i] for i in key), algebra.basis[o], value)
+            for key, o, value in bad]

@@ -22,33 +22,33 @@ no chain is dropped.
 
 Ranks are taken over the coefficient field when they can be.  When every
 algebra has weights, its structure constants are rescaled to their q-free
-coefficients in a cyclotomic field ``Q(zeta)`` (``ainfty.coefficient_tensors``,
-shared with the relation check; the module docstring of ``ainfty`` gives the
-argument).  The rescaling keeps word lengths, parities and the unit, so it
-carries the (normalized) Hochschild complex isomorphically onto that of the
-q-free constants, and rank does not change under the field extension to the
-Novikov field (Loday, *Cyclic Homology*, 1.1): the ranks are exact, with no
-q-exponent, cutoff or truncation.  They are taken on integers by
-``linalg.integer_rank``.  Every row entry is a signed sum of single structure
-constants, so each constant is converted once per algebra to the coordinates
-of its ``zeta``-multiples over a common denominator (``linalg.realify``; see
-the module docstring of ``linalg``), and a chain's rows are sums and
-differences of those, with the signs of the same contractions that
-``hochschild_boundary_basis`` enumerates.  Any other category is ranked over
-the truncated Novikov scalars.
+coefficients in a cyclotomic field ``Q(zeta)`` (the module docstring of
+``ainfty`` gives the argument).  The rescaling keeps word lengths, parities
+and the unit, so it carries the (normalized) Hochschild complex
+isomorphically onto that of the q-free constants, and rank does not change
+under the field extension to the Novikov field (Loday, *Cyclic Homology*,
+1.1): the ranks are exact, with no q-exponent, cutoff or truncation.  They
+are taken on integers by ``linalg.integer_rank``.  Every row entry is a
+signed sum of single structure constants, so the rows are built from the
+integer tables of ``ainfty.coefficient_tensors``, the same tables the
+relation check sums on: each constant converted once per algebra to the
+coordinates of its ``zeta``-multiples over a common denominator
+(``linalg.realify``; see the module docstring of ``linalg``).  A chain's
+rows are sums and differences of those, with the signs of the same
+contractions that ``hochschild_boundary_basis`` enumerates.  Any other
+category is ranked over the truncated Novikov scalars.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, sub
 
 from . import ainfty, linalg
 from .ainfty import AInftyAlgebra
-from .novikov import DEFAULT_CUTOFF, NovikovElement, euler_phi
+from .novikov import DEFAULT_CUTOFF, NovikovElement
 
 
 @dataclass(frozen=True)
@@ -127,21 +127,10 @@ def hochschild_boundary_basis(cat: FlatCategory, key) -> Chain:
     return {k: v for k, v in acc.items() if not v.is_zero()}
 
 
-def _integer_tables(tensors) -> tuple[int, list]:
-    """``phi`` and each algebra's q-free tensors with every constant ``c`` (all
-    of one order) replaced by ``linalg.realify(c)`` over one denominator per algebra."""
-    order, tables = 1, []
-    for tensor in tensors:
-        values = [v for store in tensor.values() for vec in store.values() for v in vec.values()]
-        order, den = math.lcm(order, *(v.order for v in values)), math.lcm(1, *(v.den for v in values))
-        tables.append({d: {key: {o: linalg.realify(v, v.order, den) for o, v in vec.items()}
-                               for key, vec in store.items()} for d, store in tensor.items()})
-    return euler_phi(order), tables
-
-
 def _integer_row(tables, cat: FlatCategory, key, column) -> dict:
     """A basis chain's boundary with ``realify``d entries, summed from the
-    ``_integer_tables``; ``column`` maps a chain to its column, or to None."""
+    tables of ``ainfty.coefficient_tensors``; ``column`` maps a chain to its
+    column, or to None."""
     (obj, word), acc = key, {}
     for head, tail, sign, inner in _contractions(tables[obj], cat.algebras[obj].reduced, word):
         for o, coords in inner.items():
@@ -199,7 +188,8 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6) -> Homology
     # the boundary rows, over the coefficient field where that is exact
     rescaled = ainfty.coefficient_tensors(cat.algebras)
     if rescaled is not None:
-        phi, tables = _integer_tables([tensors for tensors, _ in rescaled])
+        _, phi, per_algebra = rescaled
+        tables = [tensors for tensors, _, _ in per_algebra]
 
     # per (length, parity): basis and boundary matrix ranks
     by_parity: dict[tuple, list] = {}

@@ -9,7 +9,7 @@ import pytest
 from qhsplit import toric
 from qhsplit.cli import EXIT_FAILURE, main
 from qhsplit.ainfty import AInftyAlgebra, Violation, check_ainfty
-from qhsplit.novikov import CyclotomicNumber, NovikovElement as N
+from qhsplit.novikov import CyclotomicNumber, NovikovElement as N, euler_phi
 
 
 def clifford_pn(n, k=0):
@@ -198,13 +198,14 @@ def test_q_weights_reject_inconsistent_exponents():
 # --- relations over the coefficient field -----------------------------------------
 
 def with_flipped_signs(alg, seed, flips=3):
-    """The algebra with the signs of ``flips`` seeded ``m_2`` entries flipped;
-    each entry keeps its q-exponent, so the algebra stays q-homogeneous."""
+    """The algebra with the signs of ``flips`` seeded entries flipped (all of
+    them if it has fewer); each entry keeps its q-exponent, so the algebra
+    stays q-homogeneous."""
     tensors = {d: {k: dict(v) for k, v in entries.items()}
                for d, entries in alg.tensors.items()}
-    m2 = tensors[2]
-    for key in random.Random(seed).sample(sorted(m2), flips):
-        m2[key] = {o: -value for o, value in m2[key].items()}
+    entries = sorted((d, key) for d, store in tensors.items() for key in store)
+    for d, key in random.Random(seed).sample(entries, min(flips, len(entries))):
+        tensors[d][key] = {o: -value for o, value in tensors[d][key].items()}
     return AInftyAlgebra(alg.basis, alg.degrees, tensors, unit=alg.unit)
 
 
@@ -254,3 +255,69 @@ def test_a_violation_is_printed_in_the_field_of_the_lcm_order(monkeypatch):
     assert novikov == violations
     assert novikov[0].value.leading()[1].order == 3
     assert repr(novikov[0]) != repr(violations[0])
+
+
+# --- random algebras on both paths ----------------------------------------------
+
+# the orders of the irrational constants of one algebra; each lcm has phi <= 4
+ORDER_MIXES = [(1,), (3,), (4,), (5,), (8,), (12,), (3, 4), (4, 8), (1, 3, 4, 12)]
+
+
+def random_coefficient(rng, orders):
+    """A nonzero constant of one of ``orders``, with denominators up to 6."""
+    order = rng.choice(orders)
+    while True:
+        coeffs = [F(rng.randint(-3, 3), rng.choice((1, 2, 3, 6))) for _ in range(euler_phi(order))]
+        if any(coeffs):
+            return CyclotomicNumber(order, coeffs)
+
+
+def random_algebra(rng, orders):
+    """A sparse algebra with entries of arities 1 to 3, q-homogeneous for
+    random weights."""
+    rank = rng.randint(2, 4)
+    weights = [F(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(rank)]
+    tensors = {}
+    for _ in range(rng.randint(4, 12)):
+        key = tuple(rng.randrange(rank) for _ in range(rng.randint(1, 3)))
+        o = rng.randrange(rank)
+        tensors.setdefault(len(key), {}).setdefault(key, {})[o] = N.monomial(
+            sum(weights[i] for i in key) - weights[o], random_coefficient(rng, orders))
+    return AInftyAlgebra([f"x{i}" for i in range(rank)], [rng.randrange(2) for _ in range(rank)],
+                         tensors)
+
+
+def rescaled_brane(rng, orders):
+    """The brane algebra at point 0 of the exceptional n=2 model, whose
+    constants are rational and stored at order 1, in the basis
+    ``e'_a = lambda_a q^(s_a) e_a``, random ``lambda_a`` of ``orders`` and
+    ``s_a``: an isomorphic algebra, so its relations hold."""
+    alg = brane("exceptional", 2, 0)
+    scale = [N.monomial(F(rng.randint(-2, 2), 3), random_coefficient(rng, orders))
+             for _ in range(alg.rank)]
+    inverse = [N.monomial(-s.val_q(), s.leading()[1].inverse()) for s in scale]
+    tensors = {}
+    for d, store in alg.tensors.items():
+        for key, vec in store.items():
+            factor = N.one()
+            for i in key:
+                factor = factor * scale[i]
+            tensors.setdefault(d, {})[key] = {o: value * factor * inverse[o]
+                                              for o, value in vec.items()}
+    return AInftyAlgebra(alg.basis, alg.degrees, tensors, unit=alg.unit)
+
+
+@pytest.mark.parametrize("orders", ORDER_MIXES, ids=str)
+@pytest.mark.parametrize("seed", range(4))
+def test_random_algebras_give_the_same_violations_on_both_paths(orders, seed, monkeypatch):
+    rng = random.Random(f"{orders} {seed}")
+    algebras = [random_algebra(rng, orders), rescaled_brane(rng, orders)]
+    algebras += [with_flipped_signs(alg, rng.randrange(1000)) for alg in algebras]
+    assert all(alg.q_weights() is not None for alg in algebras)
+    exact = [check_ainfty(alg) for alg in algebras]
+    assert exact[1] == [] and exact[3] != []
+    monkeypatch.setattr(AInftyAlgebra, "q_weights", lambda self: None)
+    novikov = [check_ainfty(alg) for alg in algebras]
+    assert exact == novikov
+    if len(set(orders) - {1}) <= 1:  # one field on both paths
+        assert repr(exact) == repr(novikov)

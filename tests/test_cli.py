@@ -267,6 +267,11 @@ MALFORMED_ALGEBRAS = {
     "scalar_coeff_wrong_length": (_algebra_with_scalar(3, ["1"]), "'coeff'"),
     "n_grading_not_an_integer": ({"basis": [], "n_grading": "2"}, "'n_grading'"),
     "tensor_arity_not_an_integer": ({"basis": [], "tensors": {"two": []}}, "'tensors'"),
+    # Unicode digits that str.isdigit() accepts: Arabic-Indic one, superscript two
+    "tensor_arity_not_ascii": ({"basis": [], "tensors": {"\u0661": []}}, "'tensors'"),
+    "tensor_arity_superscript": ({"basis": [], "tensors": {"\u00b2": []}}, "'tensors'"),
+    "basis_name_repeated": ({"basis": [{"name": "1", "degree": 0}, {"name": "1", "degree": 1}],
+                             "unit": "1", "tensors": {}}, "'1' twice"),
     "tensor_entries_not_a_list": ({"basis": [], "tensors": {"2": 5}}, "'tensors'"),
     "tensor_inputs_not_the_arity": (_algebra_with_scalar(1, ["1"], inputs=("e",)), "'inputs'"),
     # a bad basis name, not a bad rational, though its text says "malformed rational"

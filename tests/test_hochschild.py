@@ -307,16 +307,25 @@ def integer_row_cases():
 
 @pytest.mark.parametrize("cat, length", integer_row_cases())
 def test_integer_rows_match_the_realified_boundary(cat, length):
-    # oracle: the boundary over the coefficient category, each entry v
-    # realified by field products, den * (zeta^k v) at the category's order
-    rescaled = [tensors for tensors, _ in ainfty.coefficient_tensors(cat.algebras)]
+    # oracle: the boundary over the coefficient category, each constant c q^x
+    # replaced by c in the field of the lcm of the orders of the irrational
+    # c, and each entry v realified by field products, den * (zeta^k v) at
+    # the category's order
+    coefficients = [v.terms[0][1] for alg in cat.algebras for store in alg.tensors.values()
+                    for vec in store.values() for v in vec.values()]
+    field = math.lcm(1, *(c.order for c in coefficients if not c.is_rational()))
+    rescaled = [{d: {key: {o: v.terms[0][1].to_order(field) for o, v in vec.items()}
+                     for key, vec in store.items()} for d, store in alg.tensors.items()}
+                for alg in cat.algebras]
     coefficient = FlatCategory(tuple(
         AInftyAlgebra(alg.basis, alg.degrees, tensors, unit=alg.unit, n_grading=alg.n_grading)
         for alg, tensors in zip(cat.algebras, rescaled)))
     constants = [[v for store in tensors.values() for vec in store.values()
                   for v in vec.values()] for tensors in rescaled]
     order = math.lcm(*(v.order for values in constants for v in values))
-    phi, tables = hochschild._integer_tables(rescaled)
+    tables_order, phi, per_algebra = ainfty.coefficient_tensors(cat.algebras)
+    tables = [tensors for tensors, _, _ in per_algebra]
+    assert tables_order == order
     assert phi == euler_phi(order)
     # a column for every chain but those with the unit in a non-final slot
     keys = [key for n in range(1, length + 1) for key in chain_basis(cat, n)
@@ -324,12 +333,28 @@ def test_integer_rows_match_the_realified_boundary(cat, length):
     column = {key: i for i, key in enumerate(keys)}.get
     for key in keys:
         den = math.lcm(*(v.den for v in constants[key[0]]))
+        assert per_algebra[key[0]][1] == den
         expected = {}
         for target, v in hochschild_boundary_basis(coefficient, key).items():
             if column(target) is not None:
                 multiples = [(C.root_of_unity(order, k) * v).to_order(order) for k in range(phi)]
                 expected[column(target)] = tuple(n * (den // w.den) for w in multiples for n in w.num)
         assert hochschild._integer_row(tables, cat, key, column) == expected, key
+
+
+def field_operations(monkeypatch, call):
+    """The ``CyclotomicNumber`` additions, negations, products and embeddings
+    that ``call()`` makes, counted by name, and its result."""
+    calls = Counter()
+    for name in ("__add__", "__neg__", "__mul__", "to_order"):
+        def counted(*args, name=name, method=getattr(C, name)):
+            calls[name] += 1
+            return method(*args)
+        monkeypatch.setattr(C, name, counted)
+    try:
+        return calls, call()
+    finally:
+        monkeypatch.undo()
 
 
 def test_the_field_path_does_no_scalar_arithmetic_per_chain(monkeypatch):
@@ -339,17 +364,24 @@ def test_the_field_path_does_no_scalar_arithmetic_per_chain(monkeypatch):
     cat = FlatCategory.single(toric.brane_algebra(W, toric.critical_points(W)[1]))
 
     def operations(length):
-        calls = Counter()
-        for name in ("__add__", "__neg__", "__mul__", "to_order"):
-            def counted(*args, name=name, method=getattr(C, name)):
-                calls[name] += 1
-                return method(*args)
-            monkeypatch.setattr(C, name, counted)
-        assert hochschild_homology_dims(cat, length).dims == {0: 0, 1: 1}
-        monkeypatch.undo()
+        calls, report = field_operations(monkeypatch, lambda: hochschild_homology_dims(cat, length))
+        assert report.dims == {0: 0, 1: 1}
         return calls
 
     assert operations(3) == operations(4)
+
+
+def test_the_relation_check_does_no_scalar_arithmetic_per_term(monkeypatch):
+    # the relation sums of a rank-8 algebra at order 4 have 2,928 terms, and
+    # they are taken on the integer tables: the check makes the field
+    # operations of building those tables and no others
+    W = toric.PotentialFunction.clifford_torus(3)
+    alg = toric.brane_algebra(W, toric.critical_points(W)[1])
+    tables, _ = field_operations(monkeypatch, lambda: ainfty.coefficient_tensors([alg]))
+    checked, violations = field_operations(monkeypatch, lambda: ainfty.check_ainfty(alg))
+    assert violations == []
+    assert checked == tables
+    assert tables["__mul__"] > 0  # realify's multiples of zeta_4
 
 
 def test_a_category_without_weights_everywhere_uses_the_novikov_scalars():
