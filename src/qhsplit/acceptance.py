@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ainfty, blowup, hochschild, linalg, openclosed, toric, trees
-from .novikov import CyclotomicNumber, NovikovElement, format_rational
+from .novikov import DEFAULT_CUTOFF, CyclotomicNumber, NovikovElement, euler_phi, format_rational
 
 SEED = 20240 + 8
 
@@ -32,7 +32,6 @@ class CriterionResult:
 
 
 def _random_cyclotomic(rng, order) -> CyclotomicNumber:
-    from .novikov import euler_phi
     coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4))
               for _ in range(euler_phi(order))]
     return CyclotomicNumber(order, coeffs)
@@ -121,22 +120,22 @@ def criterion_2(census=trees.census_by_dimension) -> CriterionResult:
 def _brane_algebras(max_n: int):
     for n in range(1, max_n + 1):
         potential = toric.PotentialFunction.clifford_torus(n)
-        for k, y in enumerate(toric.critical_points(potential)):
-            yield ("projective", n, k, potential, y)
+        for k, critical in enumerate(toric.critical_points(potential)):
+            yield ("projective", n, k, potential, critical)
     for n in range(2, max_n + 1):
         potential = toric.PotentialFunction.exceptional(n, Fraction(1, 10))
-        for k, y in enumerate(toric.critical_points(potential)):
-            yield ("exceptional", n, k, potential, y)
+        for k, critical in enumerate(toric.critical_points(potential)):
+            yield ("exceptional", n, k, potential, critical)
 
 
 def criterion_3(brane_algebra=toric.brane_algebra) -> CriterionResult:
     """Relation check on the Hessian Clifford algebras ``brane_algebra``
     builds, ranks 2..16."""
     count = 0
-    for kind, n, k, potential, y in _brane_algebras(4):
+    for kind, n, k, potential, critical in _brane_algebras(4):
         if k > 0:
             continue  # one critical point per potential suffices for the relations
-        algebra = brane_algebra(potential, y)
+        algebra = brane_algebra(potential, critical)
         violations = ainfty.check_ainfty(algebra)
         if violations:
             return CriterionResult(3, "composition relations", False,
@@ -150,8 +149,9 @@ def criterion_3(brane_algebra=toric.brane_algebra) -> CriterionResult:
 
 
 def criterion_4(critical_points=toric.critical_points) -> CriterionResult:
-    """Critical points that ``critical_points`` returns, their Hessian
-    determinant and entries against the closed forms, both kinds.
+    """Critical points that ``critical_points`` returns, the determinant and
+    entries of the Hessian each record carries against the closed forms,
+    both kinds.
 
     At the k-th point the Hessian is ``x (I + J)`` with
     ``x = q^{1/(n+1)} zeta^k`` on P^n and ``x (I - J)`` with
@@ -169,16 +169,15 @@ def criterion_4(critical_points=toric.critical_points) -> CriterionResult:
         if len(points) != potential.order:
             return CriterionResult(4, "critical points", False, f"{name} count")
         root = CyclotomicNumber.root_of_unity(potential.order)
-        for k, y in enumerate(points):
-            h = toric.hessian(potential, y)
-            det = linalg.determinant(h)
+        for k, critical in enumerate(points):
+            det = linalg.determinant(critical.hessian)
             expected = NovikovElement.monomial(n * weight, root ** (k * n) * (1 + sign * n))
             if det != expected:
                 return CriterionResult(4, "critical points", False,
                                        f"{name} det {det} != {expected}")
             x = NovikovElement.monomial(weight, root ** k)
             for a, b in itertools.product(range(n), repeat=2):
-                if h[a][b] != x * ((a == b) + sign):
+                if critical.hessian[a][b] != x * ((a == b) + sign):
                     return CriterionResult(4, "critical points", False,
                                            f"{name} hessian entry ({a},{b})")
     return CriterionResult(
@@ -198,14 +197,13 @@ def criterion_5(brane_algebra=toric.brane_algebra) -> CriterionResult:
     """
     count = 0
     zero = NovikovElement.zero()
-    for kind, n, k, potential, y in _brane_algebras(4):
-        algebra = brane_algebra(potential, y)
-        h = toric.hessian(potential, y)
+    for kind, n, k, potential, critical in _brane_algebras(4):
+        algebra = brane_algebra(potential, critical)
         gens = [algebra.basis.index(f"e{a + 1}") for a in range(n)]
         for a, b in itertools.product(range(n), repeat=2):
             symmetrized = (algebra.m_basis((gens[a], gens[b])).get(algebra.unit, zero)
                            + algebra.m_basis((gens[b], gens[a])).get(algebra.unit, zero))
-            if symmetrized != h[a][b]:
+            if symmetrized != critical.hessian[a][b]:
                 return CriterionResult(5, "divisor equation", False,
                                        f"{kind} n={n} k={k} entry ({a},{b})")
         count += 1
@@ -234,10 +232,10 @@ def hochschild_check(name: str, algebra: ainfty.AInftyAlgebra, parity: int,
 
 def criterion_6() -> CriterionResult:
     """Super-Hochschild homology of the brane algebras is one-dimensional."""
-    for kind, n, k, potential, y in _brane_algebras(3):
+    for kind, n, k, potential, critical in _brane_algebras(3):
         if k > 0:
             continue
-        result = hochschild_check(f"{kind} n={n}", toric.brane_algebra(potential, y),
+        result = hochschild_check(f"{kind} n={n}", toric.brane_algebra(potential, critical),
                                   n % 2, HH_LENGTHS[n])
         if not result.passed:
             return result
@@ -410,7 +408,6 @@ def run_all() -> list[CriterionResult]:
 
 
 def summary_table(results: list[CriterionResult]) -> str:
-    from .novikov import DEFAULT_CUTOFF
     lines = ["acceptance suite",
              f"default cutoff: {format_rational(DEFAULT_CUTOFF)}",
              ""]

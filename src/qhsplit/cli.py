@@ -1,7 +1,8 @@
 """Command-line entry point: reproducible verification runs and reports.
 
-All numeric flags are exact rationals of the form ``p/q``; no floats are
-accepted anywhere.  Reports embed the scalar cutoff and cyclotomic order in
+All numeric flags are exact rationals of the form ``p/q``, or integers
+``p`` where a count is asked for, in ASCII digits; no floats are accepted
+anywhere.  Reports embed the scalar cutoff and cyclotomic order in
 use, and identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 2 usage error, 3 malformed rational, 1 any other
@@ -27,7 +28,8 @@ import sys
 from fractions import Fraction
 
 from . import ainfty, blowup, hochschild, linalg, openclosed, toric, trees
-from .novikov import DEFAULT_CUTOFF, MalformedRational, format_rational, json_field, parse_rational
+from .novikov import (DEFAULT_CUTOFF, MalformedRational, format_rational, json_field,
+                      parse_int, parse_rational)
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -112,12 +114,8 @@ def cmd_hh_dims(args) -> int:
     category = hochschild.FlatCategory(tuple(algebras))
     report = hochschild.hochschild_homology_dims(category, args.length)
     # the arithmetic runs in the smallest field holding every scalar
-    order = 1
-    for alg in algebras:
-        for entries in alg.tensors.values():
-            for vec in entries.values():
-                for value in vec.values():
-                    order = math.lcm(order, value.order())
+    order = math.lcm(*(value.order() for alg in algebras for entries in alg.tensors.values()
+                       for vec in entries.values() for value in vec.values()))
     cutoff = next((format_rational(alg.cutoff) for alg in algebras
                    if alg.cutoff is not None), "inf")
     header = f"# cutoff={cutoff} cyclotomic_order={order}"
@@ -152,8 +150,8 @@ def cmd_potential_crit(args) -> int:
         potential = toric.PotentialFunction.exceptional(n, eps)
     points = toric.critical_points(potential)
     entries = []
-    for k, y in enumerate(points):
-        h = toric.hessian(potential, y)
+    for k, critical in enumerate(points):
+        h = critical.hessian
         det = linalg.determinant(h)
         # the brane algebra is the rank-2^n Clifford algebra of Q = -H/2,
         # which clifford_algebra builds only for a nondegenerate form
@@ -161,8 +159,8 @@ def cmd_potential_crit(args) -> int:
             raise ValueError("degenerate quadratic form")
         entries.append({
             "index": k,
-            "point": [repr(c) for c in y],
-            "potential_value": repr(potential.evaluate(y)),
+            "point": [repr(c) for c in critical.point],
+            "potential_value": repr(critical.value),
             "hessian": [[repr(entry) for entry in row] for row in h],
             "hessian_det": repr(det),
             "clifford_rank": 1 << n,
@@ -279,9 +277,16 @@ def cmd_verify_all(args) -> int:
 # parser
 
 
+def _int(text: str) -> int:
+    try:
+        return parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _positive_int(text: str) -> int:
     try:
-        value = int(text)
+        value = parse_int(text)
     except ValueError:
         value = 0
     if value < 1:
@@ -295,20 +300,20 @@ def _positive_int(text: str) -> int:
 COMMANDS = {
     "trees": ("treed-disk combinatorics", "enumerate", "census of stable types",
               cmd_trees_enumerate,
-              [("--boundary", {"type": int, "required": True}),
-               ("--interior", {"type": int, "default": 0}),
+              [("--boundary", {"type": _int, "required": True}),
+               ("--interior", {"type": _int, "default": 0}),
                ("--metric", {"choices": ["zero", "all"], "default": "zero"})]),
     "ainfty": ("composition-relation checking", "verify", "verify an algebra file",
                cmd_ainfty_verify, [("file", {})]),
     "hh": ("Hochschild homology", "dims", "homology dimensions of a category file",
-           cmd_hh_dims, [("file", {}), ("--length", {"type": int, "default": 6})]),
+           cmd_hh_dims, [("file", {}), ("--length", {"type": _int, "default": 6})]),
     "potential": ("disk potentials", "crit", "critical points and Hessians",
                   cmd_potential_crit,
                   [("--kind", {"choices": ["pn", "exceptional"], "required": True}),
-                   ("--n", {"type": int, "required": True}),
+                   ("--n", {"type": _int, "required": True}),
                    ("--eps", {"default": None})]),
     "oc": ("open-closed matrices", "matrix", "emit the open-closed matrix", cmd_oc_matrix,
-           [("--n", {"type": int, "required": True}),
+           [("--n", {"type": _int, "required": True}),
             ("--kind", {"choices": ["pn", "exceptional"], "required": True}),
             ("--eps", {"default": None}),
             ("--order", {"type": _positive_int, "default": None,
@@ -316,7 +321,7 @@ COMMANDS = {
             ("--format", {"choices": ["json", "csv", "md"], "default": "json"})]),
     "blowup": ("blowup splitting", "split", "splitting and generation report",
                cmd_blowup_split,
-               [("--n", {"type": int, "required": True}),
+               [("--n", {"type": _int, "required": True}),
                 ("--eps", {"required": True}),
                 ("--format", {"choices": ["json", "md"], "default": "json"})]),
     "verify-all": ("run the full acceptance suite", None, None, cmd_verify_all, []),

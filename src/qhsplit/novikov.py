@@ -58,6 +58,16 @@ def parse_rational(text: str) -> Fraction:
         raise MalformedRational(f"malformed rational {text!r}") from exc
 
 
+def parse_int(text: str) -> int:
+    """Parse ``p`` or ``-p``, a lone ``parse_rational`` numerator; ``int()`` reads more."""
+    try:
+        if "/" not in text:
+            return parse_rational(text).numerator
+    except MalformedRational:
+        pass
+    raise ValueError(f"invalid int value: {text!r}")
+
+
 def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
@@ -113,30 +123,26 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-_POWER_CACHE: dict[int, list[tuple[tuple[int, int], ...]]] = {}
-
-
-def _power_table(order: int, upto: int) -> list[tuple[tuple[int, int], ...]]:
-    # x^j mod Phi_order for 0 <= j <= upto, each as the sparse tuple of its
-    # nonzero (index, coefficient) pairs in the power basis.  Phi_order is
-    # monic with integer coefficients, so every entry is an integer.
-    table = _POWER_CACHE.get(order)
-    if table is None:
-        table = _POWER_CACHE[order] = [((j, 1),) for j in range(euler_phi(order))]
-    if len(table) <= upto:
-        poly = cyclotomic_polynomial(order)
-        phi = len(poly) - 1
-        while len(table) <= upto:
-            # x^j = x * x^(j-1); reduce the overflow coordinate via Phi.
-            shifted = [0] * (phi + 1)
-            for i, c in table[-1]:
-                shifted[i + 1] = c
-            top = shifted.pop()
-            if top:
-                for i in range(phi):
-                    shifted[i] -= top * poly[i]
-            table.append(tuple((i, c) for i, c in enumerate(shifted) if c))
-    return table
+@functools.cache
+def _power_table(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    # x^j mod Phi_order as the sparse tuple of its nonzero (index, coefficient)
+    # pairs in the power basis, for j below order (roots, conjugates and
+    # embeddings) and below 2 phi - 1 (products).  Phi_order is monic with
+    # integer coefficients, so every entry is an integer.
+    poly = cyclotomic_polynomial(order)
+    phi = len(poly) - 1
+    table = [((j, 1),) for j in range(phi)]
+    while len(table) < max(order, 2 * phi - 1):
+        # x^j = x * x^(j-1); reduce the overflow coordinate via Phi.
+        shifted = [0] * (phi + 1)
+        for i, c in table[-1]:
+            shifted[i + 1] = c
+        top = shifted.pop()
+        if top:
+            for i in range(phi):
+                shifted[i] -= top * poly[i]
+        table.append(tuple((i, c) for i, c in enumerate(shifted) if c))
+    return tuple(table)
 
 
 _new = object.__new__
@@ -221,7 +227,7 @@ class CyclotomicNumber:
         """The root ``z^power`` in the field of the given order."""
         power %= order
         num = [0] * euler_phi(order)
-        for i, c in _power_table(order, power)[power]:
+        for i, c in _power_table(order)[power]:
             num[i] = c
         return _cyclo(order, tuple(num), 1)
 
@@ -242,7 +248,7 @@ class CyclotomicNumber:
         if order % self.order != 0:
             raise ValueError(f"cannot embed order {self.order} into order {order}")
         step = order // self.order
-        table = _power_table(order, step * (len(self.num) - 1))
+        table = _power_table(order)
         acc = [0] * euler_phi(order)
         for k, c in enumerate(self.num):
             if c:
@@ -303,7 +309,7 @@ class CyclotomicNumber:
                 for j, y in bterms:
                     conv[i + j] += x * y
         acc = conv[:phi]
-        table = _power_table(a.order, 2 * phi - 2)
+        table = _power_table(a.order)
         for j in range(phi, 2 * phi - 1):
             c = conv[j]
             if c:
@@ -325,7 +331,7 @@ class CyclotomicNumber:
         # 1 < k < order and k prime to order, makes A * P the norm of A, a
         # nonzero integer; so 1/a = den * P / norm.  sigma_k maps z^j to
         # z^(jk mod order).
-        table = _power_table(order, order - 1)
+        table = _power_table(order)
         conjugates = _cyclo(order, (1,) + (0,) * (len(num) - 1), 1)
         for k in range(2, order):
             if math.gcd(k, order) == 1:

@@ -20,8 +20,11 @@ built by the ``PotentialFunction`` constructors:
 Derivatives are always taken in logarithmic coordinates (``y = exp(x)``), so
 the derivative of a monomial multiplies it by its exponent: at a point, ``W``,
 ``d_a W`` and ``d_a d_b W`` are sums of the values ``c_j y^{v_j}`` of its
-monomials, each evaluated once, weighted by ``1``, ``v_j[a]`` and
-``v_j[a] v_j[b]``.
+monomials weighted by ``1``, ``v_j[a]`` and ``v_j[a] v_j[b]``.
+``critical_points`` evaluates the monomials once at each root tuple, checks
+that the gradient vanishes there, and reads the value and the Hessian off the
+same evaluation into one ``CriticalPoint`` record, which ``brane_algebra``
+and the command line take as they are.
 """
 
 from __future__ import annotations
@@ -118,19 +121,8 @@ class PotentialFunction:
         if eps <= 0:
             raise ValueError("eps must be positive")
         coeff = NovikovElement.q_power(eps)
-        monos = []
-        for i in range(n):
-            exp = tuple(1 if j == i else 0 for j in range(n))
-            monos.append((exp, coeff))
-        monos.append((tuple(1 for _ in range(n)), -coeff))
-        return cls(n, tuple(monos), n - 1)
-
-    # -- evaluation ----------------------------------------------------------
-    def evaluate(self, y: tuple) -> NovikovElement:
-        return _log_derivative(self._monomial_values(y))
-
-    def is_critical(self, y: tuple) -> bool:
-        return _gradient_vanishes(self._monomial_values(y), self.n)
+        monos = tuple((tuple(int(i == j) for j in range(n)), coeff) for i in range(n))
+        return cls(n, monos + (((1,) * n, -coeff),), n - 1)
 
     def _monomial_values(self, y: tuple) -> list[tuple]:
         """``(v_j, c_j y^{v_j})`` for each monomial: its exponent and its value at ``y``."""
@@ -159,35 +151,32 @@ def _log_derivative(values: list[tuple], *directions: int) -> NovikovElement:
     return total
 
 
-def _gradient_vanishes(values: list[tuple], n: int) -> bool:
-    return all(_log_derivative(values, a).is_zero() for a in range(n))
+@dataclass(frozen=True)
+class CriticalPoint:
+    """A critical local system: its root tuple, ``W`` there and the log Hessian."""
+
+    point: tuple
+    value: NovikovElement
+    hessian: tuple  # n rows of n entries
 
 
-def critical_points(potential: PotentialFunction) -> list[tuple]:
-    """The critical local systems, as exact root-of-unity tuples.
-
-    Every returned point is verified to kill the logarithmic gradient exactly.
-    """
+def critical_points(potential: PotentialFunction) -> list[CriticalPoint]:
+    """The critical local systems, each read off one evaluation of the
+    monomials there, which must kill the logarithmic gradient exactly."""
     if potential.order is None:
         raise ValueError("the potential belongs to no brane family")
+    n = potential.n
     points = []
     for k in range(potential.order):
-        root = CyclotomicNumber.root_of_unity(potential.order, k)
-        point = tuple(root for _ in range(potential.n))
-        if not potential.is_critical(point):
+        point = (CyclotomicNumber.root_of_unity(potential.order, k),) * n
+        values = potential._monomial_values(point)
+        if not all(_log_derivative(values, a).is_zero() for a in range(n)):
             raise AssertionError(
                 f"claimed critical point {point} has nonvanishing gradient")
-        points.append(point)
+        hessian = tuple(tuple(_log_derivative(values, a, b) for b in range(n))
+                        for a in range(n))
+        points.append(CriticalPoint(point, _log_derivative(values), hessian))
     return points
-
-
-def hessian(potential: PotentialFunction, y: tuple) -> list[list[NovikovElement]]:
-    """Second logarithmic derivative matrix at a critical point."""
-    values = potential._monomial_values(y)
-    if not _gradient_vanishes(values, potential.n):
-        raise ValueError("hessian is only evaluated at critical points")
-    return [[_log_derivative(values, a, b) for b in range(potential.n)]
-            for a in range(potential.n)]
 
 
 # ---------------------------------------------------------------------------
@@ -261,5 +250,5 @@ def brane_quadratic_form(h):
     return [[entry * half for entry in row] for row in h]
 
 
-def brane_algebra(potential: PotentialFunction, y: tuple) -> AInftyAlgebra:
-    return clifford_algebra(brane_quadratic_form(hessian(potential, y)), potential.n)
+def brane_algebra(potential: PotentialFunction, critical: CriticalPoint) -> AInftyAlgebra:
+    return clifford_algebra(brane_quadratic_form(critical.hessian), potential.n)

@@ -144,8 +144,8 @@ def test_criterion_03_fails_on_a_flipped_m2_sign(monkeypatch):
     # m_2(e1, e2) changes sign in every brane algebra with an e2, so P^2 is
     # the first to break; the flip keeps the exponent, so the algebra stays
     # q-homogeneous and C3 checks it over the coefficient field
-    def brane_algebra(potential, y):
-        algebra = toric.brane_algebra(potential, y)
+    def brane_algebra(potential, critical):
+        algebra = toric.brane_algebra(potential, critical)
         if "e2" not in algebra.basis:
             return algebra
         e1, e2 = algebra.basis.index("e1"), algebra.basis.index("e2")
@@ -189,14 +189,36 @@ def test_criterion_04_fails_on_a_repeated_root(order, n, line):
     assert result.line() == f"[FAIL]  4 critical points: {line}"
 
 
+@pytest.mark.parametrize("entries, line", [
+    ([(0, 1)], "P^2 det 5*q^(2/3) != 3*q^(2/3)"),
+    ([(0, 1), (1, 0)], "P^2 hessian entry (0,1)"),
+])
+def test_criterion_04_fails_on_a_perturbed_hessian(entries, line):
+    # the first record of P^2 carries x (I + J) with its off-diagonal
+    # entries negated: one of them changes the determinant, both keep it
+    # and leave only the entry check to fail
+    def critical_points(potential):
+        points = toric.critical_points(potential)
+        if (potential.order, potential.n) == (3, 2):
+            h = [list(row) for row in points[0].hessian]
+            for a, b in entries:
+                h[a][b] = -h[a][b]
+            points[0] = dataclasses.replace(points[0], hessian=tuple(map(tuple, h)))
+        return points
+
+    result = acceptance.criterion_4(critical_points)
+    assert not result.passed
+    assert result.line() == f"[FAIL]  4 critical points: {line}"
+
+
 def test_criterion_05_divisor_equation(results):
     _check(results, 5)
 
 
 def test_criterion_05_fails_on_a_flipped_quadratic_form():
     # Q = +H/2 makes every symmetrized degree-one product -H
-    def brane_algebra(potential, y):
-        form = toric.brane_quadratic_form(toric.hessian(potential, y))
+    def brane_algebra(potential, critical):
+        form = toric.brane_quadratic_form(critical.hessian)
         return toric.clifford_algebra([[-entry for entry in row] for row in form],
                                       potential.n)
 
@@ -209,9 +231,9 @@ def test_criterion_05_fails_on_one_negated_m2_entry():
     # m_2(e2, e1) negated at the last critical point only: its unit
     # component is the whole of the symmetrized (0, 1) entry, since
     # m_2(e1, e2) = -e12 has none
-    def brane_algebra(potential, y):
-        algebra = toric.brane_algebra(potential, y)
-        if (potential.order, potential.n) != (3, 4) or y != toric.critical_points(potential)[2]:
+    def brane_algebra(potential, critical):
+        algebra = toric.brane_algebra(potential, critical)
+        if (potential.order, potential.n) != (3, 4) or critical != toric.critical_points(potential)[2]:
             return algebra
         e1, e2 = algebra.basis.index("e1"), algebra.basis.index("e2")
         tensors = {d: dict(entries) for d, entries in algebra.tensors.items()}

@@ -14,8 +14,8 @@ from qhsplit.novikov import CyclotomicNumber, NovikovElement as N, euler_phi
 
 def clifford_pn(n, k=0):
     W = toric.PotentialFunction.clifford_torus(n)
-    y = toric.critical_points(W)[k]
-    return toric.brane_algebra(W, y), W, y
+    critical = toric.critical_points(W)[k]
+    return toric.brane_algebra(W, critical), W, critical
 
 
 def curved_rank2(curvature=None):
@@ -142,13 +142,13 @@ def brane_algebras_with_weights():
     potentials += [toric.PotentialFunction.exceptional(n, eps)
                    for eps in (F(1, 10), F(1, 3), F(2, 5)) for n in range(2, 5)]
     for W in potentials:
-        for y in toric.critical_points(W):
-            yield W, y, toric.brane_algebra(W, y)
+        for critical in toric.critical_points(W):
+            yield W, critical, toric.brane_algebra(W, critical)
 
 
 def test_brane_algebras_are_q_homogeneous():
     count = 0
-    for W, y, alg in brane_algebras_with_weights():
+    for W, critical, alg in brane_algebras_with_weights():
         count += 1
         w = alg.q_weights()
         assert w is not None
@@ -164,7 +164,7 @@ def test_brane_algebras_are_q_homogeneous():
         assert w[alg.unit] == 0
         for i, name in enumerate(alg.basis[1:], 1):
             assert w[i] == sum(w[gens[int(a) - 1]] for a in name[1:])
-        for a, row in enumerate(toric.hessian(W, y)):
+        for a, row in enumerate(critical.hessian):
             for b, entry in enumerate(row):
                 if not entry.is_zero():
                     assert w[gens[a]] + w[gens[b]] == entry.val_q()

@@ -41,6 +41,21 @@ def test_potential_crit_lists_three_points():
     assert payload["meta"]["cyclotomic_order"] == 3
 
 
+def test_potential_crit_evaluates_each_monomial_once_per_point(monkeypatch, capsys):
+    # the value, gradient check and Hessian at a point share one evaluation
+    from qhsplit import toric
+    calls = []
+    power_product = toric._power_product
+    monkeypatch.setattr(toric, "_power_product",
+                        lambda y, exp: calls.append(exp) or power_product(y, exp))
+    for argv, expected in ((("--kind", "pn", "--n", "3"), 4 * 4),
+                           (("--kind", "exceptional", "--n", "4", "--eps", "1/10"), 3 * 5)):
+        calls.clear()
+        assert main(["potential", "crit", *argv]) == EXIT_OK
+        assert len(calls) == expected
+    capsys.readouterr()
+
+
 def test_oc_matrix_csv_two_by_two():
     result = run_cli("oc", "matrix", "--n", "1", "--kind", "pn", "--format", "csv")
     assert result.returncode == EXIT_OK
@@ -291,6 +306,42 @@ def test_malformed_algebra_file_is_a_value_error(tmp_path, command, case):
     error = json.loads(result.stderr)  # a structured error, not a traceback
     assert error["error"] == "value error"
     assert key in error["message"]
+
+
+@pytest.mark.parametrize("argv, flag, message", [
+    (("trees", "enumerate", "--boundary", "\u0663", "--interior", "0", "--metric", "zero"),
+     "--boundary", "invalid int value: '\u0663'"),
+    (("trees", "enumerate", "--boundary", "3", "--interior", "0_0", "--metric", "zero"),
+     "--interior", "invalid int value: '0_0'"),
+    (("oc", "matrix", "--n", "\u0662", "--kind", "pn"), "--n", "invalid int value: '\u0662'"),
+    (("oc", "matrix", "--n", "2", "--kind", "pn", "--order", "\u0664"),
+     "--order", "must be a positive integer, got '\u0664'"),
+    (("potential", "crit", "--kind", "pn", "--n", "+2"), "--n", "invalid int value: '+2'"),
+    (("blowup", "split", "--n", "\uff12", "--eps", "1/10"), "--n", "invalid int value: '\uff12'"),
+], ids=["boundary-arabic-indic", "interior-underscore", "oc-n-arabic-indic",
+        "order-arabic-indic", "crit-n-plus", "blowup-n-fullwidth"])
+def test_integer_flags_take_ascii_digits_only(capsys, argv, flag, message):
+    # int() reads each of these values; the flags take p or -p in ASCII digits
+    with pytest.raises(SystemExit) as exit_:
+        main(list(argv))
+    assert exit_.value.code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"error: argument {flag}: {message}\n")
+
+
+def test_hh_dims_length_takes_ascii_digits_only(tmp_path):
+    result = run_cli("hh", "dims", _write_flat_algebra(tmp_path), "--length", "\u0663")
+    assert result.returncode == EXIT_USAGE
+    assert result.stderr.endswith("error: argument --length: invalid int value: '\u0663'\n")
+
+
+def test_integer_flags_keep_a_leading_minus():
+    # a negative count is read, and reaches the check that rejects it
+    result = run_cli("trees", "enumerate", "--boundary", "-1", "--interior", "0")
+    assert result.returncode == EXIT_FAILURE
+    assert json.loads(result.stderr) == {"error": "value error",
+                                         "message": "input counts must be nonnegative"}
 
 
 @pytest.mark.parametrize("order", ["0", "-3"])

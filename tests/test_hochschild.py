@@ -28,8 +28,8 @@ def clifford_category(n, kind="pn", k=0):
         W = toric.PotentialFunction.clifford_torus(n)
     else:
         W = toric.PotentialFunction.exceptional(n, F(1, 10))
-    y = toric.critical_points(W)[k]
-    return FlatCategory.single(toric.brane_algebra(W, y))
+    critical = toric.critical_points(W)[k]
+    return FlatCategory.single(toric.brane_algebra(W, critical))
 
 
 def dga_category():
@@ -262,8 +262,8 @@ def brane_categories():
     families += [(f"exc{eps}", n, toric.PotentialFunction.exceptional(n, eps), length)
                  for eps in (F(1, 10), F(1, 3)) for n, length in ((2, 5), (3, 4))]
     for kind, n, W, length in families:
-        for k, y in enumerate(toric.critical_points(W)):
-            cases.append(pytest.param(FlatCategory.single(toric.brane_algebra(W, y)),
+        for k, critical in enumerate(toric.critical_points(W)):
+            cases.append(pytest.param(FlatCategory.single(toric.brane_algebra(W, critical)),
                                       length, id=f"{kind} n={n} point {k}"))
     cases.append(pytest.param(orders_3_and_4_category(), 3, id="orders 3 and 4"))
     cases.append(pytest.param(dga_category(), 4, id="dga"))
@@ -299,8 +299,8 @@ def integer_row_cases():
     families = [(f"pn n={n}", toric.PotentialFunction.clifford_torus(n)) for n in (1, 2, 3)]
     families += [(f"exc{eps} n={n}", toric.PotentialFunction.exceptional(n, eps))
                  for eps in (F(1, 10), F(1, 3)) for n in (2, 3)]
-    cases = [pytest.param(FlatCategory.single(toric.brane_algebra(W, y)), 4, id=f"{name} point {k}")
-             for name, W in families for k, y in enumerate(toric.critical_points(W))]
+    cases = [pytest.param(FlatCategory.single(toric.brane_algebra(W, critical)), 4, id=f"{name} point {k}")
+             for name, W in families for k, critical in enumerate(toric.critical_points(W))]
     cases.append(pytest.param(orders_3_and_4_category(), 3, id="orders 3 and 4"))
     return cases
 

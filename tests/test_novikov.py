@@ -10,6 +10,7 @@ from qhsplit.novikov import (
     NovikovElement,
     cyclotomic_polynomial,
     euler_phi,
+    parse_int,
     parse_rational,
     format_rational,
 )
@@ -234,6 +235,18 @@ def test_rational_parsing():
                  "1" * 5000):
         with pytest.raises(MalformedRational, match="malformed rational"):
             parse_rational(text)
+
+
+def test_int_parsing():
+    assert parse_int("12") == 12
+    assert parse_int("-3") == -3
+    assert parse_int(" 7 ") == 7
+    # outside the grammar p, -p, though int() reads the second to fifth;
+    # the last is past int()'s digit limit
+    for text in ("1.0", "1_0", "\u0663", "\uff11", "+1", "1/2", "-", "", " ", "x",
+                 "1" * 5000):
+        with pytest.raises(ValueError, match="^invalid int value: "):
+            parse_int(text)
 
 
 def test_reduction_idempotent():

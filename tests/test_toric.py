@@ -6,13 +6,27 @@ import pytest
 from qhsplit import ainfty, hochschild, linalg, toric
 from qhsplit.novikov import CyclotomicNumber as C, NovikovElement as N
 from qhsplit.toric import (
+    CriticalPoint,
     PotentialFunction,
     ToricModel,
     brane_algebra,
     clifford_algebra,
     critical_points,
-    hessian,
 )
+
+
+def derivatives(W, y):
+    """The value, gradient and Hessian of ``W`` at any point ``y``, from one
+    evaluation of its monomials."""
+    values = W._monomial_values(y)
+    return (toric._log_derivative(values),
+            [toric._log_derivative(values, a) for a in range(W.n)],
+            tuple(tuple(toric._log_derivative(values, a, b) for b in range(W.n))
+                  for a in range(W.n)))
+
+
+def is_critical(W, y):
+    return all(g.is_zero() for g in derivatives(W, y)[1])
 
 
 # --- critical points -----------------------------------------------------
@@ -23,35 +37,36 @@ def test_projective_critical_points():
         points = critical_points(W)
         assert len(points) == n + 1
         zeta = C.root_of_unity(n + 1)
-        for k, y in enumerate(points):
-            assert all(c == zeta ** k for c in y)
-            assert W.is_critical(y)
+        for k, critical in enumerate(points):
+            assert all(c == zeta ** k for c in critical.point)
+            assert is_critical(W, critical.point)
 
 
 def test_exceptional_critical_points():
     W3 = PotentialFunction.exceptional(3, F(1, 10))
     points = critical_points(W3)
     assert len(points) == 2
-    assert points[0] == tuple(C.one() for _ in range(3))
+    assert points[0].point == tuple(C.one() for _ in range(3))
     minus_one = C.root_of_unity(2)
-    assert points[1] == tuple(minus_one for _ in range(3))
+    assert points[1].point == tuple(minus_one for _ in range(3))
 
     W2 = PotentialFunction.exceptional(2, F(1, 10))
-    assert critical_points(W2) == [tuple(C.one() for _ in range(2))]
+    assert [c.point for c in critical_points(W2)] == [tuple(C.one() for _ in range(2))]
 
 
 def test_noncritical_points_rejected():
     W = PotentialFunction.clifford_torus(2)
     y = (C.one(), C.root_of_unity(3))
-    assert not W.is_critical(y)
-    with pytest.raises(ValueError, match="critical"):
-        hessian(W, y)
+    assert not is_critical(W, y)
+    # an order that claims the 4th roots: (1, 1) is critical, (i, i) is not
+    with pytest.raises(AssertionError, match="nonvanishing gradient"):
+        critical_points(PotentialFunction(2, W.monomials, 4))
 
 
 def test_potential_values_distinct():
     for n in (2, 3, 4):
         W = PotentialFunction.clifford_torus(n)
-        values = [W.evaluate(y) for y in critical_points(W)]
+        values = [c.value for c in critical_points(W)]
         for i in range(len(values)):
             for j in range(i + 1, len(values)):
                 assert values[i] != values[j]
@@ -61,8 +76,7 @@ def test_potential_values_distinct():
 
 def test_projective_hessian_identity_plus_ones():
     W = PotentialFunction.clifford_torus(2)
-    y = critical_points(W)[0]
-    h = hessian(W, y)
+    h = critical_points(W)[0].hessian
     q13 = N.q_power(F(1, 3))
     assert h[0][0] == q13 * 2 and h[1][1] == q13 * 2
     assert h[0][1] == q13 and h[1][0] == q13
@@ -72,8 +86,7 @@ def test_projective_hessian_identity_plus_ones():
 def test_exceptional_hessian_identity_minus_ones():
     # the honest second derivative has vanishing diagonal: unit * q^eps * (I - J)
     W = PotentialFunction.exceptional(3, F(1, 10))
-    y = critical_points(W)[0]
-    h = hessian(W, y)
+    h = critical_points(W)[0].hessian
     for a in range(3):
         assert h[a][a].is_zero()
         for b in range(3):
@@ -85,8 +98,8 @@ def test_exceptional_hessian_identity_minus_ones():
 def test_hessian_symmetric():
     for W in (PotentialFunction.clifford_torus(3),
               PotentialFunction.exceptional(4, F(1, 5))):
-        for y in critical_points(W):
-            h = hessian(W, y)
+        for critical in critical_points(W):
+            h = critical.hessian
             for a in range(W.n):
                 for b in range(W.n):
                     assert h[a][b] == h[b][a]
@@ -166,8 +179,7 @@ def test_non_diagonal_clifford_relations(n, seed):
 
 def test_hessian_clifford_one_dimensional_homology():
     W = PotentialFunction.clifford_torus(2)
-    y = critical_points(W)[0]
-    alg = brane_algebra(W, y)
+    alg = brane_algebra(W, critical_points(W)[0])
     report = hochschild.hochschild_homology_dims(
         hochschild.FlatCategory.single(alg), 5)
     assert report.total() == 1 and report.stable
@@ -183,8 +195,8 @@ def symmetrized_unit_part(algebra, a, b):
             + algebra.m_basis((eb, ea)).get(algebra.unit, N.zero()))
 
 
-def assert_divisor_equation(W, y):
-    algebra, h = brane_algebra(W, y), hessian(W, y)
+def assert_divisor_equation(W, critical):
+    algebra, h = brane_algebra(W, critical), critical.hessian
     for a in range(W.n):
         for b in range(W.n):
             assert symmetrized_unit_part(algebra, a, b) == h[a][b]
@@ -192,30 +204,30 @@ def assert_divisor_equation(W, y):
 
 def test_divisor_equation_p1():
     W = PotentialFunction.clifford_torus(1)
-    for y in critical_points(W):
-        assert_divisor_equation(W, y)
+    for critical in critical_points(W):
+        assert_divisor_equation(W, critical)
 
 
 def test_divisor_equation_diagonal_entries():
     W = PotentialFunction.clifford_torus(2)
-    y = critical_points(W)[0]
+    critical = critical_points(W)[0]
     # the (a, a) Hessian entry is the class-by-class sum of the curvature
     # contributions weighted by the squared boundary pairing
-    h = hessian(W, y)
+    h = critical.hessian
     per_class = N.zero()
     for exp, coeff in W.monomials:
         if exp[0]:
-            per_class = per_class + coeff * toric._power_product(y, exp) \
+            per_class = per_class + coeff * toric._power_product(critical.point, exp) \
                 * N.from_rational(exp[0] * exp[0])
     assert per_class == h[0][0]
-    assert symmetrized_unit_part(brane_algebra(W, y), 0, 0) == h[0][0]
+    assert symmetrized_unit_part(brane_algebra(W, critical), 0, 0) == h[0][0]
 
 
 def test_divisor_equation_zero_pairings():
     # the off-diagonal entries: e_1 and e_2 anticommute up to the unit
     W = PotentialFunction.clifford_torus(2)
-    y = critical_points(W)[0]
-    algebra, h = brane_algebra(W, y), hessian(W, y)
+    critical = critical_points(W)[0]
+    algebra, h = brane_algebra(W, critical), critical.hessian
     assert symmetrized_unit_part(algebra, 0, 1) == h[0][1]
     assert symmetrized_unit_part(algebra, 1, 0) == h[1][0]
 
@@ -224,8 +236,8 @@ def test_divisor_equation_both_kinds():
     for n in (2, 3):
         for W in (PotentialFunction.clifford_torus(n),
                   PotentialFunction.exceptional(n, F(1, 10))):
-            for y in critical_points(W):
-                assert_divisor_equation(W, y)
+            for critical in critical_points(W):
+                assert_divisor_equation(W, critical)
 
 
 # --- disk classes of the polytope ---------------------------------------------------
@@ -288,12 +300,15 @@ def test_divisor_equation_zero_pairing_direction():
     coeff = N.q_power(1)
     W = PotentialFunction(2, (((1, 0), coeff), ((-1, 0), coeff)))
     y = (C.one(), C.root_of_unity(5))  # critical: gradient in y_2 is empty
-    assert W.is_critical(y)
-    h = hessian(W, y)
+    assert is_critical(W, y)
+    h = derivatives(W, y)[2]
     assert h[0][1].is_zero() and h[1][1].is_zero()
-    # so the Hessian is degenerate and bounds no brane algebra
+    # so the Hessian is degenerate and bounds no brane algebra; as a family
+    # of order 1 its one critical point is (1, 1), with the same Hessian
+    critical, = critical_points(PotentialFunction(2, W.monomials, 1))
+    assert critical.hessian == h
     with pytest.raises(ValueError, match="degenerate quadratic form"):
-        brane_algebra(W, y)
+        brane_algebra(W, critical)
 
 
 def test_critical_points_need_a_brane_family():
@@ -329,8 +344,8 @@ def oracle_gradient(W, y):
 
 
 def oracle_hessian(W, y):
-    return [[oracle_evaluate(oracle_log_derivative(oracle_log_derivative(W, a), b), y)
-             for b in range(W.n)] for a in range(W.n)]
+    return tuple(tuple(oracle_evaluate(oracle_log_derivative(oracle_log_derivative(W, a), b), y)
+                       for b in range(W.n)) for a in range(W.n))
 
 
 def _random_coefficient(rng):
@@ -374,24 +389,37 @@ def sign_point(rng, n):
 @pytest.mark.parametrize("seed", range(8))
 def test_derivatives_match_the_symbolic_route_on_random_potentials(seed):
     # a palindromic potential at a sign point is critical, and a random
-    # potential at a random point almost never is; hessian raises exactly
-    # where the symbolic gradient is nonzero
+    # potential at a random point almost never is; as a family of order 2
+    # or 3, critical_points raises exactly where the symbolic gradient at a
+    # root tuple is nonzero, and otherwise returns the symbolic value and
+    # Hessian (a palindromic potential is critical at the square roots)
     rng = random.Random(seed)
-    seen = set()
+    seen, raised = set(), set()
     for n in range(1, 5):
         for W, y in ((random_potential(rng, n), random_point(rng, n)),
                      (palindromic_potential(rng, n), sign_point(rng, n)),
                      (palindromic_potential(rng, n), random_point(rng, n))):
-            assert W.evaluate(y) == oracle_evaluate(W, y)
+            value, gradient, h = derivatives(W, y)
+            assert value == oracle_evaluate(W, y)
+            assert gradient == oracle_gradient(W, y)
+            assert h == oracle_hessian(W, y)
             critical = all(g.is_zero() for g in oracle_gradient(W, y))
-            assert W.is_critical(y) == critical
+            assert is_critical(W, y) == critical
             seen.add(critical)
-            if critical:
-                assert hessian(W, y) == oracle_hessian(W, y)
-            else:
-                with pytest.raises(ValueError, match="critical"):
-                    hessian(W, y)
+            for order in (2, 3):
+                family = PotentialFunction(n, W.monomials, order)
+                roots = [(C.root_of_unity(order, k),) * n for k in range(order)]
+                if all(all(g.is_zero() for g in oracle_gradient(W, r)) for r in roots):
+                    raised.add(False)
+                    assert critical_points(family) == [
+                        CriticalPoint(r, oracle_evaluate(W, r), oracle_hessian(W, r))
+                        for r in roots]
+                else:
+                    raised.add(True)
+                    with pytest.raises(AssertionError, match="nonvanishing gradient"):
+                        critical_points(family)
     assert seen == {True, False}
+    assert raised == {True, False}
 
 
 def test_hessian_matches_the_symbolic_route_at_every_brane():
@@ -400,21 +428,25 @@ def test_hessian_matches_the_symbolic_route_at_every_brane():
                  for n in range(2, 6) for eps in (F(1, 10), F(1, 3))]
     coeff = N.q_power(1)
     custom = PotentialFunction(2, (((1, 0), coeff), ((-1, 0), coeff)))
-    cases = [(W, y) for W in families for y in critical_points(W)]
-    cases.append((custom, (C.one(), C.root_of_unity(5))))
-    for W, y in cases:
+    cases = [(W, c.point, c.value, c.hessian) for W in families for c in critical_points(W)]
+    y = (C.one(), C.root_of_unity(5))
+    cases.append((custom, y, derivatives(custom, y)[0], derivatives(custom, y)[2]))
+    for W, y, value, h in cases:
         assert oracle_gradient(W, y) == [N.zero()] * W.n
-        assert hessian(W, y) == oracle_hessian(W, y)
-        assert W.evaluate(y) == oracle_evaluate(W, y)
+        assert h == oracle_hessian(W, y)
+        assert value == oracle_evaluate(W, y)
 
 
 def test_one_hessian_evaluates_each_monomial_once(monkeypatch):
+    # the value, gradient check and Hessian at a point share one evaluation
     calls = []
     power_product = toric._power_product
     monkeypatch.setattr(toric, "_power_product",
-                        lambda y, exp: calls.append(exp) or power_product(y, exp))
+                        lambda y, exp: calls.append((y, exp)) or power_product(y, exp))
     for W in (PotentialFunction.clifford_torus(3), PotentialFunction.exceptional(4, F(1, 3))):
-        y = critical_points(W)[-1]
         calls.clear()
-        hessian(W, y)
-        assert sorted(calls) == sorted(exp for exp, _ in W.monomials)
+        points = critical_points(W)
+        assert len(calls) == W.order * len(W.monomials)
+        for critical in points:
+            assert sorted(exp for y, exp in calls if y == critical.point) == \
+                sorted(exp for exp, _ in W.monomials)
