@@ -228,6 +228,8 @@ class AInftyAlgebra:
         for d, entries in tensor_data.items():
             if not (d.isascii() and d.isdigit()):  # [0-9]+, not every Unicode digit
                 raise ValueError(f"algebra key 'tensors' has a non-integer arity {d!r}")
+            if int(d) in tensors:  # "2" and "02" name one arity
+                raise ValueError(f"algebra key 'tensors' gives arity {int(d)} twice")
             if not isinstance(entries, list):
                 raise ValueError(f"algebra key 'tensors' maps arity {d} to {entries!r}, "
                                  "not a JSON list")
@@ -238,6 +240,9 @@ class AInftyAlgebra:
                     raise ValueError(f"tensor entry key 'inputs' has {len(names)} names "
                                      f"for arity {d}")
                 key = tuple(lookup(name, "inputs") for name in names)
+                if key in store:
+                    raise ValueError(f"tensor entry key 'inputs' names {names!r} twice "
+                                     f"for arity {d}")
                 vec = {lookup(name, "outputs"): NovikovElement.from_json_dict(val)
                        for name, val in json_field(entry, "outputs", "tensor entry", dict).items()}
                 store[key] = vec

@@ -8,20 +8,16 @@ use, and identical invocations produce byte-identical output.
 Exit codes: 0 success, 2 usage error, 3 malformed rational, 1 any other
 failure.
 
-A call builds only the parser branch of the command its argv names.  When
-argv opens with a command name, the root registers only that command, under
-a metavar listing all seven, so a root usage error after it keeps its bytes.
-Any other call (no command, an unknown one, or an option or ``--`` first)
-registers every command, so the root help and errors list them all.  Only
-the named command gets its subcommand and arguments.  On a 2-core x86 VM
-(Python 3.11.7), building the parser and parsing a ``trees enumerate`` argv
-takes about 0.35 ms; registering every command took 0.77 ms, and building
-every branch about 2 ms, most of a ``trees enumerate`` run.
+The parser of every command is built once per process, on first use, and
+every later call to ``main`` reuses it.  argparse keeps no state between
+parses, so reuse changes no byte, and a process that runs many commands (the
+test suite, a benchmark worker) pays for the build once rather than per call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -146,7 +142,7 @@ def cmd_potential_crit(args) -> int:
     if args.kind == "pn":
         potential = toric.PotentialFunction.clifford_torus(n)
     else:
-        eps = parse_rational(args.eps) if args.eps else None
+        eps = parse_rational(args.eps) if args.eps is not None else None
         potential = toric.PotentialFunction.exceptional(n, eps)
     points = toric.critical_points(potential)
     entries = []
@@ -183,7 +179,7 @@ def cmd_oc_matrix(args) -> int:
     if args.kind == "pn" and args.eps is not None:
         return _eps_without_exceptional()
     kind = openclosed.PROJECTIVE if args.kind == "pn" else openclosed.EXCEPTIONAL
-    eps = parse_rational(args.eps) if args.eps else None
+    eps = parse_rational(args.eps) if args.eps is not None else None
     matrix = openclosed.oc_matrix(args.n, kind, eps)
     order = matrix.order
     if args.order is not None:
@@ -251,7 +247,7 @@ def cmd_blowup_split(args) -> int:
                    for key, value in sorted(report.items())},
     }
     if args.format == "md":
-        lines = [f"# blowup splitting report (n={args.n}, eps={args.eps})", "",
+        lines = [f"# blowup splitting report (n={args.n}, eps={format_rational(eps)})", "",
                  f"- **cutoff**: {payload['meta']['cutoff']}",
                  f"- **cyclotomic order**: {payload['meta']['cyclotomic_order']}"]
         for key, value in sorted(payload["report"].items()):
@@ -328,26 +324,15 @@ COMMANDS = {
 }
 
 
-def build_parser(argv) -> argparse.ArgumentParser:
-    """The parser for ``argv``, with arguments only for the command it names:
-    its first element that is a command name.  When that is ``argv[0]``, the
-    root registers only that command, under a metavar listing all of them
-    so the root usage keeps its bytes; otherwise it registers all of them."""
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command in ``COMMANDS``, built on first use."""
     parser = argparse.ArgumentParser(
         prog="qhsplit",
         description="exact verification of disk-potential and blowup-splitting identities")
     sub = parser.add_subparsers(dest="command", required=True)
-    named = next((arg for arg in argv if arg in COMMANDS), None)
-    names = COMMANDS
-    if argv and argv[0] == named:
-        # argparse names the action by its metavar in "invalid choice" and
-        # "required" errors, which a call that opens with a command never hits
-        names, sub.metavar = [named], "{" + ",".join(COMMANDS) + "}"
-    for name in names:
-        help_, leaf, leaf_help, func, arguments = COMMANDS[name]
+    for name, (help_, leaf, leaf_help, func, arguments) in COMMANDS.items():
         command = sub.add_parser(name, help=help_)
-        if name != named:
-            continue
         if leaf:
             command = command.add_subparsers(dest="subcommand", required=True).add_parser(
                 leaf, help=leaf_help)
@@ -367,7 +352,7 @@ def main(argv=None) -> int:
             joined[-1] += "=" + arg
         else:
             joined.append(arg)
-    args = build_parser(joined).parse_args(joined)
+    args = build_parser().parse_args(joined)
     try:
         return args.func(args)
     except MalformedRational as exc:

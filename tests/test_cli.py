@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -156,6 +157,24 @@ def test_negative_eps_reaches_the_value_check(command):
 
 
 @pytest.mark.parametrize("command", [("potential", "crit"), ("oc", "matrix")])
+def test_an_empty_eps_is_a_malformed_rational(command, capsys):
+    # "--eps=" gives the flag, with a value outside the grammar
+    assert main([*command, "--kind", "exceptional", "--n", "2", "--eps="]) == \
+        EXIT_MALFORMED_RATIONAL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "malformed rational",
+                               "message": "malformed rational ''"}
+
+
+def test_blowup_split_md_header_prints_the_eps_it_used(capsys):
+    assert main(["blowup", "split", "--n", "2", "--eps", " 2/20", "--format", "md"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "# blowup splitting report (n=2, eps=1/10)"
+    assert "- **eps**: 1/10" in lines
+
+
+@pytest.mark.parametrize("command", [("potential", "crit"), ("oc", "matrix")])
 def test_exceptional_kind_without_eps_is_a_value_error(command):
     result = run_cli(*command, "--kind", "exceptional", "--n", "3")
     assert result.returncode == EXIT_FAILURE
@@ -206,14 +225,34 @@ def registered_commands(parser) -> list:
     return list(action.choices)
 
 
-def test_a_call_that_opens_with_a_command_registers_only_that_command():
-    narrowed = build_parser(["trees", "enumerate", "--boundary", "3"])
-    assert registered_commands(narrowed) == ["trees"]
-    for argv in ([], ["-h", "trees"], ["--", "trees", "enumerate"], ["bogus"]):
-        full = build_parser(argv)
-        assert registered_commands(full) == list(COMMANDS), argv
-        # the root usage lists every command either way
-        assert narrowed.format_usage() == full.format_usage(), argv
+def test_main_builds_no_parser_after_its_first_call(monkeypatch, capsys):
+    assert main(["trees", "enumerate", "--boundary", "2"]) == EXIT_OK
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kwargs: built.append(self) or init(
+                            self, *args, **kwargs))
+    assert main(["trees", "enumerate", "--boundary", "3"]) == EXIT_OK
+    assert main(["potential", "crit", "--kind", "pn", "--n", "1"]) == EXIT_OK
+    assert main(["oc", "matrix", "--n", "1", "--kind", "pn", "--format", "csv"]) == EXIT_OK
+    with pytest.raises(SystemExit):
+        main(["bogus"])
+    assert built == []
+    assert registered_commands(build_parser()) == list(COMMANDS)
+    capsys.readouterr()
+
+
+def test_readme_command_lines_parse_to_the_command_they_name():
+    # each line of the README's "Command line" block, parsed but not run
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    assert lines
+    for words in lines:
+        assert words[0] == "qhsplit", words
+        args = build_parser().parse_args(words[1:])
+        assert args.command == words[1]
+        assert args.func is COMMANDS[words[1]][3], words
 
 
 def test_oc_matrix_json_reports_determinant_split():
@@ -272,6 +311,16 @@ def _algebra_with_scalar(order, coeff, inputs=("e", "e")):
             "tensors": {"2": [{"inputs": list(inputs), "outputs": {"e": scalar}}]}}
 
 
+def _unit_square(coeff):
+    # the m_2 entries giving 1 * 1 = coeff * 1
+    scalar = {"order": 1, "terms": [{"exp": "0", "coeff": [coeff]}], "cutoff": "inf"}
+    return [{"inputs": ["1", "1"], "outputs": {"1": scalar}}]
+
+
+def _unit_algebra(tensors):
+    return {"basis": [{"name": "1", "degree": 0}], "unit": "1", "tensors": tensors}
+
+
 MALFORMED_ALGEBRAS = {
     "basis_entry_not_an_object": ({"basis": ["e"]}, "basis entry"),
     "basis_entry_without_degree": ({"basis": [{"name": "e"}]}, "'degree'"),
@@ -285,6 +334,12 @@ MALFORMED_ALGEBRAS = {
     # Unicode digits that str.isdigit() accepts: Arabic-Indic one, superscript two
     "tensor_arity_not_ascii": ({"basis": [], "tensors": {"\u0661": []}}, "'tensors'"),
     "tensor_arity_superscript": ({"basis": [], "tensors": {"\u00b2": []}}, "'tensors'"),
+    # "2" and "02" name one arity; the later one would replace the unit's m_2
+    "tensor_arity_repeated": (_unit_algebra({"2": _unit_square("1"), "02": _unit_square("2")}),
+                              "arity 2 twice"),
+    # the later entry would replace m_2(1,1) = 2 by the unit's 1
+    "tensor_inputs_repeated": (_unit_algebra({"2": _unit_square("2") + _unit_square("1")}),
+                               "['1', '1'] twice"),
     "basis_name_repeated": ({"basis": [{"name": "1", "degree": 0}, {"name": "1", "degree": 1}],
                              "unit": "1", "tensors": {}}, "'1' twice"),
     "tensor_entries_not_a_list": ({"basis": [], "tensors": {"2": 5}}, "'tensors'"),

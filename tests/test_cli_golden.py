@@ -148,24 +148,36 @@ HELP_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(GOLDEN))
-def test_report_bytes_are_pinned(command):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(command.split())
-    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
-    assert (digest, code) == GOLDEN[command]
-
-
-@pytest.mark.parametrize("command", sorted(HELP_GOLDEN))
-def test_help_and_usage_error_bytes_are_pinned(command, monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
+def _digests(command):
+    """The sha256 of stdout and of stderr of one in-process call, and its code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(command.split())
         except SystemExit as exc:
             code = exc.code
-    digests = tuple(hashlib.sha256(text.getvalue().encode("utf-8")).hexdigest()
-                    for text in (out, err))
-    assert (*digests, code) == HELP_GOLDEN[command]
+    return (*(hashlib.sha256(text.getvalue().encode("utf-8")).hexdigest()
+              for text in (out, err)), code)
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_report_bytes_are_pinned(command):
+    out, _, code = _digests(command)
+    assert (out, code) == GOLDEN[command]
+
+
+@pytest.mark.parametrize("command", sorted(HELP_GOLDEN))
+def test_help_and_usage_error_bytes_are_pinned(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _digests(command) == HELP_GOLDEN[command]
+
+
+def test_one_parser_keeps_the_bytes_across_an_error_and_a_report(monkeypatch):
+    # the parser a process reuses must give the same bytes after a usage
+    # error as before it
+    monkeypatch.setenv("COLUMNS", "80")
+    error, report = "bogus", "blowup split --n 2 --eps 1/10 --format md"
+    assert _digests(error) == HELP_GOLDEN[error]
+    out, _, code = _digests(report)
+    assert (out, code) == GOLDEN[report]
+    assert _digests(error) == HELP_GOLDEN[error]
