@@ -1,11 +1,15 @@
 """The acceptance suite: one callable per criterion, shared by CLI and tests.
 
 Every criterion is exact (zero tolerance); randomized criteria use fixed
-seeds so the whole suite is deterministic.
+seeds so the whole suite is deterministic.  Each criterion is a check that
+returns the detail of its passing line or raises ``_Failed`` with the
+detail of its failing one; ``_criterion`` states its number and name once
+and turns either into the ``CriterionResult``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import operator
@@ -17,6 +21,7 @@ from . import ainfty, blowup, hochschild, linalg, openclosed, toric, trees
 from .novikov import DEFAULT_CUTOFF, CyclotomicNumber, NovikovElement, euler_phi, format_rational
 
 SEED = 20240 + 8
+EPS = Fraction(1, 10)  # the exceptional family's size wherever the suite fixes one
 
 
 @dataclass
@@ -29,6 +34,25 @@ class CriterionResult:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"[{status}] {self.number:2d} {self.name}: {self.detail}"
+
+
+class _Failed(Exception):
+    """A check's failing detail."""
+
+
+def _criterion(number: int, name: str):
+    """Make a check that returns its passing detail, or raises
+    ``_Failed(detail)``, return criterion ``number``'s ``CriterionResult``."""
+    def decorate(check):
+        @functools.wraps(check)
+        def criterion(*args, **kwargs) -> CriterionResult:
+            try:
+                passed, detail = True, check(*args, **kwargs)
+            except _Failed as failure:
+                passed, detail = False, failure.args[0]
+            return CriterionResult(number, name, passed, detail)
+        return criterion
+    return decorate
 
 
 def _random_cyclotomic(rng, order) -> CyclotomicNumber:
@@ -45,17 +69,18 @@ def _random_novikov(rng, order=12, max_terms=3) -> NovikovElement:
     return NovikovElement(terms)
 
 
-def criterion_1(mul=operator.mul) -> CriterionResult:
+@_criterion(1, "novikov field axioms")
+def criterion_1(mul=operator.mul) -> str:
     """Field axioms and valuation multiplicativity of the product ``mul``."""
     rng = random.Random(SEED)
     for _ in range(1000):
         x, y, z = (_random_novikov(rng) for _ in range(3))
         if mul(mul(x, y), z) != mul(x, mul(y, z)):
-            return CriterionResult(1, "novikov field axioms", False, "associativity broke")
+            raise _Failed("associativity broke")
         if mul(x, y + z) != mul(x, y) + mul(x, z):
-            return CriterionResult(1, "novikov field axioms", False, "distributivity broke")
+            raise _Failed("distributivity broke")
         if mul(x, y) != mul(y, x):
-            return CriterionResult(1, "novikov field axioms", False, "commutativity broke")
+            raise _Failed("commutativity broke")
     pairs = 0
     while pairs < 1000:
         x, y = _random_novikov(rng), _random_novikov(rng)
@@ -63,13 +88,12 @@ def criterion_1(mul=operator.mul) -> CriterionResult:
             continue
         pairs += 1
         if mul(x, y).val_q() != x.val_q() + y.val_q():
-            return CriterionResult(1, "novikov field axioms", False,
-                                   "valuation multiplicativity broke")
-    return CriterionResult(1, "novikov field axioms", True,
-                           "1000 triples, 1000 valuation pairs, exact")
+            raise _Failed("valuation multiplicativity broke")
+    return "1000 triples, 1000 valuation pairs, exact"
 
 
-def criterion_2(census=trees.census_by_dimension) -> CriterionResult:
+@_criterion(2, "tree census")
+def criterion_2(census=trees.census_by_dimension) -> str:
     """Tree census against the bracketing oracle plus boundary conformance.
 
     ``census`` is the counting routine under test; the types it counts are
@@ -84,51 +108,50 @@ def criterion_2(census=trees.census_by_dimension) -> CriterionResult:
         oracle = trees.associahedron_face_counts(d)
         counted = census(d, 0, metric_classes=(trees.ZERO,))
         if oracle != counted:
-            return CriterionResult(2, "tree census", False,
-                                   f"d={d}: oracle {oracle} != census {counted}")
+            raise _Failed(f"d={d}: oracle {oracle} != census {counted}")
     checked = 0
     for d, i in ((2, 0), (3, 0), (4, 0), (1, 1), (2, 1), (0, 2)):
         where = f"d={d} i={i}" if i else f"d={d}"
         types = trees.enumerate_stable_types(d, i)
         total = sum(census(d, i).values())
         if len(types) != total:
-            return CriterionResult(2, "tree census", False,
-                                   f"{where}: {len(types)} types enumerated != {total} counted")
+            raise _Failed(f"{where}: {len(types)} types enumerated != {total} counted")
         if (d, i) == (2, 0):
             continue
         boundaries = [trees.boundary_strata(t) for t in types if t.dim() == 1]
         strata = [s for boundary in boundaries for _, s in boundary]
         reached, points = set(strata), {t for t in types if t.dim() == 0}
         if reached != points:
-            return CriterionResult(
-                2, "tree census", False,
-                f"{where}: the strata of the dimension-1 types miss "
-                f"{len(points - reached)} of the {len(points)} dimension-0 types "
-                f"and add {len(reached - points)} others")
+            raise _Failed(f"{where}: the strata of the dimension-1 types miss "
+                          f"{len(points - reached)} of the {len(points)} dimension-0 types "
+                          f"and add {len(reached - points)} others")
         not_intervals = sum(len(boundary) != 2 for boundary in boundaries)
         if not_intervals:
-            return CriterionResult(
-                2, "tree census", False,
-                f"{where}: {not_intervals} of the {len(boundaries)} dimension-1 types "
-                "have other than two boundary strata")
+            raise _Failed(f"{where}: {not_intervals} of the {len(boundaries)} dimension-1 types "
+                          "have other than two boundary strata")
         if not i:  # the detail line counts the strata for d = 2, 3, 4
             checked += len(strata)
-    return CriterionResult(2, "tree census", True,
-                           f"censuses match for d=2,3,4; {checked} strata conform")
+    return f"censuses match for d=2,3,4; {checked} strata conform"
+
+
+def _families(max_n: int):
+    """Each brane family up to ``max_n``, as ``(kind, n, eps, potential)``:
+    P^n from n = 1 with no eps, then the exceptional family from n = 2 at
+    ``EPS``."""
+    for n in range(1, max_n + 1):
+        yield openclosed.PROJECTIVE, n, None, toric.PotentialFunction.clifford_torus(n)
+    for n in range(2, max_n + 1):
+        yield openclosed.EXCEPTIONAL, n, EPS, toric.PotentialFunction.exceptional(n, EPS)
 
 
 def _brane_algebras(max_n: int):
-    for n in range(1, max_n + 1):
-        potential = toric.PotentialFunction.clifford_torus(n)
+    for kind, n, _, potential in _families(max_n):
         for k, critical in enumerate(toric.critical_points(potential)):
-            yield ("projective", n, k, potential, critical)
-    for n in range(2, max_n + 1):
-        potential = toric.PotentialFunction.exceptional(n, Fraction(1, 10))
-        for k, critical in enumerate(toric.critical_points(potential)):
-            yield ("exceptional", n, k, potential, critical)
+            yield kind, n, k, potential, critical
 
 
-def criterion_3(brane_algebra=toric.brane_algebra) -> CriterionResult:
+@_criterion(3, "composition relations")
+def criterion_3(brane_algebra=toric.brane_algebra) -> str:
     """Relation check on the Hessian Clifford algebras ``brane_algebra``
     builds, ranks 2..16."""
     count = 0
@@ -138,17 +161,15 @@ def criterion_3(brane_algebra=toric.brane_algebra) -> CriterionResult:
         algebra = brane_algebra(potential, critical)
         violations = ainfty.check_ainfty(algebra)
         if violations:
-            return CriterionResult(3, "composition relations", False,
-                                   f"{kind} n={n}: {violations[0]!r}")
+            raise _Failed(f"{kind} n={n}: {violations[0]!r}")
         if algebra.unit_violations() or algebra.degree_violations():
-            return CriterionResult(3, "composition relations", False,
-                                   f"{kind} n={n}: unit or degree axiom broke")
+            raise _Failed(f"{kind} n={n}: unit or degree axiom broke")
         count += 1
-    return CriterionResult(3, "composition relations", True,
-                           f"{count} algebras pass with zero violations")
+    return f"{count} algebras pass with zero violations"
 
 
-def criterion_4(critical_points=toric.critical_points) -> CriterionResult:
+@_criterion(4, "critical points")
+def criterion_4(critical_points=toric.critical_points) -> str:
     """Critical points that ``critical_points`` returns, the determinant and
     entries of the Hessian each record carries against the closed forms,
     both kinds.
@@ -158,36 +179,29 @@ def criterion_4(critical_points=toric.critical_points) -> CriterionResult:
     ``x = q^eps eta^k`` on the exceptional family, of determinant
     ``(n + 1) x^n`` and ``(1 - n) x^n``.
     """
-    eps = Fraction(1, 10)
-    families = [(f"P^{n}", toric.PotentialFunction.clifford_torus(n), Fraction(1, n + 1), 1)
-                for n in range(1, 7)]
-    families += [(f"exceptional n={n}", toric.PotentialFunction.exceptional(n, eps), eps, -1)
-                 for n in range(2, 7)]
-    for name, potential, weight, sign in families:
-        n = potential.n
+    for kind, n, eps, potential in _families(6):
+        name, weight, sign = ((f"P^{n}", Fraction(1, n + 1), 1) if eps is None
+                              else (f"{kind} n={n}", eps, -1))
         points = critical_points(potential)
         if len(points) != potential.order:
-            return CriterionResult(4, "critical points", False, f"{name} count")
+            raise _Failed(f"{name} count")
         root = CyclotomicNumber.root_of_unity(potential.order)
         for k, critical in enumerate(points):
             det = linalg.determinant(critical.hessian)
             expected = NovikovElement.monomial(n * weight, root ** (k * n) * (1 + sign * n))
             if det != expected:
-                return CriterionResult(4, "critical points", False,
-                                       f"{name} det {det} != {expected}")
+                raise _Failed(f"{name} det {det} != {expected}")
             x = NovikovElement.monomial(weight, root ** k)
             for a, b in itertools.product(range(n), repeat=2):
                 if critical.hessian[a][b] != x * ((a == b) + sign):
-                    return CriterionResult(4, "critical points", False,
-                                           f"{name} hessian entry ({a},{b})")
-    return CriterionResult(
-        4, "critical points", True,
-        "counts n+1 / n-1 with exact roots and vanishing gradients; "
-        "hessians unit*q-power*(I+J) [projective] and unit*q-power*(I-J) "
-        "[exceptional], determinants (n+1)/(1-n) times unit q-powers")
+                    raise _Failed(f"{name} hessian entry ({a},{b})")
+    return ("counts n+1 / n-1 with exact roots and vanishing gradients; "
+            "hessians unit*q-power*(I+J) [projective] and unit*q-power*(I-J) "
+            "[exceptional], determinants (n+1)/(1-n) times unit q-powers")
 
 
-def criterion_5(brane_algebra=toric.brane_algebra) -> CriterionResult:
+@_criterion(5, "divisor equation")
+def criterion_5(brane_algebra=toric.brane_algebra) -> str:
     """Divisor equation on the algebras ``brane_algebra`` builds at every
     critical point, both kinds, n = 1..4: the unit component of
     ``m_2(e_a, e_b) + m_2(e_b, e_a)`` is the Hessian entry ``H_ab``.
@@ -204,33 +218,31 @@ def criterion_5(brane_algebra=toric.brane_algebra) -> CriterionResult:
             symmetrized = (algebra.m_basis((gens[a], gens[b])).get(algebra.unit, zero)
                            + algebra.m_basis((gens[b], gens[a])).get(algebra.unit, zero))
             if symmetrized != critical.hessian[a][b]:
-                return CriterionResult(5, "divisor equation", False,
-                                       f"{kind} n={n} k={k} entry ({a},{b})")
+                raise _Failed(f"{kind} n={n} k={k} entry ({a},{b})")
         count += 1
-    return CriterionResult(5, "divisor equation", True,
-                           f"{count} critical points, all degree-one pairs, exact")
+    return f"{count} critical points, all degree-one pairs, exact"
 
 
 HH_LENGTHS = {1: 6, 2: 5, 3: 4}
+_hochschild_criterion = _criterion(6, "one-dimensional Hochschild homology")
 
 
+@_hochschild_criterion
 def hochschild_check(name: str, algebra: ainfty.AInftyAlgebra, parity: int,
-                     max_length: int) -> CriterionResult:
+                     max_length: int) -> str:
     """C6's verdict on one algebra: one Hochschild class, in ``parity``,
     stable at the truncation length ``max_length``."""
     report = hochschild.hochschild_homology_dims(
         hochschild.FlatCategory.single(algebra), max_length)
     if report.total() != 1 or not report.stable:
-        return CriterionResult(6, "one-dimensional Hochschild homology", False,
-                               f"{name}: dims {report.dims} stable {report.stable}")
+        raise _Failed(f"{name}: dims {report.dims} stable {report.stable}")
     if report.dims.get(parity) != 1:
-        return CriterionResult(6, "one-dimensional Hochschild homology", False,
-                               f"{name}: class in wrong parity")
-    return CriterionResult(6, "one-dimensional Hochschild homology", True,
-                           f"{name}: one stable class in parity {parity}")
+        raise _Failed(f"{name}: class in wrong parity")
+    return f"{name}: one stable class in parity {parity}"
 
 
-def criterion_6() -> CriterionResult:
+@_hochschild_criterion
+def criterion_6() -> str:
     """Super-Hochschild homology of the brane algebras is one-dimensional."""
     for kind, n, k, potential, critical in _brane_algebras(3):
         if k > 0:
@@ -238,12 +250,12 @@ def criterion_6() -> CriterionResult:
         result = hochschild_check(f"{kind} n={n}", toric.brane_algebra(potential, critical),
                                   n % 2, HH_LENGTHS[n])
         if not result.passed:
-            return result
-    return CriterionResult(6, "one-dimensional Hochschild homology", True,
-                           "total dimension 1, top-class parity, stable at two lengths")
+            raise _Failed(result.detail)
+    return "total dimension 1, top-class parity, stable at two lengths"
 
 
-def criterion_7(oc_matrix=openclosed.oc_matrix) -> CriterionResult:
+@_criterion(7, "open-closed matrix")
+def criterion_7(oc_matrix=openclosed.oc_matrix) -> str:
     """Entries of the OC matrices ``oc_matrix`` builds and the q -> 1
     character sums."""
     for n in range(1, 7):
@@ -253,8 +265,7 @@ def criterion_7(oc_matrix=openclosed.oc_matrix) -> CriterionResult:
             for a in range(n + 1):
                 expected = NovikovElement.monomial(Fraction(b, n + 1), zeta ** (a * b))
                 if matrix.entry(b, a) != expected:
-                    return CriterionResult(7, "open-closed matrix", False,
-                                           f"n={n} entry ({b},{a})")
+                    raise _Failed(f"n={n} entry ({b},{a})")
         q1 = matrix.q_to_one()
         for j in range(n + 1):
             for k in range(n + 1):
@@ -262,47 +273,37 @@ def criterion_7(oc_matrix=openclosed.oc_matrix) -> CriterionResult:
                 for b in range(n + 1):
                     s = s + q1[b][j] * (q1[b][k] ** n)  # conjugate via zeta^-1 = zeta^n
                 if (j == k) == s.is_zero():
-                    return CriterionResult(7, "open-closed matrix", False,
-                                           f"n={n} character sum ({j},{k})")
-    return CriterionResult(7, "open-closed matrix", True,
-                           "entries exact for n=1..6; q->1 columns orthogonal")
+                    raise _Failed(f"n={n} character sum ({j},{k})")
+    return "entries exact for n=1..6; q->1 columns orthogonal"
 
 
-def criterion_8(oc_matrix=openclosed.oc_matrix) -> CriterionResult:
+@_criterion(8, "determinant surjectivity")
+def criterion_8(oc_matrix=openclosed.oc_matrix) -> str:
     """Determinant surjectivity with the valuation split at ``openclosed.SPLIT``.
 
     ``oc_matrix`` is the matrix builder under test.  ``surjectivity_test``
     normalizes rows by their minimal q-power first; without it the plain
     determinant valuation n/2 leaves the split window for n >= 4.
     """
-    for n in range(1, 7):
-        res = openclosed.surjectivity_test(oc_matrix(n, openclosed.PROJECTIVE))
+    for kind, n, eps, _ in _families(6):
+        res = openclosed.surjectivity_test(oc_matrix(n, kind, eps))
         if res != openclosed.SURJECTIVE:
-            return CriterionResult(8, "determinant surjectivity", False,
-                                   f"projective n={n}: {res}")
-    for n in range(2, 7):
-        res = openclosed.surjectivity_test(
-            oc_matrix(n, openclosed.EXCEPTIONAL, Fraction(1, 10)))
-        if res != openclosed.SURJECTIVE:
-            return CriterionResult(8, "determinant surjectivity", False,
-                                   f"exceptional n={n}: {res}")
-    return CriterionResult(8, "determinant surjectivity", True,
-                           "surjective for both kinds, n up to 6, split at "
-                           + format_rational(openclosed.SPLIT))
+            raise _Failed(f"{kind} n={n}: {res}")
+    return "surjective for both kinds, n up to 6, split at " + format_rational(openclosed.SPLIT)
 
 
-def criterion_9(co_value=openclosed.co_value) -> CriterionResult:
+@_criterion(9, "closed-open ring relation")
+def criterion_9(co_value=openclosed.co_value) -> str:
     """Quantum relation through the closed-open values ``co_value`` under test."""
     for n in range(1, 5):
         for k in range(n + 1):
             if not openclosed.ring_hom_check(n, k, co_value):
-                return CriterionResult(9, "closed-open ring relation", False,
-                                       f"n={n} k={k}")
-    return CriterionResult(9, "closed-open ring relation", True,
-                           "hyperplane power relation holds for all branes, n=1..4")
+                raise _Failed(f"n={n} k={k}")
+    return "hyperplane power relation holds for all branes, n=1..4"
 
 
-def criterion_10(oc_matrix=openclosed.oc_matrix) -> CriterionResult:
+@_criterion(10, "orthogonality")
+def criterion_10(oc_matrix=openclosed.oc_matrix) -> str:
     """Frobenius orthogonality of the OC matrices ``oc_matrix`` builds, and
     blowup block orthogonality."""
     for n in range(1, 5):
@@ -310,42 +311,33 @@ def criterion_10(oc_matrix=openclosed.oc_matrix) -> CriterionResult:
         for j in range(n + 1):
             for k in range(n + 1):
                 if j != k and not gram[j][k].is_zero():
-                    return CriterionResult(10, "orthogonality", False,
-                                           f"n={n} off-diagonal ({j},{k})")
+                    raise _Failed(f"n={n} off-diagonal ({j},{k})")
                 if j == k and gram[j][k].is_zero():
-                    return CriterionResult(10, "orthogonality", False,
-                                           f"n={n} vanishing diagonal ({j})")
+                    raise _Failed(f"n={n} vanishing diagonal ({j})")
     for n in range(2, 6):
-        report = blowup.split_report(n, Fraction(1, 10))
-        if not report["cross_gram_zero"]:
-            return CriterionResult(10, "orthogonality", False,
-                                   f"blowup n={n} cross pairings nonzero")
-    return CriterionResult(10, "orthogonality", True,
-                           "diagonal Gram matrices n=1..4; blowup blocks orthogonal")
+        if not blowup.split_report(n, EPS)["cross_gram_zero"]:
+            raise _Failed(f"blowup n={n} cross pairings nonzero")
+    return "diagonal Gram matrices n=1..4; blowup blocks orthogonal"
 
 
-def criterion_11() -> CriterionResult:
+@_criterion(11, "blowup splitting")
+def criterion_11() -> str:
     """Splitting dimensions, generation, and the bulk-shift valuation bound."""
     for n in range(2, 6):
-        for eps in (Fraction(1, 10), Fraction(1, 3), Fraction(9, 10)):
+        for eps in (EPS, Fraction(1, 3), Fraction(9, 10)):
             report = blowup.split_report(n, eps)
             if report["total_dim"] != 2 * n:
-                return CriterionResult(11, "blowup splitting", False,
-                                       f"n={n}: dim {report['total_dim']}")
+                raise _Failed(f"n={n}: dim {report['total_dim']}")
             if report["generation"] != blowup.GENERATES:
-                return CriterionResult(11, "blowup splitting", False,
-                                       f"n={n} eps={eps}: {report['generation']}")
+                raise _Failed(f"n={n} eps={eps}: {report['generation']}")
             if not report["bound_holds"]:
-                return CriterionResult(
-                    11, "blowup splitting", False,
-                    f"n={n} eps={eps}: extra valuation "
-                    f"{report['min_extra_valuation']} < 1 - eps")
-    return CriterionResult(11, "blowup splitting", True,
-                           "dim 2n, generates, corrections at least 1 - eps, "
-                           "n=2..5, eps in {1/10, 1/3, 9/10}")
+                raise _Failed(f"n={n} eps={eps}: extra valuation "
+                              f"{report['min_extra_valuation']} < 1 - eps")
+    return "dim 2n, generates, corrections at least 1 - eps, n=2..5, eps in {1/10, 1/3, 9/10}"
 
 
-def criterion_12(blowup_model=toric.ToricModel.blowup) -> CriterionResult:
+@_criterion(12, "index/area correspondence")
+def criterion_12(blowup_model=toric.ToricModel.blowup) -> str:
     """Index and area of random classes of the cut simplex against their
     blowdown, both read off the polytopes.
 
@@ -365,18 +357,15 @@ def criterion_12(blowup_model=toric.ToricModel.blowup) -> CriterionResult:
         d = up[-1]
         down = tuple(k + d * c for k, c in zip(up, cut.normals[-1])) + (up[n],)
         if base.index(down) - cut.index(up) != 2 * (n - 1) * d:
-            return CriterionResult(12, "index/area correspondence", False,
-                                   f"n={n}: index mismatch {up}")
+            raise _Failed(f"n={n}: index mismatch {up}")
         if base.area(down) - cut.area(up) != eps * d:
-            return CriterionResult(12, "index/area correspondence", False,
-                                   f"n={n} eps={format_rational(eps)}: area mismatch {up}")
-    return CriterionResult(12, "index/area correspondence", True,
-                           "100 random classes of the cut simplex, n=2..5: index drops "
-                           "2(n-1)d and area eps*d under blowdown")
+            raise _Failed(f"n={n} eps={format_rational(eps)}: area mismatch {up}")
+    return ("100 random classes of the cut simplex, n=2..5: index drops "
+            "2(n-1)d and area eps*d under blowdown")
 
 
 def _determinism_payload() -> str:
-    report = blowup.split_report(2, Fraction(1, 10))
+    report = blowup.split_report(2, EPS)
     matrix = openclosed.oc_matrix(2, openclosed.PROJECTIVE)
     payload = {
         "split": {k: str(v) for k, v in sorted(report.items())},
@@ -386,14 +375,12 @@ def _determinism_payload() -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def criterion_13(payload=_determinism_payload) -> CriterionResult:
+@_criterion(13, "determinism")
+def criterion_13(payload=_determinism_payload) -> str:
     """Byte-identical reports on repeated runs of ``payload``."""
-    first = payload()
-    second = payload()
-    if first != second:
-        return CriterionResult(13, "determinism", False, "reports differ between runs")
-    return CriterionResult(13, "determinism", True,
-                           "repeated report generation is byte-identical")
+    if payload() != payload():
+        raise _Failed("reports differ between runs")
+    return "repeated report generation is byte-identical"
 
 
 ALL_CRITERIA = [

@@ -76,9 +76,24 @@ def cmd_trees_enumerate(args) -> int:
     return EXIT_OK
 
 
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in keys if keys.count(key) > 1)
+        raise ValueError(f"JSON object repeats the key {repeated!r}")
+    return obj
+
+
+def _read_json(path: str):
+    """The JSON of an algebra or category file; a repeated key, which
+    ``json.load`` would let the later value win, is an error."""
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle, object_pairs_hook=_unique_keys)
+
+
 def cmd_ainfty_verify(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+    data = _read_json(args.file)
     algebra = ainfty.AInftyAlgebra.from_json_dict(data)
     violations = ainfty.check_ainfty(algebra)
     unit_bad = algebra.unit_violations()
@@ -100,8 +115,7 @@ def cmd_ainfty_verify(args) -> int:
 
 
 def cmd_hh_dims(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+    data = _read_json(args.file)
     if isinstance(data, dict) and "objects" in data:
         algebras = [ainfty.AInftyAlgebra.from_json_dict(json_field(obj, "algebra", "object"))
                     for obj in json_field(data, "objects", "category", list)]
@@ -112,8 +126,9 @@ def cmd_hh_dims(args) -> int:
     # the arithmetic runs in the smallest field holding every scalar
     order = math.lcm(*(value.order() for alg in algebras for entries in alg.tensors.values()
                        for vec in entries.values() for value in vec.values()))
-    cutoff = next((format_rational(alg.cutoff) for alg in algebras
-                   if alg.cutoff is not None), "inf")
+    # no object's scalars are known past the least cutoff
+    cutoffs = [alg.cutoff for alg in algebras if alg.cutoff is not None]
+    cutoff = format_rational(min(cutoffs)) if cutoffs else "inf"
     header = f"# cutoff={cutoff} cyclotomic_order={order}"
     if report.cutoff_limited:
         # a rank taken at the scalar cutoff is not a dimension to rely on

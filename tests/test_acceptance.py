@@ -4,6 +4,7 @@ Each test prints its pass/fail line; the final test runs the full suite
 through the command line twice and compares bytes.
 """
 
+import ast
 import dataclasses
 import hashlib
 import inspect
@@ -262,6 +263,26 @@ def test_criterion_06_fails_on_the_exterior_algebra():
                              "exterior: dims {0: 4, 1: 4} stable False")
 
 
+def test_criterion_06_fails_on_a_p1_brane_whose_generator_squares_to_zero(monkeypatch):
+    # m_2(e1, e1) of the P^1 brane has only a unit component; without it the
+    # algebra is the exterior algebra, whose homology never stabilizes
+    brane_algebra = toric.brane_algebra
+
+    def exterior_at_p1(potential, critical):
+        algebra = brane_algebra(potential, critical)
+        if potential.n != 1:
+            return algebra
+        e1 = algebra.basis.index("e1")
+        tensors = {d: dict(entries) for d, entries in algebra.tensors.items()}
+        assert tensors[2].pop((e1, e1)).keys() == {algebra.unit}
+        return AInftyAlgebra(algebra.basis, algebra.degrees, tensors, unit=algebra.unit)
+
+    monkeypatch.setattr(toric, "brane_algebra", exterior_at_p1)
+    assert acceptance.criterion_6().line() == (
+        "[FAIL]  6 one-dimensional Hochschild homology: "
+        "projective n=1: dims {0: 5, 1: 5} stable False")
+
+
 def test_criterion_06_helper_passes_a_brane_algebra():
     potential = toric.PotentialFunction.clifford_torus(1)
     algebra = toric.brane_algebra(potential, toric.critical_points(potential)[0])
@@ -402,6 +423,21 @@ def test_criterion_13_fails_on_a_payload_that_changes():
     result = acceptance.criterion_13(lambda: str(next(calls)))
     assert not result.passed
     assert result.line() == "[FAIL] 13 determinism: reports differ between runs"
+
+
+def test_only_the_criterion_decorator_builds_a_result():
+    # each criterion's number and name are stated once, where _criterion
+    # decorates its check; the check returns or raises only its detail
+    tree = ast.parse(inspect.getsource(acceptance))
+
+    def results_built(node):
+        return {call for call in ast.walk(node) if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Name) and call.func.id == "CriterionResult"}
+
+    decorator, = (node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_criterion")
+    assert results_built(decorator)
+    assert results_built(tree) == results_built(decorator)
 
 
 def test_verify_all_report_bytes_are_pinned(results):

@@ -363,6 +363,36 @@ def test_malformed_algebra_file_is_a_value_error(tmp_path, command, case):
     assert key in error["message"]
 
 
+def _unit_square_output(coeff):
+    return _unit_square(coeff)[0]["outputs"]["1"]
+
+
+# json.dumps of a dict cannot repeat a key, so each file names its repeat
+# "twice", which the test renames in the text
+REPEATED_KEYS = {
+    # m_2(1,1) = 2, then = 1: json.load keeps the later "2", a unital algebra
+    "tensor_arity_spelt_twice": (
+        _unit_algebra({"2": _unit_square("2"), "twice": _unit_square("1")}), "2"),
+    # one entry's outputs give the unit 2, then 1
+    "output_named_twice": (_unit_algebra({"2": [{"inputs": ["1", "1"], "outputs": {
+        "1": _unit_square_output("2"), "twice": _unit_square_output("1")}}]}), "1"),
+}
+
+
+@pytest.mark.parametrize("command", [("ainfty", "verify"), ("hh", "dims")])
+@pytest.mark.parametrize("case", sorted(REPEATED_KEYS))
+def test_a_repeated_key_in_an_algebra_file_is_a_value_error(tmp_path, command, case):
+    data, key = REPEATED_KEYS[case]
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(data).replace('"twice"', json.dumps(key)), encoding="utf-8")
+    result = run_cli(*command, str(path))
+    assert result.returncode == EXIT_FAILURE
+    error = json.loads(result.stderr)
+    assert error["error"] == "value error"
+    assert f"key {key!r}" in error["message"]
+    assert result.stdout == ""
+
+
 @pytest.mark.parametrize("argv, flag, message", [
     (("trees", "enumerate", "--boundary", "\u0663", "--interior", "0", "--metric", "zero"),
      "--boundary", "invalid int value: '\u0663'"),
@@ -528,6 +558,18 @@ def test_hh_dims_of_a_category_file_adds_its_objects(tmp_path):
     assert result.returncode == EXIT_OK
     assert result.stdout.splitlines()[1:] == [
         "degree,dimension,stable", "0,0,true", "1,2,true", "total,2,true"]
+
+
+def test_hh_dims_prints_the_least_cutoff_of_a_category(tmp_path):
+    # no object's scalars are known past cutoff 2, whichever object comes first
+    alg = _brane_algebra_dict()
+    path = tmp_path / "category.json"
+    path.write_text(json.dumps({"objects": [{"name": "a", "algebra": dict(alg, cutoff="5")},
+                                            {"name": "b", "algebra": dict(alg, cutoff="2")}]}),
+                    encoding="utf-8")
+    result = run_cli("hh", "dims", str(path), "--length", "4")
+    assert result.returncode == EXIT_OK
+    assert result.stdout.splitlines()[0] == "# cutoff=2 cyclotomic_order=2 rank_cutoff=3"
 
 
 def test_hh_dims_of_an_empty_category_takes_no_rank(tmp_path):
