@@ -73,15 +73,22 @@ class AInftyAlgebra:
         self.n_grading = int(n_grading)
         self.unit = unit
         self.cutoff = Fraction(cutoff) if cutoff is not None else None
+        cutoffs = [self.cutoff]
         self.tensors: dict[int, dict[tuple, Vector]] = {}
         for d, entries in tensors.items():
             store: dict[tuple, Vector] = {}
             for key, vec in entries.items():
-                vec = {i: v for i, v in dict(vec).items() if not v.is_zero()}
+                vec = dict(vec)
+                # a CyclotomicNumber constant is exact
+                cutoffs += [getattr(v, "cutoff", None) for v in vec.values()]
+                vec = {i: v for i, v in vec.items() if not v.is_zero()}
                 if vec:
                     store[tuple(key)] = vec
             if store:
                 self.tensors[int(d)] = store
+        # the least cutoff, declared or of a constant (a zero dropped above
+        # included), below which every constant is known; None when all are exact
+        self.least_cutoff = min((c for c in cutoffs if c is not None), default=None)
 
     # -- access ---------------------------------------------------------------
     @property
@@ -102,17 +109,17 @@ class AInftyAlgebra:
         ``c q^{w(a_1) + ... + w(a_k) - w(o)}`` with ``c`` free of q; then
         ``e'_a = q^{-w(a)} e_a`` is a basis in which the structure constants
         are the coefficients ``c``.  Returns ``None`` when an entry has two or
-        more terms, when an entry or the algebra has a finite cutoff (``c q^x``
-        is then known only modulo ``q^C``), or when no weights fit.  Weights
-        left free by the entries are 0.
+        more terms, when the algebra has a ``least_cutoff`` (a constant is then
+        known only modulo ``q^C``), or when no weights fit.  Weights left free
+        by the entries are 0.
         """
-        if self.cutoff is not None:
+        if self.least_cutoff is not None:
             return None
         entries = []
         for store in self.tensors.values():
             for key, vec in store.items():
                 for o, value in vec.items():
-                    if value.cutoff is not None or len(value.terms) != 1:
+                    if len(value.terms) != 1:
                         return None
                     entries.append((key, o, value.terms[0][0]))
         # one equation sum_i w(a_i) - w(o) - x = 0 per entry, as {variable:

@@ -98,8 +98,10 @@ def cmd_ainfty_verify(args) -> int:
     violations = ainfty.check_ainfty(algebra)
     unit_bad = algebra.unit_violations()
     degree_bad = algebra.degree_violations()
+    # relations among truncated constants hold only modulo q^least_cutoff
+    limited = algebra.least_cutoff is not None
     payload = {
-        "meta": _meta(cutoff=algebra.cutoff),
+        "meta": _meta(cutoff=algebra.least_cutoff),
         "rank": algebra.rank,
         "relation_violations": [
             {"arity": v.arity, "inputs": list(v.inputs), "output": v.output,
@@ -108,8 +110,10 @@ def cmd_ainfty_verify(args) -> int:
         ],
         "unit_violations": [repr(v) for v in unit_bad],
         "degree_violations": [repr(v) for v in degree_bad],
-        "ok": not (violations or unit_bad or degree_bad),
+        "ok": not (violations or unit_bad or degree_bad or limited),
     }
+    if limited:
+        payload["cutoff_limited"] = True
     _emit(_json_dumps(payload), args.out)
     return EXIT_OK if payload["ok"] else EXIT_FAILURE
 
@@ -126,8 +130,8 @@ def cmd_hh_dims(args) -> int:
     # the arithmetic runs in the smallest field holding every scalar
     order = math.lcm(*(value.order() for alg in algebras for entries in alg.tensors.values()
                        for vec in entries.values() for value in vec.values()))
-    # no object's scalars are known past the least cutoff
-    cutoffs = [alg.cutoff for alg in algebras if alg.cutoff is not None]
+    # no object's scalars are known past the least cutoff of any of them
+    cutoffs = [alg.least_cutoff for alg in algebras if alg.least_cutoff is not None]
     cutoff = format_rational(min(cutoffs)) if cutoffs else "inf"
     header = f"# cutoff={cutoff} cyclotomic_order={order}"
     if report.cutoff_limited:

@@ -67,8 +67,9 @@ class FlatCategory:
         return cls((algebra,))
 
 
-# chains: {(obj_index, word): scalar}, word a tuple of generator indices; the
-# scalars are NovikovElements, or CyclotomicNumbers over the coefficient field
+# chains: {(obj_index, word): scalar}, word a tuple of generator indices and
+# the scalar a NovikovElement; ranks over the coefficient field build no
+# chains, but integer rows from the tables (``_integer_row``)
 Chain = dict[tuple, NovikovElement]
 
 
@@ -170,9 +171,13 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6) -> Homology
     and is flagged stable when dropping the top computed length changes
     nothing.  Otherwise the truncated subcomplex is used and the result is
     flagged as an unstable truncation.  Ranks are taken on the normalized
-    complex where it applies, exactly over the coefficient field when every
-    algebra is q-homogeneous and at ``DEFAULT_CUTOFF``, recorded as
-    ``rank_cutoff``, otherwise (see the module docstring).
+    complex where it applies, where a degenerate chain has no column,
+    exactly over the coefficient field when every algebra is q-homogeneous
+    and at ``DEFAULT_CUTOFF``, recorded as ``rank_cutoff``, otherwise (see
+    the module docstring).  Each boundary block, the chains of one length
+    and parity (of one parity, over all lengths, when ungraded), is ranked
+    once.  A category with a truncated constant (``least_cutoff``) is
+    reported cutoff-limited.
     """
     if max_length < 2:
         raise ValueError(f"the truncation length must be at least 2, got {max_length}")
@@ -181,72 +186,53 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6) -> Homology
     units = [alg.unit if graded and alg.unit is not None and not alg.unit_violations()
              else None for alg in cat.algebras]
 
-    def degenerate(key) -> bool:
-        obj, word = key
-        return units[obj] is not None and units[obj] in word[:-1]
+    # the chains of each block, keyed (length, parity), or (None, parity)
+    # when ungraded, since boundaries of different lengths then land in the
+    # same chains; rows stay in length order, which decides Novikov pivots
+    blocks = {(length if graded else None, parity): []
+              for length in range(1, max_length + 1) for parity in (0, 1)}
+    position: dict[tuple, int] = {}  # chain -> its column in every boundary matrix
+    for length in range(1, max_length + 1):
+        for key in chain_basis(cat, length):
+            obj, word = key
+            if units[obj] is None or units[obj] not in word[:-1]:
+                blocks[length if graded else None, chain_parity(cat, key)].append(key)
+                position[key] = len(position)
 
-    # the boundary rows, over the coefficient field where that is exact
     rescaled = ainfty.coefficient_tensors(cat.algebras)
     if rescaled is not None:
         _, phi, per_algebra = rescaled
         tables = [tensors for tensors, _, _ in per_algebra]
+    cutoff_limited = any(alg.least_cutoff is not None for alg in cat.algebras)
 
-    # per (length, parity): basis and boundary matrix ranks
-    by_parity: dict[tuple, list] = {}
-    position: dict[tuple, int] = {}  # chain -> its column in every boundary matrix
-    for length in range(1, max_length + 1):
-        for key in chain_basis(cat, length):
-            if not degenerate(key):
-                by_parity.setdefault((length, chain_parity(cat, key)), []).append(key)
-                position[key] = len(position)
-
-    cutoff_limited = False
-    ranks: dict[tuple, int] = {}
-
-    def column(target) -> int | None:  # None for a degenerate chain
-        col = position.get(target)
-        if col is None and not degenerate(target):
-            raise KeyError("boundary left the truncation window")
-        return col
-
-    def boundary_rank(lengths: tuple, parity: int) -> int:
-        """Rank of the boundary on the chains of these lengths and parity."""
+    # with m_0 = 0 an arity-k contraction takes length d to d - k + 1 in
+    # 1..d, so a target lacks a column only when it is degenerate
+    def rank(chains: list) -> int:
+        """Rank of the boundary on these chains."""
         nonlocal cutoff_limited
-        key = (lengths, parity)
-        if key not in ranks:
-            chains = [c for length in lengths for c in by_parity.get((length, parity), [])]
-            if rescaled is not None:
-                rows = [_integer_row(tables, cat, c, column) for c in chains]
-                ranks[key] = linalg.integer_rank(rows, phi)[0]
-            else:
-                rows = [{col: v for k, v in hochschild_boundary_basis(cat, c).items()
-                         if (col := column(k)) is not None} for c in chains]
-                ranks[key], _, limited = linalg.row_reduce(rows, DEFAULT_CUTOFF)
-                cutoff_limited = cutoff_limited or limited
-        return ranks[key]
+        if rescaled is not None:
+            rows = [_integer_row(tables, cat, c, position.get) for c in chains]
+            return linalg.integer_rank(rows, phi)[0]
+        rows = [{position[k]: v for k, v in hochschild_boundary_basis(cat, c).items()
+                 if k in position} for c in chains]
+        r, _, limited = linalg.row_reduce(rows, DEFAULT_CUTOFF)
+        cutoff_limited = cutoff_limited or limited
+        return r
 
-    def count(length: int, parity: int) -> int:
-        return len(by_parity.get((length, parity), []))
-
+    # a block's homology is its chains, less the rank of its boundary and
+    # of the boundary that lands in it
+    ranks = {block: rank(chains) for block, chains in blocks.items()}
     per_length = {}
     if graded:
         for length in range(1, max_length):
-            per_length[length] = {
-                parity: (count(length, parity) - boundary_rank((length,), parity)
-                         - boundary_rank((length + 1,), (parity + 1) % 2))
-                for parity in (0, 1)
-            }
+            per_length[length] = {parity: len(blocks[length, parity]) - ranks[length, parity]
+                                  - ranks[length + 1, 1 - parity] for parity in (0, 1)}
         dims = {parity: sum(h[parity] for h in per_length.values()) for parity in (0, 1)}
         # dropping the top length changes the sum iff that length has homology
         stable = per_length[max_length - 1] == {0: 0, 1: 0}
     else:
-        # homology of the truncated subcomplex, spurious top classes and all;
-        # boundaries of different lengths land in the same chains, so each
-        # parity's boundary is ranked over all lengths at once
-        lengths = tuple(range(1, max_length + 1))
-        dims = {parity: (sum(count(length, parity) for length in lengths)
-                         - boundary_rank(lengths, parity)
-                         - boundary_rank(lengths, (parity + 1) % 2))
+        # homology of the truncated subcomplex, spurious top classes and all
+        dims = {parity: len(blocks[None, parity]) - ranks[None, parity] - ranks[None, 1 - parity]
                 for parity in (0, 1)}
         stable = False
     return HomologyReport(dims=dims, stable=stable, per_length=per_length,

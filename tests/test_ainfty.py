@@ -187,6 +187,27 @@ def test_q_weights_reject_a_finite_cutoff():
     assert declared.q_weights() is None
 
 
+def test_least_cutoff_counts_the_declared_cutoff_and_every_constant():
+    exact = toric.clifford_algebra([[N.q_power(4)]], 1)
+    assert exact.least_cutoff is None
+
+    def rebuilt(value, cutoff=None):
+        # e1 e1 replaced by value, which the constructor drops when it is 0
+        tensors = {2: exact.tensors[2] | {(1, 1): {0: value}}}
+        return AInftyAlgebra(exact.basis, exact.degrees, tensors, unit=exact.unit, cutoff=cutoff)
+
+    # 0 + O(q^3) is dropped from the tensors, but not known past q^3
+    zero = rebuilt(N.zero(cutoff=3))
+    assert (1, 1) not in zero.tensors[2]
+    assert zero.least_cutoff == 3 and zero.q_weights() is None
+    assert rebuilt(N.q_power(4, cutoff=5), cutoff=2).least_cutoff == 2
+    assert rebuilt(N.q_power(1, cutoff=2), cutoff=5).least_cutoff == 2
+    assert rebuilt(N.q_power(4), cutoff=F(1, 2)).least_cutoff == F(1, 2)
+    # coefficient constants are exact
+    field = AInftyAlgebra(["1"], [0], {2: {(0, 0): {0: CyclotomicNumber.one()}}}, unit=0)
+    assert field.least_cutoff is None
+
+
 def test_q_weights_reject_inconsistent_exponents():
     # e1 e1 = q forces w(e1) = 1/2, while e2 e1 = 2 - e1 e2 has a q-free unit
     # term, forcing w(e1) + w(e2) = 0 = w(e2)

@@ -497,6 +497,51 @@ def test_hh_dims_flags_cutoff_limited_ranks(tmp_path):
         "degree,dimension,stable", "0,3,false", "1,3,false", "total,6,false"]
 
 
+def _truncated_clifford(tmp_path, case):
+    """A rank-2 Clifford algebra file with a truncated constant: ``zero``
+    writes e1 e1 = 0 + O(q^3), ``declared`` declares cutoff 1 on e1 e1 = q,
+    and ``entry`` writes e1 e1 = q + O(q^2)."""
+    from qhsplit import toric
+    from qhsplit.novikov import NovikovElement as N
+    square = {"zero": N.q_power(4), "declared": N.q_power(1), "entry": N.q_power(1, cutoff=2)}
+    data = toric.clifford_algebra([[square[case]]], 1).to_json_dict()
+    if case == "zero":
+        entry, = [e for e in data["tensors"]["2"] if e["inputs"] == ["e1", "e1"]]
+        entry["outputs"] = {o: {"order": 1, "terms": [], "cutoff": "3"} for o in entry["outputs"]}
+    if case == "declared":
+        data["cutoff"] = "1"
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("case, header, dims", [
+    # the algebra with the zero is the exterior algebra, but the constant
+    # could be q^4, whose algebra has one class
+    ("zero", "# cutoff=3 cyclotomic_order=1 cutoff_limited=true rank_cutoff=3",
+     ["0,3,false", "1,3,false", "total,6,false"]),
+    # the rank pivots on q^1, which the file says is unknown
+    ("declared", "# cutoff=1 cyclotomic_order=1 cutoff_limited=true rank_cutoff=3",
+     ["0,0,true", "1,1,true", "total,1,true"]),
+], ids=["zero", "declared"])
+def test_hh_dims_flags_a_truncated_zero_and_a_declared_cutoff(tmp_path, case, header, dims):
+    result = run_cli("hh", "dims", str(_truncated_clifford(tmp_path, case)), "--length", "4")
+    assert result.returncode == EXIT_FAILURE
+    assert result.stdout.splitlines() == [header, "degree,dimension,stable", *dims]
+
+
+@pytest.mark.parametrize("case, cutoff", [("zero", "3"), ("declared", "1"), ("entry", "2")])
+def test_ainfty_verify_reports_truncated_constants_as_cutoff_limited(tmp_path, case, cutoff):
+    # the relations hold, but only modulo the least cutoff
+    result = run_cli("ainfty", "verify", str(_truncated_clifford(tmp_path, case)))
+    assert result.returncode == EXIT_FAILURE
+    payload = json.loads(result.stdout)
+    assert payload["relation_violations"] == payload["unit_violations"] == []
+    assert payload["meta"]["cutoff"] == cutoff
+    assert payload["cutoff_limited"] is True
+    assert payload["ok"] is False
+
+
 def test_hh_dims_flags_ranks_through_a_truncated_pivot_inverse(tmp_path):
     # exact entries with no weights: a non-monomial pivot's inverse is cut
     # at the rank cutoff, which printed an unflagged dimension -1 at length 4
@@ -568,8 +613,9 @@ def test_hh_dims_prints_the_least_cutoff_of_a_category(tmp_path):
                                             {"name": "b", "algebra": dict(alg, cutoff="2")}]}),
                     encoding="utf-8")
     result = run_cli("hh", "dims", str(path), "--length", "4")
-    assert result.returncode == EXIT_OK
-    assert result.stdout.splitlines()[0] == "# cutoff=2 cyclotomic_order=2 rank_cutoff=3"
+    assert result.returncode == EXIT_FAILURE
+    assert result.stdout.splitlines()[0] == (
+        "# cutoff=2 cyclotomic_order=2 cutoff_limited=true rank_cutoff=3")
 
 
 def test_hh_dims_of_an_empty_category_takes_no_rank(tmp_path):

@@ -166,6 +166,48 @@ def test_contractions_match_the_scan_over_all_wraparound_pairs():
     assert all(wraparound[length] for length in range(1, 6))
 
 
+def random_flat_category(rng):
+    """One or two objects of rank 1-3 with random entries of stored arities
+    drawn from 1, 2 and 3; an object of rank 2 or more may have a strict unit,
+    generator 0, with the other entries keeping it out of their inputs."""
+    algebras = []
+    for _ in range(rng.randint(1, 2)):
+        rank = rng.randint(1, 3)
+        arities = rng.sample((1, 2, 3), rng.randint(1, 3))
+        degrees = [0] + [rng.randrange(2) for _ in range(rank - 1)]
+        unit = 0 if rank > 1 and rng.random() < 0.5 else None
+        tensors = {arity: {key: {rng.randrange(rank): rng.choice((N.one(), -N.one()))}
+                           for key in itertools.product(range(rank), repeat=arity)
+                           if unit not in key and rng.random() < 0.5}
+                   for arity in arities}
+        if unit is not None:
+            tensors.setdefault(2, {}).update(
+                {pair: {i: N.one() if pair[0] == unit or degrees[i] == 0 else -N.one()}
+                 for i in range(rank) for pair in ((unit, i), (i, unit))})
+        alg = AInftyAlgebra([f"g{i}" for i in range(rank)], degrees, tensors, unit=unit)
+        assert unit is None or not alg.unit_violations()
+        algebras.append(alg)
+    return FlatCategory(tuple(algebras))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_every_contraction_lands_in_the_truncation_window(seed):
+    # with m_0 = 0, hochschild_homology_dims finds a column for every
+    # boundary target that is not degenerate, with no window check
+    rng = random.Random(seed)
+    for _ in range(10):
+        cat = random_flat_category(rng)
+        window = {key for length in range(1, 5) for key in chain_basis(cat, length)}
+        for obj, word in window:
+            alg = cat.algebras[obj]
+            for head, tail, _, inner in hochschild._contractions(alg.tensors, alg.reduced, word):
+                for o in inner:
+                    assert (obj, head + (o,) + tail) in window, (obj, word)
+    curved = AInftyAlgebra(["1"], [0], {0: {(): {0: N.one()}}})
+    with pytest.raises(ValueError, match="m_0 = 0"):
+        FlatCategory.single(curved)
+
+
 # --- homology dimensions ----------------------------------------------------
 
 def test_rank_one_algebra_dimension():
