@@ -186,14 +186,15 @@ def criterion_4(critical_points=toric.critical_points) -> str:
         if len(points) != potential.order:
             raise _Failed(f"{name} count")
         root = CyclotomicNumber.root_of_unity(potential.order)
+        det_factor = CyclotomicNumber.from_rational(1 + sign * n)
         for k, critical in enumerate(points):
             det = linalg.determinant(critical.hessian)
-            expected = NovikovElement.monomial(n * weight, root ** (k * n) * (1 + sign * n))
+            expected = NovikovElement.monomial(n * weight, root ** (k * n) * det_factor)
             if det != expected:
                 raise _Failed(f"{name} det {det} != {expected}")
             x = NovikovElement.monomial(weight, root ** k)
             for a, b in itertools.product(range(n), repeat=2):
-                if critical.hessian[a][b] != x * ((a == b) + sign):
+                if critical.hessian[a][b] != x * NovikovElement.from_rational((a == b) + sign):
                     raise _Failed(f"{name} hessian entry ({a},{b})")
     return ("counts n+1 / n-1 with exact roots and vanishing gradients; "
             "hessians unit*q-power*(I+J) [projective] and unit*q-power*(I-J) "

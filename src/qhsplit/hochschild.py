@@ -178,9 +178,18 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6) -> Homology
     and parity (of one parity, over all lengths, when ungraded), is ranked
     once.  A category with a truncated constant (``least_cutoff``) is
     reported cutoff-limited.
+
+    Input that is not an A-infinity category raises ``ValueError``: a stored
+    composition that breaks the degree rule, or, when no rank is
+    cutoff-limited, a negative dimension, which a boundary that squares to
+    zero cannot give.
     """
     if max_length < 2:
         raise ValueError(f"the truncation length must be at least 2, got {max_length}")
+    for obj, alg in enumerate(cat.algebras):
+        if bad := alg.degree_violations():
+            raise ValueError(f"object {obj} breaks the degree rule at {bad[0]!r} (arity, "
+                             "inputs, output); see qhsplit ainfty verify")
     graded = is_length_graded(cat)
     # the unit of each object whose chains are normalized, else None
     units = [alg.unit if graded and alg.unit is not None and not alg.unit_violations()
@@ -235,6 +244,10 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6) -> Homology
         dims = {parity: len(blocks[None, parity]) - ranks[None, parity] - ranks[None, 1 - parity]
                 for parity in (0, 1)}
         stable = False
+    lowest = min(d for h in (dims, *per_length.values()) for d in h.values())
+    if lowest < 0 and not cutoff_limited:
+        raise ValueError(f"negative Hochschild dimension {lowest}: the boundary does not "
+                         "square to zero; see qhsplit ainfty verify")
     return HomologyReport(dims=dims, stable=stable, per_length=per_length,
                           cutoff_limited=cutoff_limited, graded=graded,
                           rank_cutoff=DEFAULT_CUTOFF if rescaled is None else None)

@@ -18,6 +18,9 @@ A Novikov element's terms are sorted by exponent, with no exponent twice and
 no zero coefficient.  ``_merge`` alone combines terms, so every sum,
 difference, product and constructed element has that one canonical form.
 
+Arithmetic and ``==`` take only their own class (``x + 1`` raises ``TypeError``,
+``x == 1`` is False); ``from_rational``, ``monomial`` and ``from_cyclotomic`` convert.
+
 Scalars are unhashable.  ``==`` identifies values stored at different
 cyclotomic orders (and, for Novikov elements, compares modulo the smaller
 cutoff), which no hash of the stored form respects; group them by ``==``.
@@ -264,8 +267,7 @@ class CyclotomicNumber:
 
     # -- arithmetic ----------------------------------------------------------
     def __add__(self, other):
-        other = _coerce_cyclotomic(other)
-        if other is NotImplemented:
+        if type(other) is not CyclotomicNumber:
             return NotImplemented
         a, b = self._unify(other)
         den, bden = a.den, b.den
@@ -276,26 +278,18 @@ class CyclotomicNumber:
             den *= bden
         return _reduced(a.order, num, den)
 
-    __radd__ = __add__
+    __radd__ = __add__  # perfbench's tracer wraps it by name; returns NotImplemented
 
     def __neg__(self):
         return _cyclo(self.order, tuple([-x for x in self.num]), self.den)
 
     def __sub__(self, other):
-        other = _coerce_cyclotomic(other)
-        if other is NotImplemented:
+        if type(other) is not CyclotomicNumber:
             return NotImplemented
         return self + -other
 
-    def __rsub__(self, other):
-        other = _coerce_cyclotomic(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
     def __mul__(self, other):
-        other = _coerce_cyclotomic(other)
-        if other is NotImplemented:
+        if type(other) is not CyclotomicNumber:
             return NotImplemented
         a, b = self._unify(other)
         an, bn = a.num, b.num
@@ -317,7 +311,7 @@ class CyclotomicNumber:
                     acc[i] += c * v
         return _reduced(a.order, acc, a.den * b.den)
 
-    __rmul__ = __mul__
+    __rmul__ = __mul__  # see __radd__
 
     def inverse(self) -> "CyclotomicNumber":
         if self.is_zero():
@@ -359,8 +353,7 @@ class CyclotomicNumber:
         return result
 
     def __eq__(self, other):
-        other = _coerce_cyclotomic(other)
-        if other is NotImplemented:
+        if type(other) is not CyclotomicNumber:
             return NotImplemented
         a, b = self._unify(other)
         return a.num == b.num and a.den == b.den
@@ -383,14 +376,6 @@ class CyclotomicNumber:
                 else:
                     parts.append(f"{format_rational(c)}*{mono}")
         return " + ".join(parts).replace("+ -", "- ")
-
-
-def _coerce_cyclotomic(value):
-    if isinstance(value, CyclotomicNumber):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return CyclotomicNumber.from_rational(value)
-    return NotImplemented
 
 
 # ---------------------------------------------------------------------------
@@ -571,31 +556,22 @@ class NovikovElement:
 
     # -- arithmetic ----------------------------------------------------------
     def __add__(self, other):
-        other = _coerce_novikov(other)
-        if other is NotImplemented:
+        if type(other) is not NovikovElement:
             return NotImplemented
         return _sum(self, other)
 
-    __radd__ = __add__
+    __radd__ = __add__  # perfbench's tracer wraps it by name; returns NotImplemented
 
     def __neg__(self):
         return _nov(tuple([(e, -c) for e, c in self.terms]), self.cutoff)
 
     def __sub__(self, other):
-        other = _coerce_novikov(other)
-        if other is NotImplemented:
+        if type(other) is not NovikovElement:
             return NotImplemented
         return _sum(self, -other)
 
-    def __rsub__(self, other):
-        other = _coerce_novikov(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _sum(other, -self)
-
     def __mul__(self, other):
-        other = _coerce_novikov(other)
-        if other is NotImplemented:
+        if type(other) is not NovikovElement:
             return NotImplemented
         cutoff = _merge_cutoff(self.cutoff, other.cutoff)
         if len(self.terms) == 1 and len(other.terms) == 1:
@@ -615,7 +591,7 @@ class NovikovElement:
             merged = _merge(merged, tuple((_add_exponents(e1, e2), c1 * c2) for e2, c2 in row))
         return _nov(merged, cutoff)
 
-    __rmul__ = __mul__
+    __rmul__ = __mul__  # see __radd__
 
     def __pow__(self, exp: int):
         if exp < 0:
@@ -664,8 +640,7 @@ class NovikovElement:
         return (series * inv_lead).truncate(target)
 
     def __eq__(self, other):
-        other = _coerce_novikov(other)
-        if other is NotImplemented:
+        if type(other) is not NovikovElement:
             return NotImplemented
         return (self - other).is_zero()
 
@@ -749,13 +724,3 @@ def json_field(data, key: str, what: str, kind: type | None = None):
                              or kind is int and isinstance(value, bool)):
         raise ValueError(f"{what} key {key!r} must be a JSON {kind.__name__}, got {value!r}")
     return value
-
-
-def _coerce_novikov(value):
-    if isinstance(value, NovikovElement):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return NovikovElement.from_rational(value)
-    if isinstance(value, CyclotomicNumber):
-        return NovikovElement.from_cyclotomic(value)
-    return NotImplemented

@@ -147,7 +147,7 @@ def _log_derivative(values: list[tuple], *directions: int) -> NovikovElement:
     for exp, value in values:
         weight = math.prod(exp[a] for a in directions)
         if weight:
-            total = total + value * weight
+            total = total + value * NovikovElement.from_rational(weight)
     return total
 
 
@@ -183,8 +183,9 @@ def critical_points(potential: PotentialFunction) -> list[CriticalPoint]:
 # Clifford algebras
 
 
-def clifford_algebra(q_matrix, n: int) -> AInftyAlgebra:
-    """Rank ``2^n`` algebra on generators with ``e_a e_b + e_b e_a = 2 Q_ab``.
+def clifford_algebra(q_matrix) -> AInftyAlgebra:
+    """Rank ``2^n`` algebra on generators with ``e_a e_b + e_b e_a = 2 Q_ab``,
+    for the ``n x n`` form ``Q`` of Novikov scalars.
 
     Stored compositions follow the dictionary ``m_2(x, y) = (-1)^{|x|} x y``,
     which makes the quadratic composition relations and the strict-unit axioms
@@ -193,6 +194,7 @@ def clifford_algebra(q_matrix, n: int) -> AInftyAlgebra:
     det = linalg.determinant([[entry for entry in row] for row in q_matrix])
     if det.is_zero():
         raise ValueError("degenerate quadratic form")
+    n = len(q_matrix)
 
     subsets = sorted(range(1 << n), key=lambda s: (bin(s).count("1"), s))
     position = {s: i for i, s in enumerate(subsets)}
@@ -251,4 +253,4 @@ def brane_quadratic_form(h):
 
 
 def brane_algebra(potential: PotentialFunction, critical: CriticalPoint) -> AInftyAlgebra:
-    return clifford_algebra(brane_quadratic_form(critical.hessian), potential.n)
+    return clifford_algebra(brane_quadratic_form(critical.hessian))

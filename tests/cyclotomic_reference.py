@@ -99,10 +99,6 @@ class RefCyclotomic:
         self.coeffs = tuple(Fraction(c) for c in coeffs)
         assert len(self.coeffs) == euler_phi(order)
 
-    @classmethod
-    def from_rational(cls, value, order: int = 1) -> "RefCyclotomic":
-        return cls(order, [Fraction(value)] + [Fraction(0)] * (euler_phi(order) - 1))
-
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 

@@ -220,8 +220,7 @@ def test_criterion_05_fails_on_a_flipped_quadratic_form():
     # Q = +H/2 makes every symmetrized degree-one product -H
     def brane_algebra(potential, critical):
         form = toric.brane_quadratic_form(critical.hessian)
-        return toric.clifford_algebra([[-entry for entry in row] for row in form],
-                                      potential.n)
+        return toric.clifford_algebra([[-entry for entry in row] for row in form])
 
     result = acceptance.criterion_5(brane_algebra)
     assert not result.passed

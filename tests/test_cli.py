@@ -142,6 +142,29 @@ def test_malformed_rational_exit_code():
         assert error["error"] == "malformed rational"
 
 
+@pytest.mark.parametrize("tensors,degrees,message", [
+    # m_2(a, a) = b, m_2(b, b) = a, m_2(a, b) = a: printed -3, -1 and total -4
+    ({2: {(0, 0): {1: 1}, (1, 1): {0: 1}, (0, 1): {0: 1}}}, [0, 0],
+     "negative Hochschild dimension"),
+    # m_1(1) = 1 in degree 0: printed graded=false, -2, -2 and total -4
+    ({1: {(0,): {0: 1}}}, [0], "object 0 breaks the degree rule"),
+], ids=["relations", "degrees"])
+def test_hh_dims_refuses_what_is_not_an_ainfty_category(tmp_path, capsys, tensors, degrees,
+                                                         message):
+    from qhsplit.ainfty import AInftyAlgebra
+    from qhsplit.novikov import NovikovElement as N
+    alg = AInftyAlgebra(["a", "b"][:len(degrees)], degrees, {
+        d: {key: {o: N.from_rational(c) for o, c in vec.items()} for key, vec in entries.items()}
+        for d, entries in tensors.items()})
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(alg.to_json_dict()), encoding="utf-8")
+    assert main(["hh", "dims", str(path), "--length", "4"]) == EXIT_FAILURE
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "value error" and error["message"].startswith(message)
+
+
 @pytest.mark.parametrize("command", [
     ("blowup", "split", "--n", "2"),
     ("potential", "crit", "--kind", "exceptional", "--n", "3"),
@@ -477,7 +500,7 @@ def test_hh_dims_rejects_lengths_below_two(tmp_path, length):
 def _write_clifford(tmp_path, form):
     # the Clifford algebra of the quadratic form
     from qhsplit import toric
-    alg = toric.clifford_algebra(form, len(form))
+    alg = toric.clifford_algebra(form)
     path = tmp_path / "algebra.json"
     path.write_text(json.dumps(alg.to_json_dict()), encoding="utf-8")
     return path
@@ -504,7 +527,7 @@ def _truncated_clifford(tmp_path, case):
     from qhsplit import toric
     from qhsplit.novikov import NovikovElement as N
     square = {"zero": N.q_power(4), "declared": N.q_power(1), "entry": N.q_power(1, cutoff=2)}
-    data = toric.clifford_algebra([[square[case]]], 1).to_json_dict()
+    data = toric.clifford_algebra([[square[case]]]).to_json_dict()
     if case == "zero":
         entry, = [e for e in data["tensors"]["2"] if e["inputs"] == ["e1", "e1"]]
         entry["outputs"] = {o: {"order": 1, "terms": [], "cutoff": "3"} for o in entry["outputs"]}
@@ -548,7 +571,7 @@ def test_hh_dims_flags_ranks_through_a_truncated_pivot_inverse(tmp_path):
     from fractions import Fraction
     from qhsplit.novikov import NovikovElement as N
     off, top = N.from_rational(2) - N.q_power(1), N.q_power(Fraction(3, 2))
-    form = [[top, off], [off, top - N.q_power(2) * 3]]
+    form = [[top, off], [off, top - N.monomial(2, 3)]]
     result = run_cli("hh", "dims", str(_write_clifford(tmp_path, form)), "--length", "5")
     assert result.returncode == EXIT_FAILURE
     assert result.stdout.splitlines()[0] == (

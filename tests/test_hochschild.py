@@ -256,11 +256,31 @@ def test_nongraded_dims_rank_each_parity_over_all_lengths():
         assert hochschild_homology_dims(dga_category(), max_length).dims == {0: 0, 1: 0}
 
 
+def not_associative_category():
+    # m_2(a, a) = b, m_2(b, b) = a, m_2(a, b) = a: right degrees, failed
+    # relations; unchecked, length 4 gave dimensions -3 and -1
+    one = N.one()
+    return FlatCategory.single(AInftyAlgebra(
+        ["a", "b"], [0, 0], {2: {(0, 0): {1: one}, (1, 1): {0: one}, (0, 1): {0: one}}}))
+
+
+def test_a_negative_dimension_is_refused():
+    with pytest.raises(ValueError, match="negative Hochschild dimension"):
+        hochschild_homology_dims(not_associative_category(), 4)
+
+
+def test_a_degree_violation_is_refused():
+    # m_1(1) = 1 in degree 0, where m_1 must raise the degree by one
+    alg = AInftyAlgebra(["1"], [0], {1: {(0,): {0: N.one()}}})
+    with pytest.raises(ValueError, match=r"object 0 breaks the degree rule at \(1, \(0,\), 0\)"):
+        hochschild_homology_dims(FlatCategory.single(alg), 4)
+
+
 def test_cutoff_limited_ranks_are_flagged():
     # e^2 = q^4 + q^5 has no weights, so the ranks are taken over the
     # truncated scalars, whose structure constants sit above the cutoff 3
     from qhsplit.toric import clifford_algebra
-    alg = clifford_algebra([[N.q_power(4) + N.q_power(5)]], 1)
+    alg = clifford_algebra([[N.q_power(4) + N.q_power(5)]])
     assert alg.q_weights() is None
     report = hochschild_homology_dims(FlatCategory.single(alg), 4)
     assert report.cutoff_limited
@@ -274,7 +294,7 @@ def test_ranks_through_a_truncated_pivot_inverse_are_flagged():
     # 4 showed dimension -1
     from qhsplit.toric import clifford_algebra
     off, top = N.from_rational(2) - N.q_power(1), N.q_power(F(3, 2))
-    alg = clifford_algebra([[top, off], [off, top - N.q_power(2) * 3]], 2)
+    alg = clifford_algebra([[top, off], [off, top - N.monomial(2, 3)]])
     report = hochschild_homology_dims(FlatCategory.single(alg), 5)
     assert report.cutoff_limited
     assert report.rank_cutoff == 3
@@ -284,7 +304,7 @@ def test_homogeneous_constants_above_the_cutoff_are_exact():
     # e^2 = q^4: with e' = q^-2 e, e'^2 = 1 over the Novikov field, so the
     # homology is the Clifford algebra's one class in parity 1
     from qhsplit.toric import clifford_algebra
-    alg = clifford_algebra([[N.q_power(4)]], 1)
+    alg = clifford_algebra([[N.q_power(4)]])
     assert alg.q_weights() == (0, 2)
     report = hochschild_homology_dims(FlatCategory.single(alg), 4)
     assert not report.cutoff_limited and report.rank_cutoff is None
@@ -430,8 +450,8 @@ def test_a_category_without_weights_everywhere_uses_the_novikov_scalars():
     # one object with weights and one without: the whole category takes the
     # truncated scalars, and the cutoff-limited ranks of the second show
     from qhsplit.toric import clifford_algebra
-    exact = clifford_algebra([[N.q_power(4)]], 1)
-    inexact = clifford_algebra([[N.q_power(4) + N.q_power(5)]], 1)
+    exact = clifford_algebra([[N.q_power(4)]])
+    inexact = clifford_algebra([[N.q_power(4) + N.q_power(5)]])
     assert hochschild_homology_dims(FlatCategory.single(exact), 4).dims == {0: 0, 1: 1}
     both = FlatCategory((exact, inexact))
     report = hochschild_homology_dims(both, 4)

@@ -184,8 +184,8 @@ def random_entry(rng, orders, cutoffs):
     terms = []
     for _ in range(rng.randint(1, 3)):
         order = rng.choice(orders)
-        coeff = C.root_of_unity(order, rng.randrange(order)) * F(rng.randint(-4, 4),
-                                                                 rng.randint(1, 3))
+        coeff = C.root_of_unity(order, rng.randrange(order)) * C.from_rational(
+            F(rng.randint(-4, 4), rng.randint(1, 3)))
         terms.append((rng.choice(EXPONENTS), coeff))
     return N(terms, rng.choice(cutoffs))
 

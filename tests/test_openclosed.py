@@ -178,7 +178,7 @@ def test_frobenius_gram_diagonal():
                 if j != k:
                     assert gram[j][k].is_zero()
                 else:
-                    expected = N.monomial(F(n, n + 1), zeta ** (j * n) * (n + 1))
+                    expected = N.monomial(F(n, n + 1), zeta ** (j * n) * C.from_rational(n + 1))
                     assert gram[j][j] == expected
 
 

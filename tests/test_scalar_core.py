@@ -89,20 +89,20 @@ def test_differential_inverse():
             continue
         done += 1
         agree(a.inverse(), ra.inverse())
-        assert a * a.inverse() == 1
+        assert a * a.inverse() == CyclotomicNumber.one()
 
 
-def test_rational_coercion_matches_reference():
-    rng = random.Random(3)
-    for _ in range(500):
-        a, ra = random_pair(rng, rng.choice(ORDERS))
-        r = F(rng.randint(-20, 20), rng.randint(1, 12))
-        rr = RefCyclotomic.from_rational(r)
-        agree(a + r, ra + rr)
-        agree(r + a, rr + ra)
-        agree(a * r, ra * rr)
-        agree(r - a, rr - ra)
-        assert (a == r) == (ra == rr)
+def test_operators_take_only_their_own_class():
+    # an int or a Fraction becomes a scalar through a constructor, and a
+    # Novikov element takes a cyclotomic one through from_cyclotomic
+    for x in (CyclotomicNumber.one(), NovikovElement.one()):
+        for combine in (lambda: x + 1, lambda: 1 + x, lambda: x - F(1, 2),
+                        lambda: 1 - x, lambda: x * 2, lambda: 2 * x):
+            with pytest.raises(TypeError):
+                combine()
+        assert (x == 1) is False
+    with pytest.raises(TypeError):
+        NovikovElement.one() * CyclotomicNumber.one()
 
 
 def test_zero_and_one_have_one_stored_form():
@@ -141,9 +141,6 @@ def test_cyclotomic_subtraction_matches_adding_the_negation():
         b, _ = random_pair(rng, rng.randint(1, 12) if rng.random() < 0.5 else order)
         assert stored(a - b) == stored(a + (-b))
         assert stored(a - a) == stored(a + (-a))
-        r = F(rng.randint(-9, 9), rng.randint(1, 6))
-        assert stored(a - r) == stored(a + (-r))
-        assert stored(r - a) == stored(r + (-a))
 
 
 def test_novikov_subtraction_matches_adding_the_negation():
@@ -157,9 +154,6 @@ def test_novikov_subtraction_matches_adding_the_negation():
         assert stored(a - c) == stored(a + (-c))
         assert stored(c - a) == stored(c + (-a))
         cancelled += (a - c).is_zero()
-        r = rng.randint(-3, 3)
-        assert stored(a - r) == stored(a + (-r))
-        assert stored(r - a) == stored(r + (-a))
     assert cancelled == 3000
 
 
@@ -253,9 +247,9 @@ def test_cyclotomic_ring_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c
-    assert a - a == 0 and a * 1 == a
+    assert a - a == CyclotomicNumber.zero() and a * CyclotomicNumber.one() == a
     if not a.is_zero():
-        assert a * a.inverse() == 1
+        assert a * a.inverse() == CyclotomicNumber.one()
 
 
 @settings(max_examples=100, deadline=None)

@@ -78,9 +78,9 @@ def test_projective_hessian_identity_plus_ones():
     W = PotentialFunction.clifford_torus(2)
     h = critical_points(W)[0].hessian
     q13 = N.q_power(F(1, 3))
-    assert h[0][0] == q13 * 2 and h[1][1] == q13 * 2
+    assert h[0][0] == N.monomial(F(1, 3), 2) and h[1][1] == N.monomial(F(1, 3), 2)
     assert h[0][1] == q13 and h[1][0] == q13
-    assert linalg.determinant(h) == N.q_power(F(2, 3)) * 3
+    assert linalg.determinant(h) == N.monomial(F(2, 3), 3)
 
 
 def test_exceptional_hessian_identity_minus_ones():
@@ -92,7 +92,7 @@ def test_exceptional_hessian_identity_minus_ones():
         for b in range(3):
             if a != b:
                 assert h[a][b] == -N.q_power(F(1, 10))
-    assert linalg.determinant(h) == N.q_power(F(3, 10)) * (-2)
+    assert linalg.determinant(h) == N.monomial(F(3, 10), -2)
 
 
 def test_hessian_symmetric():
@@ -109,13 +109,13 @@ def test_hessian_symmetric():
 
 def test_rank_two_clifford():
     c = N.q_power(F(1, 2))
-    alg = clifford_algebra([[c]], 1)
+    alg = clifford_algebra([[c]])
     assert alg.basis == ("1", "e1")
     assert alg.m_basis((1, 1)) == {0: -c}  # m_2(e, e) = -(e * e) = -Q_11
 
 
 def test_standard_clifford_relations():
-    alg = clifford_algebra([[N.one(), N.zero()], [N.zero(), N.one()]], 2)
+    alg = clifford_algebra([[N.one(), N.zero()], [N.zero(), N.one()]])
     e1, e2 = alg.basis.index("e1"), alg.basis.index("e2")
     e12 = alg.basis.index("e12")
     # algebra products: e1 e2 = -e2 e1 and e_i^2 = 1
@@ -127,7 +127,21 @@ def test_standard_clifford_relations():
 
 def test_degenerate_form_rejected():
     with pytest.raises(ValueError, match="degenerate quadratic form"):
-        clifford_algebra([[N.zero()]], 1)
+        clifford_algebra([[N.zero()]])
+
+
+def test_clifford_rank_is_read_off_the_form():
+    # a k x k form gives rank 2^k; the hyperbolic plane is nondegenerate but
+    # squares each generator to zero, so its algebra is not the exterior
+    # algebra on one generator but has e1 e2 + e2 e1 = 2
+    one, zero = N.one(), N.zero()
+    hyperbolic = clifford_algebra([[zero, one], [one, zero]])
+    assert hyperbolic.rank == 4
+    assert hyperbolic.m_basis((1, 1)) == {}
+    assert hyperbolic.m_basis((2, 1)) == {0: N.from_rational(-2), 3: one}
+    for k in range(1, 4):
+        form = [[one if a == b else zero for b in range(k)] for a in range(k)]
+        assert clifford_algebra(form).rank == 2 ** k
 
 
 def _non_diagonal_form(rng, n):
@@ -145,7 +159,7 @@ def _non_diagonal_form(rng, n):
 @pytest.mark.parametrize("n,seed", [(2, 0), (2, 1), (3, 2), (3, 3)])
 def test_non_diagonal_clifford_relations(n, seed):
     q = _non_diagonal_form(random.Random(seed), n)
-    alg = clifford_algebra(q, n)
+    alg = clifford_algebra(q)
     gens = [alg.basis.index(f"e{a + 1}") for a in range(n)]
 
     def times(x, y, x_degree):
@@ -351,7 +365,7 @@ def oracle_hessian(W, y):
 def _random_coefficient(rng):
     coeff = N.monomial(F(rng.randint(0, 3), 2), F(rng.choice([-3, -2, -1, 1, 2, 3]),
                                                    rng.randint(1, 3)))
-    return coeff * C.root_of_unity(rng.choice([1, 3, 4]), rng.randint(0, 3))
+    return coeff * N.from_cyclotomic(C.root_of_unity(rng.choice([1, 3, 4]), rng.randint(0, 3)))
 
 
 def _random_exponent(rng, n):
@@ -376,7 +390,8 @@ def palindromic_potential(rng, n):
 
 def random_point(rng, n):
     """Roots of unity of mixed orders, some scaled by a rational."""
-    return tuple(C.root_of_unity(order, rng.randrange(order)) * rng.choice([1, 1, 2, F(-1, 3)])
+    return tuple(C.root_of_unity(order, rng.randrange(order))
+                 * C.from_rational(rng.choice([1, 1, 2, F(-1, 3)]))
                  for order in (rng.choice([1, 2, 3, 4, 6]) for _ in range(n)))
 
 
