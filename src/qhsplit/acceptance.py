@@ -255,17 +255,26 @@ def criterion_6() -> str:
     return "total dimension 1, top-class parity, stable at two lengths"
 
 
+def _hyperplane_values(n: int, critical_points) -> list[NovikovElement]:
+    """The closed-open value ``H(p) = W(p) / (n + 1)`` of the hyperplane
+    class at each critical point ``critical_points`` returns for P^n:
+    ``c_1 = (n + 1) H`` goes to the critical value."""
+    scale = NovikovElement.from_rational(Fraction(1, n + 1))
+    return [critical.value * scale
+            for critical in critical_points(toric.PotentialFunction.clifford_torus(n))]
+
+
 @_criterion(7, "open-closed matrix")
-def criterion_7(oc_matrix=openclosed.oc_matrix) -> str:
-    """Entries of the OC matrices ``oc_matrix`` builds and the q -> 1
+def criterion_7(oc_matrix=openclosed.oc_matrix, critical_points=toric.critical_points) -> str:
+    """Entries ``(b, a)`` of the OC matrices ``oc_matrix`` builds against
+    ``H(p_a)^b`` at the points ``critical_points`` returns, and the q -> 1
     character sums."""
     for n in range(1, 7):
         matrix = oc_matrix(n, openclosed.PROJECTIVE)
-        zeta = CyclotomicNumber.root_of_unity(n + 1)
+        values = _hyperplane_values(n, critical_points)
         for b in range(n + 1):
-            for a in range(n + 1):
-                expected = NovikovElement.monomial(Fraction(b, n + 1), zeta ** (a * b))
-                if matrix.entry(b, a) != expected:
+            for a, value in enumerate(values):
+                if matrix.entry(b, a) != value ** b:
                     raise _Failed(f"n={n} entry ({b},{a})")
         q1 = matrix.q_to_one()
         for j in range(n + 1):
@@ -294,11 +303,13 @@ def criterion_8(oc_matrix=openclosed.oc_matrix) -> str:
 
 
 @_criterion(9, "closed-open ring relation")
-def criterion_9(co_value=openclosed.co_value) -> str:
-    """Quantum relation through the closed-open values ``co_value`` under test."""
+def criterion_9(critical_points=toric.critical_points) -> str:
+    """Quantum relation ``H(p)^{n+1} = q`` on the hyperplane values at the
+    points ``critical_points`` returns."""
+    q = NovikovElement.q_power(1)
     for n in range(1, 5):
-        for k in range(n + 1):
-            if not openclosed.ring_hom_check(n, k, co_value):
+        for k, value in enumerate(_hyperplane_values(n, critical_points)):
+            if value ** (n + 1) != q:
                 raise _Failed(f"n={n} k={k}")
     return "hyperplane power relation holds for all branes, n=1..4"
 

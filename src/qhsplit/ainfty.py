@@ -79,8 +79,11 @@ class AInftyAlgebra:
             store: dict[tuple, Vector] = {}
             for key, vec in entries.items():
                 vec = dict(vec)
-                # a CyclotomicNumber constant is exact
-                cutoffs += [getattr(v, "cutoff", None) for v in vec.values()]
+                for i, v in vec.items():
+                    if not isinstance(v, NovikovElement):
+                        raise TypeError(f"m_{d}{tuple(key)} output {i}: "
+                                        f"{type(v).__name__} {v!r}, not a NovikovElement")
+                    cutoffs.append(v.cutoff)
                 vec = {i: v for i, v in vec.items() if not v.is_zero()}
                 if vec:
                     store[tuple(key)] = vec

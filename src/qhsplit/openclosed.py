@@ -1,4 +1,4 @@
-"""Closed-form open-closed and closed-open data for the torus brane families.
+"""Closed-form open-closed data for the torus brane families.
 
 The open-closed matrix of a brane family is a quantized discrete Fourier
 transform: entry ``(b, a) = (q^w zeta^a)^b``, where ``q^w`` is the
@@ -66,29 +66,6 @@ def oc_matrix(n: int, kind: str, eps=None) -> OCMatrix:
 def _oc_entry(weight: Fraction, order: int, b: int, a: int) -> NovikovElement:
     """Entry ``(b, a) = (q^weight zeta^a)^b``, ``zeta`` of order ``order``."""
     return NovikovElement.monomial(weight * b, CyclotomicNumber.root_of_unity(order, a * b))
-
-
-def co_value(n: int, k: int, ell: int) -> NovikovElement:
-    """Closed-open image of the codimension-graded cycle class on brane ``k``.
-
-    The class of an ``ell``-plane maps to ``y_k^{n - ell} q^{(n-ell)/(n+1)}``
-    times the unit of the brane's endomorphism algebra, the projective
-    open-closed entry ``(n - ell, k)``, whose weight is the level of the
-    simplex's facets at its barycentre; the scalar is returned.
-    """
-    if not (0 <= ell <= n and 0 <= k <= n):
-        raise ValueError("need 0 <= k, ell <= n")
-    return _oc_entry(toric.ToricModel.simplex(n).levels[0], n + 1, n - ell, k)
-
-
-def ring_hom_check(n: int, k: int, co_value=co_value) -> bool:
-    """Quantum relation on brane ``k`` of P^n: the hyperplane image to the
-    power ``n + 1`` must equal ``q`` times the unit.
-
-    The image is ``co_value(n, k, n - 1)`` times the unit, an idempotent, so
-    its power is the scalar's power times the unit.
-    """
-    return co_value(n, k, n - 1) ** (n + 1) == NovikovElement.q_power(1)
 
 
 def frobenius_orthogonality(matrix: OCMatrix) -> list[list[NovikovElement]]:

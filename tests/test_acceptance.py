@@ -9,6 +9,7 @@ import dataclasses
 import hashlib
 import inspect
 import itertools
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,7 +18,7 @@ import pytest
 
 from qhsplit import acceptance, openclosed, toric, trees
 from qhsplit.ainfty import AInftyAlgebra
-from qhsplit.novikov import NovikovElement
+from qhsplit.novikov import CyclotomicNumber, NovikovElement
 
 
 @pytest.fixture(scope="module")
@@ -317,6 +318,20 @@ def test_criterion_07_fails_on_swapped_oc_columns():
     assert result.detail == "n=1 entry (1,0)"
 
 
+def test_criterion_07_fails_on_swapped_critical_points():
+    # P^2's second and third records trade places, so column 1 of its
+    # matrix meets the value at zeta^2 first in row 1
+    def critical_points(potential):
+        points = toric.critical_points(potential)
+        if potential.n == 2:
+            points[1], points[2] = points[2], points[1]
+        return points
+
+    result = acceptance.criterion_7(critical_points=critical_points)
+    assert not result.passed
+    assert result.detail == "n=2 entry (1,1)"
+
+
 def test_criterion_08_determinant_surjectivity(results):
     _check(results, 8)
 
@@ -341,18 +356,35 @@ def test_criterion_09_ring_relation(results):
     _check(results, 9)
 
 
-def test_criterion_09_fails_on_a_wrong_power_of_q():
-    # one closed-open value off by q^(1/7) breaks h^(n+1) = q at that brane
-    for n, k in ((2, 0), (4, 3)):
-        def co_value(size, brane, ell):
-            value = openclosed.co_value(size, brane, ell)
-            if (size, brane) == (n, k):
-                return value * NovikovElement.q_power(Fraction(1, 7))
-            return value
+def _replacing_a_critical_value(n, k, replace):
+    """``toric.critical_points`` with the value of P^n's k-th record
+    replaced by ``replace`` of it."""
+    def critical_points(potential):
+        points = toric.critical_points(potential)
+        if potential.n == n:
+            points[k] = dataclasses.replace(points[k], value=replace(points[k].value))
+        return points
+    return critical_points
 
-        result = acceptance.criterion_9(co_value)
+
+def test_criterion_09_fails_on_a_wrong_power_of_q():
+    # one critical value off by q^(1/7) breaks H^(n+1) = q at that point
+    for n, k in ((2, 0), (4, 3)):
+        critical_points = _replacing_a_critical_value(
+            n, k, lambda value: value * NovikovElement.q_power(Fraction(1, 7)))
+        result = acceptance.criterion_9(critical_points)
         assert not result.passed
         assert result.detail == f"n={n} k={k}"
+
+
+def test_criterion_09_fails_on_a_root_of_the_wrong_order():
+    # the value at the second point of P^3 times z8: its hyperplane value
+    # q^(1/4) z4 z8 is an 8th root of unity times q^(1/4), of fourth power -q
+    z8 = NovikovElement.from_cyclotomic(CyclotomicNumber.root_of_unity(8))
+    critical_points = _replacing_a_critical_value(3, 1, lambda value: value * z8)
+    result = acceptance.criterion_9(critical_points)
+    assert not result.passed
+    assert result.detail == "n=3 k=1"
 
 
 def test_criterion_10_orthogonality(results):
@@ -422,6 +454,13 @@ def test_criterion_13_fails_on_a_payload_that_changes():
     result = acceptance.criterion_13(lambda: str(next(calls)))
     assert not result.passed
     assert result.line() == "[FAIL] 13 determinism: reports differ between runs"
+
+
+def test_every_criterion_has_a_negative_control(results):
+    # a test_criterion_NN_fails_* function here for each number in ALL_CRITERIA
+    controls = {int(match[1]) for name in globals()
+                if (match := re.fullmatch(r"test_criterion_(\d\d)_fails_\w+", name))}
+    assert set(results) <= controls
 
 
 def test_only_the_criterion_decorator_builds_a_result():

@@ -203,9 +203,16 @@ def test_least_cutoff_counts_the_declared_cutoff_and_every_constant():
     assert rebuilt(N.q_power(4, cutoff=5), cutoff=2).least_cutoff == 2
     assert rebuilt(N.q_power(1, cutoff=2), cutoff=5).least_cutoff == 2
     assert rebuilt(N.q_power(4), cutoff=F(1, 2)).least_cutoff == F(1, 2)
-    # coefficient constants are exact
-    field = AInftyAlgebra(["1"], [0], {2: {(0, 0): {0: CyclotomicNumber.one()}}}, unit=0)
+    # exact constants declare no cutoff
+    field = AInftyAlgebra(["1"], [0], {2: {(0, 0): {0: N.one()}}}, unit=0)
     assert field.least_cutoff is None
+
+
+def test_a_constant_that_is_not_a_novikov_element_is_refused():
+    # a bare coefficient has no q-exponents, which the unit, relation and
+    # JSON checks all read
+    with pytest.raises(TypeError, match=r"m_2\(0, 0\) output 0: CyclotomicNumber"):
+        AInftyAlgebra(["1"], [0], {2: {(0, 0): {0: CyclotomicNumber.one()}}}, unit=0)
 
 
 def test_q_weights_reject_inconsistent_exponents():

@@ -370,19 +370,20 @@ def integer_row_cases():
 @pytest.mark.parametrize("cat, length", integer_row_cases())
 def test_integer_rows_match_the_realified_boundary(cat, length):
     # oracle: the boundary over the coefficient category, each constant c q^x
-    # replaced by c in the field of the lcm of the orders of the irrational
-    # c, and each entry v realified by field products, den * (zeta^k v) at
-    # the category's order
+    # replaced by c q^0 with c in the field of the lcm of the orders of the
+    # irrational c, and each entry v realified by field products,
+    # den * (zeta^k v) at the category's order
     coefficients = [v.terms[0][1] for alg in cat.algebras for store in alg.tensors.values()
                     for vec in store.values() for v in vec.values()]
     field = math.lcm(1, *(c.order for c in coefficients if not c.is_rational()))
-    rescaled = [{d: {key: {o: v.terms[0][1].to_order(field) for o, v in vec.items()}
+    rescaled = [{d: {key: {o: N.from_cyclotomic(v.terms[0][1].to_order(field))
+                           for o, v in vec.items()}
                      for key, vec in store.items()} for d, store in alg.tensors.items()}
                 for alg in cat.algebras]
     coefficient = FlatCategory(tuple(
         AInftyAlgebra(alg.basis, alg.degrees, tensors, unit=alg.unit, n_grading=alg.n_grading)
         for alg, tensors in zip(cat.algebras, rescaled)))
-    constants = [[v for store in tensors.values() for vec in store.values()
+    constants = [[v.terms[0][1] for store in tensors.values() for vec in store.values()
                   for v in vec.values()] for tensors in rescaled]
     order = math.lcm(*(v.order for values in constants for v in values))
     tables_order, phi, per_algebra = ainfty.coefficient_tensors(cat.algebras)
@@ -399,7 +400,8 @@ def test_integer_rows_match_the_realified_boundary(cat, length):
         expected = {}
         for target, v in hochschild_boundary_basis(coefficient, key).items():
             if column(target) is not None:
-                multiples = [(C.root_of_unity(order, k) * v).to_order(order) for k in range(phi)]
+                multiples = [(C.root_of_unity(order, k) * v.specialize_q_to_one()).to_order(order)
+                             for k in range(phi)]
                 expected[column(target)] = tuple(n * (den // w.den) for w in multiples for n in w.num)
         assert hochschild._integer_row(tables, cat, key, column) == expected, key
 

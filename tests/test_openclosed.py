@@ -56,61 +56,14 @@ def test_q_to_one_is_fourier_matrix():
 
 # --- closed-open values --------------------------------------------------------
 
-def test_co_identity_class():
-    for n in (1, 2, 3):
-        for k in range(n + 1):
-            assert oc.co_value(n, k, n) == N.one()
-
-
-def test_co_value_formula():
-    zeta = C.root_of_unity(3)
-    assert oc.co_value(2, 1, 1) == N.monomial(F(1, 3), zeta)
-    assert oc.co_value(1, 0, 0) == N.q_power(F(1, 2))
-    assert oc.co_value(1, 1, 0) == N.monomial(F(1, 2), C.root_of_unity(2))
-
-
-def test_co_value_is_the_oc_entry_without_the_matrix(monkeypatch):
-    matrices = {n: oc.oc_matrix(n, oc.PROJECTIVE) for n in range(1, 6)}
-
+def test_criterion_9_builds_no_brane_algebra(monkeypatch):
+    # the hyperplane value is a scalar read off the critical value, so no
+    # brane algebra is needed
     def forbidden(*args):
-        raise AssertionError("co_value built a matrix or a potential")
-
-    monkeypatch.setattr(oc, "oc_matrix", forbidden)
-    monkeypatch.setattr(toric.PotentialFunction, "clifford_torus", forbidden)
-    for n, matrix in matrices.items():
-        for k in range(n + 1):
-            for ell in range(n + 1):
-                assert oc.co_value(n, k, ell) == matrix.entry(n - ell, k)
-
-
-def test_ring_hom_check():
-    for n in (1, 2, 3):
-        for k in range(n + 1):
-            assert oc.ring_hom_check(n, k)
-
-
-def test_criterion_9_builds_no_brane_algebra_and_checks_no_gradient(monkeypatch):
-    # the hyperplane image is a scalar times the unit, so neither the brane
-    # algebra nor the critical points are needed
-    def forbidden(*args):
-        raise AssertionError("C9 reached a brane algebra or a gradient")
+        raise AssertionError("C9 reached a brane algebra")
 
     monkeypatch.setattr(toric, "brane_algebra", forbidden)
-    monkeypatch.setattr(toric, "critical_points", forbidden)
     assert acceptance.criterion_9().passed
-
-
-def test_co_values_respect_quantum_products():
-    # co(l) * co(l') matches co of the product class under h^(n+1) = q
-    for n in (2, 3):
-        for k in range(n + 1):
-            for l1 in range(n + 1):
-                for l2 in range(n + 1):
-                    prod = oc.co_value(n, k, l1) * oc.co_value(n, k, l2)
-                    if l1 + l2 >= n:
-                        assert prod == oc.co_value(n, k, l1 + l2 - n)
-                    else:
-                        assert prod == N.q_power(1) * oc.co_value(n, k, l1 + l2 + 1)
 
 
 # --- surjectivity -----------------------------------------------------------------
