@@ -376,7 +376,8 @@ def check_ainfty(algebra: AInftyAlgebra) -> list[Violation]:
             # loop sums plain ints about three times as fast as 1-tuples
             ints = _map_tensors(tables, itemgetter(0))
             sums = {key: {o: (x,) for o, x in vec.items()}
-                    for key, vec in _relation_sums(algebra, ints, ints, mul, add, neg).items()}
+                    for key, vec in _relation_sums(algebra, ints, ints, mul, add, neg).items()
+                    if any(vec.values())}
         else:
             # realify(a) is k-major, block k the coordinates of den zeta^k a,
             # so with b0 the block 0 of realify(b), den^2 a b is

@@ -115,8 +115,8 @@ def split_report(n: int, eps) -> dict:
             if v.val_q() is not None]
     rank_cutoff = max(vals) + 1 if vals else None
     check = generation_check(old_cols, exc_cols, _pairing(n), rank_cutoff)
-    surj_old = openclosed.surjectivity_test(old_matrix)
-    surj_exc = openclosed.surjectivity_test(exc_matrix)
+    surj_old = openclosed.surjectivity_test(old_matrix.entries)
+    surj_exc = openclosed.surjectivity_test(exc_matrix.entries)
     report.update(
         check,
         min_extra_valuation=min_extra,

@@ -79,9 +79,8 @@ def frobenius_orthogonality(matrix: OCMatrix) -> list[list[NovikovElement]]:
 
 
 def surjectivity_test(matrix) -> str:
-    """Determinant-based surjectivity check with a valuation split."""
-    if isinstance(matrix, OCMatrix):
-        matrix = matrix.entries
+    """Determinant-based surjectivity check of a square ``matrix`` (rows of
+    entries) with a valuation split."""
     n = len(matrix)
     if n == 0 or any(len(row) != n for row in matrix):
         raise ValueError("need a nonempty square matrix")

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from qhsplit import acceptance, openclosed, toric, trees
+from qhsplit import acceptance, hochschild, openclosed, toric, trees
 from qhsplit.ainfty import AInftyAlgebra
 from qhsplit.novikov import CyclotomicNumber, NovikovElement
 
@@ -251,25 +251,27 @@ def test_criterion_06_hochschild_one_dimensional(results):
 
 
 def test_criterion_06_fails_on_the_exterior_algebra():
-    # Lambda[e] (basis 1, e in degrees 0, 1, e * e = 0) has one class in each
-    # parity at every word length, so its homology never stabilizes
+    # Lambda[e] (basis 1, e in degrees 0, 1, e * e = 0) in place of the P^1
+    # brane has one class in each parity at every word length, so its
+    # homology never stabilizes
     one = NovikovElement.one
     exterior = AInftyAlgebra(
         ["1", "e"], [0, 1],
         {2: {(0, 0): {0: one()}, (0, 1): {1: one()}, (1, 0): {1: -one()}}}, unit=0)
-    result = acceptance.hochschild_check("exterior", exterior, 0, 5)
-    assert not result.passed
-    assert result.line() == ("[FAIL]  6 one-dimensional Hochschild homology: "
-                             "exterior: dims {0: 4, 1: 4} stable False")
+
+    def brane_algebra(potential, critical):
+        return exterior if potential.n == 1 else toric.brane_algebra(potential, critical)
+
+    assert acceptance.criterion_6(brane_algebra).line() == (
+        "[FAIL]  6 one-dimensional Hochschild homology: "
+        "projective n=1: dims {0: 5, 1: 5} stable False")
 
 
-def test_criterion_06_fails_on_a_p1_brane_whose_generator_squares_to_zero(monkeypatch):
+def test_criterion_06_fails_on_a_p1_brane_whose_generator_squares_to_zero():
     # m_2(e1, e1) of the P^1 brane has only a unit component; without it the
     # algebra is the exterior algebra, whose homology never stabilizes
-    brane_algebra = toric.brane_algebra
-
-    def exterior_at_p1(potential, critical):
-        algebra = brane_algebra(potential, critical)
+    def brane_algebra(potential, critical):
+        algebra = toric.brane_algebra(potential, critical)
         if potential.n != 1:
             return algebra
         e1 = algebra.basis.index("e1")
@@ -277,17 +279,23 @@ def test_criterion_06_fails_on_a_p1_brane_whose_generator_squares_to_zero(monkey
         assert tensors[2].pop((e1, e1)).keys() == {algebra.unit}
         return AInftyAlgebra(algebra.basis, algebra.degrees, tensors, unit=algebra.unit)
 
-    monkeypatch.setattr(toric, "brane_algebra", exterior_at_p1)
-    assert acceptance.criterion_6().line() == (
+    assert acceptance.criterion_6(brane_algebra).line() == (
         "[FAIL]  6 one-dimensional Hochschild homology: "
         "projective n=1: dims {0: 5, 1: 5} stable False")
 
 
-def test_criterion_06_helper_passes_a_brane_algebra():
-    potential = toric.PotentialFunction.clifford_torus(1)
-    algebra = toric.brane_algebra(potential, toric.critical_points(potential)[0])
-    assert acceptance.hochschild_check("projective n=1", algebra, 1, 6).passed
-    assert not acceptance.hochschild_check("projective n=1", algebra, 0, 6).passed
+def test_criterion_06_fails_on_a_class_in_the_wrong_parity():
+    # the P^2 brane in place of the P^1 one: its one stable class sits in
+    # parity 0, not in P^1's parity 1
+    def brane_algebra(potential, critical):
+        if potential.n == 1:
+            potential = toric.PotentialFunction.clifford_torus(2)
+            critical = toric.critical_points(potential)[0]
+        return toric.brane_algebra(potential, critical)
+
+    assert acceptance.criterion_6(brane_algebra).line() == (
+        "[FAIL]  6 one-dimensional Hochschild homology: "
+        "projective n=1: class in wrong parity")
 
 
 def test_criterion_06_check_at_rank_16():
@@ -296,9 +304,10 @@ def test_criterion_06_check_at_rank_16():
     potential = toric.PotentialFunction.clifford_torus(4)
     algebra = toric.brane_algebra(potential, toric.critical_points(potential)[0])
     assert algebra.rank == 16
-    result = acceptance.hochschild_check("projective n=4", algebra, 0, 3)
-    assert result.passed
-    assert result.detail == "projective n=4: one stable class in parity 0"
+    report = hochschild.hochschild_homology_dims(hochschild.FlatCategory.single(algebra), 3)
+    assert report.total() == 1, report.dims
+    assert report.dims[0] == 1
+    assert report.stable
 
 
 def test_criterion_07_open_closed_matrix(results):
@@ -476,6 +485,20 @@ def test_only_the_criterion_decorator_builds_a_result():
                   if isinstance(node, ast.FunctionDef) and node.name == "_criterion")
     assert results_built(decorator)
     assert results_built(tree) == results_built(decorator)
+
+
+def test_exactly_the_listed_criteria_are_decorated():
+    # _criterion(number, name) is called only as the one decorator of each
+    # function in ALL_CRITERIA, in list order with the numbers 1..13, and no
+    # other function of the module carries a decorator
+    tree = ast.parse(inspect.getsource(acceptance))
+    calls = [call for call in ast.walk(tree) if isinstance(call, ast.Call)
+             and isinstance(call.func, ast.Name) and call.func.id == "_criterion"]
+    decorated = [node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.decorator_list]
+    assert [node.name for node in decorated] == [fn.__name__ for fn in acceptance.ALL_CRITERIA]
+    assert [node.decorator_list for node in decorated] == [[call] for call in calls]
+    assert [call.args[0].value for call in calls] == list(range(1, 14))
 
 
 def test_verify_all_report_bytes_are_pinned(results):

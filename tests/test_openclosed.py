@@ -58,18 +58,19 @@ def test_q_to_one_is_fourier_matrix():
 
 def test_criterion_9_builds_no_brane_algebra(monkeypatch):
     # the hyperplane value is a scalar read off the critical value, so no
-    # brane algebra is needed
+    # brane algebra is needed; each is a Clifford algebra, so forbidding
+    # those catches one built through any reference to toric.brane_algebra
     def forbidden(*args):
         raise AssertionError("C9 reached a brane algebra")
 
-    monkeypatch.setattr(toric, "brane_algebra", forbidden)
+    monkeypatch.setattr(toric, "clifford_algebra", forbidden)
     assert acceptance.criterion_9().passed
 
 
 # --- surjectivity -----------------------------------------------------------------
 
 def test_surjectivity_projective():
-    assert oc.surjectivity_test(oc.oc_matrix(2, oc.PROJECTIVE)) == oc.SURJECTIVE
+    assert oc.surjectivity_test(oc.oc_matrix(2, oc.PROJECTIVE).entries) == oc.SURJECTIVE
 
 
 def test_surjectivity_zero_matrix():
@@ -115,9 +116,9 @@ def test_surjectivity_singular_matrix_of_high_entries():
 
 def test_surjectivity_both_kinds_all_n():
     for n in range(1, 7):
-        assert oc.surjectivity_test(oc.oc_matrix(n, oc.PROJECTIVE)) == oc.SURJECTIVE
+        assert oc.surjectivity_test(oc.oc_matrix(n, oc.PROJECTIVE).entries) == oc.SURJECTIVE
     for n in range(2, 7):
-        assert oc.surjectivity_test(oc.oc_matrix(n, oc.EXCEPTIONAL, F(1, 10))) == oc.SURJECTIVE
+        assert oc.surjectivity_test(oc.oc_matrix(n, oc.EXCEPTIONAL, F(1, 10)).entries) == oc.SURJECTIVE
 
 
 # --- pairing and orthogonality ----------------------------------------------------
