@@ -35,8 +35,18 @@ relation check sums on: each constant converted once per algebra to the
 coordinates of its ``zeta``-multiples over a common denominator
 (``linalg.realify``; see the module docstring of ``linalg``).  A chain's
 rows are sums and differences of those, with the signs of the same
-contractions that ``hochschild_boundary_basis`` enumerates.  Any other
-category is ranked over the truncated Novikov scalars.
+contractions that ``hochschild_boundary_basis`` enumerates.
+
+On that path each object's A-infinity relations are first summed on the
+same tables (``ainfty.relation_failures``), and an object that breaks one is
+refused.  Once they hold, the boundary squares to zero on the normalized
+complex, so a length-graded block of length ``L >= 2`` has its boundary in
+the kernel of the boundary on the block of length ``L - 1`` and the other
+parity, and its rank is at most that kernel's dimension.  The blocks are
+ranked in length order with that bound, and ``integer_rank`` reads no row,
+which is built only when read, once the bound is reached: every later row
+would reduce to zero.  Any other category is ranked over the truncated
+Novikov scalars, with no relation check.
 """
 
 from __future__ import annotations
@@ -176,13 +186,15 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6) -> Homology
     and at ``DEFAULT_CUTOFF``, recorded as ``rank_cutoff``, otherwise (see
     the module docstring).  Each boundary block, the chains of one length
     and parity (of one parity, over all lengths, when ungraded), is ranked
-    once.  A category with a truncated constant (``least_cutoff``) is
-    reported cutoff-limited.
+    once; over the coefficient field a graded block's rank is bounded by the
+    kernel it lands in, and no row is built past that bound.  A category
+    with a truncated constant (``least_cutoff``) is reported cutoff-limited.
 
     Input that is not an A-infinity category raises ``ValueError``: a stored
-    composition that breaks the degree rule, or, when no rank is
-    cutoff-limited, a negative dimension, which a boundary that squares to
-    zero cannot give.
+    composition that breaks the degree rule; over the coefficient field, an
+    object that breaks the A-infinity relations; over the Novikov scalars,
+    when no rank is cutoff-limited, a negative dimension, which a boundary
+    that squares to zero cannot give.
     """
     if max_length < 2:
         raise ValueError(f"the truncation length must be at least 2, got {max_length}")
@@ -190,6 +202,15 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6) -> Homology
         if bad := alg.degree_violations():
             raise ValueError(f"object {obj} breaks the degree rule at {bad[0]!r} (arity, "
                              "inputs, output); see qhsplit ainfty verify")
+    rescaled = ainfty.coefficient_tensors(cat.algebras)
+    if rescaled is not None:
+        _, phi, per_algebra = rescaled
+        tables = [tensors for tensors, _, _ in per_algebra]
+        for obj, (alg, table) in enumerate(zip(cat.algebras, tables)):
+            if bad := ainfty.relation_failures(alg, table, phi):
+                first = min((len(key), key, o) for key, o, _ in bad)
+                raise ValueError(f"object {obj} breaks the A-infinity relations at {first!r} "
+                                 "(arity, inputs, output); see qhsplit ainfty verify")
     graded = is_length_graded(cat)
     # the unit of each object whose chains are normalized, else None
     units = [alg.unit if graded and alg.unit is not None and not alg.unit_violations()
@@ -208,20 +229,16 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6) -> Homology
                 blocks[length if graded else None, chain_parity(cat, key)].append(key)
                 position[key] = len(position)
 
-    rescaled = ainfty.coefficient_tensors(cat.algebras)
-    if rescaled is not None:
-        _, phi, per_algebra = rescaled
-        tables = [tensors for tensors, _, _ in per_algebra]
     cutoff_limited = any(alg.least_cutoff is not None for alg in cat.algebras)
 
     # with m_0 = 0 an arity-k contraction takes length d to d - k + 1 in
     # 1..d, so a target lacks a column only when it is degenerate
-    def rank(chains: list) -> int:
-        """Rank of the boundary on these chains."""
+    def rank(chains: list, bound: int | None) -> int:
+        """Rank of the boundary on these chains, given a bound on it or None."""
         nonlocal cutoff_limited
         if rescaled is not None:
-            rows = [_integer_row(tables, cat, c, position.get) for c in chains]
-            return linalg.integer_rank(rows, phi)[0]
+            rows = (_integer_row(tables, cat, c, position.get) for c in chains)
+            return linalg.integer_rank(rows, phi, bound)[0]
         rows = [{position[k]: v for k, v in hochschild_boundary_basis(cat, c).items()
                  if k in position} for c in chains]
         r, _, limited = linalg.row_reduce(rows, DEFAULT_CUTOFF)
@@ -229,8 +246,16 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6) -> Homology
         return r
 
     # a block's homology is its chains, less the rank of its boundary and
-    # of the boundary that lands in it
-    ranks = {block: rank(chains) for block, chains in blocks.items()}
+    # of the boundary that lands in it; with the relations checked, d^2 = 0,
+    # so a graded block's boundary lies in the kernel of the boundary on
+    # the block below, and its rank is at most that kernel's dimension
+    ranks = {}
+    for (length, parity), chains in blocks.items():
+        bound = None
+        if graded and rescaled is not None and length > 1:
+            below = length - 1, 1 - parity
+            bound = len(blocks[below]) - ranks[below]
+        ranks[length, parity] = rank(chains, bound)
     per_length = {}
     if graded:
         for length in range(1, max_length):

@@ -14,7 +14,9 @@ zeta^(phi-1)`` is a Q-basis of ``K``, so the power-basis coordinate rows of
 and the K-rank is their Q-rank over ``phi``, found by fraction-free
 elimination (Bareiss, Math. Comp. 22, 1968): ``realify`` gives an entry's
 coordinates for every ``k``, and ``integer_rank`` ranks the rows that the
-caller builds from them.  Determinants use a division-free expansion over
+caller builds from them.  It reads them one at a time, so its pivot counts
+the rows read so far with an entry in a column, and it stops reading at a
+rank bound the caller gives.  Determinants use a division-free expansion over
 column subsets, with no size limit and no scalar inverse.
 """
 
@@ -122,17 +124,23 @@ def realify(value: CyclotomicNumber, order: int, den: int) -> tuple[int, ...]:
     return tuple(n * scale for multiple in multiples for n in multiple.num)
 
 
-def integer_rank(rows, phi: int):
+def integer_rank(rows, phi: int, bound: int | None = None):
     """``(rank, pivots)`` of K-rows ``{column c: realify(entry)}``.
 
     ``pivots`` maps a column of the integer rows to a primitive integer row,
     and the rank is over K.  The integer row of ``zeta^k`` times a K-row,
     with coordinate ``i`` of column ``c`` in column ``c * phi + i``, is built
     only if that of ``zeta^(k-1)`` survived.  The pivot has the least (number
-    of K-rows with an entry in its ``c``, column)."""
-    entries = Counter(c for row in rows for c in row)
+    of K-rows read so far with an entry in its ``c``, column).  ``rows`` is
+    read lazily: given a ``bound`` on the rank, no row is read once there
+    are ``bound * phi`` pivots, since every further row reduces to zero."""
+    entries: Counter = Counter()
     pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
+    rows = iter(rows)
+    while bound is None or len(pivots) < bound * phi:
+        if (row := next(rows, None)) is None:
+            break
+        entries.update(row.keys())
         for k in range(0, phi * phi, phi):
             r = {c * phi + i: n for c, m in row.items() for i in range(phi) if (n := m[k + i])}
             for col in r.keys() & pivots.keys():

@@ -1,5 +1,6 @@
 import argparse
 import json
+import random
 import subprocess
 import sys
 import time
@@ -16,6 +17,7 @@ from qhsplit.cli import (
     build_parser,
     main,
 )
+from test_hochschild import random_integer_algebra
 
 
 def run_cli(*args):
@@ -145,7 +147,7 @@ def test_malformed_rational_exit_code():
 @pytest.mark.parametrize("tensors,degrees,message", [
     # m_2(a, a) = b, m_2(b, b) = a, m_2(a, b) = a: printed -3, -1 and total -4
     ({2: {(0, 0): {1: 1}, (1, 1): {0: 1}, (0, 1): {0: 1}}}, [0, 0],
-     "negative Hochschild dimension"),
+     "object 0 breaks the A-infinity relations"),
     # m_1(1) = 1 in degree 0: printed graded=false, -2, -2 and total -4
     ({1: {(0,): {0: 1}}}, [0], "object 0 breaks the degree rule"),
 ], ids=["relations", "degrees"])
@@ -163,6 +165,28 @@ def test_hh_dims_refuses_what_is_not_an_ainfty_category(tmp_path, capsys, tensor
     assert out == ""
     error = json.loads(err)
     assert error["error"] == "value error" and error["message"].startswith(message)
+
+
+def test_hh_dims_refuses_every_algebra_that_ainfty_verify_rejects(tmp_path, capsys):
+    # the seeded draws of the relation fuzz in test_hochschild, through the CLI
+    rng = random.Random(11)
+    path = tmp_path / "algebra.json"
+    rejected = 0
+    for draw in range(300):
+        path.write_text(json.dumps(random_integer_algebra(rng).to_json_dict()), encoding="utf-8")
+        verified = main(["ainfty", "verify", str(path)])
+        capsys.readouterr()
+        code = main(["hh", "dims", str(path), "--length", "4"])
+        out, err = capsys.readouterr()
+        if verified == EXIT_OK:
+            assert code == EXIT_OK, draw
+            continue
+        rejected += 1
+        assert code == EXIT_FAILURE and out == "", draw
+        error = json.loads(err)
+        assert error["error"] == "value error", draw
+        assert error["message"].startswith("object 0 breaks the A-infinity relations at "), draw
+    assert rejected
 
 
 @pytest.mark.parametrize("command", [

@@ -265,8 +265,58 @@ def not_associative_category():
 
 
 def test_a_negative_dimension_is_refused():
+    with pytest.raises(ValueError, match=r"object 0 breaks the A-infinity relations at "
+                                         r"\(3, \(0, 0, 0\), 0\)"):
+        hochschild_homology_dims(not_associative_category(), 4)
+
+
+def test_the_novikov_path_refuses_a_negative_dimension(monkeypatch):
+    # without weights no relation is checked, and the ranks over the
+    # truncated scalars show the failed relations as negative dimensions
+    monkeypatch.setattr(AInftyAlgebra, "q_weights", lambda self: None)
     with pytest.raises(ValueError, match="negative Hochschild dimension"):
         hochschild_homology_dims(not_associative_category(), 4)
+
+
+def random_integer_algebra(rng):
+    """Rank 1-3, one or two stored arities from 1, 2 and 3, and integer
+    constants at q^0 on about half of the inputs, each output of the degree
+    that the degree rule asks for, so that only the relations can fail."""
+    rank = rng.randint(1, 3)
+    degrees = [rng.randrange(2) for _ in range(rank)]
+    tensors = {}
+    for arity in rng.sample((1, 2, 3), rng.randint(1, 2)):
+        tensors[arity] = {}
+        for key in itertools.product(range(rank), repeat=arity):
+            degree = (sum(degrees[i] for i in key) + arity) % 2  # the degree rule: sum + 2 - arity
+            outputs = [o for o in range(rank) if degrees[o] == degree]
+            if outputs and rng.random() < 0.5:
+                constant = N.from_rational(rng.choice((-2, -1, 1, 2)))
+                tensors[arity][key] = {rng.choice(outputs): constant}
+    return AInftyAlgebra([f"g{i}" for i in range(rank)], degrees, tensors)
+
+
+def test_exactly_the_algebras_that_break_the_relations_are_refused():
+    rng = random.Random(11)
+    refused = 0
+    for draw in range(300):
+        alg = random_integer_algebra(rng)
+        assert not alg.degree_violations()
+        cat = FlatCategory.single(alg)
+        if violations := ainfty.check_ainfty(alg):
+            # the message names the first violation that ainfty verify lists
+            first = violations[0]
+            at = (first.arity, tuple(alg.basis.index(x) for x in first.inputs),
+                  alg.basis.index(first.output))
+            with pytest.raises(ValueError) as refusal:
+                hochschild_homology_dims(cat, 4)
+            assert str(refusal.value) == (
+                f"object 0 breaks the A-infinity relations at {at!r} "
+                "(arity, inputs, output); see qhsplit ainfty verify"), draw
+            refused += 1
+        else:
+            hochschild_homology_dims(cat, 4)
+    assert 0 < refused < 300
 
 
 def test_a_degree_violation_is_refused():
@@ -446,6 +496,74 @@ def test_the_relation_check_does_no_scalar_arithmetic_per_term(monkeypatch):
     assert violations == []
     assert checked == tables
     assert tables["__mul__"] > 0  # realify's multiples of zeta_4
+
+
+def bound_cases():
+    """(category, length) at critical points 0 and 1 (exceptional n = 2 has
+    only 0) of projective n <= 3 and exceptional n = 2, 3, for every length
+    up to 4."""
+    families = [(f"pn n={n}", toric.PotentialFunction.clifford_torus(n)) for n in (1, 2, 3)]
+    families += [(f"exc n={n}", toric.PotentialFunction.exceptional(n, F(1, 10))) for n in (2, 3)]
+    return [pytest.param(FlatCategory.single(toric.brane_algebra(W, critical)),
+                         length, id=f"{name} point {k} length {length}")
+            for name, W in families for k, critical in enumerate(toric.critical_points(W)[:2])
+            for length in (2, 3, 4)]
+
+
+def unbounded_ranks(monkeypatch):
+    """Make every ``integer_rank`` build all its rows and take no bound."""
+    integer_rank = linalg.integer_rank
+    monkeypatch.setattr(linalg, "integer_rank", lambda rows, phi, bound=None:
+                        integer_rank(list(rows), phi))
+
+
+@pytest.mark.parametrize("cat, length", bound_cases())
+def test_bounded_ranks_match_the_ranks_of_every_row(cat, length, monkeypatch):
+    bounded = hochschild_homology_dims(cat, length)
+    unbounded_ranks(monkeypatch)
+    every_row = hochschild_homology_dims(cat, length)
+    assert bounded.dims == every_row.dims
+    assert bounded.per_length == every_row.per_length
+    assert bounded.stable == every_row.stable
+
+
+def test_the_kernel_bound_builds_fewer_than_half_of_the_rows(monkeypatch):
+    # P^3's brane algebra at its first critical point has 456 chains up to
+    # length 3; the blocks of lengths 2 and 3 have ranks 24 and 25 and stop
+    # building rows once they reach them
+    W = toric.PotentialFunction.clifford_torus(3)
+    cat = FlatCategory.single(toric.brane_algebra(W, toric.critical_points(W)[0]))
+    built = Counter()
+    integer_row = hochschild._integer_row
+
+    def counted(*args):
+        built["rows"] += 1
+        return integer_row(*args)
+
+    monkeypatch.setattr(hochschild, "_integer_row", counted)
+    assert hochschild_homology_dims(cat, 3).dims == {0: 0, 1: 1}
+    bounded = built.pop("rows")
+    unbounded_ranks(monkeypatch)
+    assert hochschild_homology_dims(cat, 3).dims == {0: 0, 1: 1}
+    assert built["rows"] == 456
+    assert bounded < 456 / 2
+
+
+def test_the_weights_of_each_object_are_solved_once(monkeypatch):
+    # the relation check and the ranks share one set of integer tables
+    calls = Counter()
+    q_weights = AInftyAlgebra.q_weights
+
+    def counted(self):
+        calls[id(self)] += 1
+        return q_weights(self)
+
+    monkeypatch.setattr(AInftyAlgebra, "q_weights", counted)
+    for cat in (clifford_category(3), orders_3_and_4_category()):
+        calls.clear()
+        hochschild_homology_dims(cat, 3)
+        assert sorted(calls) == sorted(id(alg) for alg in cat.algebras)
+        assert set(calls.values()) == {1}
 
 
 def test_a_category_without_weights_everywhere_uses_the_novikov_scalars():

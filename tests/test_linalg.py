@@ -66,13 +66,18 @@ def test_pivot_is_the_least_valuation_then_the_sparsest_column():
     assert list(pivots)[0] == 0
 
 
-def field_rank(rows):
-    """``integer_rank`` of cyclotomic rows, realified at the lcm of their
-    orders over the lcm of their denominators."""
+def realified_rows(rows):
+    """``(integer rows, phi)`` of cyclotomic rows, realified at the lcm of
+    their orders over the lcm of their denominators."""
     order = math.lcm(*(v.order for row in rows for v in row.values()))
     den = math.lcm(*(v.den for row in rows for v in row.values()))
-    return linalg.integer_rank([{c: linalg.realify(v, order, den) for c, v in row.items()}
-                                for row in rows], euler_phi(order))
+    return ([{c: linalg.realify(v, order, den) for c, v in row.items()} for row in rows],
+            euler_phi(order))
+
+
+def field_rank(rows):
+    """``integer_rank`` of cyclotomic rows, realified."""
+    return linalg.integer_rank(*realified_rows(rows))
 
 
 def test_row_reduce_over_the_coefficient_field():
@@ -159,6 +164,34 @@ def test_field_ranks_match_the_novikov_ranks(block):
         assert not novikov_limited, seed
         assert rank == expected < len(rows), (seed, order)
         assert len(pivots) == rank * euler_phi(order), seed
+
+
+def test_integer_rank_reads_no_row_past_the_bound():
+    for seed in range(100):
+        rows, phi = realified_rows(random_field_rows(seed)[1])
+        rank = linalg.integer_rank(rows, phi)[0]
+        # the first prefix of the rows that spans their K-span
+        last = next(j for j in range(len(rows) + 1)
+                    if linalg.integer_rank(rows[:j], phi)[0] == rank)
+
+        def guarded():
+            for i, row in enumerate(rows):
+                if i == last:
+                    raise AssertionError(f"seed {seed}: row {i} read past the bound {rank}")
+                yield row
+
+        bounded, pivots = linalg.integer_rank(guarded(), phi, rank)
+        assert bounded == rank and len(pivots) == rank * phi, seed
+        assert linalg.integer_rank(iter(()), phi, 0)[0] == 0
+
+
+def test_integer_rank_without_a_bound_reads_every_row():
+    for seed in range(20):
+        rows, phi = realified_rows(random_field_rows(seed)[1])
+        read = []
+        rank = linalg.integer_rank((read.append(i) or row for i, row in enumerate(rows)), phi)[0]
+        assert read == list(range(len(rows))), seed
+        assert rank < len(rows), seed  # the planted dependent rows were read too
 
 
 def test_determinant_known_values():
