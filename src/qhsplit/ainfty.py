@@ -347,27 +347,41 @@ def _relation_sums(algebra: AInftyAlgebra, outer_tensors, inner_tensors, times, 
     return acc
 
 
-def relation_failures(algebra: AInftyAlgebra, tables, phi: int) -> list:
-    """The nonzero relation components of ``algebra``, summed on its integer
-    ``tables`` from ``coefficient_tensors`` with ``phi`` coordinates per
-    constant, as ``(inputs, output, coordinates)``; the coordinates are
-    those of ``den^2`` times the q-free component (module docstring)."""
-    if phi == 1:
-        # over Q, realify(c) is (den c,) and den^2 a b one product; the
-        # loop sums plain ints about three times as fast as 1-tuples
-        ints = _map_tensors(tables, itemgetter(0))
-        sums = _relation_sums(algebra, ints, ints, mul, add, neg)
-        return [(key, o, (x,)) for key, vec in sums.items() for o, x in vec.items() if x]
-    # realify(a) is k-major, block k the coordinates of den zeta^k a, so
-    # with b0 the block 0 of realify(b), den^2 a b is sum_k b0[k] den zeta^k
-    # a: coordinate i is b0 dotted with the coordinates i of the blocks
-    sums = _relation_sums(
-        algebra, _map_tensors(tables, lambda c: tuple(c[i::phi] for i in range(phi))),
-        _map_tensors(tables, lambda c: c[:phi]),
-        lambda columns, b0: tuple([sum(map(mul, column, b0)) for column in columns]),
-        lambda x, y: tuple(map(add, x, y)), lambda b0: tuple([-x for x in b0]))
-    return [(key, o, coords) for key, vec in sums.items()
-            for o, coords in vec.items() if any(coords)]
+def relation_failures(algebra: AInftyAlgebra, rescaled) -> list:
+    """The nonzero relation components of ``algebra`` as ``(inputs, output,
+    value)``, sorted by arity, inputs and output: over the Novikov scalars
+    when ``rescaled`` is None, else on the integer tables of ``rescaled``,
+    ``coefficient_tensors([algebra])`` or the algebra's one-item slice of a
+    category's, each value the monomial ``c q^{sum w(a) - w(o)}``."""
+    if rescaled is None:
+        sums = _relation_sums(algebra, algebra.tensors, algebra.tensors, mul, add, neg)
+        bad = [(key, o, value) for key, vec in sums.items()
+               for o, value in vec.items() if not value.is_zero()]
+    else:
+        order, phi, [(tables, den, weights)] = rescaled
+        if phi == 1:
+            # over Q, realify(c) is (den c,) and den^2 a b one product; the
+            # loop sums plain ints about three times as fast as 1-tuples
+            ints = _map_tensors(tables, itemgetter(0))
+            sums = _relation_sums(algebra, ints, ints, mul, add, neg)
+            nonzero = [(key, o, (x,)) for key, vec in sums.items() for o, x in vec.items() if x]
+        else:
+            # realify(a) is k-major, block k the coordinates of den zeta^k a: with
+            # b0 the block 0 of realify(b), den^2 a b is sum_k b0[k] den zeta^k a,
+            # so coordinate i is b0 dotted with the coordinates i of the blocks
+            sums = _relation_sums(
+                algebra, _map_tensors(tables, lambda c: tuple(c[i::phi] for i in range(phi))),
+                _map_tensors(tables, lambda c: c[:phi]),
+                lambda columns, b0: tuple([sum(map(mul, column, b0)) for column in columns]),
+                lambda x, y: tuple(map(add, x, y)), lambda b0: tuple([-x for x in b0]))
+            nonzero = [(key, o, coords) for key, vec in sums.items()
+                       for o, coords in vec.items() if any(coords)]
+        square = den * den
+        bad = [(key, o, NovikovElement.monomial(
+                    sum(weights[i] for i in key) - weights[o],
+                    CyclotomicNumber(order, [Fraction(x, square) for x in coords])))
+               for key, o, coords in nonzero]
+    return sorted(bad, key=lambda v: (len(v[0]), v[0], v[1]))
 
 
 def check_ainfty(algebra: AInftyAlgebra) -> list[Violation]:
@@ -378,28 +392,10 @@ def check_ainfty(algebra: AInftyAlgebra) -> list[Violation]:
     ``k_in + k_out - 1``, so one pass over the pairs of stored arities covers
     every relation they reach.  On every basis tuple the signed sum must
     vanish; the sign exponent is the sum of reduced degrees of the inputs
-    preceding the inner composition.  Violations are sorted by arity, inputs
-    and output.
-
-    The pass runs on the integer coordinates of ``coefficient_tensors`` when
-    the algebra has weights (``relation_failures``), and over its Novikov
-    scalars otherwise.  On the integer path a violating component
-    ``(a_1..a_d) -> o`` with coefficient ``c`` is reported as
-    ``c q^{sum w(a) - w(o)}``, ``c`` in the field of the lcm order (module
-    docstring).
+    preceding the inner composition.  The pass is ``relation_failures``, on
+    the integer tables of ``coefficient_tensors`` when the algebra has
+    weights and over its Novikov scalars otherwise; this names its
+    violations, in its order.
     """
-    rescaled = coefficient_tensors([algebra])
-    if rescaled is None:
-        sums = _relation_sums(algebra, algebra.tensors, algebra.tensors, mul, add, neg)
-        bad = [(key, o, value) for key, vec in sums.items()
-               for o, value in vec.items() if not value.is_zero()]
-    else:
-        order, phi, [(tables, den, weights)] = rescaled
-        square = den * den
-        bad = [(key, o, NovikovElement.monomial(
-                    sum(weights[i] for i in key) - weights[o],
-                    CyclotomicNumber(order, [Fraction(x, square) for x in coords])))
-               for key, o, coords in relation_failures(algebra, tables, phi)]
-    bad.sort(key=lambda v: (len(v[0]), v[0], v[1]))
     return [Violation(len(key), tuple(algebra.basis[i] for i in key), algebra.basis[o], value)
-            for key, o, value in bad]
+            for key, o, value in relation_failures(algebra, coefficient_tensors([algebra]))]

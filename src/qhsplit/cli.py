@@ -87,9 +87,13 @@ def _unique_keys(pairs: list) -> dict:
 
 def _read_json(path: str):
     """The JSON of an algebra or category file; a repeated key, which
-    ``json.load`` would let the later value win, is an error."""
+    ``json.load`` would let the later value win, is an error, and so is
+    nesting deeper than the parser can recurse."""
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle, object_pairs_hook=_unique_keys)
+        try:
+            return json.load(handle, object_pairs_hook=_unique_keys)
+        except RecursionError as exc:
+            raise ValueError(f"JSON nested too deeply: {exc}") from None
 
 
 def cmd_ainfty_verify(args) -> int:

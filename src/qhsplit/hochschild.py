@@ -35,18 +35,20 @@ relation check sums on: each constant converted once per algebra to the
 coordinates of its ``zeta``-multiples over a common denominator
 (``linalg.realify``; see the module docstring of ``linalg``).  A chain's
 rows are sums and differences of those, with the signs of the same
-contractions that ``hochschild_boundary_basis`` enumerates.
+contractions that ``hochschild_boundary_basis`` enumerates.  Any other
+category is ranked over the truncated Novikov scalars.
 
-On that path each object's A-infinity relations are first summed on the
-same tables (``ainfty.relation_failures``), and an object that breaks one is
-refused.  Once they hold, the boundary squares to zero on the normalized
-complex, so a length-graded block of length ``L >= 2`` has its boundary in
-the kernel of the boundary on the block of length ``L - 1`` and the other
-parity, and its rank is at most that kernel's dimension.  The blocks are
-ranked in length order with that bound, and ``integer_rank`` reads no row,
-which is built only when read, once the bound is reached: every later row
-would reduce to zero.  Any other category is ranked over the truncated
-Novikov scalars, with no relation check.
+Before any rank, each object with exact constants has its A-infinity
+relations summed by ``ainfty.relation_failures``, on the same tables on the
+integer path and over the Novikov scalars otherwise, and is refused if one
+fails.  Then the boundary squares to zero on the normalized complex, so a
+length-graded block of length ``L >= 2`` has its boundary in the kernel of
+the boundary on the block of length ``L - 1`` and the other parity.  On the
+integer path the blocks are ranked in length order with that kernel's
+dimension as a bound, and ``integer_rank`` reads no row, which is built only
+when read, past it: every later row would reduce to zero.  A Novikov rank
+not flagged cutoff-limited is exact, so only a flagged report can show a
+negative dimension.
 """
 
 from __future__ import annotations
@@ -191,10 +193,9 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6) -> Homology
     with a truncated constant (``least_cutoff``) is reported cutoff-limited.
 
     Input that is not an A-infinity category raises ``ValueError``: a stored
-    composition that breaks the degree rule; over the coefficient field, an
-    object that breaks the A-infinity relations; over the Novikov scalars,
-    when no rank is cutoff-limited, a negative dimension, which a boundary
-    that squares to zero cannot give.
+    composition that breaks the degree rule, then an object with exact
+    constants that breaks the A-infinity relations, named at its first
+    violation in ``ainfty verify``'s order.
     """
     if max_length < 2:
         raise ValueError(f"the truncation length must be at least 2, got {max_length}")
@@ -204,13 +205,15 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6) -> Homology
                              "inputs, output); see qhsplit ainfty verify")
     rescaled = ainfty.coefficient_tensors(cat.algebras)
     if rescaled is not None:
-        _, phi, per_algebra = rescaled
+        order, phi, per_algebra = rescaled
         tables = [tensors for tensors, _, _ in per_algebra]
-        for obj, (alg, table) in enumerate(zip(cat.algebras, tables)):
-            if bad := ainfty.relation_failures(alg, table, phi):
-                first = min((len(key), key, o) for key, o, _ in bad)
-                raise ValueError(f"object {obj} breaks the A-infinity relations at {first!r} "
-                                 "(arity, inputs, output); see qhsplit ainfty verify")
+    # truncated constants are cutoff-limited, their relations true mod q^cutoff
+    for obj, alg in enumerate(cat.algebras):
+        own = None if rescaled is None else (order, phi, per_algebra[obj:obj + 1])
+        if alg.least_cutoff is None and (bad := ainfty.relation_failures(alg, own)):
+            at = (len(bad[0][0]), *bad[0][:2])
+            raise ValueError(f"object {obj} breaks the A-infinity relations at {at!r} "
+                             "(arity, inputs, output); see qhsplit ainfty verify")
     graded = is_length_graded(cat)
     # the unit of each object whose chains are normalized, else None
     units = [alg.unit if graded and alg.unit is not None and not alg.unit_violations()
@@ -269,10 +272,6 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6) -> Homology
         dims = {parity: len(blocks[None, parity]) - ranks[None, parity] - ranks[None, 1 - parity]
                 for parity in (0, 1)}
         stable = False
-    lowest = min(d for h in (dims, *per_length.values()) for d in h.values())
-    if lowest < 0 and not cutoff_limited:
-        raise ValueError(f"negative Hochschild dimension {lowest}: the boundary does not "
-                         "square to zero; see qhsplit ainfty verify")
     return HomologyReport(dims=dims, stable=stable, per_length=per_length,
                           cutoff_limited=cutoff_limited, graded=graded,
                           rank_cutoff=DEFAULT_CUTOFF if rescaled is None else None)

@@ -189,6 +189,40 @@ def test_hh_dims_refuses_every_algebra_that_ainfty_verify_rejects(tmp_path, caps
     assert rejected
 
 
+def test_hh_dims_checks_the_relations_of_exact_constants_without_weights(tmp_path, capsys):
+    # m_2(a, a) = (1 + q) b, m_2(b, b) = a, m_2(a, b) = a: exact but with no
+    # weights, so ranked over the Novikov scalars; unchecked, length 6
+    # printed total,-28,false as a cutoff-limited report
+    from qhsplit.ainfty import AInftyAlgebra
+    from qhsplit.novikov import NovikovElement as N
+    one = N.one()
+    alg = AInftyAlgebra(["a", "b"], [0, 0], {
+        2: {(0, 0): {1: one + N.q_power(1)}, (1, 1): {0: one}, (0, 1): {0: one}}})
+    assert alg.q_weights() is None and alg.least_cutoff is None
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(alg.to_json_dict()), encoding="utf-8")
+    assert main(["hh", "dims", str(path), "--length", "6"]) == EXIT_FAILURE
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "value error"
+    assert error["message"].startswith("object 0 breaks the A-infinity relations at "
+                                       "(3, (0, 0, 0), 0) ")
+
+
+@pytest.mark.parametrize("command", [("hh", "dims"), ("ainfty", "verify")])
+def test_deeply_nested_json_is_a_value_error(command, tmp_path, capsys):
+    # past the parser's recursion limit, json.load raises RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    assert main([*command, str(path)]) == EXIT_FAILURE
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "value error"
+    assert error["message"].startswith("JSON nested too deeply")
+
+
 @pytest.mark.parametrize("command", [
     ("blowup", "split", "--n", "2"),
     ("potential", "crit", "--kind", "exceptional", "--n", "3"),

@@ -270,14 +270,6 @@ def test_a_negative_dimension_is_refused():
         hochschild_homology_dims(not_associative_category(), 4)
 
 
-def test_the_novikov_path_refuses_a_negative_dimension(monkeypatch):
-    # without weights no relation is checked, and the ranks over the
-    # truncated scalars show the failed relations as negative dimensions
-    monkeypatch.setattr(AInftyAlgebra, "q_weights", lambda self: None)
-    with pytest.raises(ValueError, match="negative Hochschild dimension"):
-        hochschild_homology_dims(not_associative_category(), 4)
-
-
 def random_integer_algebra(rng):
     """Rank 1-3, one or two stored arities from 1, 2 and 3, and integer
     constants at q^0 on about half of the inputs, each output of the degree
@@ -296,27 +288,55 @@ def random_integer_algebra(rng):
     return AInftyAlgebra([f"g{i}" for i in range(rank)], degrees, tensors)
 
 
-def test_exactly_the_algebras_that_break_the_relations_are_refused():
+# the relations are checked on whichever scalars rank the object: the
+# integer tables, or, with no weights, the truncated Novikov scalars
+scalar_paths = pytest.mark.parametrize("q_weights", [AInftyAlgebra.q_weights, lambda self: None],
+                                       ids=["integer", "novikov"])
+
+
+def relation_refusal(obj, alg):
+    """The refusal of object ``obj``, naming the first violation that
+    ``ainfty verify`` lists for ``alg`` on its integer tables."""
+    first = ainfty.check_ainfty(alg)[0]
+    at = (first.arity, tuple(alg.basis.index(x) for x in first.inputs),
+          alg.basis.index(first.output))
+    return (f"object {obj} breaks the A-infinity relations at {at!r} "
+            "(arity, inputs, output); see qhsplit ainfty verify")
+
+
+@scalar_paths
+def test_exactly_the_algebras_that_break_the_relations_are_refused(q_weights, monkeypatch):
     rng = random.Random(11)
-    refused = 0
-    for draw in range(300):
-        alg = random_integer_algebra(rng)
-        assert not alg.degree_violations()
+    draws = [random_integer_algebra(rng) for _ in range(300)]
+    assert not any(alg.degree_violations() for alg in draws)
+    expected = [relation_refusal(0, alg) if ainfty.check_ainfty(alg) else None for alg in draws]
+    monkeypatch.setattr(AInftyAlgebra, "q_weights", q_weights)
+    for draw, (alg, message) in enumerate(zip(draws, expected)):
         cat = FlatCategory.single(alg)
-        if violations := ainfty.check_ainfty(alg):
-            # the message names the first violation that ainfty verify lists
-            first = violations[0]
-            at = (first.arity, tuple(alg.basis.index(x) for x in first.inputs),
-                  alg.basis.index(first.output))
-            with pytest.raises(ValueError) as refusal:
-                hochschild_homology_dims(cat, 4)
-            assert str(refusal.value) == (
-                f"object 0 breaks the A-infinity relations at {at!r} "
-                "(arity, inputs, output); see qhsplit ainfty verify"), draw
-            refused += 1
-        else:
+        if message is None:
             hochschild_homology_dims(cat, 4)
-    assert 0 < refused < 300
+            continue
+        with pytest.raises(ValueError) as refusal:
+            hochschild_homology_dims(cat, 4)
+        assert str(refusal.value) == message, draw
+    assert sum(message is not None for message in expected) == 125
+
+
+@scalar_paths
+def test_a_second_object_that_breaks_the_relations_is_named(q_weights, monkeypatch):
+    # object 1 of the orders 3 and 4 category, with its last product doubled,
+    # is checked on its slice of the tables at the lcm order 12
+    first, second = orders_3_and_4_category().algebras
+    tensors = {d: dict(store) for d, store in second.tensors.items()}
+    key = max(tensors[2])
+    tensors[2][key] = {o: v * N.from_rational(2) for o, v in tensors[2][key].items()}
+    broken = AInftyAlgebra(second.basis, second.degrees, tensors, unit=second.unit)
+    assert not ainfty.check_ainfty(first) and not broken.degree_violations()
+    message = relation_refusal(1, broken)
+    monkeypatch.setattr(AInftyAlgebra, "q_weights", q_weights)
+    with pytest.raises(ValueError) as refusal:
+        hochschild_homology_dims(FlatCategory((first, broken)), 3)
+    assert str(refusal.value) == message
 
 
 def test_a_degree_violation_is_refused():
