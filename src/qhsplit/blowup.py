@@ -5,16 +5,18 @@ into the bulk-shifted base (the projective open-closed block, one column per
 projective brane, ``n + 1``) plus point summands (the exceptional block, one
 column per exceptional brane, ``n - 1``).  ``split_report`` reads the
 dimensions off the two blocks' columns and checks that the blocks are
-orthogonal, of full combined rank and each surjective.  The blowup's disk
-classes are those of ``toric.ToricModel.simplex(n).blowup(eps)``.
+orthogonal, of full combined rank and each surjective, all from one exact
+rank per block.  The blowup's disk classes are those of
+``toric.ToricModel.simplex(n).blowup(eps)``.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import linalg, openclosed
-from .novikov import NovikovElement
+from .novikov import NovikovElement, euler_phi
 
 GENERATES = "generates"
 FAILS = "fails"
@@ -41,27 +43,43 @@ def _pairing(n: int):
     return pairing
 
 
-def generation_check(old_cols, exc_cols, pairing, cutoff=None) -> dict:
+def _block_rank(cols) -> int:
+    """Exact rank over the Novikov field of a block of sparse columns.
+
+    Each label's nonzero entries must be monomials ``c q^v`` of one
+    valuation ``v`` (else ``ValueError``); scaling its row by the unit
+    ``q^-v`` leaves the ``c`` in ``K = Q(zeta)``: the rank is their K-rank."""
+    vals: dict = {}  # label -> the valuation of its entries
+    for col in cols:
+        for k, v in col.items():
+            if v.terms and (len(v.terms) > 1 or vals.setdefault(k, v.val_q()) != v.val_q()):
+                raise ValueError(f"entries under {k!r} are not monomials of one valuation")
+    index = {label: i for i, label in enumerate(vals)}
+    coeffs = [{index[k]: v.leading()[1] for k, v in col.items() if v.terms} for col in cols]
+    order = math.lcm(1, *(c.order for col in coeffs for c in col.values()))
+    den = math.lcm(1, *(c.den for col in coeffs for c in col.values()))
+    rows = [{i: linalg.realify(c, order, den) for i, c in col.items()} for col in coeffs]
+    return linalg.integer_rank(rows, euler_phi(order))[0]
+
+
+def generation_check(old_cols, exc_cols, pairing) -> dict:
     """Orthogonality of the two images plus a full combined rank.
 
     ``old_cols`` and ``exc_cols`` are lists of sparse columns over a common
-    label set, ``pairing`` the bilinear form on labels; the labels of a block
-    sort against each other, which ``linalg.row_reduce`` needs.  Generation
-    holds iff the cross Gram matrix vanishes identically and the ranks of the
-    blocks sum to the number of columns.  Returns the verdict under
-    ``generation`` together with the Gram matrix and block ranks it rests
-    on.  When the ranks fall short and a block has a row whose entries all
-    sit at or above ``cutoff``, the verdict is ``CUTOFF_LIMITED``, not
-    ``FAILS``.
+    label set, ``pairing`` the bilinear form on labels.  Generation holds
+    iff the cross Gram matrix vanishes identically and the exact ranks of
+    the blocks (``_block_rank``) sum to the number of columns.  Returns the
+    verdict under ``generation``, ``CUTOFF_LIMITED`` for orthogonal blocks
+    with a truncated entry, with the Gram matrix and ranks it rests on.
     """
     gram = linalg.gram_matrix(old_cols, exc_cols, pairing)
     orthogonal = all(entry.is_zero() for row in gram for entry in row)
-    rank_old, _, limited_old = linalg.row_reduce(old_cols, cutoff)
-    rank_exc, _, limited_exc = linalg.row_reduce(exc_cols, cutoff)
-    if orthogonal and rank_old + rank_exc == len(old_cols) + len(exc_cols):
-        generation = GENERATES
-    elif orthogonal and (limited_old or limited_exc):
+    rank_old, rank_exc = _block_rank(old_cols), _block_rank(exc_cols)
+    if orthogonal and any(value.truncated for col in [*old_cols, *exc_cols]
+                          for value in col.values()):
         generation = CUTOFF_LIMITED
+    elif orthogonal and rank_old + rank_exc == len(old_cols) + len(exc_cols):
+        generation = GENERATES
     else:
         generation = FAILS
     return {
@@ -78,9 +96,9 @@ def split_report(n: int, eps) -> dict:
 
     Builds the projective block and the exceptional block over the blowup's
     cycle basis once each and reads the summand dimensions off their
-    columns; then checks block orthogonality, block ranks, determinant
-    surjectivity of each block, and the correction-valuation bound of the
-    bulk shift.
+    columns; then checks block orthogonality and the exact block ranks, which
+    also decide each block's surjectivity, and the correction-valuation
+    bound of the bulk shift.
     """
     if n < 2:
         raise ValueError("no exceptional branes below dimension two")
@@ -110,23 +128,15 @@ def split_report(n: int, eps) -> dict:
         {("exc", b + 1): exc_matrix.entry(b, a) for b in range(points)}
         for a in range(points)
     ]
-    # the rank cutoff must clear every entry valuation in both blocks
-    vals = [v.val_q() for col in old_cols + exc_cols for v in col.values()
-            if v.val_q() is not None]
-    rank_cutoff = max(vals) + 1 if vals else None
-    check = generation_check(old_cols, exc_cols, _pairing(n), rank_cutoff)
-    surj_old = openclosed.surjectivity_test(old_matrix.entries)
-    surj_exc = openclosed.surjectivity_test(exc_matrix.entries)
+    check = generation_check(old_cols, exc_cols, _pairing(n))
+    surjectivity = {True: openclosed.SURJECTIVE, False: openclosed.DEFICIENT}
     report.update(
         check,
         min_extra_valuation=min_extra,
         min_extra_bound=Fraction(1) - eps,
         bound_holds=min_extra >= Fraction(1) - eps,
-        old_block_surjectivity=surj_old,
-        exceptional_block_surjectivity=surj_exc,
-        status=GENERATES if (check["generation"] == GENERATES
-                             and surj_old == openclosed.SURJECTIVE
-                             and surj_exc == openclosed.SURJECTIVE)
-        else FAILS,
+        old_block_surjectivity=surjectivity[check["old_block_rank"] == base_dim],
+        exceptional_block_surjectivity=surjectivity[check["exceptional_block_rank"] == points],
+        status=GENERATES if check["generation"] == GENERATES else FAILS,
     )
     return report
