@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import linalg, openclosed
+from . import linalg, openclosed, toric
 from .novikov import NovikovElement, euler_phi
 
 GENERATES = "generates"
@@ -94,15 +94,18 @@ def generation_check(old_cols, exc_cols, pairing) -> dict:
 def split_report(n: int, eps) -> dict:
     """Full splitting verification for the blowup of projective n-space.
 
-    Builds the projective block and the exceptional block over the blowup's
-    cycle basis once each and reads the summand dimensions off their
-    columns; then checks block orthogonality and the exact block ranks, which
-    also decide each block's surjectivity, and the correction-valuation
+    Refuses, with ``ValueError``, an ``eps`` for which the blowup's cut
+    simplex does not exist, ``eps >= n/(n+1)``.  Builds the projective block
+    and the exceptional block over the blowup's cycle basis once each and
+    reads the summand dimensions off their columns; then checks block
+    orthogonality and the exact block ranks, which also decide each block's
+    surjectivity (``openclosed.surjectivity``), and the correction-valuation
     bound of the bulk shift.
     """
     if n < 2:
         raise ValueError("no exceptional branes below dimension two")
     eps = Fraction(eps)
+    toric.ToricModel.simplex(n).blowup(eps)  # refuses an eps the cut cannot take
     old_matrix = openclosed.oc_matrix(n, openclosed.PROJECTIVE)
     exc_matrix = openclosed.oc_matrix(n, openclosed.EXCEPTIONAL, eps)
     base_dim, points = len(old_matrix.cols), len(exc_matrix.cols)
@@ -114,11 +117,6 @@ def split_report(n: int, eps) -> dict:
         "total_dim": base_dim + points,
         "summands": ["base"] + ["point"] * points,
     }
-    if eps >= 1:
-        report.update(status=CUTOFF_LIMITED,
-                      reason="bulk-shift corrections need eps < 1")
-        return report
-
     min_extra = openclosed.bulk_shift_perturbation(n, eps)
     old_cols = [
         {("base", b): old_matrix.entry(b, a) for b in range(base_dim)}
@@ -129,14 +127,15 @@ def split_report(n: int, eps) -> dict:
         for a in range(points)
     ]
     check = generation_check(old_cols, exc_cols, _pairing(n))
-    surjectivity = {True: openclosed.SURJECTIVE, False: openclosed.DEFICIENT}
     report.update(
         check,
         min_extra_valuation=min_extra,
         min_extra_bound=Fraction(1) - eps,
         bound_holds=min_extra >= Fraction(1) - eps,
-        old_block_surjectivity=surjectivity[check["old_block_rank"] == base_dim],
-        exceptional_block_surjectivity=surjectivity[check["exceptional_block_rank"] == points],
+        old_block_surjectivity=openclosed.surjectivity(
+            check["old_block_rank"] == base_dim, [col.values() for col in old_cols]),
+        exceptional_block_surjectivity=openclosed.surjectivity(
+            check["exceptional_block_rank"] == points, [col.values() for col in exc_cols]),
         status=GENERATES if check["generation"] == GENERATES else FAILS,
     )
     return report

@@ -217,7 +217,7 @@ def cmd_oc_matrix(args) -> int:
         "det": repr(det),
         "det_below": repr(det.below(split_at)),
         "det_at_or_above": repr(det.at_or_above(split_at)),
-        "surjectivity": openclosed.surjectivity_verdict(matrix.entries, det),
+        "surjectivity": openclosed.surjectivity(not det.is_zero(), matrix.entries),
     }
     meta_comment = (f"# cutoff=inf cyclotomic_order={order} "
                     f"det={det_report['det']} split_at={det_report['split_at']} "
@@ -279,7 +279,7 @@ def cmd_blowup_split(args) -> int:
     else:
         text = _json_dumps(payload)
     _emit(text, args.out)
-    return EXIT_OK if report.get("status") == blowup.GENERATES else EXIT_FAILURE
+    return EXIT_OK if report["status"] == blowup.GENERATES else EXIT_FAILURE
 
 
 def cmd_verify_all(args) -> int:

@@ -23,7 +23,8 @@ SURJECTIVE = "surjective"
 CUTOFF_LIMITED = "cutoff-limited"
 DEFICIENT = "deficient"
 
-# the valuation at which surjectivity_verdict splits the determinant
+# the valuation at which `oc matrix` prints its determinant in two parts;
+# the surjectivity verdict does not read it
 SPLIT = Fraction(2)
 
 
@@ -78,34 +79,17 @@ def frobenius_orthogonality(matrix: OCMatrix) -> list[list[NovikovElement]]:
     return linalg.gram_matrix(cols, cols, lambda b, c: one if b + c == top else None)
 
 
-def surjectivity_test(matrix) -> str:
-    """Determinant-based surjectivity check of a square ``matrix`` (rows of
-    entries) with a valuation split."""
-    n = len(matrix)
-    if n == 0 or any(len(row) != n for row in matrix):
-        raise ValueError("need a nonempty square matrix")
-    return surjectivity_verdict(matrix, linalg.determinant(matrix))
+def surjectivity(invertible: bool, lines) -> str:
+    """The surjectivity of a square block over the Novikov field.
 
-
-def surjectivity_verdict(matrix, det: NovikovElement) -> str:
-    """The surjectivity of a square ``matrix`` (rows of entries) read off its
-    determinant ``det``.
-
-    Dividing each row by its minimal q-power is an invertible row operation
-    that leaves surjectivity unchanged and keeps the split meaningful for
-    matrices whose rows carry large uniform q-factors; it divides the
-    determinant by ``q^S``, ``S`` the sum of the row minima.  That is the
-    determinant of the row-scaled matrix exactly when the entries are exact.
-    ``det q^{-S}`` is then split at ``SPLIT``: surjective iff the part below
-    the split is nonzero.
+    A square block is surjective exactly when it is ``invertible``; the
+    caller decides that from exact data, a nonzero determinant or a full
+    rank.  Otherwise ``lines``, the block's rows or columns of entries, say
+    whether a truncated entry could hide the missing rank.
     """
-    shift = sum(min((e.val_q() for e in row if not e.is_zero()), default=0)
-                for row in matrix)
-    scaled = det * NovikovElement.q_power(-shift)
-    if not scaled.below(SPLIT).is_zero():
+    if invertible:
         return SURJECTIVE
-    truncated = any(e.truncated for row in matrix for e in row)
-    if not scaled.is_zero() or truncated:
+    if any(entry.truncated for line in lines for entry in line):
         return CUTOFF_LIMITED
     return DEFICIENT
 

@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from . import linalg
 from .ainfty import AInftyAlgebra
-from .novikov import CyclotomicNumber, NovikovElement
+from .novikov import CyclotomicNumber, NovikovElement, format_rational
 
 
 # ---------------------------------------------------------------------------
@@ -72,12 +72,16 @@ class ToricModel:
         """Cut off the vertex where the first ``n`` facets meet by size ``eps``.
 
         The new facet's normal is the sum of theirs, and its level the sum of
-        their levels minus ``eps``.
+        their levels minus ``eps``, so the cut exists only for ``eps`` below
+        that sum.
         """
         n = len(self.normals[0])
         normal = tuple(map(sum, zip(*self.normals[:n])))
-        level = sum(self.levels[:n]) - Fraction(eps)
-        return ToricModel(self.normals + (normal,), self.levels + (level,))
+        bound, eps = sum(self.levels[:n]), Fraction(eps)
+        if eps >= bound:
+            raise ValueError("the fiber lies inside the polytope only for eps below "
+                             + format_rational(bound))
+        return ToricModel(self.normals + (normal,), self.levels + (bound - eps,))
 
     def index(self, k) -> int:
         return 2 * sum(k)

@@ -431,6 +431,15 @@ def test_criterion_11_fails_on_an_exceptional_family_of_n_branes(monkeypatch):
     assert result.detail == "n=2: dim 5"
 
 
+def test_criterion_11_fails_when_the_blowup_refuses_no_eps(monkeypatch):
+    # with the cut's refusal patched out, split_report reports at eps = 9/10,
+    # above n/(n+1), where no cut simplex exists
+    monkeypatch.setattr(toric.ToricModel, "blowup", lambda model, eps: model)
+    result = acceptance.criterion_11()
+    assert not result.passed
+    assert result.detail == "n=2 eps=9/10: generates with no cut simplex"
+
+
 def test_criterion_12_index_area_correspondence(results):
     _check(results, 12)
 
@@ -505,7 +514,7 @@ def test_verify_all_report_bytes_are_pinned(results):
     # the sha256 of what `python -m qhsplit verify-all` prints
     table = acceptance.summary_table([results[number] for number in sorted(results)])
     assert hashlib.sha256(table.encode("utf-8")).hexdigest() == (
-        "22146515534a944d5b69d4e9f70ae1b666a6af68a4e9b7e396c3178e200cb97a")
+        "9ecb079aa426113ee72bdb335d3284193361d852aa846ed67ea60a655919554b")
 
 
 def test_verify_all_cli_runs_are_byte_identical(tmp_path):

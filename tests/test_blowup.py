@@ -5,13 +5,15 @@ from fractions import Fraction as F
 import pytest
 
 from qhsplit import blowup, linalg, openclosed
-from qhsplit.cli import EXIT_OK, main
+from qhsplit.cli import EXIT_FAILURE, EXIT_OK, main
 from qhsplit.novikov import CyclotomicNumber as C
 from qhsplit.novikov import NovikovElement as N
 from qhsplit.toric import ToricModel
+from test_openclosed import determinant_verdict
 
-# criterion 11's grid and the eps values the benchmark's splitting jobs draw
-EPS_GRID = tuple(F(e) for e in ("1/10", "1/3", "9/10", "1/7", "1/5", "2/9", "1/4", "3/10", "2/5"))
+# the eps values at which criterion 11 and the benchmark's splitting jobs
+# report a split; criterion 11's 9/10 is refused (test_split_grid)
+EPS_GRID = tuple(F(e) for e in ("1/10", "1/3", "1/7", "1/5", "2/9", "1/4", "3/10", "2/5"))
 
 
 # --- correspondences under the blowdown of the cut simplex ---------------------
@@ -142,8 +144,7 @@ def test_block_ranks_and_surjectivity_agree_with_elimination_and_determinant(n):
             cols = [{b: matrix.entry(b, a) for b in range(size)} for a in range(size)]
             cutoff = max(v.val_q() for col in cols for v in col.values()) + 1
             assert report[f"{block}_rank"] == linalg.row_reduce(cols, cutoff)[0]
-            assert (report[f"{block}_surjectivity"]
-                    == openclosed.surjectivity_test(matrix.entries))
+            assert report[f"{block}_surjectivity"] == determinant_verdict(matrix.entries)
 
 
 def test_block_rank_agrees_with_elimination_on_deficient_blocks():
@@ -162,10 +163,56 @@ def test_block_rank_agrees_with_elimination_on_deficient_blocks():
         cutoff = max((v.val_q() for col in cols for v in col.values()), default=0) + 1
         assert rank == linalg.row_reduce(cols, cutoff)[0]
         matrix = [[col.get(b, N.zero()) for col in cols] for b in range(size)]
-        verdict = openclosed.surjectivity_test(matrix)
+        verdict = determinant_verdict(matrix)
         assert verdict == (openclosed.SURJECTIVE if rank == size else openclosed.DEFICIENT)
         deficient += rank < size
     assert deficient >= 10
+
+
+def test_determinant_route_agrees_with_elimination_on_mixed_valuation_blocks():
+    # random blocks q^(r_b + s_a) A_ba, some columns of A repeated or zeroed:
+    # each row mixes valuations, so _block_rank refuses them; every
+    # intermediate of the elimination is a monomial q^(r_b + s_a) A'_ba, so
+    # at a cutoff above max r + max s it is exact and is the oracle
+    rng = random.Random(37)
+    deficient = 0
+    for _ in range(60):
+        size, order = rng.randint(2, 4), rng.choice((1, 2, 3, 4, 6))
+        r = [F(rng.randint(0, 6), rng.choice((1, 2, 3))) for _ in range(size)]
+        s = rng.sample(range(5), size)
+        pool = [[C.root_of_unity(order, rng.randrange(order))
+                 * C.from_rational(rng.choice((1, -2, F(1, 3))))
+                 if rng.random() < 0.8 else None for _ in range(size)] for _ in range(size)]
+        coeffs = [rng.choice(pool) if rng.random() < 0.3 else col for col in pool]
+        matrix = [[N.zero() if coeffs[a][b] is None else N.monomial(r[b] + s[a], coeffs[a][b])
+                   for a in range(size)] for b in range(size)]
+        cols = [{b: row[a] for b, row in enumerate(matrix) if not row[a].is_zero()}
+                for a in range(size)]
+        if any(len({v.val_q() for v in row if not v.is_zero()}) > 1 for row in matrix):
+            with pytest.raises(ValueError, match="not monomials of one valuation"):
+                blowup._block_rank(cols)
+        rank, _, limited = linalg.row_reduce(cols, max(r) + max(s) + 1)
+        assert not limited
+        verdict = determinant_verdict(matrix)
+        assert verdict == (openclosed.SURJECTIVE if rank == size else openclosed.DEFICIENT)
+        deficient += rank < size
+    assert 20 <= deficient <= 40
+
+
+@pytest.mark.parametrize("matrix, verdict", [
+    ([[N.one(), N.one()], [N.one(), N.one() + N.q_power(3)]], openclosed.SURJECTIVE),
+    ([[N.q_power(3)] * 2] * 2, openclosed.DEFICIENT),
+    ([[N.one(cutoff=2)] * 2] * 2, openclosed.CUTOFF_LIMITED),
+], ids=["exact-determinant-q3", "exact-zero-determinant", "truncated-zero-determinant"])
+def test_determinant_route_pins_against_elimination(matrix, verdict):
+    # the elimination, at a cutoff above every entry and the determinant,
+    # gives full rank exactly for the surjective block, and is cutoff-limited
+    # exactly for the cutoff-limited one
+    rank, _, limited = linalg.row_reduce(
+        [{b: row[a] for b, row in enumerate(matrix)} for a in range(2)], 4)
+    assert determinant_verdict(matrix) == verdict
+    assert (rank == 2) == (verdict == openclosed.SURJECTIVE)
+    assert limited == (verdict == openclosed.CUTOFF_LIMITED)
 
 
 def test_a_repeated_exceptional_column_makes_the_report_deficient(monkeypatch):
@@ -192,25 +239,37 @@ def test_split_report_ranks_without_elimination_or_determinants(monkeypatch, cap
 
     monkeypatch.setattr(linalg, "row_reduce", refuse)
     monkeypatch.setattr(linalg, "determinant", refuse)
-    monkeypatch.setattr(openclosed, "surjectivity_test", refuse)
     for n in range(2, 6):
         assert blowup.split_report(n, F(1, 10))["status"] == blowup.GENERATES
     assert main(["blowup", "split", "--n", "3", "--eps", "1/7"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["report"]["status"] == blowup.GENERATES
 
 
-def test_large_shift_reports_cutoff_limited():
-    report = blowup.split_report(2, F(1))
-    assert report["status"] == blowup.CUTOFF_LIMITED
+def test_large_shift_is_refused_by_the_blowup(capsys):
+    # the cut simplex exists only for eps < n/(n+1): 2/3 is refused, which
+    # the report once called generates
+    with pytest.raises(ValueError, match="inside the polytope only for eps below 2/3"):
+        blowup.split_report(2, F(1))
+    assert main(["blowup", "split", "--n", "2", "--eps", "2/3"]) == EXIT_FAILURE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "value error",
+        "message": "the fiber lies inside the polytope only for eps below 2/3"}
+    assert blowup.split_report(2, F(2, 3) - F(1, 100))["status"] == blowup.GENERATES
 
 
 def test_split_grid():
+    # criterion 11's grid: a split where the cut simplex exists, and the
+    # refusal at eps = 9/10, above n/(n+1) for every n
     for n in (2, 3, 4, 5):
-        for eps in (F(1, 10), F(1, 3), F(9, 10)):
+        for eps in (F(1, 10), F(1, 3)):
             report = blowup.split_report(n, eps)
             assert report["total_dim"] == 2 * n
             assert report["generation"] == blowup.GENERATES
             assert report["bound_holds"]
+        with pytest.raises(ValueError, match=f"eps below {n}/{n + 1}$"):
+            blowup.split_report(n, F(9, 10))
 
 
 def test_pairing_blocks():

@@ -248,6 +248,14 @@ def test_an_empty_eps_is_a_malformed_rational(command, capsys):
                                "message": "malformed rational ''"}
 
 
+def test_trees_enumerate_without_inputs_is_a_value_error(capsys):
+    assert main(["trees", "enumerate", "--boundary", "0"]) == EXIT_FAILURE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "value error",
+                               "message": "a type needs at least one input or a vertex"}
+
+
 def test_blowup_split_md_header_prints_the_eps_it_used(capsys):
     assert main(["blowup", "split", "--n", "2", "--eps", " 2/20", "--format", "md"]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
@@ -411,6 +419,7 @@ MALFORMED_ALGEBRAS = {
     "scalar_order_below_one": (_algebra_with_scalar(0, []), "'order'"),
     "scalar_coeff_wrong_length": (_algebra_with_scalar(3, ["1"]), "'coeff'"),
     "n_grading_not_an_integer": ({"basis": [], "n_grading": "2"}, "'n_grading'"),
+    "n_grading_odd": ({"basis": [], "n_grading": 3}, "the grading group order N must be even"),
     "tensor_arity_not_an_integer": ({"basis": [], "tensors": {"two": []}}, "'tensors'"),
     # Unicode digits that str.isdigit() accepts: Arabic-Indic one, superscript two
     "tensor_arity_not_ascii": ({"basis": [], "tensors": {"\u0661": []}}, "'tensors'"),

@@ -12,11 +12,12 @@ help to the terminal width, so they are taken at ``COLUMNS=80``.  The
 entries from ``trees enumerate --boundary 3 extra`` on, where a root-level
 error or help comes with or after a named command, were recorded later, from
 the parser as it stood before a call that opens with a command name
-registered only that command.  The ``blowup split`` reports at ``--eps 1``
-(cut short by the bulk-shift cutoff) and ``--eps 9/10``, and its two value
-errors in ``HELP_GOLDEN`` (dimension one, ``eps`` zero), were recorded from
-the report as it stood before it read the summand dimensions off the two
-open-closed blocks.
+registered only that command.  The two value errors of ``blowup split`` in
+``HELP_GOLDEN`` (dimension one, ``eps`` zero) were recorded from the report
+as it stood before it read the summand dimensions off the two open-closed
+blocks.  ``blowup split`` at ``--eps 1`` and at ``--n 3 --eps 9/10`` has no
+cut simplex to report on, so it prints nothing and exits 1; those three
+entries were re-recorded when the report began to refuse such an ``eps``.
 
 A refactor that keeps the digests changes no byte of these outputs.  A
 deliberate change of an output updates the digests it changes, and says so.
@@ -85,9 +86,9 @@ GOLDEN = {
     "blowup split --n 3 --eps 1/3 --format md": ("6ca9d003f79d6d976287168f836892c942687c439228ed5b73d8e5b574911b5f", 0),
     "blowup split --n 4 --eps 1/3 --format md": ("6c4dac79c2dafe12c0ee76740ad74b68ba6b0dd3d476797e782ecec6818d504a", 0),
     "blowup split --n 5 --eps 1/3 --format md": ("862b096c56744874a98eb03ed6d8b55205d0a5a90303d65da89805fdd68852ef", 0),
-    "blowup split --n 2 --eps 1 --format json": ("590694d4767d2c027f0b7b15f82a55a15da83ef1b6d0ff2cf542274c56d89793", 1),
-    "blowup split --n 2 --eps 1 --format md": ("1b0a729a25cdfc187f4e850234a22fd9e72462dbe7e77e16bdd77ef92b9c4710", 1),
-    "blowup split --n 3 --eps 9/10": ("6571dd732f4ef5dc78835b4a48f63888b0964f1fe798ddf4011dc56f70eb41a2", 0),
+    "blowup split --n 2 --eps 1 --format json": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 1),
+    "blowup split --n 2 --eps 1 --format md": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 1),
+    "blowup split --n 3 --eps 9/10": ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 1),
 }
 
 

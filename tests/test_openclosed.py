@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qhsplit import acceptance, toric
+from qhsplit import acceptance, linalg, toric
 from qhsplit import openclosed as oc
 from qhsplit.novikov import CyclotomicNumber as C, NovikovElement as N
 
@@ -69,56 +69,64 @@ def test_criterion_9_builds_no_brane_algebra(monkeypatch):
 
 # --- surjectivity -----------------------------------------------------------------
 
+def determinant_verdict(matrix):
+    """The one rule on the exact determinant, as `oc matrix` and C8 apply it."""
+    return oc.surjectivity(not linalg.determinant(matrix).is_zero(), matrix)
+
+
 def test_surjectivity_projective():
-    assert oc.surjectivity_test(oc.oc_matrix(2, oc.PROJECTIVE).entries) == oc.SURJECTIVE
+    assert determinant_verdict(oc.oc_matrix(2, oc.PROJECTIVE).entries) == oc.SURJECTIVE
 
 
 def test_surjectivity_zero_matrix():
     zero = [[N.zero(), N.zero()], [N.zero(), N.zero()]]
-    assert oc.surjectivity_test(zero) == oc.DEFICIENT
+    assert determinant_verdict(zero) == oc.DEFICIENT
 
 
 def test_surjectivity_high_valuation():
-    # rows are normalized first, so a uniform q-factor such as q^3 I is no
-    # test; here the normalized determinant is q^3, above the split at 2
+    # the exact determinant is q^3: nonzero, so the matrix is invertible,
+    # however far above any valuation split its only term lies
     high = [[N.one(), N.one()], [N.one(), N.one() + N.q_power(3)]]
-    assert oc.surjectivity_test(high) == oc.CUTOFF_LIMITED
+    assert linalg.determinant(high) == N.q_power(3)
+    assert determinant_verdict(high) == oc.SURJECTIVE
 
 
 def test_surjectivity_truncated_entry():
-    # the determinant q [cutoff 2] is nonzero below the split
+    # the determinant q [cutoff 2] is nonzero below its cutoff
     one = N.one()
     truncated = [[one, one], [one, one + N.q_power(1, cutoff=2)]]
-    assert oc.surjectivity_test(truncated) == oc.SURJECTIVE
+    assert determinant_verdict(truncated) == oc.SURJECTIVE
 
 
 def test_surjectivity_verdict_reads_the_scaled_determinant():
-    # rows q^1 and q^2 put q^3 in front of the row-scaled determinant
+    # rows q^1 and q^2 put q^3 in front of the row-scaled determinant q^(3/2);
+    # the verdict reads only whether the determinant is zero
     q = N.q_power
     matrix = [[q(1), q(1)], [q(2), q(2) + q(F(7, 2))]]
-    det = q(F(9, 2))
-    assert oc.surjectivity_verdict(matrix, det) == oc.SURJECTIVE
-    assert oc.surjectivity_verdict(matrix, q(5)) == oc.CUTOFF_LIMITED
-    assert oc.surjectivity_test(matrix) == oc.SURJECTIVE
+    assert linalg.determinant(matrix) == q(F(9, 2))
+    assert determinant_verdict(matrix) == oc.SURJECTIVE
+    assert oc.surjectivity(True, matrix) == oc.SURJECTIVE
+    assert oc.surjectivity(False, matrix) == oc.DEFICIENT
 
 
 def test_surjectivity_singular_matrix():
     singular = [[N.one(), N.one()], [N.one(), N.one()]]
-    assert oc.surjectivity_test(singular) == oc.DEFICIENT
+    assert determinant_verdict(singular) == oc.DEFICIENT
 
 
 def test_surjectivity_singular_matrix_of_high_entries():
-    # exact entries all above the split: the normalized determinant is an
-    # exact zero, so the matrix is deficient, not cutoff-limited
+    # exact entries all at q^3: the determinant is an exact zero, so the
+    # matrix is deficient, not cutoff-limited
     q3 = N.q_power(3)
-    assert oc.surjectivity_test([[q3, q3], [q3, q3]]) == oc.DEFICIENT
+    assert determinant_verdict([[q3, q3], [q3, q3]]) == oc.DEFICIENT
 
 
 def test_surjectivity_both_kinds_all_n():
     for n in range(1, 7):
-        assert oc.surjectivity_test(oc.oc_matrix(n, oc.PROJECTIVE).entries) == oc.SURJECTIVE
+        assert determinant_verdict(oc.oc_matrix(n, oc.PROJECTIVE).entries) == oc.SURJECTIVE
     for n in range(2, 7):
-        assert oc.surjectivity_test(oc.oc_matrix(n, oc.EXCEPTIONAL, F(1, 10)).entries) == oc.SURJECTIVE
+        matrix = oc.oc_matrix(n, oc.EXCEPTIONAL, F(1, 10))
+        assert determinant_verdict(matrix.entries) == oc.SURJECTIVE
 
 
 # --- pairing and orthogonality ----------------------------------------------------

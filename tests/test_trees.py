@@ -240,6 +240,12 @@ def test_dim_rejects_unstable_types():
             t.dim()
 
 
+def test_boundary_strata_rejects_unstable_types():
+    # one boundary input and no interior one: the disk has no stable domain
+    with pytest.raises(trees.UnstableTypeError, match="defined for stable types"):
+        boundary_strata(single_vertex_type(1))
+
+
 def reference_dim(t):
     """The cell dimension summed over the unbroken pieces of ``t``."""
     total = 0
