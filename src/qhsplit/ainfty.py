@@ -286,39 +286,30 @@ def _map_tensors(tensors, f) -> dict:
             for d, store in tensors.items()}
 
 
-def coefficient_tensors(algebras) -> tuple[int, int, list] | None:
-    """Each algebra's q-free structure constants as integer coordinates.
+def coefficient_tensors(algebra: AInftyAlgebra) -> tuple | None:
+    """The algebra's q-free structure constants as integer coordinates.
 
-    When every algebra has ``q_weights``, each structure constant ``c q^x``
-    is replaced by its coefficient ``c`` at the lcm ``order`` of the orders
-    of the irrational coefficients of all the algebras (order 1, the field
-    ``Q``, when all are rational), and ``c`` by ``linalg.realify(c, order,
-    den)``, the power-basis coordinates of ``den zeta^k c`` for ``k < phi``,
-    with ``den`` the lcm of the denominators of that algebra's constants.
-    Returns ``(order, phi, [(tables, den, weights), ...])``, one triple per
-    algebra, ``tables`` keyed as its ``tensors``; otherwise ``None``.  See
-    the module docstring for why the relations survive the rescaling.
+    When the algebra has ``q_weights``, each structure constant ``c q^x`` is
+    replaced by its coefficient ``c`` at the lcm ``order`` of the orders of
+    its irrational coefficients (order 1, the field ``Q``, when all are
+    rational), and ``c`` by ``linalg.realify(c, order, den)``, the
+    power-basis coordinates of ``den zeta^k c`` for ``k < phi``, with ``den``
+    the lcm of the denominators of its constants.  Returns ``(order, phi,
+    tables, den, weights)``, ``tables`` keyed as its ``tensors``; otherwise
+    ``None``.  See the module docstring for why the relations survive the
+    rescaling.
     """
-    weights = []
-    for alg in algebras:
-        w = alg.q_weights()
-        if w is None:
-            return None
-        weights.append(w)
-    order = math.lcm(1, *(value.terms[0][1].order for alg in algebras
-                          for store in alg.tensors.values()
-                          for vec in store.values() for value in vec.values()
-                          if not value.terms[0][1].is_rational()))
-    out = []
-    for alg, w in zip(algebras, weights):
-        # the power basis of Z[zeta_m] is an integral basis, so a constant's
-        # least denominator is the same at every order that holds it
-        den = math.lcm(1, *(value.terms[0][1].den for store in alg.tensors.values()
-                            for vec in store.values() for value in vec.values()))
-        out.append((_map_tensors(alg.tensors,
-                                 lambda value: linalg.realify(value.terms[0][1], order, den)),
-                    den, w))
-    return order, euler_phi(order), out
+    if (weights := algebra.q_weights()) is None:
+        return None
+    coefficients = [value.terms[0][1] for store in algebra.tensors.values()
+                    for vec in store.values() for value in vec.values()]
+    order = math.lcm(1, *(c.order for c in coefficients if not c.is_rational()))
+    # the power basis of Z[zeta_m] is an integral basis, so a constant's
+    # least denominator is the same at every order that holds it
+    den = math.lcm(1, *(c.den for c in coefficients))
+    tables = _map_tensors(algebra.tensors,
+                          lambda value: linalg.realify(value.terms[0][1], order, den))
+    return order, euler_phi(order), tables, den, weights
 
 
 def _relation_sums(algebra: AInftyAlgebra, outer_tensors, inner_tensors, times, plus, minus):
@@ -351,14 +342,14 @@ def relation_failures(algebra: AInftyAlgebra, rescaled) -> list:
     """The nonzero relation components of ``algebra`` as ``(inputs, output,
     value)``, sorted by arity, inputs and output: over the Novikov scalars
     when ``rescaled`` is None, else on the integer tables of ``rescaled``,
-    ``coefficient_tensors([algebra])`` or the algebra's one-item slice of a
-    category's, each value the monomial ``c q^{sum w(a) - w(o)}``."""
+    ``coefficient_tensors(algebra)``, each value the monomial
+    ``c q^{sum w(a) - w(o)}``."""
     if rescaled is None:
         sums = _relation_sums(algebra, algebra.tensors, algebra.tensors, mul, add, neg)
         bad = [(key, o, value) for key, vec in sums.items()
                for o, value in vec.items() if not value.is_zero()]
     else:
-        order, phi, [(tables, den, weights)] = rescaled
+        order, phi, tables, den, weights = rescaled
         if phi == 1:
             # over Q, realify(c) is (den c,) and den^2 a b one product; the
             # loop sums plain ints about three times as fast as 1-tuples
@@ -398,4 +389,4 @@ def check_ainfty(algebra: AInftyAlgebra) -> list[Violation]:
     violations, in its order.
     """
     return [Violation(len(key), tuple(algebra.basis[i] for i in key), algebra.basis[o], value)
-            for key, o, value in relation_failures(algebra, coefficient_tensors([algebra]))]
+            for key, o, value in relation_failures(algebra, coefficient_tensors(algebra))]

@@ -131,7 +131,7 @@ def cmd_hh_dims(args) -> int:
         algebras = [ainfty.AInftyAlgebra.from_json_dict(data)]
     category = hochschild.FlatCategory(tuple(algebras))
     report = hochschild.hochschild_homology_dims(category, args.length)
-    # the arithmetic runs in the smallest field holding every scalar
+    # the lcm of the file's scalar orders; the ranks run object by object
     order = math.lcm(*(value.order() for alg in algebras for entries in alg.tensors.values()
                        for vec in entries.values() for value in vec.values()))
     # no object's scalars are known past the least cutoff of any of them

@@ -20,35 +20,35 @@ boundary is length-graded and the object's declared unit satisfies the
 strict-unit axioms (``AInftyAlgebra.unit_violations`` is empty); otherwise
 no chain is dropped.
 
-Ranks are taken over the coefficient field when they can be.  When every
-algebra has weights, its structure constants are rescaled to their q-free
-coefficients in a cyclotomic field ``Q(zeta)`` (the module docstring of
-``ainfty`` gives the argument).  The rescaling keeps word lengths, parities
-and the unit, so it carries the (normalized) Hochschild complex
-isomorphically onto that of the q-free constants, and rank does not change
-under the field extension to the Novikov field (Loday, *Cyclic Homology*,
-1.1): the ranks are exact, with no q-exponent, cutoff or truncation.  They
-are taken on integers by ``linalg.integer_rank``.  Every row entry is a
-signed sum of single structure constants, so the rows are built from the
-integer tables of ``ainfty.coefficient_tensors``, the same tables the
-relation check sums on: each constant converted once per algebra to the
-coordinates of its ``zeta``-multiples over a common denominator
-(``linalg.realify``; see the module docstring of ``linalg``).  A chain's
-rows are sums and differences of those, with the signs of the same
-contractions that ``hochschild_boundary_basis`` enumerates.  Any other
-category is ranked over the truncated Novikov scalars.
+Chains never mix objects, so the homology is the direct sum of the objects'
+homologies (Loday, *Cyclic Homology*, 1.1), each ranked on its own.  An
+object with weights has its structure constants rescaled to their q-free
+coefficients in a cyclotomic field ``Q(zeta)`` (see ``ainfty``).  That keeps
+word lengths, parities and the unit, so it carries the object's (normalized)
+Hochschild complex isomorphically onto that of the q-free constants, and
+rank does not change under the field extension to the Novikov field: the
+ranks are exact, with no q-exponent, cutoff or truncation.  They are taken
+on integers by ``linalg.integer_rank``.  Every row entry is a signed sum of
+single structure constants, so the rows are built from the integer tables of
+``ainfty.coefficient_tensors``, the same tables the relation check sums on:
+each constant converted once per object to the coordinates of its
+``zeta``-multiples over a common denominator (``linalg.realify``; see the
+module docstring of ``linalg``).  A chain's rows are sums and differences of
+those, with the signs of the same contractions that
+``hochschild_boundary_basis`` enumerates.  Any other object is ranked over
+the truncated Novikov scalars.
 
 Before any rank, each object with exact constants has its A-infinity
 relations summed by ``ainfty.relation_failures``, on the same tables on the
 integer path and over the Novikov scalars otherwise, and is refused if one
 fails.  Then the boundary squares to zero on the normalized complex, so a
 length-graded block of length ``L >= 2`` has its boundary in the kernel of
-the boundary on the block of length ``L - 1`` and the other parity.  On the
-integer path the blocks are ranked in length order with that kernel's
-dimension as a bound, and ``integer_rank`` reads no row, which is built only
-when read, past it: every later row would reduce to zero.  A Novikov rank
-not flagged cutoff-limited is exact, so only a flagged report can show a
-negative dimension.
+the boundary on the object's block of length ``L - 1`` and the other
+parity.  On the integer path the blocks are ranked in length order with
+that kernel's dimension as a bound, and ``integer_rank`` reads no row,
+which is built only when read, past it: every later row would reduce to
+zero.  A Novikov rank not flagged cutoff-limited is exact, so only a
+flagged report can show a negative dimension.
 """
 
 from __future__ import annotations
@@ -141,11 +141,11 @@ def hochschild_boundary_basis(cat: FlatCategory, key) -> Chain:
 
 
 def _integer_row(tables, cat: FlatCategory, key, column) -> dict:
-    """A basis chain's boundary with ``realify``d entries, summed from the
-    tables of ``ainfty.coefficient_tensors``; ``column`` maps a chain to its
-    column, or to None."""
+    """A basis chain's boundary with ``realify``d entries, summed from its
+    object's tables of ``ainfty.coefficient_tensors``; ``column`` maps a
+    chain to its column, or to None."""
     (obj, word), acc = key, {}
-    for head, tail, sign, inner in _contractions(tables[obj], cat.algebras[obj].reduced, word):
+    for head, tail, sign, inner in _contractions(tables, cat.algebras[obj].reduced, word):
         for o, coords in inner.items():
             if (col := column((obj, head + (o,) + tail))) is not None:
                 acc[col] = tuple(map(sub if sign else add, acc.get(col, itertools.repeat(0)), coords))
@@ -180,15 +180,16 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6) -> Homology
     For a length-graded boundary (compositions of arity two only) the
     homology in word length ``l`` is exact once the boundary from length
     ``l + 1`` is known, so the report covers lengths up to ``max_length - 1``
-    and is flagged stable when dropping the top computed length changes
-    nothing.  Otherwise the truncated subcomplex is used and the result is
-    flagged as an unstable truncation.  Ranks are taken on the normalized
-    complex where it applies, where a degenerate chain has no column,
-    exactly over the coefficient field when every algebra is q-homogeneous
-    and at ``DEFAULT_CUTOFF``, recorded as ``rank_cutoff``, otherwise (see
-    the module docstring).  Each boundary block, the chains of one length
-    and parity (of one parity, over all lengths, when ungraded), is ranked
-    once; over the coefficient field a graded block's rank is bounded by the
+    and is flagged stable when dropping the top computed length changes no
+    object's homology.  Otherwise the truncated subcomplex is used and the
+    result is flagged as an unstable truncation.  The dimensions are sums
+    over the objects, each ranked on the normalized complex where it
+    applies, where a degenerate chain has no column, exactly over its
+    coefficient field when it is q-homogeneous and at ``DEFAULT_CUTOFF``,
+    recorded as ``rank_cutoff``, otherwise (see the module docstring).
+    Each boundary block, the chains of one object, length and parity (of
+    one object and parity, over all lengths, when ungraded), is ranked once;
+    over the coefficient field a graded block's rank is bounded by the
     kernel it lands in, and no row is built past that bound.  A category
     with a truncated constant (``least_cutoff``) is reported cutoff-limited.
 
@@ -203,14 +204,11 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6) -> Homology
         if bad := alg.degree_violations():
             raise ValueError(f"object {obj} breaks the degree rule at {bad[0]!r} (arity, "
                              "inputs, output); see qhsplit ainfty verify")
-    rescaled = ainfty.coefficient_tensors(cat.algebras)
-    if rescaled is not None:
-        order, phi, per_algebra = rescaled
-        tables = [tensors for tensors, _, _ in per_algebra]
+    # each object's q-free rescaling, None for one ranked over Novikov scalars
+    rescaled = [ainfty.coefficient_tensors(alg) for alg in cat.algebras]
     # truncated constants are cutoff-limited, their relations true mod q^cutoff
     for obj, alg in enumerate(cat.algebras):
-        own = None if rescaled is None else (order, phi, per_algebra[obj:obj + 1])
-        if alg.least_cutoff is None and (bad := ainfty.relation_failures(alg, own)):
+        if alg.least_cutoff is None and (bad := ainfty.relation_failures(alg, rescaled[obj])):
             at = (len(bad[0][0]), *bad[0][:2])
             raise ValueError(f"object {obj} breaks the A-infinity relations at {at!r} "
                              "(arity, inputs, output); see qhsplit ainfty verify")
@@ -219,27 +217,29 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6) -> Homology
     units = [alg.unit if graded and alg.unit is not None and not alg.unit_violations()
              else None for alg in cat.algebras]
 
-    # the chains of each block, keyed (length, parity), or (None, parity)
-    # when ungraded, since boundaries of different lengths then land in the
-    # same chains; rows stay in length order, which decides Novikov pivots
-    blocks = {(length if graded else None, parity): []
-              for length in range(1, max_length + 1) for parity in (0, 1)}
+    # the chains of each block, keyed (obj, length, parity), or (obj, None,
+    # parity) when ungraded, since boundaries of different lengths then land
+    # in the same chains; rows stay in length order, which decides Novikov pivots
+    objects = range(len(cat.algebras))
+    blocks = {(obj, length if graded else None, parity): []
+              for obj in objects for length in range(1, max_length + 1) for parity in (0, 1)}
     position: dict[tuple, int] = {}  # chain -> its column in every boundary matrix
     for length in range(1, max_length + 1):
         for key in chain_basis(cat, length):
             obj, word = key
             if units[obj] is None or units[obj] not in word[:-1]:
-                blocks[length if graded else None, chain_parity(cat, key)].append(key)
+                blocks[obj, length if graded else None, chain_parity(cat, key)].append(key)
                 position[key] = len(position)
 
     cutoff_limited = any(alg.least_cutoff is not None for alg in cat.algebras)
 
     # with m_0 = 0 an arity-k contraction takes length d to d - k + 1 in
     # 1..d, so a target lacks a column only when it is degenerate
-    def rank(chains: list, bound: int | None) -> int:
-        """Rank of the boundary on these chains, given a bound on it or None."""
+    def rank(obj: int, chains: list, bound: int | None) -> int:
+        """Rank of the boundary on an object's chains, given a bound on it or None."""
         nonlocal cutoff_limited
-        if rescaled is not None:
+        if rescaled[obj] is not None:
+            _, phi, tables, _, _ = rescaled[obj]
             rows = (_integer_row(tables, cat, c, position.get) for c in chains)
             return linalg.integer_rank(rows, phi, bound)[0]
         rows = [{position[k]: v for k, v in hochschild_boundary_basis(cat, c).items()
@@ -248,30 +248,33 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6) -> Homology
         cutoff_limited = cutoff_limited or limited
         return r
 
-    # a block's homology is its chains, less the rank of its boundary and
-    # of the boundary that lands in it; with the relations checked, d^2 = 0,
-    # so a graded block's boundary lies in the kernel of the boundary on
-    # the block below, and its rank is at most that kernel's dimension
+    # with the relations checked, d^2 = 0, so a graded block's boundary lies
+    # in the kernel of the boundary on the object's block below, and its
+    # rank is at most that kernel's dimension
     ranks = {}
-    for (length, parity), chains in blocks.items():
+    for (obj, length, parity), chains in blocks.items():
         bound = None
-        if graded and rescaled is not None and length > 1:
-            below = length - 1, 1 - parity
+        if graded and rescaled[obj] is not None and length > 1:
+            below = obj, length - 1, 1 - parity
             bound = len(blocks[below]) - ranks[below]
-        ranks[length, parity] = rank(chains, bound)
+        ranks[obj, length, parity] = rank(obj, chains, bound)
+    # a block's homology is its chains, less the rank of its boundary and
+    # of the boundary that lands in it, which the top length lacks
+    homology = {(obj, length, parity): len(chains) - ranks[obj, length, parity]
+                - ranks[obj, length + 1 if graded else None, 1 - parity]
+                for (obj, length, parity), chains in blocks.items() if length != max_length}
     per_length = {}
     if graded:
         for length in range(1, max_length):
-            per_length[length] = {parity: len(blocks[length, parity]) - ranks[length, parity]
-                                  - ranks[length + 1, 1 - parity] for parity in (0, 1)}
+            per_length[length] = {parity: sum(homology[obj, length, parity] for obj in objects)
+                                  for parity in (0, 1)}
         dims = {parity: sum(h[parity] for h in per_length.values()) for parity in (0, 1)}
-        # dropping the top length changes the sum iff that length has homology
-        stable = per_length[max_length - 1] == {0: 0, 1: 0}
+        # dropping the top length changes an object's sum iff it has homology there
+        stable = not any(homology[key] for key in homology if key[1] == max_length - 1)
     else:
         # homology of the truncated subcomplex, spurious top classes and all
-        dims = {parity: len(blocks[None, parity]) - ranks[None, parity] - ranks[None, 1 - parity]
-                for parity in (0, 1)}
+        dims = {parity: sum(homology[obj, None, parity] for obj in objects) for parity in (0, 1)}
         stable = False
     return HomologyReport(dims=dims, stable=stable, per_length=per_length,
                           cutoff_limited=cutoff_limited, graded=graded,
-                          rank_cutoff=DEFAULT_CUTOFF if rescaled is None else None)
+                          rank_cutoff=DEFAULT_CUTOFF if None in rescaled else None)

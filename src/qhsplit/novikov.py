@@ -683,6 +683,10 @@ class NovikovElement:
             raise ValueError(f"scalar key 'order' must be a positive integer, got {order!r}")
         cutoff = data.get("cutoff", "inf")
         cutoff_val = None if cutoff in (None, "inf") else parse_rational(cutoff)
+        # to_json_dict writes "truncated" as "cutoff is not None"
+        if data.get("truncated", cutoff_val is not None) is not (cutoff_val is not None):
+            raise ValueError(f"scalar key 'truncated' must be {str(cutoff_val is not None).lower()} "
+                             f"for cutoff {cutoff!r}, got {data['truncated']!r}")
         phi = euler_phi(order)
         terms = []
         for t in json_field(data, "terms", "scalar", list):

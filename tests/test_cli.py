@@ -394,8 +394,9 @@ def test_oc_matrix_order_override():
 
 # --- malformed inputs ------------------------------------------------------------
 
-def _algebra_with_scalar(order, coeff, inputs=("e", "e")):
-    scalar = {"order": order, "terms": [{"exp": "0", "coeff": coeff}], "cutoff": "inf"}
+def _algebra_with_scalar(order, coeff, inputs=("e", "e"), **scalar_keys):
+    scalar = {"order": order, "terms": [{"exp": "0", "coeff": coeff}], "cutoff": "inf",
+              **scalar_keys}
     return {"basis": [{"name": "e", "degree": 0}],
             "tensors": {"2": [{"inputs": list(inputs), "outputs": {"e": scalar}}]}}
 
@@ -418,6 +419,11 @@ MALFORMED_ALGEBRAS = {
                      "tensors": {}}, "'degree'"),
     "scalar_order_below_one": (_algebra_with_scalar(0, []), "'order'"),
     "scalar_coeff_wrong_length": (_algebra_with_scalar(3, ["1"]), "'coeff'"),
+    # an exact scalar whose file calls it truncated, and a flag that is no boolean
+    "scalar_truncated_without_cutoff": (_algebra_with_scalar(1, ["1"], truncated=True),
+                                        "'truncated'"),
+    "scalar_truncated_not_a_boolean": (_algebra_with_scalar(1, ["1"], cutoff="3", truncated=1),
+                                       "'truncated'"),
     "n_grading_not_an_integer": ({"basis": [], "n_grading": "2"}, "'n_grading'"),
     "n_grading_odd": ({"basis": [], "n_grading": 3}, "the grading group order N must be even"),
     "tensor_arity_not_an_integer": ({"basis": [], "tensors": {"two": []}}, "'tensors'"),
@@ -693,6 +699,35 @@ def test_hh_dims_of_a_category_file_adds_its_objects(tmp_path):
     assert result.returncode == EXIT_OK
     assert result.stdout.splitlines()[1:] == [
         "degree,dimension,stable", "0,0,true", "1,2,true", "total,2,true"]
+
+
+def _write_category(tmp_path, algebras):
+    path = tmp_path / "category.json"
+    path.write_text(json.dumps({"objects": [{"name": f"o{i}", "algebra": alg.to_json_dict()}
+                                            for i, alg in enumerate(algebras)]}),
+                    encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("length", ["3", "4"])
+def test_hh_dims_of_objects_at_orders_3_and_4(tmp_path, capsys, length):
+    # each object is ranked in its own field; the header prints the lcm order
+    from test_hochschild import orders_3_and_4_category
+    path = _write_category(tmp_path, orders_3_and_4_category().algebras)
+    assert main(["hh", "dims", path, "--length", length]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == [
+        "# cutoff=inf cyclotomic_order=12", "degree,dimension,stable",
+        "0,1,true", "1,1,true", "total,2,true"]
+
+
+def test_hh_dims_ranks_an_object_with_weights_beside_one_without(tmp_path, capsys):
+    # Cl(q^4) keeps its one exact class beside the cutoff-limited Cl(q^4 + q^5)
+    from test_hochschild import mixed_category
+    path = _write_category(tmp_path, mixed_category().algebras)
+    assert main(["hh", "dims", path, "--length", "4"]) == EXIT_FAILURE
+    assert capsys.readouterr().out.splitlines() == [
+        "# cutoff=inf cyclotomic_order=1 cutoff_limited=true rank_cutoff=3",
+        "degree,dimension,stable", "0,3,false", "1,4,false", "total,7,false"]
 
 
 def test_hh_dims_prints_the_least_cutoff_of_a_category(tmp_path):

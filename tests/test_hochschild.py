@@ -325,7 +325,7 @@ def test_exactly_the_algebras_that_break_the_relations_are_refused(q_weights, mo
 @scalar_paths
 def test_a_second_object_that_breaks_the_relations_is_named(q_weights, monkeypatch):
     # object 1 of the orders 3 and 4 category, with its last product doubled,
-    # is checked on its slice of the tables at the lcm order 12
+    # is checked on its own tables at order 4
     first, second = orders_3_and_4_category().algebras
     tensors = {d: dict(store) for d, store in second.tensors.items()}
     key = max(tensors[2])
@@ -403,7 +403,8 @@ def brane_categories():
 
 
 def orders_3_and_4_category():
-    """Two objects whose constants lie in Q(zeta_3) and Q(i): lcm 12, phi 4."""
+    """Two objects whose constants lie in Q(zeta_3) and Q(i), each ranked in
+    its own field (phi 2), though the lcm of their orders is 12."""
     algebras = []
     for n in (2, 3):
         W = toric.PotentialFunction.clifford_torus(n)
@@ -440,40 +441,42 @@ def integer_row_cases():
 @pytest.mark.parametrize("cat, length", integer_row_cases())
 def test_integer_rows_match_the_realified_boundary(cat, length):
     # oracle: the boundary over the coefficient category, each constant c q^x
-    # replaced by c q^0 with c in the field of the lcm of the orders of the
-    # irrational c, and each entry v realified by field products,
-    # den * (zeta^k v) at the category's order
-    coefficients = [v.terms[0][1] for alg in cat.algebras for store in alg.tensors.values()
-                    for vec in store.values() for v in vec.values()]
-    field = math.lcm(1, *(c.order for c in coefficients if not c.is_rational()))
-    rescaled = [{d: {key: {o: N.from_cyclotomic(v.terms[0][1].to_order(field))
-                           for o, v in vec.items()}
-                     for key, vec in store.items()} for d, store in alg.tensors.items()}
-                for alg in cat.algebras]
+    # replaced by c q^0 with c in the field of the lcm of the orders of its
+    # object's irrational c, and each entry v realified by field products,
+    # den * (zeta^k v) at the object's order
+    def coefficient_tensors(alg):
+        coefficients = [v.terms[0][1] for store in alg.tensors.values()
+                        for vec in store.values() for v in vec.values()]
+        field = math.lcm(1, *(c.order for c in coefficients if not c.is_rational()))
+        return {d: {key: {o: N.from_cyclotomic(v.terms[0][1].to_order(field))
+                          for o, v in vec.items()}
+                    for key, vec in store.items()} for d, store in alg.tensors.items()}
+
     coefficient = FlatCategory(tuple(
-        AInftyAlgebra(alg.basis, alg.degrees, tensors, unit=alg.unit, n_grading=alg.n_grading)
-        for alg, tensors in zip(cat.algebras, rescaled)))
-    constants = [[v.terms[0][1] for store in tensors.values() for vec in store.values()
-                  for v in vec.values()] for tensors in rescaled]
-    order = math.lcm(*(v.order for values in constants for v in values))
-    tables_order, phi, per_algebra = ainfty.coefficient_tensors(cat.algebras)
-    tables = [tensors for tensors, _, _ in per_algebra]
-    assert tables_order == order
-    assert phi == euler_phi(order)
+        AInftyAlgebra(alg.basis, alg.degrees, coefficient_tensors(alg), unit=alg.unit,
+                      n_grading=alg.n_grading) for alg in cat.algebras))
     # a column for every chain but those with the unit in a non-final slot
     keys = [key for n in range(1, length + 1) for key in chain_basis(cat, n)
             if cat.algebras[key[0]].unit not in key[1][:-1]]
     column = {key: i for i, key in enumerate(keys)}.get
-    for key in keys:
-        den = math.lcm(*(v.den for v in constants[key[0]]))
-        assert per_algebra[key[0]][1] == den
-        expected = {}
-        for target, v in hochschild_boundary_basis(coefficient, key).items():
-            if column(target) is not None:
-                multiples = [(C.root_of_unity(order, k) * v.specialize_q_to_one()).to_order(order)
-                             for k in range(phi)]
-                expected[column(target)] = tuple(n * (den // w.den) for w in multiples for n in w.num)
-        assert hochschild._integer_row(tables, cat, key, column) == expected, key
+    for obj, alg in enumerate(cat.algebras):
+        constants = [v.terms[0][1] for store in coefficient.algebras[obj].tensors.values()
+                     for vec in store.values() for v in vec.values()]
+        order = math.lcm(*(v.order for v in constants))
+        den = math.lcm(*(v.den for v in constants))
+        tables_order, phi, tables, tables_den, _ = ainfty.coefficient_tensors(alg)
+        assert (tables_order, phi, tables_den) == (order, euler_phi(order), den)
+        for key in keys:
+            if key[0] != obj:
+                continue
+            expected = {}
+            for target, v in hochschild_boundary_basis(coefficient, key).items():
+                if column(target) is not None:
+                    multiples = [(C.root_of_unity(order, k) * v.specialize_q_to_one()).to_order(order)
+                                 for k in range(phi)]
+                    expected[column(target)] = tuple(n * (den // w.den) for w in multiples
+                                                     for n in w.num)
+            assert hochschild._integer_row(tables, cat, key, column) == expected, key
 
 
 def field_operations(monkeypatch, call):
@@ -511,7 +514,7 @@ def test_the_relation_check_does_no_scalar_arithmetic_per_term(monkeypatch):
     # operations of building those tables and no others
     W = toric.PotentialFunction.clifford_torus(3)
     alg = toric.brane_algebra(W, toric.critical_points(W)[1])
-    tables, _ = field_operations(monkeypatch, lambda: ainfty.coefficient_tensors([alg]))
+    tables, _ = field_operations(monkeypatch, lambda: ainfty.coefficient_tensors(alg))
     checked, violations = field_operations(monkeypatch, lambda: ainfty.check_ainfty(alg))
     assert violations == []
     assert checked == tables
@@ -586,17 +589,43 @@ def test_the_weights_of_each_object_are_solved_once(monkeypatch):
         assert set(calls.values()) == {1}
 
 
-def test_a_category_without_weights_everywhere_uses_the_novikov_scalars():
-    # one object with weights and one without: the whole category takes the
-    # truncated scalars, and the cutoff-limited ranks of the second show
+def mixed_category():
+    """Cl(q^4), which has weights, beside Cl(q^4 + q^5), which has none."""
     from qhsplit.toric import clifford_algebra
-    exact = clifford_algebra([[N.q_power(4)]])
-    inexact = clifford_algebra([[N.q_power(4) + N.q_power(5)]])
+    return FlatCategory((clifford_algebra([[N.q_power(4)]]),
+                         clifford_algebra([[N.q_power(4) + N.q_power(5)]])))
+
+
+def test_an_object_with_weights_is_ranked_exactly_beside_one_without():
+    # the first object takes the integer path and keeps its one class; the
+    # second takes the truncated scalars, whose cutoff-limited ranks show
+    exact, inexact = mixed_category().algebras
     assert hochschild_homology_dims(FlatCategory.single(exact), 4).dims == {0: 0, 1: 1}
-    both = FlatCategory((exact, inexact))
-    report = hochschild_homology_dims(both, 4)
-    assert report.cutoff_limited
-    assert report.dims == {0: 6, 1: 6}
+    assert hochschild_homology_dims(FlatCategory.single(inexact), 4).dims == {0: 3, 1: 3}
+    report = hochschild_homology_dims(mixed_category(), 4)
+    assert report.cutoff_limited and report.rank_cutoff == 3
+    assert report.dims == {0: 3, 1: 4}
+
+
+def direct_sum_cases():
+    """(category, length) for every multi-object category here."""
+    cliffords = FlatCategory(clifford_category(1).algebras + clifford_category(2).algebras)
+    return [pytest.param(orders_3_and_4_category(), 3, id="orders 3 and 4 length 3"),
+            pytest.param(orders_3_and_4_category(), 4, id="orders 3 and 4 length 4"),
+            pytest.param(cliffords, 4, id="clifford ranks 2 and 4"),
+            pytest.param(mixed_category(), 4, id="with and without weights")]
+
+
+@pytest.mark.parametrize("cat, length", direct_sum_cases())
+def test_a_category_is_the_direct_sum_of_its_objects(cat, length):
+    # chains never mix objects, so each object's report is its summand
+    whole = hochschild_homology_dims(cat, length)
+    parts = [hochschild_homology_dims(FlatCategory.single(alg), length) for alg in cat.algebras]
+    assert whole.dims == {p: sum(part.dims[p] for part in parts) for p in (0, 1)}
+    assert whole.per_length == {n: {p: sum(part.per_length[n][p] for part in parts)
+                                    for p in (0, 1)} for n in range(1, length)}
+    assert whole.stable == all(part.stable for part in parts)
+    assert whole.cutoff_limited == any(part.cutoff_limited for part in parts)
 
 
 # --- the normalized complex ---------------------------------------------------
