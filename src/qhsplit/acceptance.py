@@ -14,8 +14,8 @@ import itertools
 import json
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import ainfty, blowup, hochschild, linalg, openclosed, toric, trees
 from .novikov import DEFAULT_CUTOFF, CyclotomicNumber, NovikovElement, euler_phi, format_rational
@@ -24,8 +24,7 @@ SEED = 20240 + 8
 EPS = Fraction(1, 10)  # the exceptional family's size wherever the suite fixes one
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     name: str
     passed: bool

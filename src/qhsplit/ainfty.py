@@ -47,9 +47,9 @@ would print the coefficient in; the value is the same under ``==``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, itemgetter, mul, neg
+from typing import NamedTuple
 
 from . import linalg
 from .novikov import (CyclotomicNumber, NovikovElement, euler_phi, format_rational,
@@ -159,8 +159,14 @@ class AInftyAlgebra:
         weights = [Fraction(0)] * self.rank
         for var, row in pivots.items():
             weights[var] = -Fraction(row.get(-1, 0))
+        # each entry is checked on integers: the weights and exponents
+        # times their common denominator
+        den = math.lcm(*(w.denominator for w in weights),
+                       *(exponent.denominator for _, _, exponent in entries))
+        scaled = [w.numerator * (den // w.denominator) for w in weights]
         for key, o, exponent in entries:
-            if sum(weights[i] for i in key) - weights[o] != exponent:
+            if (sum(scaled[i] for i in key) - scaled[o]
+                    != exponent.numerator * (den // exponent.denominator)):
                 return None
         return tuple(weights)
 
@@ -268,8 +274,7 @@ class AInftyAlgebra:
 # the relation checker
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     arity: int
     inputs: tuple
     output: str

@@ -15,10 +15,10 @@ object; the boundary sums two families of contractions:
 Homology is computed on the normalized complex (Loday, *Cyclic Homology*,
 1.1.14-15): chains with the unit in a slot other than the final one, where
 wraparound contractions land, span an acyclic subcomplex, so they are
-dropped from the basis and from every boundary.  That holds when the
-boundary is length-graded and the object's declared unit satisfies the
+dropped from the basis and from every boundary.  That holds for an object
+whose boundary is length-graded and whose declared unit satisfies the
 strict-unit axioms (``AInftyAlgebra.unit_violations`` is empty); otherwise
-no chain is dropped.
+none of its chains is dropped.
 
 Chains never mix objects, so the homology is the direct sum of the objects'
 homologies (Loday, *Cyclic Homology*, 1.1), each ranked on its own.  An
@@ -54,25 +54,25 @@ flagged report can show a negative dimension.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, sub
+from typing import NamedTuple
 
 from . import ainfty, linalg
 from .ainfty import AInftyAlgebra
 from .novikov import DEFAULT_CUTOFF, NovikovElement
 
 
-@dataclass(frozen=True)
 class FlatCategory:
     """Objects, one per endomorphism algebra, with zero cross-object morphisms."""
 
-    algebras: tuple
+    __slots__ = ("algebras",)
 
-    def __post_init__(self):
-        for alg in self.algebras:
+    def __init__(self, algebras: tuple):
+        for alg in algebras:
             if alg.tensors.get(0):
                 raise ValueError("Hochschild theory here needs flat algebras (m_0 = 0)")
+        self.algebras = algebras
 
     @classmethod
     def single(cls, algebra: AInftyAlgebra) -> "FlatCategory":
@@ -152,20 +152,10 @@ def _integer_row(tables, cat: FlatCategory, key, column) -> dict:
     return {c: v for c, v in acc.items() if any(v)}
 
 
-def is_length_graded(cat: FlatCategory) -> bool:
-    """True when the boundary strictly lowers word length (only m_2 active)."""
-    for alg in cat.algebras:
-        for d in alg.tensors:
-            if d != 2:
-                return False
-    return True
-
-
-@dataclass
-class HomologyReport:
+class HomologyReport(NamedTuple):
     dims: dict
     stable: bool
-    per_length: dict = field(default_factory=dict)
+    per_length: dict  # {length: dims}, filled only when graded
     cutoff_limited: bool = False
     graded: bool = True
     rank_cutoff: Fraction | None = None  # of the Novikov ranks; None over the field
@@ -177,21 +167,23 @@ class HomologyReport:
 def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6) -> HomologyReport:
     """Homology dimensions by parity, with a two-length stabilization flag.
 
-    For a length-graded boundary (compositions of arity two only) the
-    homology in word length ``l`` is exact once the boundary from length
-    ``l + 1`` is known, so the report covers lengths up to ``max_length - 1``
-    and is flagged stable when dropping the top computed length changes no
-    object's homology.  Otherwise the truncated subcomplex is used and the
-    result is flagged as an unstable truncation.  The dimensions are sums
-    over the objects, each ranked on the normalized complex where it
-    applies, where a degenerate chain has no column, exactly over its
-    coefficient field when it is q-homogeneous and at ``DEFAULT_CUTOFF``,
-    recorded as ``rank_cutoff``, otherwise (see the module docstring).
-    Each boundary block, the chains of one object, length and parity (of
-    one object and parity, over all lengths, when ungraded), is ranked once;
-    over the coefficient field a graded block's rank is bounded by the
-    kernel it lands in, and no row is built past that bound.  A category
-    with a truncated constant (``least_cutoff``) is reported cutoff-limited.
+    Each object is judged on its own.  For a length-graded one (compositions
+    of arity two only) the homology in word length ``l`` is exact once the
+    boundary from length ``l + 1`` is known, so its part covers lengths up to
+    ``max_length - 1``; for any other the truncated subcomplex is used.  The
+    report is graded when every object is, and then has ``per_length`` and
+    is flagged stable when dropping the top computed length changes no
+    object's homology; otherwise it is flagged as an unstable truncation.
+    The dimensions are sums over the objects, each ranked on the normalized
+    complex where it applies, where a degenerate chain has no column,
+    exactly over its coefficient field when it is q-homogeneous and at
+    ``DEFAULT_CUTOFF``, recorded as ``rank_cutoff``, otherwise (see the
+    module docstring).  Each boundary block, the chains of one object,
+    length and parity (of one object and parity, over all lengths, when the
+    object is ungraded), is ranked once; over the coefficient field a graded
+    block's rank is bounded by the kernel it lands in, and no row is built
+    past that bound.  A category with a truncated constant
+    (``least_cutoff``) is reported cutoff-limited.
 
     Input that is not an A-infinity category raises ``ValueError``: a stored
     composition that breaks the degree rule, then an object with exact
@@ -212,23 +204,25 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6) -> Homology
             at = (len(bad[0][0]), *bad[0][:2])
             raise ValueError(f"object {obj} breaks the A-infinity relations at {at!r} "
                              "(arity, inputs, output); see qhsplit ainfty verify")
-    graded = is_length_graded(cat)
+    # whether each object's boundary strictly lowers word length (only m_2 active)
+    graded = [all(d == 2 for d in alg.tensors) for alg in cat.algebras]
     # the unit of each object whose chains are normalized, else None
-    units = [alg.unit if graded and alg.unit is not None and not alg.unit_violations()
-             else None for alg in cat.algebras]
+    units = [alg.unit if graded[obj] and alg.unit is not None and not alg.unit_violations()
+             else None for obj, alg in enumerate(cat.algebras)]
 
     # the chains of each block, keyed (obj, length, parity), or (obj, None,
-    # parity) when ungraded, since boundaries of different lengths then land
-    # in the same chains; rows stay in length order, which decides Novikov pivots
+    # parity) when the object is ungraded, since its boundaries of different
+    # lengths then land in the same chains; rows stay in length order, which
+    # decides Novikov pivots
     objects = range(len(cat.algebras))
-    blocks = {(obj, length if graded else None, parity): []
+    blocks = {(obj, length if graded[obj] else None, parity): []
               for obj in objects for length in range(1, max_length + 1) for parity in (0, 1)}
     position: dict[tuple, int] = {}  # chain -> its column in every boundary matrix
     for length in range(1, max_length + 1):
         for key in chain_basis(cat, length):
             obj, word = key
             if units[obj] is None or units[obj] not in word[:-1]:
-                blocks[obj, length if graded else None, chain_parity(cat, key)].append(key)
+                blocks[obj, length if graded[obj] else None, chain_parity(cat, key)].append(key)
                 position[key] = len(position)
 
     cutoff_limited = any(alg.least_cutoff is not None for alg in cat.algebras)
@@ -254,27 +248,26 @@ def hochschild_homology_dims(cat: FlatCategory, max_length: int = 6) -> Homology
     ranks = {}
     for (obj, length, parity), chains in blocks.items():
         bound = None
-        if graded and rescaled[obj] is not None and length > 1:
+        if graded[obj] and rescaled[obj] is not None and length > 1:
             below = obj, length - 1, 1 - parity
             bound = len(blocks[below]) - ranks[below]
         ranks[obj, length, parity] = rank(obj, chains, bound)
     # a block's homology is its chains, less the rank of its boundary and
     # of the boundary that lands in it, which the top length lacks
     homology = {(obj, length, parity): len(chains) - ranks[obj, length, parity]
-                - ranks[obj, length + 1 if graded else None, 1 - parity]
+                - ranks[obj, None if length is None else length + 1, 1 - parity]
                 for (obj, length, parity), chains in blocks.items() if length != max_length}
+    # an ungraded object adds the homology of its truncated subcomplex,
+    # spurious top classes and all
+    dims = {parity: sum(h for key, h in homology.items() if key[2] == parity)
+            for parity in (0, 1)}
     per_length = {}
-    if graded:
-        for length in range(1, max_length):
-            per_length[length] = {parity: sum(homology[obj, length, parity] for obj in objects)
-                                  for parity in (0, 1)}
-        dims = {parity: sum(h[parity] for h in per_length.values()) for parity in (0, 1)}
-        # dropping the top length changes an object's sum iff it has homology there
-        stable = not any(homology[key] for key in homology if key[1] == max_length - 1)
-    else:
-        # homology of the truncated subcomplex, spurious top classes and all
-        dims = {parity: sum(homology[obj, None, parity] for obj in objects) for parity in (0, 1)}
-        stable = False
+    if all(graded):
+        per_length = {length: {parity: sum(homology[obj, length, parity] for obj in objects)
+                               for parity in (0, 1)} for length in range(1, max_length)}
+    # dropping the top length changes an object's sum iff it has homology there
+    stable = all(graded) and not any(homology[key] for key in homology
+                                     if key[1] == max_length - 1)
     return HomologyReport(dims=dims, stable=stable, per_length=per_length,
-                          cutoff_limited=cutoff_limited, graded=graded,
+                          cutoff_limited=cutoff_limited, graded=all(graded),
                           rank_cutoff=DEFAULT_CUTOFF if None in rescaled else None)

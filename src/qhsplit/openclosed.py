@@ -10,8 +10,8 @@ DFT.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg, toric
 from .novikov import CyclotomicNumber, NovikovElement
@@ -28,8 +28,7 @@ DEFICIENT = "deficient"
 SPLIT = Fraction(2)
 
 
-@dataclass(frozen=True)
-class OCMatrix:
+class OCMatrix(NamedTuple):
     rows: tuple          # quantum basis labels
     cols: tuple          # brane labels
     entries: tuple       # tuple of row tuples of NovikovElement

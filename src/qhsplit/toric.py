@@ -30,8 +30,8 @@ and the command line take as they are.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg
 from .ainfty import AInftyAlgebra
@@ -42,7 +42,6 @@ from .novikov import CyclotomicNumber, NovikovElement, format_rational
 # disk classes from the moment polytope
 
 
-@dataclass(frozen=True)
 class ToricModel:
     """A moment polytope ``{x : <v_j, x> >= c_j}`` seen from a torus fiber.
 
@@ -53,12 +52,13 @@ class ToricModel:
     ``2 sum k_j`` and area ``sum k_j l_j``.
     """
 
-    normals: tuple  # one integer vector per facet
-    levels: tuple   # one positive Fraction per facet
+    __slots__ = ("normals", "levels")
 
-    def __post_init__(self):
-        if any(level <= 0 for level in self.levels):
+    def __init__(self, normals: tuple, levels: tuple):
+        if any(level <= 0 for level in levels):
             raise ValueError("the fiber must lie inside the polytope")
+        self.normals = normals  # one integer vector per facet
+        self.levels = levels    # one positive Fraction per facet
 
     @classmethod
     def simplex(cls, n: int) -> "ToricModel":
@@ -94,8 +94,7 @@ class ToricModel:
 # potential functions
 
 
-@dataclass(frozen=True)
-class PotentialFunction:
+class PotentialFunction(NamedTuple):
     """Finite Laurent polynomial in y_1..y_n over Novikov scalars.
 
     ``order`` is the order of the roots of unity whose diagonal tuples are
@@ -155,8 +154,7 @@ def _log_derivative(values: list[tuple], *directions: int) -> NovikovElement:
     return total
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
+class CriticalPoint(NamedTuple):
     """A critical local system: its root tuple, ``W`` there and the log Hessian."""
 
     point: tuple

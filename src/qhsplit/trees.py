@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 ZERO, POS, INF = "zero", "pos", "inf"
@@ -46,8 +46,7 @@ class UnstableTypeError(ValueError):
 # data model
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     """One disk vertex: ribbon-ordered slots plus interior input labels.
 
     ``slots`` entries are either ``("in", label)`` for a boundary input or
@@ -72,8 +71,7 @@ class Node:
                 yield slot
 
 
-@dataclass(frozen=True)
-class TreedDiskType:
+class TreedDiskType(NamedTuple):
     """A combinatorial type: a rooted planar tree of disk vertices."""
 
     root: Node

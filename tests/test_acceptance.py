@@ -5,7 +5,6 @@ through the command line twice and compares bytes.
 """
 
 import ast
-import dataclasses
 import hashlib
 import inspect
 import itertools
@@ -205,7 +204,7 @@ def test_criterion_04_fails_on_a_perturbed_hessian(entries, line):
             h = [list(row) for row in points[0].hessian]
             for a, b in entries:
                 h[a][b] = -h[a][b]
-            points[0] = dataclasses.replace(points[0], hessian=tuple(map(tuple, h)))
+            points[0] = points[0]._replace(hessian=tuple(map(tuple, h)))
         return points
 
     result = acceptance.criterion_4(critical_points)
@@ -320,7 +319,7 @@ def test_criterion_07_fails_on_swapped_oc_columns():
     def oc_matrix(size, family, eps=None):
         matrix = openclosed.oc_matrix(size, family, eps)
         entries = tuple(row[1::-1] + row[2:] for row in matrix.entries)
-        return dataclasses.replace(matrix, entries=entries)
+        return matrix._replace(entries=entries)
 
     result = acceptance.criterion_7(oc_matrix)
     assert not result.passed
@@ -354,7 +353,7 @@ def test_criterion_08_fails_on_a_repeated_oc_column(kind, n):
         if (family, size) != (kind, n):
             return matrix
         entries = tuple(row[:1] * 2 + row[2:] for row in matrix.entries)
-        return dataclasses.replace(matrix, entries=entries)
+        return matrix._replace(entries=entries)
 
     result = acceptance.criterion_8(oc_matrix)
     assert not result.passed
@@ -371,7 +370,7 @@ def _replacing_a_critical_value(n, k, replace):
     def critical_points(potential):
         points = toric.critical_points(potential)
         if potential.n == n:
-            points[k] = dataclasses.replace(points[k], value=replace(points[k].value))
+            points[k] = points[k]._replace(value=replace(points[k].value))
         return points
     return critical_points
 
@@ -409,7 +408,7 @@ def test_criterion_10_fails_on_a_repeated_oc_column(n):
         if size != n:
             return matrix
         entries = tuple(row[:1] * 2 + row[2:] for row in matrix.entries)
-        return dataclasses.replace(matrix, entries=entries)
+        return matrix._replace(entries=entries)
 
     result = acceptance.criterion_10(oc_matrix)
     assert not result.passed
@@ -425,7 +424,7 @@ def test_criterion_11_fails_on_an_exceptional_family_of_n_branes(monkeypatch):
     # the family claims, so n branes make the blowup of P^2 five-dimensional
     exceptional = toric.PotentialFunction.exceptional
     monkeypatch.setattr(toric.PotentialFunction, "exceptional", lambda n, eps: (
-        dataclasses.replace(exceptional(n, eps), order=n)))
+        exceptional(n, eps)._replace(order=n)))
     result = acceptance.criterion_11()
     assert not result.passed
     assert result.detail == "n=2: dim 5"

@@ -309,6 +309,19 @@ def test_importing_the_cli_leaves_the_acceptance_suite_unloaded():
     assert result.stdout == "False\n", result.stderr
 
 
+def test_importing_the_cli_and_the_suite_generates_no_code():
+    # the records are tuples and slotted classes, so no import pulls in
+    # dataclasses or the inspect module that it needs; -S keeps site's
+    # imports out of the count
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    result = subprocess.run(
+        [sys.executable, "-S", "-c",
+         f"import sys; sys.path.insert(0, {src!r}); import qhsplit.cli, qhsplit.acceptance; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True)
+    assert result.stdout == "[]\n", result.stderr
+
+
 def registered_commands(parser) -> list:
     (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     return list(action.choices)

@@ -425,6 +425,62 @@ def test_coefficient_field_ranks_match_the_novikov_ranks(cat, length, monkeypatc
     assert exact.stable == novikov.stable
 
 
+def stored_entries(alg):
+    return [(key, o, value) for store in alg.tensors.values()
+            for key, vec in store.items() for o, value in vec.items()]
+
+
+def exponents_fit(alg) -> bool:
+    """Whether weights solve every entry's equation sum_i w(a_i) - w(o) = x:
+    over the rationals, the equations' rank does not grow with their constants."""
+    rows = []
+    for key, o, value in stored_entries(alg):
+        row = Counter(key)
+        row[o] -= 1
+        rows.append(({i: N.from_rational(c) for i, c in row.items() if c}, value.val_q()))
+    rank = linalg.row_reduce([row for row, _ in rows])[0]
+    return rank == linalg.row_reduce([row | {-1: N.from_rational(x)} for row, x in rows])[0]
+
+
+def with_exponents(alg, shift):
+    """``alg`` with entry ``(key, o)`` multiplied by ``q^shift(key, o)``."""
+    tensors = {d: {key: {o: value * N.q_power(shift(key, o)) for o, value in vec.items()}
+                   for key, vec in store.items()} for d, store in alg.tensors.items()}
+    return AInftyAlgebra(alg.basis, alg.degrees, tensors, unit=alg.unit)
+
+
+def moved(alg, at):
+    """``alg`` with the exponent of its entry ``at = (key, o)`` raised by 1/7."""
+    return with_exponents(alg, lambda key, o: F(int((key, o) == at), 7))
+
+
+def test_q_weights_are_returned_exactly_when_the_exponents_fit():
+    # the brane algebras (all but the dga fixture), and the fuzz draws
+    # rescaled by random weights, each as it is and with the exponent of its
+    # first or last entry moved
+    rng = random.Random(5)
+    branes = [alg for case in brane_categories()[:-1] for alg in case.values[0].algebras]
+    algebras = list(branes)
+    for _ in range(100):
+        alg = random_integer_algebra(rng)
+        w = [F(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(alg.rank)]
+        algebras.append(with_exponents(alg, lambda key, o: sum(w[i] for i in key) - w[o]))
+    refused = 0
+    for alg in algebras:
+        entries = [entry[:2] for entry in stored_entries(alg)]
+        for draw in [alg] + [moved(alg, at) for at in entries[:1] + entries[-1:]]:
+            weights = draw.q_weights()
+            assert (weights is not None) == exponents_fit(draw)
+            if weights is None:
+                refused += 1
+            else:
+                assert all(value.val_q() == sum(weights[i] for i in key) - weights[o]
+                           for key, o, value in stored_entries(draw))
+    assert refused > 100
+    # moving the first exponent of a brane algebra leaves no weights that fit
+    assert all(moved(alg, stored_entries(alg)[0][:2]).q_weights() is None for alg in branes)
+
+
 def integer_row_cases():
     """(category, length) at every critical point of projective n <= 3 and
     exceptional n <= 3 at two eps, up to length 4, and the orders 3 and 4
@@ -626,6 +682,18 @@ def test_a_category_is_the_direct_sum_of_its_objects(cat, length):
                                     for p in (0, 1)} for n in range(1, length)}
     assert whole.stable == all(part.stable for part in parts)
     assert whole.cutoff_limited == any(part.cutoff_limited for part in parts)
+
+
+def test_a_graded_object_beside_an_ungraded_one_keeps_its_own_homology():
+    # gradedness is decided object by object: the P^1 brane algebra stays on
+    # its normalized, length-graded complex beside the dga's m_1
+    cat = FlatCategory(clifford_category(1).algebras + dga_category().algebras)
+    whole = hochschild_homology_dims(cat, 4)
+    parts = [hochschild_homology_dims(FlatCategory.single(alg), 4) for alg in cat.algebras]
+    assert [part.dims for part in parts] == [{0: 0, 1: 1}, {0: 0, 1: 0}]
+    assert [part.graded for part in parts] == [True, False]
+    assert whole.dims == {0: 0, 1: 1}
+    assert not whole.graded and not whole.stable and whole.per_length == {}
 
 
 # --- the normalized complex ---------------------------------------------------
